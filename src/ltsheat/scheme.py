@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, SolverError
 from .grid import CompositeGrid
 from .projection import COARSE, FINE, Trace
 
@@ -180,7 +181,8 @@ def cell_average_source(
 @dataclass(frozen=True)
 class WindowInputs:
     """Per-window precomputed data: slab-averaged sources and boundary values,
-    shared by the predictor, the corrector sweeps and the monolithic system."""
+    shared by the predictor, the corrector sweeps and the monolithic system,
+    plus the grid's factored step matrices, shared by every window of a march."""
 
     window: int
     fine_source: np.ndarray  # (K, n_fine)
@@ -188,6 +190,7 @@ class WindowInputs:
     g_lo_fine: np.ndarray  # (K,) left boundary value at fine slab midpoints
     g_lo_coarse: float  # left boundary value at the coarse slab midpoint
     g_hi_coarse: float  # right boundary value at the coarse slab midpoint
+    operators: StepOperators
 
     @property
     def predictor_fine_source(self) -> np.ndarray:
@@ -195,7 +198,16 @@ class WindowInputs:
         return self.fine_source.mean(axis=0)
 
 
-def precompute_window_inputs(grid: CompositeGrid, window: int, problem: Problem) -> WindowInputs:
+def precompute_window_inputs(
+    grid: CompositeGrid, window: int, problem: Problem, operators: StepOperators | None = None
+) -> WindowInputs:
+    """Source averages and boundary values of one window.  ``operators``
+    carries step matrices already factored for ``grid`` (``march`` passes one
+    set to all its windows); without it the window gets a fresh set."""
+    if operators is None:
+        operators = StepOperators(grid)
+    elif operators.grid is not grid:
+        raise DimensionError("step operators belong to another grid")
     ratio = grid.ratio
     fine_source = np.empty((ratio, grid.n_fine))
     for k in range(1, ratio + 1):
@@ -210,26 +222,74 @@ def precompute_window_inputs(grid: CompositeGrid, window: int, problem: Problem)
         g_lo_fine=np.atleast_1d(np.asarray(problem.g_lo(mid_fine), dtype=float)),
         g_lo_coarse=float(problem.g_lo(mid_coarse)),
         g_hi_coarse=float(problem.g_hi(mid_coarse)),
+        operators=operators,
     )
 
 
 # -- linear systems -----------------------------------------------------------
 
+Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (lower, diag, upper); lower[0], upper[-1] unused
+
+#: scipy's ``dgttrf``/``dgttrs`` wrappers reject matrices of order below 3
+_LAPACK_MIN_ORDER = 3
+
+
+@dataclass(frozen=True)
+class TridiagonalLU:
+    """LU factors with partial pivoting of a tridiagonal matrix (LAPACK
+    ``dgttrf``) and the matrix's infinity norm.  A matrix of order below 3 is
+    factored with decoupled identity rows appended, which leaves its own
+    factors and solutions unchanged."""
+
+    n: int
+    factors: tuple  # (dl, d, du, du2, ipiv) of the padded matrix
+    norm_inf: float
+
+    @classmethod
+    def factor(cls, bands: Bands) -> "TridiagonalLU":
+        lower, diag, upper = bands
+        n = diag.size
+        pad = np.zeros(max(0, _LAPACK_MIN_ORDER - n))
+        *factors, info = scipy.linalg.lapack.dgttrf(
+            np.concatenate([lower[1:], pad]),
+            np.concatenate([diag, pad + 1.0]),
+            np.concatenate([upper[:-1], pad]),
+        )
+        if info != 0:
+            raise SolverError(f"tridiagonal factorization failed (dgttrf info={info})")
+        norm_inf = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
+        return cls(n, tuple(factors), norm_inf)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        pad = _LAPACK_MIN_ORDER - self.n
+        b = rhs if pad <= 0 else np.concatenate([rhs, np.zeros(pad)])
+        x, info = scipy.linalg.lapack.dgttrs(*self.factors, b)
+        if info != 0:
+            raise SolverError(f"tridiagonal solve failed (dgttrs info={info})")
+        return x if pad <= 0 else x[: self.n]
+
 
 @dataclass
 class LinearSystem:
-    """Square system with labeled unknowns, stored banded (tridiagonal
-    subdomain steps) or sparse (monolithic window systems)."""
+    """Square system stored banded (tridiagonal steps, with their LU factors
+    when the matrix is shared) or sparse (monolithic window systems, whose
+    unknowns carry labels)."""
 
     rhs: np.ndarray
-    labels: tuple[str, ...]
-    bands: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (lower, diag, upper)
+    labels: tuple[str, ...] = ()
+    bands: Bands | None = None
     sparse: scipy.sparse.csr_matrix | None = None
+    lu: TridiagonalLU | None = None
 
     def __post_init__(self) -> None:
         if (self.bands is None) == (self.sparse is None):
             raise DimensionError("LinearSystem needs exactly one of bands or sparse")
         if self.sparse is not None and self.sparse.shape != (self.n, self.n):
+            raise DimensionError("matrix and right-hand side sizes differ")
+        if self.lu is not None:
+            if self.bands is None or self.lu.n != self.n:
+                raise DimensionError("LU factors do not match the matrix")
+        elif self.bands is not None and any(band.size != self.n for band in self.bands):
             raise DimensionError("matrix and right-hand side sizes differ")
 
     @property
@@ -269,20 +329,80 @@ class InterfaceClosure:
         return self.kind != "neumann"
 
 
-def _tridiag_base(widths: np.ndarray, centers: np.ndarray, dt: float, source, prev):
-    """Mass and interior-flux part shared by every subdomain step."""
+UNION = "union"  # the predictor's single-domain mesh: fine cells, then coarse cells
+
+
+def _closure_distance(grid: CompositeGrid, subdomain: str, kind: str) -> float | None:
+    """Distance over which a Dirichlet closure's interface flux is taken;
+    None for a Neumann closure."""
+    if kind == "dirichlet_interface":
+        return grid.d_fine if subdomain == FINE else grid.d_coarse
+    if kind == "dirichlet_neighbor":
+        return grid.d_across
+    return None
+
+
+def _step_bands(grid: CompositeGrid, side: str, closure_kind: str | None) -> Bands:
+    """Matrix of one implicit step: mass, interior fluxes, the half-cell
+    Dirichlet flux u = (g - p_K) / (h/2) at each exterior end and, for a
+    subdomain, its interface closure (fine: right end, coarse: left end)."""
+    if side == FINE:
+        widths, centers, dt = grid.widths_fine, grid.centers_fine, grid.dt_fine
+    elif side == COARSE:
+        widths, centers, dt = grid.widths_coarse, grid.centers_coarse, grid.dt_coarse
+    else:
+        widths = np.concatenate([grid.widths_fine, grid.widths_coarse])
+        centers = np.concatenate([grid.centers_fine, grid.centers_coarse])
+        dt = grid.dt_coarse
     n = widths.size
     lower = np.zeros(n)
     diag = widths / dt
     upper = np.zeros(n)
-    rhs = widths * source + (widths / dt) * np.asarray(prev, dtype=float)
     if n > 1:
         inv_d = 1.0 / np.diff(centers)
         diag[:-1] += inv_d
         diag[1:] += inv_d
         upper[:-1] -= inv_d
         lower[1:] -= inv_d
-    return lower, diag, upper, rhs
+    # exterior Dirichlet ends: left on the fine and union meshes, right on the
+    # coarse and union meshes
+    if side != COARSE:
+        diag[0] += 1.0 / (0.5 * widths[0])
+    if side != FINE:
+        diag[-1] += 1.0 / (0.5 * widths[-1])
+    d = _closure_distance(grid, side, closure_kind)
+    if d is not None:
+        diag[-1 if side == FINE else 0] += 1.0 / d
+    return lower, diag, upper
+
+
+class StepOperators:
+    """The factored step matrices of one grid, each built on first use.
+
+    A step matrix depends only on the side (fine, coarse, or the predictor's
+    union mesh) and the interface closure kind, never on the window, the time
+    level or the sweep: every step of a march reuses its side's factors and
+    forms only its right-hand side.  The bands are read-only because all those
+    systems share them.
+    """
+
+    def __init__(self, grid: CompositeGrid):
+        self.grid = grid
+        self._factored: dict[tuple[str, str | None], tuple[Bands, TridiagonalLU]] = {}
+
+    def get(self, side: str, closure_kind: str | None = None) -> tuple[Bands, TridiagonalLU]:
+        key = (side, closure_kind)
+        if key not in self._factored:
+            bands = _step_bands(self.grid, side, closure_kind)
+            for band in bands:
+                band.setflags(write=False)
+            self._factored[key] = (bands, TridiagonalLU.factor(bands))
+        return self._factored[key]
+
+
+def _step_rhs(widths: np.ndarray, dt: float, source: np.ndarray, prev) -> np.ndarray:
+    """Mass and source part of a step's right-hand side."""
+    return widths * source + (widths / dt) * np.asarray(prev, dtype=float)
 
 
 def assemble_subdomain_step(
@@ -301,65 +421,32 @@ def assemble_subdomain_step(
     the values at sub-level k-1; for the coarse subdomain ``k`` is ignored
     and ``state_prev`` holds the window-start values.  The exterior end gets
     the half-cell Dirichlet flux u = (g - p_K) / (h/2); the interface end is
-    closed per ``closure``.
+    closed per ``closure``.  The matrix and its factors come from
+    ``inputs.operators``; only the right-hand side is formed here.
     """
+    if inputs is None:
+        inputs = precompute_window_inputs(grid, window, problem)
+    d = _closure_distance(grid, subdomain, closure.kind)
     if subdomain == FINE:
         if k is None or not (1 <= k <= grid.ratio):
             raise DimensionError(f"fine sub-level k={k!r} outside 1..{grid.ratio}")
         closure.trace.require(FINE, grid.ratio)
         data = float(closure.trace.values[k - 1])
-        if inputs is not None:
-            source = inputs.fine_source[k - 1]
-            g = float(inputs.g_lo_fine[k - 1])
-        else:
-            source = slab_source_averages(problem, grid.faces_fine, *grid.fine_slab(window, k))
-            g = float(problem.g_lo(grid.fine_midtime(window, k)))
-        lower, diag, upper, rhs = _tridiag_base(
-            grid.widths_fine, grid.centers_fine, grid.dt_fine, source, state_prev
-        )
-        # exterior Dirichlet at the left end
-        d_bnd = 0.5 * grid.widths_fine[0]
-        diag[0] += 1.0 / d_bnd
-        rhs[0] += g / d_bnd
+        rhs = _step_rhs(grid.widths_fine, grid.dt_fine, inputs.fine_source[k - 1], state_prev)
+        rhs[0] += float(inputs.g_lo_fine[k - 1]) / (0.5 * grid.widths_fine[0])
         # interface at the right end
-        if closure.kind == "dirichlet_interface":
-            diag[-1] += 1.0 / grid.d_fine
-            rhs[-1] += data / grid.d_fine
-        elif closure.kind == "dirichlet_neighbor":
-            diag[-1] += 1.0 / grid.d_across
-            rhs[-1] += data / grid.d_across
-        else:
-            rhs[-1] += data
-        labels = tuple(f"fine[{j}]" for j in range(grid.n_fine))
+        rhs[-1] += data if d is None else data / d
     elif subdomain == COARSE:
         closure.trace.require(COARSE)
         data = float(closure.trace.values[0])
-        if inputs is not None:
-            source = inputs.coarse_source
-            g = inputs.g_hi_coarse
-        else:
-            source = slab_source_averages(problem, grid.faces_coarse, *grid.coarse_slab(window))
-            g = float(problem.g_hi(grid.coarse_midtime(window)))
-        lower, diag, upper, rhs = _tridiag_base(
-            grid.widths_coarse, grid.centers_coarse, grid.dt_coarse, source, state_prev
-        )
-        # exterior Dirichlet at the right end
-        d_bnd = 0.5 * grid.widths_coarse[-1]
-        diag[-1] += 1.0 / d_bnd
-        rhs[-1] += g / d_bnd
+        rhs = _step_rhs(grid.widths_coarse, grid.dt_coarse, inputs.coarse_source, state_prev)
+        rhs[-1] += inputs.g_hi_coarse / (0.5 * grid.widths_coarse[-1])
         # interface at the left end (left-to-right flux enters with + sign)
-        if closure.kind == "dirichlet_interface":
-            diag[0] += 1.0 / grid.d_coarse
-            rhs[0] += data / grid.d_coarse
-        elif closure.kind == "dirichlet_neighbor":
-            diag[0] += 1.0 / grid.d_across
-            rhs[0] += data / grid.d_across
-        else:
-            rhs[0] -= data
-        labels = tuple(f"coarse[{j}]" for j in range(grid.n_coarse))
+        rhs[0] += -data if d is None else data / d
     else:
         raise DimensionError(f"subdomain must be 'fine' or 'coarse', got {subdomain!r}")
-    return LinearSystem(rhs=rhs, labels=labels, bands=(lower, diag, upper))
+    bands, lu = inputs.operators.get(subdomain, closure.kind)
+    return LinearSystem(rhs=rhs, bands=bands, lu=lu)
 
 
 def assemble_composite_step(
@@ -372,28 +459,16 @@ def assemble_composite_step(
 ) -> LinearSystem:
     """One implicit step of size dt_coarse on the union mesh (fine spatial cells
     kept): the predictor system, equal to the conforming single-domain scheme."""
-    if inputs is not None:
-        source = np.concatenate([inputs.predictor_fine_source, inputs.coarse_source])
-        g_lo, g_hi = inputs.g_lo_coarse, inputs.g_hi_coarse
-    else:
-        t_mid = grid.coarse_midtime(window)
-        source = np.concatenate(
-            [
-                slab_source_averages(problem, grid.faces_fine, *grid.coarse_slab(window)),
-                slab_source_averages(problem, grid.faces_coarse, *grid.coarse_slab(window)),
-            ]
-        )
-        g_lo, g_hi = float(problem.g_lo(t_mid)), float(problem.g_hi(t_mid))
+    if inputs is None:
+        inputs = precompute_window_inputs(grid, window, problem)
+    source = np.concatenate([inputs.predictor_fine_source, inputs.coarse_source])
     widths = np.concatenate([grid.widths_fine, grid.widths_coarse])
-    centers = np.concatenate([grid.centers_fine, grid.centers_coarse])
     prev = np.concatenate([np.asarray(fine_prev, dtype=float), np.asarray(coarse_prev, dtype=float)])
-    lower, diag, upper, rhs = _tridiag_base(widths, centers, grid.dt_coarse, source, prev)
-    diag[0] += 2.0 / widths[0]
-    rhs[0] += g_lo * 2.0 / widths[0]
-    diag[-1] += 2.0 / widths[-1]
-    rhs[-1] += g_hi * 2.0 / widths[-1]
-    labels = tuple(f"union[{j}]" for j in range(widths.size))
-    return LinearSystem(rhs=rhs, labels=labels, bands=(lower, diag, upper))
+    rhs = _step_rhs(widths, grid.dt_coarse, source, prev)
+    rhs[0] += inputs.g_lo_coarse * 2.0 / widths[0]
+    rhs[-1] += inputs.g_hi_coarse * 2.0 / widths[-1]
+    bands, lu = inputs.operators.get(UNION)
+    return LinearSystem(rhs=rhs, bands=bands, lu=lu)
 
 
 # -- monolithic window system -------------------------------------------------

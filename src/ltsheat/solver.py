@@ -13,10 +13,10 @@ whole sweep, including the single-iteration mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, SolverError
@@ -35,6 +35,8 @@ from .scheme import (
     InterfaceClosure,
     LinearSystem,
     Problem,
+    StepOperators,
+    TridiagonalLU,
     Variant,
     WindowInputs,
     assemble_composite_step,
@@ -160,23 +162,18 @@ class Trajectory:
 
 
 def solve_linear(system: LinearSystem) -> np.ndarray:
-    """Direct solve (banded or sparse LU, partial pivoting) with a residual
-    acceptance check."""
-    n = system.n
+    """Direct solve (tridiagonal or sparse LU, partial pivoting) with a
+    residual acceptance check.  A banded system is factored here unless it
+    carries its matrix's shared factors."""
     if system.bands is not None:
+        lu = system.lu if system.lu is not None else TridiagonalLU.factor(system.bands)
+        x = lu.solve(system.rhs)
         lower, diag, upper = system.bands
-        ab = np.zeros((3, n))
-        ab[0, 1:] = upper[:-1]
-        ab[1] = diag
-        ab[2, :-1] = lower[1:]
-        try:
-            x = scipy.linalg.solve_banded((1, 1), ab, system.rhs, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolverError(f"banded solve failed: {exc}") from exc
-        residual = diag * x - system.rhs
+        residual = diag * x
+        residual -= system.rhs
         residual[:-1] += upper[:-1] * x[1:]
         residual[1:] += lower[1:] * x[:-1]
-        norm_a = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
+        norm_a = lu.norm_inf
     else:
         try:
             x = scipy.sparse.linalg.splu(system.sparse.tocsc()).solve(system.rhs)
@@ -184,8 +181,10 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
             raise SolverError(f"sparse LU failed: {exc}") from exc
         residual = system.sparse @ x - system.rhs
         norm_a = float(np.max(np.abs(system.sparse).sum(axis=1)))
-    bound = SOLVE_RTOL * (norm_a * float(np.max(np.abs(x), initial=0.0)) + float(np.max(np.abs(system.rhs), initial=0.0)))
-    if not np.all(np.isfinite(x)) or float(np.max(np.abs(residual), initial=0.0)) > max(bound, 1e-300):
+    # a NaN or infinity anywhere in x makes x_max non-finite
+    x_max = float(np.abs(x).max(initial=0.0))
+    bound = SOLVE_RTOL * (norm_a * x_max + float(np.abs(system.rhs).max(initial=0.0)))
+    if not math.isfinite(x_max) or float(np.abs(residual).max(initial=0.0)) > max(bound, 1e-300):
         raise SolverError("direct solve residual exceeds the acceptance bound")
     return x
 
@@ -282,7 +281,7 @@ def _solve_fine_levels(
     closure_kind: str,
     data: Trace,
     problem: Problem,
-    inputs: WindowInputs | None,
+    inputs: WindowInputs,
 ) -> None:
     """March the fine subdomain through its K sub-levels with the given
     interface closure, updating cells and interface traces in place."""
@@ -314,7 +313,7 @@ def _solve_coarse_level(
     closure_kind: str,
     data: Trace,
     problem: Problem,
-    inputs: WindowInputs | None,
+    inputs: WindowInputs,
 ) -> None:
     closure = InterfaceClosure(closure_kind, data)
     system = assemble_subdomain_step(
@@ -347,6 +346,8 @@ def corrector_sweep(
     """One multiplicative sweep: slave solve with the master's projected
     pressure, then master solve with the slave's projected flux.  Returns the
     updated state and the residuals of the new iterate."""
+    if inputs is None:
+        inputs = precompute_window_inputs(grid, window, problem)
     dirichlet_kind = (
         "dirichlet_interface" if variant.interface_scheme == IS1 else "dirichlet_neighbor"
     )
@@ -442,8 +443,9 @@ def march(
     coarse_flux = np.zeros(n_windows)
     report = SolveReport()
     fine_start, coarse_start = fine[0], coarse[0]
+    operators = StepOperators(grid)
     for window in range(1, n_windows + 1):
-        inputs = precompute_window_inputs(grid, window, problem)
+        inputs = precompute_window_inputs(grid, window, problem, operators)
         state, wreport = solve_window(
             grid, window, fine_start, coarse_start, variant, mode, problem, inputs
         )

@@ -256,3 +256,23 @@ def test_variant_parsing():
     with pytest.raises(ConfigurationError):
         Variant.parse("is3-fine")
     assert Variant("is1", "coarse").slave == "fine"
+
+
+def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
+    inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
+    dirichlet = InterfaceClosure("dirichlet_neighbor", fine_trace(np.ones(bump_grid.ratio), bump_grid.dt_fine))
+    neumann = InterfaceClosure("neumann", fine_trace(np.ones(bump_grid.ratio), bump_grid.dt_fine))
+    prev = bump_problem.p0(bump_grid.centers_fine)
+    first, second = (
+        assemble_subdomain_step(bump_grid, "fine", 1, k, prev, dirichlet, bump_problem, inputs) for k in (1, 2)
+    )
+    other = assemble_subdomain_step(bump_grid, "fine", 1, 1, prev, neumann, bump_problem, inputs)
+    assert first.lu is second.lu and first.lu is not other.lu
+    assert first.labels == ()
+    assert not first.bands[1].flags.writeable
+    # the shared factors solve exactly like a fresh factorization
+    fresh = type(first)(rhs=first.rhs, bands=tuple(b.copy() for b in first.bands))
+    assert solve_linear(first).tobytes() == solve_linear(fresh).tobytes()
+    other_grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1))
+    with pytest.raises(DimensionError):
+        precompute_window_inputs(other_grid, 1, bump_problem, inputs.operators)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from ltsheat import (
@@ -10,6 +16,7 @@ from ltsheat import (
     WindowLayout,
     assemble_monolithic_window,
     build_composite_grid,
+    manufactured_problem,
     march,
     precompute_window_inputs,
     solve_linear,
@@ -17,7 +24,7 @@ from ltsheat import (
     solve_window_monolithic,
     zero_problem,
 )
-from ltsheat.scheme import VARIANTS, LinearSystem, Variant
+from ltsheat.scheme import VARIANTS, LinearSystem, TridiagonalLU, Variant
 from ltsheat.solver import init_window_state, interface_residuals, predictor_step
 from tests.conftest import random_smooth_problem
 
@@ -63,6 +70,47 @@ def test_singular_system_raises():
         labels=("a", "b"),
         sparse=scipy.sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])),
     )
+    with pytest.raises(SolverError):
+        solve_linear(system)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_factored_tridiagonal_solve_matches_solve_banded(n):
+    # scipy's solve_banded (LAPACK gbsv) is the reference of the dgttrf/dgttrs path
+    rng = np.random.default_rng(1000 + n)
+    interchanges = 0
+    for _ in range(20):
+        diag = rng.uniform(-1.0, 1.0, n)
+        lower = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, n - 1)])
+        upper = np.concatenate([rng.uniform(-1.0, 1.0, n - 1), [0.0]])
+        # about half the rows get |lower| > |diag|, which forces a row interchange
+        pivot = rng.random(n) < 0.5
+        pivot[0] = False
+        lower[pivot] = np.sign(lower[pivot]) * (np.abs(diag[pivot]) + rng.uniform(0.5, 1.0, pivot.sum()))
+        rhs = rng.uniform(-5.0, 5.0, n)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = upper[:-1]
+        ab[1] = diag
+        ab[2, :-1] = lower[1:]
+        expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        x = solve_linear(LinearSystem(rhs=rhs, bands=(lower, diag, upper)))
+        assert np.max(np.abs(x - expected)) <= 4 * np.finfo(float).eps * np.max(np.abs(expected))
+        ipiv = TridiagonalLU.factor((lower, diag, upper)).factors[-1][:n]
+        interchanges += int(np.sum(ipiv != np.arange(1, n + 1)))
+    assert interchanges > 0 or n == 1
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [[[0.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]],
+    ids=["n1", "n2", "n3"],
+)
+def test_singular_banded_system_raises(dense):
+    a = np.array(dense)
+    n = a.shape[0]
+    lower = np.concatenate([[0.0], np.diag(a, -1)])
+    upper = np.concatenate([np.diag(a, 1), [0.0]])
+    system = LinearSystem(rhs=np.ones(n), bands=(lower, np.diag(a).copy(), upper))
     with pytest.raises(SolverError):
         solve_linear(system)
 
@@ -277,3 +325,49 @@ def test_trajectory_records_all_levels(bump_run):
     assert trajectory.coarse.shape == (6, 15)
     assert trajectory.fine_level(1, grid.ratio) == 10
     assert trajectory.fine_flux.shape == (5, 10)
+
+
+#: equal cell counts, so step factors reused on the wrong grid would fit silently
+_REUSE_GRIDS = (
+    GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.06),
+    GridConfig(0.0, 1.0, 0.5, 25, 15, 0.005, 0.015, 0.045),
+)
+
+
+def _run_marches(order, out_path=None):
+    """March each (grid index, variant index) of ``order`` in turn; returns the
+    trajectories and iteration counts flattened, one array per march."""
+    problem = manufactured_problem()
+    grids = [build_composite_grid(config) for config in _REUSE_GRIDS]
+    results = []
+    for g, v in order:
+        trajectory, report = march(grids[g], VARIANTS[v], SolveMode.converged(1e-8, 200), problem)
+        results.append(np.concatenate([
+            trajectory.fine.ravel(),
+            trajectory.coarse.ravel(),
+            trajectory.fine_face_pressure.ravel(),
+            trajectory.coarse_face_pressure,
+            trajectory.fine_flux.ravel(),
+            trajectory.coarse_flux,
+            report.iterations,
+        ]))
+    if out_path is not None:
+        np.savez(out_path, *results)
+    return results
+
+
+def test_interleaved_marches_match_marches_run_in_another_order(tmp_path):
+    # A march may depend only on its own grid and variant.  A fresh interpreter
+    # running the same marches in the opposite order starts from another grid
+    # and other closure kinds, so a factor reused across either would show.
+    order = [(g, v) for v in range(len(VARIANTS)) for g in range(len(_REUSE_GRIDS))]
+    interleaved = _run_marches(order + order)
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "reversed.npz"
+    code = f"from tests.test_solver import _run_marches; _run_marches({order[::-1]!r}, {str(out)!r})"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    subprocess.run([sys.executable, "-c", code], cwd=root, env=env, check=True, timeout=120)
+    with np.load(out) as saved:
+        alone = {key: saved[f"arr_{i}"] for i, key in enumerate(order[::-1])}
+    for key, result in zip(order + order, interleaved):
+        assert result.tobytes() == alone[key].tobytes(), f"grid {key[0]}, {VARIANTS[key[1]].name}"
