@@ -8,6 +8,7 @@ from .grid import CompositeGrid, GridConfig, ValidationReport, build_composite_g
 from .projection import (
     Trace,
     coarse_trace,
+    conservativity_defect,
     fine_trace,
     inject_coarse_to_fine,
     interface_pairing,
@@ -43,7 +44,6 @@ from .solver import (
 )
 from .diagnostics import (
     ErrorSeries,
-    conservativity_defect,
     discrete_norms,
     error_report,
     observed_order,

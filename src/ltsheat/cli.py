@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import error_report, observed_order
+from .diagnostics import ErrorSeries, error_report, observed_order
 from .errors import ConfigurationError, SolverError
 from .grid import CompositeGrid, GridConfig, build_composite_grid
 from .scheme import Problem, Variant, manufactured_problem, polynomial_problem, zero_problem
@@ -59,7 +59,6 @@ _KNOWN_KEYS = _GRID_KEYS | {
     "boundary_mode",
     "output_dir",
     "convergence.levels",
-    "convergence.inject_exact",
 }
 
 
@@ -112,17 +111,6 @@ def _get_choice(pairs: dict[str, str], key: str, choices: tuple[str, ...], defau
     return value
 
 
-def _get_bool(pairs: dict[str, str], key: str, default: bool) -> bool:
-    if key not in pairs:
-        return default
-    value = pairs[key].strip().lower()
-    if value in ("true", "yes", "1"):
-        return True
-    if value in ("false", "no", "0"):
-        return False
-    raise ConfigurationError(f"config key {key!r} is not a boolean: {pairs[key]!r}")
-
-
 def _get_floats(pairs: dict[str, str], key: str) -> tuple[float, ...] | None:
     if key not in pairs:
         return None
@@ -145,7 +133,6 @@ class RunConfig:
     source_coeffs: tuple[float, ...] | None = None
     initial_coeffs: tuple[float, ...] | None = None
     levels: int = 4
-    inject_exact: bool = False
 
 
 def load_run_config(pairs: dict[str, str]) -> RunConfig:
@@ -186,8 +173,14 @@ def load_run_config(pairs: dict[str, str]) -> RunConfig:
         source_coeffs=_get_floats(pairs, "problem.source_coeffs"),
         initial_coeffs=_get_floats(pairs, "problem.initial_coeffs"),
         levels=levels,
-        inject_exact=_get_bool(pairs, "convergence.inject_exact", False),
     )
+
+
+def _load_config(config_path: str | Path, overrides: dict[str, str] | None) -> RunConfig:
+    """Parse a config file, apply command-line overrides and validate."""
+    pairs = parse_config_file(config_path)
+    pairs.update(overrides or {})
+    return load_run_config(pairs)
 
 
 def build_problem(config: RunConfig) -> Problem:
@@ -207,7 +200,9 @@ def _write_csv(path: Path, header: str, rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _summary_payload(config: RunConfig, grid: CompositeGrid, report: SolveReport, trajectory: Trajectory, problem: Problem) -> dict:
+def _summary_payload(
+    config: RunConfig, grid: CompositeGrid, report: SolveReport, trajectory: Trajectory, series: ErrorSeries | None
+) -> dict:
     payload = {
         "variant": config.variant.name,
         "mode": config.mode.kind,
@@ -236,24 +231,16 @@ def _summary_payload(config: RunConfig, grid: CompositeGrid, report: SolveReport
             )
         ),
     }
-    if problem.exact_solution is not None:
-        series = error_report(trajectory, problem)
-        payload["final_l2_error"] = series.l2_final
-        payload["final_h1_error"] = series.h1_final
-        payload["h1_global_error"] = series.h1_global
-    else:
-        payload["final_l2_error"] = None
-        payload["final_h1_error"] = None
-        payload["h1_global_error"] = None
+    payload["final_l2_error"] = None if series is None else series.l2_final
+    payload["final_h1_error"] = None if series is None else series.h1_final
+    payload["h1_global_error"] = None if series is None else series.h1_global
     return payload
 
 
 def run_experiment(config_path: str | Path, overrides: dict[str, str] | None = None) -> int:
     """Single run: summary.json, error_space.csv, error_time.csv."""
     try:
-        pairs = parse_config_file(config_path)
-        pairs.update(overrides or {})
-        config = load_run_config(pairs)
+        config = _load_config(config_path, overrides)
         grid = build_composite_grid(config.grid)
         problem = build_problem(config)
     except ConfigurationError as exc:
@@ -265,13 +252,13 @@ def run_experiment(config_path: str | Path, overrides: dict[str, str] | None = N
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
+    series = error_report(trajectory, problem) if problem.exact_solution is not None else None
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    payload = _summary_payload(config, grid, report, trajectory, problem)
+    payload = _summary_payload(config, grid, report, trajectory, series)
     (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    if problem.exact_solution is not None:
-        series = error_report(trajectory, problem)
+    if series is not None:
         _write_csv(
             out / "error_space.csv",
             "x,error",
@@ -304,44 +291,10 @@ def _refine_grid(grid: GridConfig, factor: int) -> GridConfig:
     )
 
 
-def _inject_exact_trajectory(grid: CompositeGrid, problem: Problem) -> Trajectory:
-    """Test hook: trajectory filled with exact point values at the window-end
-    reference times, so the L2 error columns are exactly zero."""
-    exact = problem.exact_solution
-    ratio, n_windows = grid.ratio, grid.n_windows
-    fine = np.zeros((ratio * n_windows + 1, grid.n_fine))
-    coarse = np.zeros((n_windows + 1, grid.n_coarse))
-    fine[0] = exact(grid.centers_fine, 0.0)
-    coarse[0] = exact(grid.centers_coarse, 0.0)
-    fine_face = np.zeros((n_windows, ratio))
-    coarse_face = np.zeros(n_windows)
-    fine_flux = np.zeros((n_windows, ratio))
-    coarse_flux = np.zeros(n_windows)
-    for w in range(1, n_windows + 1):
-        for k in range(1, ratio + 1):
-            t = (w - 1) * grid.dt_coarse + k * grid.dt_fine
-            fine[(w - 1) * ratio + k] = exact(grid.centers_fine, t)
-            fine_face[w - 1, k - 1] = float(exact(grid.interface_x, t))
-        t = w * grid.dt_coarse
-        coarse[w] = exact(grid.centers_coarse, t)
-        coarse_face[w - 1] = float(exact(grid.interface_x, t))
-    return Trajectory(
-        grid=grid,
-        fine=fine,
-        coarse=coarse,
-        fine_face_pressure=fine_face,
-        coarse_face_pressure=coarse_face,
-        fine_flux=fine_flux,
-        coarse_flux=coarse_flux,
-    )
-
-
 def run_convergence(config_path: str | Path, overrides: dict[str, str] | None = None) -> int:
     """Simultaneous factor-2 refinement ladder: convergence.csv."""
     try:
-        pairs = parse_config_file(config_path)
-        pairs.update(overrides or {})
-        config = load_run_config(pairs)
+        config = _load_config(config_path, overrides)
         if config.problem_kind == "custom-coefficients":
             raise ConfigurationError("convergence study needs a problem with an exact solution")
         ladders = [
@@ -357,11 +310,8 @@ def run_convergence(config_path: str | Path, overrides: dict[str, str] | None = 
     any_nonconverged = False
     try:
         for grid in ladders:
-            if config.inject_exact:
-                trajectory = _inject_exact_trajectory(grid, problem)
-            else:
-                trajectory, report = march(grid, config.variant, config.mode, problem)
-                any_nonconverged |= config.mode.kind == CONVERGED and not report.all_converged
+            trajectory, report = march(grid, config.variant, config.mode, problem)
+            any_nonconverged |= config.mode.kind == CONVERGED and not report.all_converged
             series = error_report(trajectory, problem)
             h = float(max(np.max(grid.widths_fine), np.max(grid.widths_coarse)))
             rows_data.append((h, grid.dt_coarse, series.l2_final, series.h1_global))
@@ -411,9 +361,7 @@ def run_compare(config_path: str | Path, overrides: dict[str, str] | None = None
     """Four variants, two uniform-time-step baselines on the same spatial mesh,
     and the single-iteration comparison method: compare.csv."""
     try:
-        pairs = parse_config_file(config_path)
-        pairs.update(overrides or {})
-        config = load_run_config(pairs)
+        config = _load_config(config_path, overrides)
         base_grid = build_composite_grid(config.grid)  # validates before any run
         problem = build_problem(config)
         uniform = {}

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-from .grid import CompositeGrid
-from .projection import COARSE, FINE, Trace
+from .projection import conservativity_defect  # noqa: F401  (part of this module's interface)
 from .scheme import Problem
 from .solver import Trajectory
 
@@ -51,16 +50,6 @@ def discrete_norms(
         if value is not None:
             h1_sq += (field[end] - value) ** 2 / (0.5 * widths[end])
     return math.sqrt(l2_sq), math.sqrt(h1_sq)
-
-
-def conservativity_defect(fine_flux: Trace, coarse_flux: Trace, dt1: float, dt2: float) -> float:
-    """|dt2 * u_coarse - sum_k dt1 * u_fine_k| over one window."""
-    fine_flux.require(FINE)
-    coarse_flux.require(COARSE)
-    total = 0.0
-    for v in fine_flux.values:
-        total += dt1 * float(v)
-    return abs(dt2 * float(coarse_flux.values[0]) - total)
 
 
 @dataclass(frozen=True)
@@ -125,11 +114,11 @@ def _coarse_level_h1(trajectory: Trajectory, problem: Problem, window: int) -> f
     return h1
 
 
-def error_report(trajectory: Trajectory, problem: Problem, grid: CompositeGrid | None = None) -> ErrorSeries:
+def error_report(trajectory: Trajectory, problem: Problem) -> ErrorSeries:
     """Error series of a trajectory; the problem must carry an exact solution."""
     if problem.exact_solution is None:
         raise ValueError("error_report needs a problem with an exact solution")
-    grid = trajectory.grid if grid is None else grid
+    grid = trajectory.grid
     n_windows = grid.n_windows
 
     l2_by_window = np.zeros(n_windows + 1)

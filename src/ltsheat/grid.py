@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .projection import COARSE, FINE
 
 #: relative tolerance for the integer-ratio checks (K and window count)
 RATIO_RTOL = 1e-12
@@ -74,12 +75,34 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
+class Side:
+    """One subdomain as its interface solve sees it.  The fine side lies left
+    of the interface and takes K time levels per window, the coarse side lies
+    right of it and takes one; otherwise the two are the same problem."""
+
+    name: str  # FINE or COARSE
+    widths: np.ndarray
+    centers: np.ndarray
+    dt: float
+    levels: int  # time levels per coarse window
+    iface: int  # index of the cell at the interface
+    exterior: int  # index of the cell at the exterior Dirichlet boundary
+    sign: float  # sign of the left-to-right interface flux in the iface cell's balance
+    d_own: float = field(init=False)  # distance from the interface to the iface cell's center
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d_own", 0.5 * float(self.widths[self.iface]))
+
+
+@dataclass(frozen=True)
 class CompositeGrid:
     """Built composite grid: geometry per subdomain plus the time structure.
 
     ``d_fine`` and ``d_coarse`` are the distances from the interface face to
     the adjacent fine/coarse cell centers (half the touching cell widths).
-    All arrays are read-only.
+    ``sides`` describes both subdomains for the iterative solver; the
+    monolithic reference deliberately uses the fields above instead.  All
+    arrays are read-only.
     """
 
     domain_lo: float
@@ -97,9 +120,15 @@ class CompositeGrid:
     ratio: int
     n_windows: int
     n_fine_steps: int = field(init=False)
+    sides: dict[str, Side] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_fine_steps", self.ratio * self.n_windows)
+        fine = Side(FINE, self.widths_fine, self.centers_fine, self.dt_fine,
+                    levels=self.ratio, iface=-1, exterior=0, sign=1.0)
+        coarse = Side(COARSE, self.widths_coarse, self.centers_coarse, self.dt_coarse,
+                      levels=1, iface=0, exterior=-1, sign=-1.0)
+        object.__setattr__(self, "sides", {FINE: fine, COARSE: coarse})
         for arr in (
             self.widths_fine,
             self.widths_coarse,

@@ -64,6 +64,16 @@ def inject_coarse_to_fine(t: Trace, ratio: int) -> Trace:
     return fine_trace(np.full(ratio, t.values[0]), t.dt / ratio)
 
 
+def conservativity_defect(fine_flux: Trace, coarse_flux: Trace, dt1: float, dt2: float) -> float:
+    """|dt2 * u_coarse - sum_k dt1 * u_fine_k| over one window."""
+    fine_flux.require(FINE)
+    coarse_flux.require(COARSE)
+    total = 0.0
+    for v in fine_flux.values:  # fixed ascending order for determinism
+        total += dt1 * float(v)
+    return abs(dt2 * float(coarse_flux.values[0]) - total)
+
+
 def interface_pairing(a: Trace, b: Trace, face_measure: float = 1.0) -> float:
     """Time-weighted pairing sum(dt * a_n * b_n) * face_measure over the window."""
     if a.resolution != b.resolution or a.values.size != b.values.size:

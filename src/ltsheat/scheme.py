@@ -24,7 +24,7 @@ import scipy.linalg.lapack
 import scipy.sparse
 
 from .errors import ConfigurationError, DimensionError, SolverError
-from .grid import CompositeGrid
+from .grid import CompositeGrid, Side
 from .projection import COARSE, FINE, Trace
 
 IS1 = "is1"  # interface-unknown coupling
@@ -51,6 +51,11 @@ class Variant:
     @property
     def name(self) -> str:
         return f"{self.interface_scheme}-{self.master}"
+
+    @property
+    def dirichlet_kind(self) -> str:
+        """Closure of the slave solve: at the face (is1) or across it (is2)."""
+        return "dirichlet_interface" if self.interface_scheme == IS1 else "dirichlet_neighbor"
 
     @classmethod
     def parse(cls, name: str) -> "Variant":
@@ -182,7 +187,9 @@ def cell_average_source(
 class WindowInputs:
     """Per-window precomputed data: slab-averaged sources and boundary values,
     shared by the predictor, the corrector sweeps and the monolithic system,
-    plus the grid's factored step matrices, shared by every window of a march."""
+    plus the grid's factored step matrices, shared by every window of a march.
+    ``per_side`` holds, per side name, the source (levels, n) and exterior
+    boundary values (levels,) of each subdomain time level."""
 
     window: int
     fine_source: np.ndarray  # (K, n_fine)
@@ -191,6 +198,7 @@ class WindowInputs:
     g_lo_coarse: float  # left boundary value at the coarse slab midpoint
     g_hi_coarse: float  # right boundary value at the coarse slab midpoint
     operators: StepOperators
+    per_side: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @property
     def predictor_fine_source(self) -> np.ndarray:
@@ -215,14 +223,20 @@ def precompute_window_inputs(
     coarse_source = slab_source_averages(problem, grid.faces_coarse, *grid.coarse_slab(window))
     mid_fine = np.array([grid.fine_midtime(window, k) for k in range(1, ratio + 1)])
     mid_coarse = grid.coarse_midtime(window)
+    g_lo_fine = np.atleast_1d(np.asarray(problem.g_lo(mid_fine), dtype=float))
+    g_hi_coarse = float(problem.g_hi(mid_coarse))
     return WindowInputs(
         window=window,
         fine_source=fine_source,
         coarse_source=coarse_source,
-        g_lo_fine=np.atleast_1d(np.asarray(problem.g_lo(mid_fine), dtype=float)),
+        g_lo_fine=g_lo_fine,
         g_lo_coarse=float(problem.g_lo(mid_coarse)),
-        g_hi_coarse=float(problem.g_hi(mid_coarse)),
+        g_hi_coarse=g_hi_coarse,
         operators=operators,
+        per_side={
+            FINE: (fine_source, g_lo_fine),
+            COARSE: (coarse_source[None, :], np.array([g_hi_coarse])),
+        },
     )
 
 
@@ -324,36 +338,49 @@ class InterfaceClosure:
         if self.kind not in ("dirichlet_interface", "dirichlet_neighbor", "neumann"):
             raise DimensionError(f"unknown closure kind {self.kind!r}")
 
-    @property
-    def is_dirichlet(self) -> bool:
-        return self.kind != "neumann"
-
 
 UNION = "union"  # the predictor's single-domain mesh: fine cells, then coarse cells
 
 
-def _closure_distance(grid: CompositeGrid, subdomain: str, kind: str) -> float | None:
+def closure_distance(grid: CompositeGrid, side: Side, kind: str) -> float | None:
     """Distance over which a Dirichlet closure's interface flux is taken;
     None for a Neumann closure."""
     if kind == "dirichlet_interface":
-        return grid.d_fine if subdomain == FINE else grid.d_coarse
+        return side.d_own
     if kind == "dirichlet_neighbor":
         return grid.d_across
     return None
 
 
+def interface_traces(
+    grid: CompositeGrid, side: Side, kind: str, data: np.ndarray, p_edge: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(left-to-right interface flux, face pressure) at each time level of a
+    subdomain solved with closure ``kind`` and interface ``data``, given its
+    interface-cell values ``p_edge``."""
+    d = closure_distance(grid, side, kind)
+    flux = data.copy() if d is None else side.sign * (data - p_edge) / d
+    if kind == "dirichlet_interface":
+        return flux, data.copy()
+    return flux, p_edge + side.sign * side.d_own * flux
+
+
 def _step_bands(grid: CompositeGrid, side: str, closure_kind: str | None) -> Bands:
-    """Matrix of one implicit step: mass, interior fluxes, the half-cell
-    Dirichlet flux u = (g - p_K) / (h/2) at each exterior end and, for a
-    subdomain, its interface closure (fine: right end, coarse: left end)."""
-    if side == FINE:
-        widths, centers, dt = grid.widths_fine, grid.centers_fine, grid.dt_fine
-    elif side == COARSE:
-        widths, centers, dt = grid.widths_coarse, grid.centers_coarse, grid.dt_coarse
-    else:
+    """Matrix of one implicit step: mass, interior fluxes and, at each closed
+    end (cell index, distance d), a Dirichlet flux u = (g - p_K) / d: the
+    half-cell flux at each exterior end and a subdomain's Dirichlet closure."""
+    if side == UNION:
         widths = np.concatenate([grid.widths_fine, grid.widths_coarse])
         centers = np.concatenate([grid.centers_fine, grid.centers_coarse])
         dt = grid.dt_coarse
+        closed_ends = [(0, 0.5 * widths[0]), (-1, 0.5 * widths[-1])]
+    else:
+        s = grid.sides[side]
+        widths, centers, dt = s.widths, s.centers, s.dt
+        closed_ends = [(s.exterior, 0.5 * widths[s.exterior])]
+        d = closure_distance(grid, s, closure_kind)
+        if d is not None:
+            closed_ends.append((s.iface, d))
     n = widths.size
     lower = np.zeros(n)
     diag = widths / dt
@@ -364,15 +391,8 @@ def _step_bands(grid: CompositeGrid, side: str, closure_kind: str | None) -> Ban
         diag[1:] += inv_d
         upper[:-1] -= inv_d
         lower[1:] -= inv_d
-    # exterior Dirichlet ends: left on the fine and union meshes, right on the
-    # coarse and union meshes
-    if side != COARSE:
-        diag[0] += 1.0 / (0.5 * widths[0])
-    if side != FINE:
-        diag[-1] += 1.0 / (0.5 * widths[-1])
-    d = _closure_distance(grid, side, closure_kind)
-    if d is not None:
-        diag[-1 if side == FINE else 0] += 1.0 / d
+    for end, d in closed_ends:
+        diag[end] += 1.0 / d
     return lower, diag, upper
 
 
@@ -421,30 +441,27 @@ def assemble_subdomain_step(
     the values at sub-level k-1; for the coarse subdomain ``k`` is ignored
     and ``state_prev`` holds the window-start values.  The exterior end gets
     the half-cell Dirichlet flux u = (g - p_K) / (h/2); the interface end is
-    closed per ``closure``.  The matrix and its factors come from
+    closed per ``closure``.  Which end is which, and the sign of the interface
+    flux, come from ``grid.sides``.  The matrix and its factors come from
     ``inputs.operators``; only the right-hand side is formed here.
     """
     if inputs is None:
         inputs = precompute_window_inputs(grid, window, problem)
-    d = _closure_distance(grid, subdomain, closure.kind)
+    side = grid.sides.get(subdomain)
+    if side is None:
+        raise DimensionError(f"subdomain must be 'fine' or 'coarse', got {subdomain!r}")
+    level = 0  # the coarse side has one level per window and ignores k
     if subdomain == FINE:
         if k is None or not (1 <= k <= grid.ratio):
             raise DimensionError(f"fine sub-level k={k!r} outside 1..{grid.ratio}")
-        closure.trace.require(FINE, grid.ratio)
-        data = float(closure.trace.values[k - 1])
-        rhs = _step_rhs(grid.widths_fine, grid.dt_fine, inputs.fine_source[k - 1], state_prev)
-        rhs[0] += float(inputs.g_lo_fine[k - 1]) / (0.5 * grid.widths_fine[0])
-        # interface at the right end
-        rhs[-1] += data if d is None else data / d
-    elif subdomain == COARSE:
-        closure.trace.require(COARSE)
-        data = float(closure.trace.values[0])
-        rhs = _step_rhs(grid.widths_coarse, grid.dt_coarse, inputs.coarse_source, state_prev)
-        rhs[-1] += inputs.g_hi_coarse / (0.5 * grid.widths_coarse[-1])
-        # interface at the left end (left-to-right flux enters with + sign)
-        rhs[0] += -data if d is None else data / d
-    else:
-        raise DimensionError(f"subdomain must be 'fine' or 'coarse', got {subdomain!r}")
+        level = k - 1
+    closure.trace.require(subdomain, grid.ratio)
+    data = float(closure.trace.values[level])
+    source, g_exterior = inputs.per_side[subdomain]
+    rhs = _step_rhs(side.widths, side.dt, source[level], state_prev)
+    rhs[side.exterior] += float(g_exterior[level]) / (0.5 * side.widths[side.exterior])
+    d = closure_distance(grid, side, closure.kind)
+    rhs[side.iface] += side.sign * data if d is None else data / d
     bands, lu = inputs.operators.get(subdomain, closure.kind)
     return LinearSystem(rhs=rhs, bands=bands, lu=lu)
 

@@ -26,6 +26,7 @@ from .projection import (
     FINE,
     Trace,
     coarse_trace,
+    conservativity_defect,
     fine_trace,
     inject_coarse_to_fine,
     project_fine_to_coarse,
@@ -42,6 +43,7 @@ from .scheme import (
     assemble_composite_step,
     assemble_monolithic_window,
     assemble_subdomain_step,
+    interface_traces,
     precompute_window_inputs,
 )
 
@@ -93,9 +95,11 @@ class SolveMode:
 
 @dataclass
 class SubdomainState:
-    """One subdomain's iterate over the current window: cell values at its
-    time levels plus its interface pressure and flux traces."""
+    """One subdomain's iterate over the current window: its window-start
+    values, cell values at its time levels plus its interface pressure and
+    flux traces."""
 
+    start: np.ndarray
     cells: np.ndarray  # fine: (K, n_fine); coarse: (n_coarse,)
     pressure: Trace  # interface face pressure at own resolution
     flux: Trace  # interface flux (left-to-right) at own resolution
@@ -103,10 +107,9 @@ class SubdomainState:
 
 @dataclass
 class WindowState:
-    """Full corrector iterate for one window."""
+    """Full corrector iterate for one window; ``state.fine`` and
+    ``state.coarse`` are also reached by side name."""
 
-    fine_start: np.ndarray
-    coarse_start: np.ndarray
     fine: SubdomainState
     coarse: SubdomainState
     dirichlet_used: Trace | None = None  # data of the latest slave solve
@@ -215,20 +218,21 @@ def init_window_state(
     the interface pressure is the distance-weighted interpolant of the two
     adjacent predictor values."""
     union = predictor_step(grid, window, fine_start, coarse_start, problem, inputs)
-    n1 = grid.n_fine
-    pf, pc = union[:n1], union[n1:]
-    u_iface = (pc[0] - pf[-1]) / grid.d_across
-    p_iface = (grid.d_coarse * pf[-1] + grid.d_fine * pc[0]) / grid.d_across
+    fine, coarse = grid.sides[FINE], grid.sides[COARSE]
+    pf, pc = union[: grid.n_fine], union[grid.n_fine :]
+    edge_f, edge_c = pf[fine.iface], pc[coarse.iface]
+    u_iface = (edge_c - edge_f) / grid.d_across
+    p_iface = (coarse.d_own * edge_f + fine.d_own * edge_c) / grid.d_across
     ratio = grid.ratio
     return WindowState(
-        fine_start=np.asarray(fine_start, dtype=float),
-        coarse_start=np.asarray(coarse_start, dtype=float),
         fine=SubdomainState(
+            start=np.asarray(fine_start, dtype=float),
             cells=np.tile(pf, (ratio, 1)),
             pressure=fine_trace(np.full(ratio, p_iface), grid.dt_fine),
             flux=fine_trace(np.full(ratio, u_iface), grid.dt_fine),
         ),
         coarse=SubdomainState(
+            start=np.asarray(coarse_start, dtype=float),
             cells=pc.copy(),
             pressure=coarse_trace(p_iface, grid.dt_coarse),
             flux=coarse_trace(u_iface, grid.dt_coarse),
@@ -236,29 +240,27 @@ def init_window_state(
     )
 
 
-def _master_pressure_quantity(grid: CompositeGrid, variant: Variant, state: WindowState) -> Trace:
-    """The master-side quantity whose projection is the slave's Dirichlet data:
-    the interface pressure for is1, the interface-adjacent cell value for is2."""
-    if variant.master == FINE:
-        if variant.interface_scheme == IS1:
-            return state.fine.pressure
-        return fine_trace(state.fine.cells[:, -1], grid.dt_fine)
-    if variant.interface_scheme == IS1:
-        return state.coarse.pressure
-    return coarse_trace(float(state.coarse.cells[0]), grid.dt_coarse)
+def _project(grid: CompositeGrid, trace: Trace) -> Trace:
+    """Carry a trace to the other side's time resolution: average fine values
+    to one coarse value, replicate a coarse value to K fine slots."""
+    if trace.resolution == FINE:
+        return project_fine_to_coarse(trace, grid.ratio)
+    return inject_coarse_to_fine(trace, grid.ratio)
 
 
 def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> Trace:
-    quantity = _master_pressure_quantity(grid, variant, state)
-    if variant.master == FINE:
-        return project_fine_to_coarse(quantity, grid.ratio)
-    return inject_coarse_to_fine(quantity, grid.ratio)
+    """The slave's Dirichlet data: the projected master interface pressure
+    for is1, the projected master interface-cell value for is2."""
+    side, master = grid.sides[variant.master], getattr(state, variant.master)
+    if variant.interface_scheme == IS1:
+        return _project(grid, master.pressure)
+    edge = master.cells.reshape(side.levels, -1)[:, side.iface]
+    return _project(grid, Trace(edge, side.name, side.dt))
 
 
 def _neumann_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> Trace:
-    if variant.master == FINE:
-        return inject_coarse_to_fine(state.coarse.flux, grid.ratio)
-    return project_fine_to_coarse(state.fine.flux, grid.ratio)
+    """The master's Neumann data: the projected slave interface flux."""
+    return _project(grid, getattr(state, variant.slave).flux)
 
 
 def interface_residuals(
@@ -269,70 +271,35 @@ def interface_residuals(
     if state.dirichlet_used is None or state.neumann_used is None:
         raise SolverError("residuals need at least one completed sweep")
     res_d = float(np.max(np.abs(state.dirichlet_used.values - _dirichlet_data(grid, variant, state).values)))
-    master_flux = state.fine.flux if variant.master == FINE else state.coarse.flux
+    master_flux = getattr(state, variant.master).flux
     res_n = float(np.max(np.abs(master_flux.values - _neumann_data(grid, variant, state).values)))
     return res_d, res_n
 
 
-def _solve_fine_levels(
+def _solve_subdomain(
     grid: CompositeGrid,
     window: int,
     state: WindowState,
+    name: str,
     closure_kind: str,
     data: Trace,
     problem: Problem,
     inputs: WindowInputs,
 ) -> None:
-    """March the fine subdomain through its K sub-levels with the given
-    interface closure, updating cells and interface traces in place."""
+    """March one subdomain through its time levels of the window with the
+    given interface closure, updating its cells and interface traces in place."""
+    side, sub = grid.sides[name], getattr(state, name)
     closure = InterfaceClosure(closure_kind, data)
-    prev = state.fine_start
-    cells = state.fine.cells
-    for k in range(1, grid.ratio + 1):
-        system = assemble_subdomain_step(grid, FINE, window, k, prev, closure, problem, inputs)
-        cells[k - 1] = solve_linear(system)
-        prev = cells[k - 1]
-    p_edge = cells[:, -1]
-    if closure_kind == "dirichlet_interface":
-        flux = (data.values - p_edge) / grid.d_fine
-        pressure = data.values.copy()
-    elif closure_kind == "dirichlet_neighbor":
-        flux = (data.values - p_edge) / grid.d_across
-        pressure = p_edge + grid.d_fine * flux
-    else:
-        flux = data.values.copy()
-        pressure = p_edge + grid.d_fine * flux
-    state.fine.flux = fine_trace(flux, grid.dt_fine)
-    state.fine.pressure = fine_trace(pressure, grid.dt_fine)
-
-
-def _solve_coarse_level(
-    grid: CompositeGrid,
-    window: int,
-    state: WindowState,
-    closure_kind: str,
-    data: Trace,
-    problem: Problem,
-    inputs: WindowInputs,
-) -> None:
-    closure = InterfaceClosure(closure_kind, data)
-    system = assemble_subdomain_step(
-        grid, COARSE, window, None, state.coarse_start, closure, problem, inputs
-    )
-    state.coarse.cells = solve_linear(system)
-    p_edge = float(state.coarse.cells[0])
-    value = float(data.values[0])
-    if closure_kind == "dirichlet_interface":
-        u = (p_edge - value) / grid.d_coarse
-        pressure = value
-    elif closure_kind == "dirichlet_neighbor":
-        u = (p_edge - value) / grid.d_across
-        pressure = p_edge - grid.d_coarse * u
-    else:
-        u = value
-        pressure = p_edge - grid.d_coarse * u
-    state.coarse.flux = coarse_trace(u, grid.dt_coarse)
-    state.coarse.pressure = coarse_trace(pressure, grid.dt_coarse)
+    levels = np.empty((side.levels, side.widths.size))
+    prev = sub.start
+    for k in range(1, side.levels + 1):
+        system = assemble_subdomain_step(grid, name, window, k, prev, closure, problem, inputs)
+        levels[k - 1] = solve_linear(system)
+        prev = levels[k - 1]
+    sub.cells = levels.reshape(sub.cells.shape)
+    flux, pressure = interface_traces(grid, side, closure_kind, data.values, levels[:, side.iface])
+    sub.flux = Trace(flux, name, side.dt)
+    sub.pressure = Trace(pressure, name, side.dt)
 
 
 def corrector_sweep(
@@ -348,9 +315,6 @@ def corrector_sweep(
     updated state and the residuals of the new iterate."""
     if inputs is None:
         inputs = precompute_window_inputs(grid, window, problem)
-    dirichlet_kind = (
-        "dirichlet_interface" if variant.interface_scheme == IS1 else "dirichlet_neighbor"
-    )
     fresh = _dirichlet_data(grid, variant, state)
     if state.dirichlet_used is None:
         state.dirichlet_used = fresh
@@ -361,24 +325,17 @@ def corrector_sweep(
             fresh.resolution,
             fresh.dt,
         )
-    if variant.slave == FINE:
-        _solve_fine_levels(grid, window, state, dirichlet_kind, state.dirichlet_used, problem, inputs)
-    else:
-        _solve_coarse_level(grid, window, state, dirichlet_kind, state.dirichlet_used, problem, inputs)
+    _solve_subdomain(
+        grid, window, state, variant.slave, variant.dirichlet_kind, state.dirichlet_used, problem, inputs
+    )
     state.neumann_used = _neumann_data(grid, variant, state)
-    if variant.master == FINE:
-        _solve_fine_levels(grid, window, state, "neumann", state.neumann_used, problem, inputs)
-    else:
-        _solve_coarse_level(grid, window, state, "neumann", state.neumann_used, problem, inputs)
+    _solve_subdomain(grid, window, state, variant.master, "neumann", state.neumann_used, problem, inputs)
     return state, interface_residuals(grid, variant, state)
 
 
 def conservativity_defect_of(state: WindowState, grid: CompositeGrid) -> tuple[float, float]:
     """(defect, flux scale) of the current iterate's interface fluxes."""
-    total_fine = 0.0
-    for v in state.fine.flux.values:
-        total_fine += grid.dt_fine * float(v)
-    defect = abs(grid.dt_coarse * float(state.coarse.flux.values[0]) - total_fine)
+    defect = conservativity_defect(state.fine.flux, state.coarse.flux, grid.dt_fine, grid.dt_coarse)
     scale = max(
         float(np.max(np.abs(state.fine.flux.values))),
         abs(float(state.coarse.flux.values[0])),
@@ -402,24 +359,15 @@ def solve_window(
     state = init_window_state(grid, window, fine_start, coarse_start, problem, inputs)
     history: list[tuple[float, float]] = []
     converged = False
-    if mode.kind == PREDICTOR_ONLY:
-        iterations = 0
-    elif mode.kind == SINGLE_ITERATION:
+    for _ in range({PREDICTOR_ONLY: 0, SINGLE_ITERATION: 1}.get(mode.kind, mode.max_iters)):
         state, residuals = corrector_sweep(grid, window, state, variant, problem, inputs)
         history.append(residuals)
-        iterations = 1
-    else:
-        iterations = 0
-        for _ in range(mode.max_iters):
-            state, residuals = corrector_sweep(grid, window, state, variant, problem, inputs)
-            history.append(residuals)
-            iterations += 1
-            if residuals[0] <= mode.eps and residuals[1] <= mode.eps:
-                converged = True
-                break
+        if mode.kind == CONVERGED and residuals[0] <= mode.eps and residuals[1] <= mode.eps:
+            converged = True
+            break
     defect, scale = conservativity_defect_of(state, grid)
     report = WindowReport(
-        iterations=iterations,
+        iterations=len(history),
         residual_history=history,
         conservativity_defect=defect,
         flux_scale=scale,

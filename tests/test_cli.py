@@ -148,20 +148,6 @@ def test_convergence_single_level(tmp_path):
     assert lines[1].endswith(",,")
 
 
-def test_convergence_inject_exact_hook(tmp_path):
-    out = tmp_path / "inj"
-    code = run_convergence(
-        BUMP_CFG,
-        {"output_dir": str(out), "convergence.levels": "2", "convergence.inject_exact": "true"},
-    )
-    assert code == EXIT_OK
-    lines = (out / "convergence.csv").read_text().splitlines()
-    for line in lines[1:]:
-        parts = line.split(",")
-        assert float(parts[3]) == 0.0  # zero l2 errors
-    assert lines[2].split(",")[5] == ""  # undefined order flagged as empty
-
-
 def test_convergence_rejects_problem_without_exact(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\n")
     assert run_convergence(cfg) == EXIT_CONFIG

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ltsheat import (
     ConfigurationError,
     DimensionError,
+    Trajectory,
     conservativity_defect,
     discrete_norms,
     error_report,
@@ -105,10 +106,18 @@ def test_error_report_requires_exact(bump_grid, bump_problem, bump_run):
 
 
 def test_error_report_zero_for_exact_interpolant(bump_grid):
-    from ltsheat.cli import _inject_exact_trajectory
-
+    # the zero problem's exact solution is zero: its interpolant is all zeros
     prob = zero_problem()
-    trajectory = _inject_exact_trajectory(bump_grid, prob)
+    g = bump_grid
+    trajectory = Trajectory(
+        grid=g,
+        fine=np.zeros((g.n_fine_steps + 1, g.n_fine)),
+        coarse=np.zeros((g.n_windows + 1, g.n_coarse)),
+        fine_face_pressure=np.zeros((g.n_windows, g.ratio)),
+        coarse_face_pressure=np.zeros(g.n_windows),
+        fine_flux=np.zeros((g.n_windows, g.ratio)),
+        coarse_flux=np.zeros(g.n_windows),
+    )
     series = error_report(trajectory, prob)
     assert np.all(series.space_error == 0.0)
     assert np.all(series.l2_by_window == 0.0)

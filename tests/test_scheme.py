@@ -126,6 +126,15 @@ def test_closure_resolution_mismatch_raises(bump_grid, bump_problem):
         )
 
 
+def test_fine_sub_level_outside_range_raises():
+    # K = 1: the coarse side ignores k, the fine side must still check it
+    grid = one_cell_grid()
+    closure = InterfaceClosure("neumann", fine_trace([0.0], 1.0))
+    for k in (None, 0, 2):
+        with pytest.raises(DimensionError):
+            assemble_subdomain_step(grid, "fine", 1, k, np.zeros(1), closure, zero_problem())
+
+
 def test_interior_flux_antisymmetry(bump_grid, bump_problem):
     # column sums of the flux part vanish: what remains is mass plus closure terms
     closure = InterfaceClosure("neumann", coarse_trace(0.3, bump_grid.dt_coarse))

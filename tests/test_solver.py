@@ -227,15 +227,26 @@ def test_residuals_require_a_sweep(bump_grid, bump_problem):
 # -- window solves against the monolithic reference -----------------------------
 
 
+def jittered_widths(rng, n, length):
+    """n cell widths drawn from [0.8, 1.2] and rescaled to tile ``length``."""
+    widths = rng.uniform(0.8, 1.2, size=n)
+    return tuple(widths * (length / widths.sum()))
+
+
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
 def test_converged_window_matches_monolithic(variant):
+    # two uniform grids with K <= 3, then K = 10, 20, 50 on nonuniform grids
     rng = np.random.default_rng(42)
-    for _ in range(2):
+    for wide_ratio in (None, None, 10, 20, 50):
         n1 = int(rng.integers(4, 9))
         n2 = int(rng.integers(4, 9))
-        ratio = int(rng.choice([1, 2, 3]))
+        ratio = int(rng.choice([1, 2, 3])) if wide_ratio is None else wide_ratio
         dt_coarse = float(rng.uniform(0.01, 0.08))
-        cfg = GridConfig(0.0, 1.0, float(rng.uniform(0.3, 0.7)), n1, n2, dt_coarse / ratio, dt_coarse, dt_coarse)
+        x_iface = float(rng.uniform(0.3, 0.7))
+        widths = (None, None)
+        if wide_ratio is not None:
+            widths = (jittered_widths(rng, n1, x_iface), jittered_widths(rng, n2, 1.0 - x_iface))
+        cfg = GridConfig(0.0, 1.0, x_iface, n1, n2, dt_coarse / ratio, dt_coarse, dt_coarse, *widths)
         grid = build_composite_grid(cfg)
         prob = random_smooth_problem(rng)
         p0f = prob.p0(grid.centers_fine)
