@@ -11,7 +11,7 @@ Configs are flat key-value text files with dotted keys (``grid.dt_fine =
                              method; writes compare.csv
 
 Exit codes: 0 success, 2 configuration error, 3 non-convergence (converged
-mode only), 1 unexpected solver failure.
+mode only; stderr says where), 1 unexpected solver failure.
 """
 
 from __future__ import annotations
@@ -191,6 +191,23 @@ def build_problem(config: RunConfig) -> Problem:
     return polynomial_problem(config.source_coeffs or (0.0,), config.initial_coeffs or (0.0,))
 
 
+def _check_converged(mode: SolveMode, report: SolveReport, label: str) -> bool:
+    """False when a converged-mode march left a window unconverged; stderr then names
+    the first one, its sweeps, last residual pair and last/previous residual max."""
+    if mode.kind != CONVERGED or report.all_converged:
+        return True
+    window, failed = next((n, w) for n, w in enumerate(report.windows, start=1) if not w.converged)
+    history = failed.residual_history
+    ratio = f"{max(history[-1]) / max(history[-2]):.3g}" if len(history) > 1 else "n/a"
+    print(
+        f"corrector did not converge ({label}): window {window} of {len(report.windows)} "
+        f"after {failed.iterations} sweeps, last residuals (dirichlet, neumann) = "
+        f"({history[-1][0]:.3e}, {history[-1][1]:.3e}), last/previous residual max = {ratio}",
+        file=sys.stderr,
+    )
+    return False
+
+
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -273,10 +290,7 @@ def run_experiment(config_path: str | Path, overrides: dict[str, str] | None = N
         _write_csv(out / "error_space.csv", "x,error", [])
         _write_csv(out / "error_time.csv", "t,l2_error", [])
 
-    if config.mode.kind == CONVERGED and not report.all_converged:
-        print("corrector did not converge in every window", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return EXIT_OK if _check_converged(config.mode, report, config.variant.name) else EXIT_NO_CONVERGENCE
 
 
 def _refine_grid(grid: GridConfig, factor: int) -> GridConfig:
@@ -309,9 +323,10 @@ def run_convergence(config_path: str | Path, overrides: dict[str, str] | None = 
     rows_data = []
     any_nonconverged = False
     try:
-        for grid in ladders:
+        for level, grid in enumerate(ladders):
             trajectory, report = march(grid, config.variant, config.mode, problem)
-            any_nonconverged |= config.mode.kind == CONVERGED and not report.all_converged
+            label = f"{config.variant.name}, ladder level {level}"
+            any_nonconverged |= not _check_converged(config.mode, report, label)
             series = error_report(trajectory, problem)
             h = float(max(np.max(grid.widths_fine), np.max(grid.widths_coarse)))
             rows_data.append((h, grid.dt_coarse, series.l2_final, series.h1_global))
@@ -388,7 +403,7 @@ def run_compare(config_path: str | Path, overrides: dict[str, str] | None = None
                 grid = base_grid
                 variant, mode = Variant.parse(method), config.mode
             trajectory, report = march(grid, variant, mode, problem)
-            any_nonconverged |= mode.kind == CONVERGED and not report.all_converged
+            any_nonconverged |= not _check_converged(mode, report, method)
             if problem.exact_solution is not None:
                 l2 = _fmt(error_report(trajectory, problem).l2_final)
             else:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
+from .grid import Side
+from .projection import COARSE, FINE
 from .projection import conservativity_defect  # noqa: F401  (part of this module's interface)
 from .scheme import Problem
 from .solver import Trajectory
@@ -23,33 +25,31 @@ from .solver import Trajectory
 def discrete_norms(
     field: np.ndarray,
     widths: np.ndarray,
-    boundary_values: tuple[float | None, float | None] = (None, None),
-    interface_values: tuple[float | None, float | None] = (None, None),
-) -> tuple[float, float]:
-    """(L2 norm, H1 seminorm) of a cell field on one subdomain.
+    boundary_values: tuple = (None, None),
+    interface_values: tuple = (None, None),
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(L2 norm, H1 seminorm) of a cell field on one subdomain, or of each
+    field in a stack of shape (..., n), giving two arrays of shape (...).
 
     ``boundary_values`` holds Dirichlet face data and ``interface_values``
-    interface face pressures for the (left, right) ends; ``None`` means the
-    end carries no face term.  Each given end value v adds
-    (v - p_end)^2 / (h_end / 2); interior faces add (dp)^2 / d(x_K, x_K').
+    interface face pressures for the (left, right) ends: one value, one value
+    per field, or ``None`` when the end carries no face term.  Each given end
+    value v adds (v - p_end)^2 / (h_end / 2); interior faces add
+    (dp)^2 / d(x_K, x_K').
     """
     field = np.asarray(field, dtype=float)
     widths = np.asarray(widths, dtype=float)
-    if field.shape != widths.shape:
-        raise DimensionError(f"field shape {field.shape} != widths shape {widths.shape}")
-    l2_sq = float(np.sum(field * field * widths))
-    h1_sq = 0.0
-    if field.size > 1:
-        dist = 0.5 * (widths[:-1] + widths[1:])
-        diff = np.diff(field)
-        h1_sq += float(np.sum(diff * diff / dist))
-    for end, value in ((0, boundary_values[0]), (-1, boundary_values[1])):
+    if widths.ndim != 1 or field.shape[-1:] != widths.shape:
+        raise DimensionError(f"field shape {field.shape} does not end in widths shape {widths.shape}")
+    dist = 0.5 * (widths[:-1] + widths[1:])
+    diff = np.diff(field)
+    h1_sq = np.sum(diff * diff / dist, axis=-1)
+    for end, value in zip((0, -1, 0, -1), (*boundary_values, *interface_values)):
         if value is not None:
-            h1_sq += (field[end] - value) ** 2 / (0.5 * widths[end])
-    for end, value in ((0, interface_values[0]), (-1, interface_values[1])):
-        if value is not None:
-            h1_sq += (field[end] - value) ** 2 / (0.5 * widths[end])
-    return math.sqrt(l2_sq), math.sqrt(h1_sq)
+            # C pow, as a scalar's ``** 2``: an array's ``** 2`` multiplies, which
+            # rounds differently about once in 1000 and could move recorded errors
+            h1_sq = h1_sq + np.float_power(field[..., end] - value, 2) / (0.5 * widths[end])
+    return np.sqrt(np.sum(field * field * widths, axis=-1)), np.sqrt(h1_sq)
 
 
 @dataclass(frozen=True)
@@ -71,46 +71,29 @@ class ErrorSeries:
     h1_global: float  # sqrt(sum_i sum_n dt_i * h1(level)^2), levels >= 1
 
 
-def _level_errors(
-    trajectory: Trajectory, problem: Problem, window: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(fine error, coarse error) fields at the end of ``window`` (0 = initial),
+def _end_error(trajectory: Trajectory, problem: Problem, side: Side, window: int) -> np.ndarray:
+    """Error of one side's cells at the end of ``window`` (0 = initial),
     against the exact solution at the window-end time."""
-    grid = trajectory.grid
-    exact = problem.exact_solution
-    t = window * grid.dt_coarse
-    e_f = trajectory.fine[window * grid.ratio] - np.asarray(exact(grid.centers_fine, t), dtype=float)
-    e_c = trajectory.coarse[window] - np.asarray(exact(grid.centers_coarse, t), dtype=float)
-    return e_f, e_c
+    cells = getattr(trajectory, side.name)[window * side.levels]
+    return cells - problem.exact_solution(side.centers, window * trajectory.grid.dt_coarse)
 
 
-def _fine_level_h1(trajectory: Trajectory, problem: Problem, window: int, k: int) -> float:
-    grid = trajectory.grid
-    exact = problem.exact_solution
-    t = grid.fine_midtime(window, k)
-    e = trajectory.fine[trajectory.fine_level(window, k)] - np.asarray(
-        exact(grid.centers_fine, t), dtype=float
-    )
-    e_bnd = float(problem.g_lo(t)) - float(exact(grid.domain_lo, t))
-    e_iface = trajectory.fine_face_pressure[window - 1, k - 1] - float(
-        exact(grid.interface_x, t)
-    )
-    _, h1 = discrete_norms(
-        e, grid.widths_fine, boundary_values=(e_bnd, None), interface_values=(None, e_iface)
-    )
-    return h1
-
-
-def _coarse_level_h1(trajectory: Trajectory, problem: Problem, window: int) -> float:
-    grid = trajectory.grid
-    exact = problem.exact_solution
-    t = grid.coarse_midtime(window)
-    e = trajectory.coarse[window] - np.asarray(exact(grid.centers_coarse, t), dtype=float)
-    e_bnd = float(problem.g_hi(t)) - float(exact(grid.domain_hi, t))
-    e_iface = trajectory.coarse_face_pressure[window - 1] - float(exact(grid.interface_x, t))
-    _, h1 = discrete_norms(
-        e, grid.widths_coarse, boundary_values=(None, e_bnd), interface_values=(e_iface, None)
-    )
+def _level_h1(trajectory: Trajectory, problem: Problem, side: Side, window: int) -> np.ndarray:
+    """H1 seminorm errors of one side at each of its time levels in ``window``,
+    against the exact solution at the slab midpoints."""
+    grid, exact = trajectory.grid, problem.exact_solution
+    if side.name == FINE:
+        t = grid.fine_midtime(window, np.arange(1, side.levels + 1))
+        x_bnd, g, face = grid.domain_lo, problem.g_lo, trajectory.fine_face_pressure[window - 1]
+    else:
+        t = np.array([grid.coarse_midtime(window)])
+        x_bnd, g, face = grid.domain_hi, problem.g_hi, trajectory.coarse_face_pressure[window - 1 : window]
+    cells = getattr(trajectory, side.name)[(window - 1) * side.levels + 1 : window * side.levels + 1]
+    # the exterior and interface cell indices (0 or -1) pick the (left, right) end
+    boundary, interface = [None, None], [None, None]
+    boundary[side.exterior] = g(t) - exact(x_bnd, t)
+    interface[side.iface] = face - exact(grid.interface_x, t)
+    _, h1 = discrete_norms(cells - exact(side.centers, t[:, None]), side.widths, boundary, interface)
     return h1
 
 
@@ -119,39 +102,30 @@ def error_report(trajectory: Trajectory, problem: Problem) -> ErrorSeries:
     if problem.exact_solution is None:
         raise ValueError("error_report needs a problem with an exact solution")
     grid = trajectory.grid
-    n_windows = grid.n_windows
+    sides = (grid.sides[FINE], grid.sides[COARSE])
 
-    l2_by_window = np.zeros(n_windows + 1)
-    window_times = np.zeros(n_windows + 1)
-    for n in range(n_windows + 1):
-        e_f, e_c = _level_errors(trajectory, problem, n)
-        l2_sq = float(np.sum(e_f * e_f * grid.widths_fine)) + float(
-            np.sum(e_c * e_c * grid.widths_coarse)
-        )
-        l2_by_window[n] = math.sqrt(l2_sq)
-        window_times[n] = n * grid.dt_coarse
+    window_times = np.arange(grid.n_windows + 1) * grid.dt_coarse
+    l2_by_window = np.zeros(grid.n_windows + 1)
+    for n in range(grid.n_windows + 1):
+        ends = [_end_error(trajectory, problem, side, n) for side in sides]
+        l2_by_window[n] = math.sqrt(sum(float(np.sum(e * e * side.widths)) for e, side in zip(ends, sides)))
 
-    e_f, e_c = _level_errors(trajectory, problem, n_windows)
-    space_error = np.concatenate([e_f, e_c])
-
-    h1_final_sq = (
-        _fine_level_h1(trajectory, problem, n_windows, grid.ratio) ** 2
-        + _coarse_level_h1(trajectory, problem, n_windows) ** 2
-    )
-
+    # one stacked H1 evaluation per side and window, summed level by level in
+    # time order: fine levels k = 1..K, then the coarse level
     h1_global_sq = 0.0
-    for window in range(1, n_windows + 1):
-        for k in range(1, grid.ratio + 1):
-            h1_global_sq += grid.dt_fine * _fine_level_h1(trajectory, problem, window, k) ** 2
-        h1_global_sq += grid.dt_coarse * _coarse_level_h1(trajectory, problem, window) ** 2
+    for window in range(1, grid.n_windows + 1):
+        h1 = {side.name: _level_h1(trajectory, problem, side, window).tolist() for side in sides}
+        for side in sides:
+            for value in h1[side.name]:
+                h1_global_sq += side.dt * value ** 2
 
     return ErrorSeries(
         x=np.concatenate([grid.centers_fine, grid.centers_coarse]),
-        space_error=space_error,
+        space_error=np.concatenate(ends),  # the last window's end
         window_times=window_times,
         l2_by_window=l2_by_window,
         l2_final=float(l2_by_window[-1]),
-        h1_final=math.sqrt(h1_final_sq),
+        h1_final=math.sqrt(h1[FINE][-1] ** 2 + h1[COARSE][-1] ** 2),  # the last window's last levels
         h1_global=math.sqrt(h1_global_sq),
     )
 
@@ -160,12 +134,11 @@ def subdomain_l2_error(trajectory: Trajectory, problem: Problem, subdomain: str)
     """L2 error over one subdomain at the final time."""
     if problem.exact_solution is None:
         raise ValueError("subdomain_l2_error needs a problem with an exact solution")
-    e_f, e_c = _level_errors(trajectory, problem, trajectory.grid.n_windows)
-    if subdomain == "fine":
-        return math.sqrt(float(np.sum(e_f * e_f * trajectory.grid.widths_fine)))
-    if subdomain == "coarse":
-        return math.sqrt(float(np.sum(e_c * e_c * trajectory.grid.widths_coarse)))
-    raise DimensionError(f"subdomain must be 'fine' or 'coarse', got {subdomain!r}")
+    side = trajectory.grid.sides.get(subdomain)
+    if side is None:
+        raise DimensionError(f"subdomain must be 'fine' or 'coarse', got {subdomain!r}")
+    e = _end_error(trajectory, problem, side, trajectory.grid.n_windows)
+    return math.sqrt(float(np.sum(e * e * side.widths)))
 
 
 def observed_order(errors: list[tuple[float, float, float]]) -> list[float | None]:

@@ -70,8 +70,8 @@ class GridConfig:
             if widths is not None:
                 if len(widths) != n:
                     raise ConfigurationError(f"{name} has {len(widths)} entries, expected {n}")
-                if any(w <= 0.0 for w in widths):
-                    raise ConfigurationError(f"{name} entries must be positive")
+                if not all(w > 0.0 and np.isfinite(w) for w in widths):
+                    raise ConfigurationError(f"{name} entries must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,8 @@ class CompositeGrid:
 
     # -- time slabs ---------------------------------------------------------
     # Window n (1-based) covers ((n-1)*dt_coarse, n*dt_coarse]; its k-th fine
-    # slab (k = 1..K) covers the matching dt_fine subinterval.
+    # slab (k = 1..K) covers the matching dt_fine subinterval.  ``k`` may be an
+    # array of levels, giving arrays of times.
 
     def coarse_slab(self, window: int) -> tuple[float, float]:
         t0 = (window - 1) * self.dt_coarse

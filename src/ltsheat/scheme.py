@@ -161,17 +161,22 @@ def polynomial_problem(source_coeffs, initial_coeffs) -> Problem:
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 
-def slab_source_averages(problem: Problem, faces: np.ndarray, t0: float, t1: float) -> np.ndarray:
+def slab_source_averages(
+    problem: Problem, faces: np.ndarray, t0: float | np.ndarray, t1: float | np.ndarray
+) -> np.ndarray:
     """Space-time averages of the source over each cell of ``faces`` times
-    the slab (t0, t1), by 3-point tensor Gauss-Legendre quadrature."""
+    the slab (t0, t1), by 3-point tensor Gauss-Legendre quadrature.  Scalar
+    bounds give (n,); arrays of bounds give (levels, n), one row per slab,
+    from a single source evaluation."""
     faces = np.asarray(faces, dtype=float)
     xc = 0.5 * (faces[:-1] + faces[1:])
     hx = np.diff(faces)
     xs = xc[:, None] + 0.5 * hx[:, None] * _GAUSS_NODES[None, :]  # (n, 3)
-    ts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _GAUSS_NODES  # (3,)
-    vals = problem.source(xs[:, :, None], ts[None, None, :])  # (n, 3, 3)
+    t0, t1 = np.asarray(t0, dtype=float)[..., None], np.asarray(t1, dtype=float)[..., None]
+    ts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _GAUSS_NODES  # (..., 3)
+    vals = problem.source(xs[:, :, None], ts[..., None, None, :])  # (..., n, 3, 3)
     # weights sum to 2 per axis on [-1, 1]; averaging divides the 4 back out
-    return np.einsum("i,j,nij->n", _GAUSS_WEIGHTS, _GAUSS_WEIGHTS, vals) / 4.0
+    return np.einsum("i,j,...nij->...n", _GAUSS_WEIGHTS, _GAUSS_WEIGHTS, vals) / 4.0
 
 
 def cell_average_source(
@@ -216,12 +221,10 @@ def precompute_window_inputs(
         operators = StepOperators(grid)
     elif operators.grid is not grid:
         raise DimensionError("step operators belong to another grid")
-    ratio = grid.ratio
-    fine_source = np.empty((ratio, grid.n_fine))
-    for k in range(1, ratio + 1):
-        fine_source[k - 1] = slab_source_averages(problem, grid.faces_fine, *grid.fine_slab(window, k))
+    levels = np.arange(1, grid.ratio + 1)
+    fine_source = slab_source_averages(problem, grid.faces_fine, *grid.fine_slab(window, levels))
     coarse_source = slab_source_averages(problem, grid.faces_coarse, *grid.coarse_slab(window))
-    mid_fine = np.array([grid.fine_midtime(window, k) for k in range(1, ratio + 1)])
+    mid_fine = grid.fine_midtime(window, levels)
     mid_coarse = grid.coarse_midtime(window)
     g_lo_fine = np.atleast_1d(np.asarray(problem.g_lo(mid_fine), dtype=float))
     g_hi_coarse = float(problem.g_hi(mid_coarse))
@@ -286,11 +289,9 @@ class TridiagonalLU:
 @dataclass
 class LinearSystem:
     """Square system stored banded (tridiagonal steps, with their LU factors
-    when the matrix is shared) or sparse (monolithic window systems, whose
-    unknowns carry labels)."""
+    when the matrix is shared) or sparse (monolithic window systems)."""
 
     rhs: np.ndarray
-    labels: tuple[str, ...] = ()
     bands: Bands | None = None
     sparse: scipy.sparse.csr_matrix | None = None
     lu: TridiagonalLU | None = None
@@ -518,14 +519,6 @@ class WindowLayout:
     def iface_coarse(self) -> int:
         return self.ratio * self.n_fine + self.n_coarse + self.ratio
 
-    def labels(self) -> tuple[str, ...]:
-        out = [f"fine[k={k},j={j}]" for k in range(1, self.ratio + 1) for j in range(self.n_fine)]
-        out += [f"coarse[j={j}]" for j in range(self.n_coarse)]
-        if self.has_interface_unknowns:
-            out += [f"p_iface_fine[k={k}]" for k in range(1, self.ratio + 1)]
-            out += ["p_iface_coarse"]
-        return tuple(out)
-
 
 def assemble_monolithic_window(
     grid: CompositeGrid,
@@ -647,4 +640,4 @@ def assemble_monolithic_window(
     matrix = scipy.sparse.coo_matrix(
         (vals, (rows, cols)), shape=(lay.n_unknowns, lay.n_unknowns)
     ).tocsr()
-    return LinearSystem(rhs=rhs, labels=lay.labels(), sparse=matrix)
+    return LinearSystem(rhs=rhs, sparse=matrix)

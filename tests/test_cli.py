@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from ltsheat import SolveMode, build_composite_grid, manufactured_problem, march
 from ltsheat.cli import (
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
@@ -64,6 +66,14 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "grid.dt_medium = 0.01\n")
     assert run_experiment(cfg) == EXIT_CONFIG
     assert "grid.dt_medium" in capsys.readouterr().err
+
+
+def test_nan_cell_width_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL + "output_dir = " + str(tmp_path / "o") + "\n")
+    code = run_experiment(cfg, {"grid.n_cells_fine": "3", "grid.widths_fine": "0.2, nan, 0.1"})
+    assert code == EXIT_CONFIG
+    assert "widths_fine entries must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_zero_problem_outputs_zero_errors(tmp_path):
@@ -168,11 +178,34 @@ def test_convergence_zero_problem_all_orders_undefined(tmp_path):
         assert parts[5] == "" and parts[6] == ""
 
 
-def test_nonconvergence_exit_code(tmp_path):
+NONCONVERGED = re.compile(
+    r"corrector did not converge \((?P<label>[^)]*)\): "
+    r"window (?P<window>\d+) of 5 after (?P<sweeps>\d+) sweeps, "
+    r"last residuals \(dirichlet, neumann\) = \((?P<res_d>[^,]+), (?P<res_n>[^)]+)\), "
+    r"last/previous residual max = (?P<ratio>\S+)$"
+)
+
+
+def test_nonconvergence_exit_code(tmp_path, capsys):
     out = tmp_path / "nc"
     code = run_experiment(BUMP_CFG, {"output_dir": str(out), "mode.max_iters": "1", "mode.eps": "1e-12"})
     assert code == EXIT_NO_CONVERGENCE
     assert (out / "summary.json").exists()  # outputs still written, flagged
+    config = load_run_config(parse_config_file(BUMP_CFG))
+    grid = build_composite_grid(config.grid)
+    _, report = march(grid, config.variant, SolveMode.converged(1e-12, 2), manufactured_problem())
+    first = report.windows[0].residual_history
+    found = NONCONVERGED.match(capsys.readouterr().err.strip())
+    assert found["label"] == "is2-fine" and found["window"] == "1" and found["sweeps"] == "1"
+    assert (float(found["res_d"]), float(found["res_n"])) == pytest.approx(first[0], rel=1e-3)
+    assert found["ratio"] == "n/a"
+    # the ladder says the same, with its level
+    levels = {"convergence.levels": "1", "mode.max_iters": "2", "mode.eps": "1e-12", "output_dir": str(out)}
+    assert run_convergence(BUMP_CFG, levels) == EXIT_NO_CONVERGENCE
+    found = NONCONVERGED.match(capsys.readouterr().err.strip())
+    assert found["label"] == "is2-fine, ladder level 0" and found["window"] == "1" and found["sweeps"] == "2"
+    assert (float(found["res_d"]), float(found["res_n"])) == pytest.approx(first[1], rel=1e-3)
+    assert float(found["ratio"]) == pytest.approx(max(first[1]) / max(first[0]), rel=1e-2)
 
 
 def test_single_iteration_mode_exits_zero(tmp_path):

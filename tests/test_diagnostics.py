@@ -51,11 +51,22 @@ def test_norms_interface_term():
     _, h1_with = discrete_norms(np.array([1.0, 1.0]), widths, (None, None), (None, 2.0))
     assert h1_without == 0.0
     assert h1_with**2 == pytest.approx((2.0 - 1.0) ** 2 / 0.25)
+    # a stack of fields with per-field end values equals one call per field, bitwise
+    rng = np.random.default_rng(3)
+    stack, widths = rng.standard_normal((7, 5)), rng.uniform(0.5, 1.5, 5)
+    bnd, iface = rng.standard_normal((2, 7)), rng.standard_normal((2, 7))
+    l2, h1 = discrete_norms(stack, widths, (bnd[0], bnd[1]), (iface[0], iface[1]))
+    assert l2.shape == h1.shape == (7,)
+    for row in range(7):
+        one = discrete_norms(stack[row], widths, (bnd[0, row], bnd[1, row]), (iface[0, row], iface[1, row]))
+        assert (l2[row], h1[row]) == one
 
 
 def test_norms_shape_mismatch():
     with pytest.raises(DimensionError):
         discrete_norms(np.zeros(3), np.zeros(4))
+    with pytest.raises(DimensionError):
+        discrete_norms(np.zeros((2, 3)), np.zeros(4))
 
 
 @settings(max_examples=60, deadline=None)

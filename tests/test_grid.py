@@ -50,6 +50,10 @@ def test_explicit_widths():
         build_composite_grid(
             GridConfig(0.0, 1.0, 0.5, 3, 2, 0.01, 0.01, 0.1, widths_fine=(0.1, 0.2, 0.3), widths_coarse=(0.3, 0.2))
         )
+    # every comparison with NaN is false: non-finite widths must still be rejected
+    for bad in ((0.2, float("nan"), 0.1), (0.2, float("inf"), 0.1)):
+        with pytest.raises(ConfigurationError, match="widths_fine entries must be positive and finite"):
+            GridConfig(0.0, 1.0, 0.5, 3, 2, 0.01, 0.01, 0.1, widths_fine=bad)
 
 
 def test_validation_report(bump_grid):

@@ -20,7 +20,7 @@ from ltsheat import (
     zero_problem,
 )
 from ltsheat.projection import coarse_trace, fine_trace
-from ltsheat.scheme import VARIANTS, Problem, Variant
+from ltsheat.scheme import VARIANTS, Problem, Variant, slab_source_averages
 
 
 # -- manufactured problem ------------------------------------------------------
@@ -74,13 +74,21 @@ def test_cell_average_bilinear_exact():
     assert cell_average_source(prob, (0.0, 1.0), (0.0, 1.0)) == pytest.approx(0.25, rel=1e-14)
 
 
-def test_cell_average_matches_adaptive_quadrature(bump_problem):
+def test_cell_average_matches_adaptive_quadrature(bump_grid, bump_problem):
     cell, slab = (0.14, 0.15), (0.098, 0.1)
     value = cell_average_source(bump_problem, cell, slab)
     f = lambda t, x: float(bump_problem.source(x, t))  # noqa: E731
     integral, est = scipy.integrate.dblquad(f, cell[0], cell[1], slab[0], slab[1], epsabs=1e-13, epsrel=1e-13)
     expected = integral / ((cell[1] - cell[0]) * (slab[1] - slab[0]))
     assert value == pytest.approx(expected, abs=1e-10 * max(1.0, abs(expected)))
+    # all K = 10 fine slabs of a window at once equal one call per slab, bitwise
+    levels = np.arange(1, bump_grid.ratio + 1)
+    stacked = slab_source_averages(bump_problem, bump_grid.faces_fine, *bump_grid.fine_slab(3, levels))
+    per_slab = [
+        slab_source_averages(bump_problem, bump_grid.faces_fine, *bump_grid.fine_slab(3, k)) for k in levels
+    ]
+    assert stacked.shape == (10, 25)
+    assert stacked.tobytes() == np.array(per_slab).tobytes()
 
 
 # -- subdomain assembly --------------------------------------------------------
@@ -157,7 +165,6 @@ def test_monolithic_unknown_counts(bump_grid, bump_problem):
     is2 = assemble_monolithic_window(bump_grid, 1, *start, Variant("is2", "coarse"), bump_problem)
     assert is1.n == 25 * 10 + 15 + (10 + 1) == 276
     assert is2.n == 25 * 10 + 15 == 265
-    assert len(is1.labels) == 276
 
 
 def test_monolithic_zero_data_is_zero():
@@ -277,7 +284,6 @@ def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
     )
     other = assemble_subdomain_step(bump_grid, "fine", 1, 1, prev, neumann, bump_problem, inputs)
     assert first.lu is second.lu and first.lu is not other.lu
-    assert first.labels == ()
     assert not first.bands[1].flags.writeable
     # the shared factors solve exactly like a fresh factorization
     fresh = type(first)(rhs=first.rhs, bands=tuple(b.copy() for b in first.bands))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltsheat import (
     ConfigurationError,
@@ -35,7 +37,6 @@ from tests.conftest import random_smooth_problem
 def test_solve_identity():
     system = LinearSystem(
         rhs=np.array([3.0, -1.0, 2.0]),
-        labels=("a", "b", "c"),
         bands=(np.zeros(3), np.ones(3), np.zeros(3)),
     )
     np.testing.assert_array_equal(solve_linear(system), system.rhs)
@@ -44,7 +45,6 @@ def test_solve_identity():
 def test_solve_symmetric_2x2():
     system = LinearSystem(
         rhs=np.array([3.0, 3.0]),
-        labels=("a", "b"),
         sparse=scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])),
     )
     np.testing.assert_allclose(solve_linear(system), [1.0, 1.0], rtol=1e-14)
@@ -57,7 +57,7 @@ def test_solve_random_tridiagonal_residual():
     upper = np.concatenate([rng.uniform(-1, 1, n - 1), [0.0]])
     diag = 3.0 + rng.uniform(0, 1, n)  # diagonally dominant
     rhs = rng.uniform(-5, 5, n)
-    system = LinearSystem(rhs=rhs, labels=tuple(map(str, range(n))), bands=(lower, diag, upper))
+    system = LinearSystem(rhs=rhs, bands=(lower, diag, upper))
     x = solve_linear(system)
     residual = system.matrix @ x - rhs
     norm_a = np.max(np.abs(system.matrix).sum(axis=1))
@@ -67,7 +67,6 @@ def test_solve_random_tridiagonal_residual():
 def test_singular_system_raises():
     system = LinearSystem(
         rhs=np.array([1.0, 1.0]),
-        labels=("a", "b"),
         sparse=scipy.sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])),
     )
     with pytest.raises(SolverError):
@@ -289,6 +288,21 @@ def test_nonconvergence_is_flagged_not_raised(bump_grid, bump_problem):
     )
     assert not report.converged
     assert report.iterations == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.sampled_from([1, 2, 5, 10, 20, 50]),
+    cells=st.sampled_from([(10, 10), (20, 5), (5, 20), (40, 8)]),
+    x_iface=st.sampled_from([0.25, 0.5, 0.8]),
+    variant=st.sampled_from(VARIANTS),
+)
+def test_every_window_converges_over_the_grid_space(ratio, cells, x_iface, variant):
+    grid = build_composite_grid(GridConfig(0.0, 1.0, x_iface, *cells, 0.01 / ratio, 0.01, 0.02))
+    _, report = march(grid, variant, SolveMode.converged(1e-8), manufactured_problem())
+    assert report.all_converged
+    for window in report.windows:
+        assert window.conservativity_defect <= 1e-12 * max(1.0, window.flux_scale)
 
 
 def test_march_zero_data(bump_grid):
