@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import ErrorSeries, error_report, observed_order
+from .diagnostics import ErrorSeries, error_report, final_l2_error, observed_order
 from .errors import ConfigurationError, SolverError
 from .grid import CompositeGrid, GridConfig, build_composite_grid
 from .scheme import Problem, Variant, manufactured_problem, polynomial_problem, zero_problem
@@ -193,16 +193,19 @@ def build_problem(config: RunConfig) -> Problem:
 
 def _check_converged(mode: SolveMode, report: SolveReport, label: str) -> bool:
     """False when a converged-mode march left a window unconverged; stderr then names
-    the first one, its sweeps, last residual pair and last/previous residual max."""
+    the first one, its sweeps, last residual pair and last/previous residual max,
+    next to the march's predicted contraction per sweep."""
     if mode.kind != CONVERGED or report.all_converged:
         return True
     window, failed = next((n, w) for n, w in enumerate(report.windows, start=1) if not w.converged)
     history = failed.residual_history
     ratio = f"{max(history[-1]) / max(history[-2]):.3g}" if len(history) > 1 else "n/a"
+    predicted = "n/a" if report.contraction is None else f"{report.contraction:.3g}"
     print(
         f"corrector did not converge ({label}): window {window} of {len(report.windows)} "
         f"after {failed.iterations} sweeps, last residuals (dirichlet, neumann) = "
-        f"({history[-1][0]:.3e}, {history[-1][1]:.3e}), last/previous residual max = {ratio}",
+        f"({history[-1][0]:.3e}, {history[-1][1]:.3e}), "
+        f"last/previous residual max = {ratio} (predicted {predicted})",
         file=sys.stderr,
     )
     return False
@@ -405,7 +408,7 @@ def run_compare(config_path: str | Path, overrides: dict[str, str] | None = None
             trajectory, report = march(grid, variant, mode, problem)
             any_nonconverged |= not _check_converged(mode, report, method)
             if problem.exact_solution is not None:
-                l2 = _fmt(error_report(trajectory, problem).l2_final)
+                l2 = _fmt(final_l2_error(trajectory, problem))
             else:
                 l2 = ""
             rows.append([method, l2, _fmt(report.mean_iterations), _fmt(report.max_defect)])

@@ -78,6 +78,23 @@ def _end_error(trajectory: Trajectory, problem: Problem, side: Side, window: int
     return cells - problem.exact_solution(side.centers, window * trajectory.grid.dt_coarse)
 
 
+def _window_end_l2(trajectory: Trajectory, problem: Problem, window: int) -> tuple[float, list[np.ndarray]]:
+    """Global L2 error at the end of ``window`` (0 = initial), fine side then
+    coarse side, and each side's cell errors."""
+    grid = trajectory.grid
+    sides = (grid.sides[FINE], grid.sides[COARSE])
+    ends = [_end_error(trajectory, problem, side, window) for side in sides]
+    return math.sqrt(sum(float(np.sum(e * e * side.widths)) for e, side in zip(ends, sides))), ends
+
+
+def final_l2_error(trajectory: Trajectory, problem: Problem) -> float:
+    """Global L2 error at the final time: ``error_report(...).l2_final``
+    without the rest of the report."""
+    if problem.exact_solution is None:
+        raise ValueError("final_l2_error needs a problem with an exact solution")
+    return _window_end_l2(trajectory, problem, trajectory.grid.n_windows)[0]
+
+
 def _level_h1(trajectory: Trajectory, problem: Problem, side: Side, window: int) -> np.ndarray:
     """H1 seminorm errors of one side at each of its time levels in ``window``,
     against the exact solution at the slab midpoints."""
@@ -107,8 +124,7 @@ def error_report(trajectory: Trajectory, problem: Problem) -> ErrorSeries:
     window_times = np.arange(grid.n_windows + 1) * grid.dt_coarse
     l2_by_window = np.zeros(grid.n_windows + 1)
     for n in range(grid.n_windows + 1):
-        ends = [_end_error(trajectory, problem, side, n) for side in sides]
-        l2_by_window[n] = math.sqrt(sum(float(np.sum(e * e * side.widths)) for e, side in zip(ends, sides)))
+        l2_by_window[n], ends = _window_end_l2(trajectory, problem, n)
 
     # one stacked H1 evaluation per side and window, summed level by level in
     # time order: fine levels k = 1..K, then the coarse level

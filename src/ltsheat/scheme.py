@@ -16,12 +16,14 @@ Sign convention: fluxes are oriented left to right, u = (p_right - p_left) / d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 from .errors import ConfigurationError, DimensionError, SolverError
 from .grid import CompositeGrid, Side
@@ -203,7 +205,13 @@ class WindowInputs:
     g_lo_coarse: float  # left boundary value at the coarse slab midpoint
     g_hi_coarse: float  # right boundary value at the coarse slab midpoint
     operators: StepOperators
-    per_side: dict[str, tuple[np.ndarray, np.ndarray]]
+    per_side: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "per_side", {
+            FINE: (self.fine_source, self.g_lo_fine),
+            COARSE: (self.coarse_source[None, :], np.array([self.g_hi_coarse])),
+        })
 
     @property
     def predictor_fine_source(self) -> np.ndarray:
@@ -226,20 +234,14 @@ def precompute_window_inputs(
     coarse_source = slab_source_averages(problem, grid.faces_coarse, *grid.coarse_slab(window))
     mid_fine = grid.fine_midtime(window, levels)
     mid_coarse = grid.coarse_midtime(window)
-    g_lo_fine = np.atleast_1d(np.asarray(problem.g_lo(mid_fine), dtype=float))
-    g_hi_coarse = float(problem.g_hi(mid_coarse))
     return WindowInputs(
         window=window,
         fine_source=fine_source,
         coarse_source=coarse_source,
-        g_lo_fine=g_lo_fine,
+        g_lo_fine=np.atleast_1d(np.asarray(problem.g_lo(mid_fine), dtype=float)),
         g_lo_coarse=float(problem.g_lo(mid_coarse)),
-        g_hi_coarse=g_hi_coarse,
+        g_hi_coarse=float(problem.g_hi(mid_coarse)),
         operators=operators,
-        per_side={
-            FINE: (fine_source, g_lo_fine),
-            COARSE: (coarse_source[None, :], np.array([g_hi_coarse])),
-        },
     )
 
 
@@ -315,6 +317,8 @@ class LinearSystem:
     def matrix(self) -> scipy.sparse.csr_matrix:
         if self.sparse is not None:
             return self.sparse
+        import scipy.sparse
+
         lower, diag, upper = self.bands
         return scipy.sparse.diags(
             [lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr"
@@ -404,12 +408,14 @@ class StepOperators:
     union mesh) and the interface closure kind, never on the window, the time
     level or the sweep: every step of a march reuses its side's factors and
     forms only its right-hand side.  The bands are read-only because all those
-    systems share them.
+    systems share them.  ``gains`` holds the corrector's interface gain of each
+    coupling variant on this grid, which the solver computes on first use.
     """
 
     def __init__(self, grid: CompositeGrid):
         self.grid = grid
         self._factored: dict[tuple[str, str | None], tuple[Bands, TridiagonalLU]] = {}
+        self.gains: dict[Variant, float] = {}
 
     def get(self, side: str, closure_kind: str | None = None) -> tuple[Bands, TridiagonalLU]:
         key = (side, closure_kind)
@@ -531,6 +537,10 @@ def assemble_monolithic_window(
 ) -> LinearSystem:
     """The exact coupled system of one coarse window: subdomain schemes at all
     levels plus the variant's two interface conditions."""
+    # scipy.sparse is imported here, not with the module: only this reference
+    # builds sparse systems, and runs that never do skip the import's memory
+    import scipy.sparse
+
     if inputs is None:
         inputs = precompute_window_inputs(grid, window, problem)
     lay = WindowLayout(grid, variant)

@@ -9,6 +9,19 @@ the slave's interface flux as Neumann data (projected likewise).  Because a
 sweep ends with the Neumann-side solve and both projections preserve the
 time-weighted flux sum exactly, the coupling is conservative after every
 whole sweep, including the single-iteration mode.
+
+Only two sweeps of a window march the subdomains.  After the projections the
+slave's Dirichlet datum is one number per window (a coarse value, or one
+value copied to the K fine slots), and a sweep is affine in it: from datum x
+the master's new Dirichlet data is f1 + g (x - x0), where x0 is the first
+sweep's datum, f1 the data after it, and g the interface gain
+(``interface_gain``), the response of one sweep to a unit datum on the
+homogeneous problem.  This is the Steklov-Poincare form of the coupling in
+one unknown.  So sweep 1 is a real sweep, sweeps 2..n run that recursion with
+the same relaxation, residuals and stopping test, and one more real sweep
+with the last datum reconstructs the cells and traces.  A window that stops
+after sweep 1 does no extra work.  The gain is computed by one sweep per grid
+and variant, the first time a window needs it.
 """
 
 from __future__ import annotations
@@ -17,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, SolverError
 from .grid import CompositeGrid
@@ -45,16 +57,19 @@ from .scheme import (
     assemble_subdomain_step,
     interface_traces,
     precompute_window_inputs,
+    zero_problem,
 )
 
 #: direct-solve residual acceptance factor
 SOLVE_RTOL = 1e-10
 
 #: fixed damping of the Dirichlet-trace update between corrector sweeps.  The
-#: raw update overshoots: on the reference composite grid the interface gain
-#: per sweep is negative for all four coupling variants (about -0.7 to -1.15,
-#: oscillatory and divergent for the interface-unknown scheme with a coarse
-#: master), so the new Dirichlet datum is blended with the previous one.  The
+#: raw update overshoots: on the reference composite grid the interface gain g
+#: (``interface_gain``) is negative for all four coupling variants, -0.76
+#: (is1-fine), -1.15 (is1-coarse), -0.70 (is2-fine) and -0.81 (is2-coarse), so
+#: undamped sweeps oscillate, and diverge for is1-coarse.  The new Dirichlet
+#: datum is therefore blended with the previous one, and the error contracts
+#: by r = 1 - theta + theta g per sweep (0.21, 0.033, 0.23, 0.19).  The
 #: Neumann data is never damped: the master always receives the exactly
 #: projected slave flux, which keeps every sweep conservative.
 DIRICHLET_RELAXATION = 0.45
@@ -128,6 +143,9 @@ class WindowReport:
 @dataclass
 class SolveReport:
     windows: list[WindowReport] = field(default_factory=list)
+    #: per-sweep contraction 1 - theta + theta g of the march's corrector; None
+    #: when no window needed a second sweep, so the gain g was never computed
+    contraction: float | None = None
 
     @property
     def iterations(self) -> list[int]:
@@ -178,6 +196,8 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
         residual[1:] += lower[1:] * x[:-1]
         norm_a = lu.norm_inf
     else:
+        import scipy.sparse.linalg  # sparse systems come only from the monolithic reference
+
         try:
             x = scipy.sparse.linalg.splu(system.sparse.tocsc()).solve(system.rhs)
         except RuntimeError as exc:
@@ -248,6 +268,12 @@ def _project(grid: CompositeGrid, trace: Trace) -> Trace:
     return inject_coarse_to_fine(trace, grid.ratio)
 
 
+def _relax(used: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The damped Dirichlet datum of the next sweep."""
+    theta = DIRICHLET_RELAXATION
+    return (1.0 - theta) * used + theta * fresh
+
+
 def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> Trace:
     """The slave's Dirichlet data: the projected master interface pressure
     for is1, the projected master interface-cell value for is2."""
@@ -309,28 +335,48 @@ def corrector_sweep(
     variant: Variant,
     problem: Problem,
     inputs: WindowInputs | None = None,
+    datum: Trace | None = None,
 ) -> tuple[WindowState, tuple[float, float]]:
     """One multiplicative sweep: slave solve with the master's projected
-    pressure, then master solve with the slave's projected flux.  Returns the
-    updated state and the residuals of the new iterate."""
+    pressure (relaxed against the previous sweep's datum), or with ``datum``
+    when given, then master solve with the slave's projected flux.  Returns
+    the updated state and the residuals of the new iterate."""
     if inputs is None:
         inputs = precompute_window_inputs(grid, window, problem)
-    fresh = _dirichlet_data(grid, variant, state)
-    if state.dirichlet_used is None:
-        state.dirichlet_used = fresh
-    else:
-        theta = DIRICHLET_RELAXATION
-        state.dirichlet_used = Trace(
-            (1.0 - theta) * state.dirichlet_used.values + theta * fresh.values,
-            fresh.resolution,
-            fresh.dt,
-        )
+    if datum is None:
+        datum = _dirichlet_data(grid, variant, state)
+        if state.dirichlet_used is not None:
+            datum = Trace(_relax(state.dirichlet_used.values, datum.values), datum.resolution, datum.dt)
+    state.dirichlet_used = datum
     _solve_subdomain(
         grid, window, state, variant.slave, variant.dirichlet_kind, state.dirichlet_used, problem, inputs
     )
     state.neumann_used = _neumann_data(grid, variant, state)
     _solve_subdomain(grid, window, state, variant.master, "neumann", state.neumann_used, problem, inputs)
     return state, interface_residuals(grid, variant, state)
+
+
+def interface_gain(grid: CompositeGrid, variant: Variant, operators: StepOperators) -> float:
+    """The corrector's interface gain g for ``variant`` on ``grid``: the
+    master's Dirichlet data after one sweep from a unit datum on the
+    homogeneous problem (zero start, source and boundary values).  The sweep
+    runs on the first call and reuses the factors of ``operators``, which
+    keeps the result."""
+    if variant not in operators.gains:
+        ratio, n_fine, n_coarse = grid.ratio, grid.n_fine, grid.n_coarse
+        inputs = WindowInputs(
+            1, np.zeros((ratio, n_fine)), np.zeros(n_coarse), np.zeros(ratio), 0.0, 0.0, operators
+        )
+        zero_f, zero_c = fine_trace(np.zeros(ratio), grid.dt_fine), coarse_trace(0.0, grid.dt_coarse)
+        state = WindowState(
+            fine=SubdomainState(np.zeros(n_fine), np.zeros((ratio, n_fine)), zero_f, zero_f),
+            coarse=SubdomainState(np.zeros(n_coarse), np.zeros(n_coarse), zero_c, zero_c),
+        )
+        slave = grid.sides[variant.slave]
+        unit = Trace(np.ones(slave.levels), slave.name, slave.dt)
+        state, _ = corrector_sweep(grid, 1, state, variant, zero_problem(), inputs, unit)
+        operators.gains[variant] = float(_dirichlet_data(grid, variant, state).values[0])
+    return operators.gains[variant]
 
 
 def conservativity_defect_of(state: WindowState, grid: CompositeGrid) -> tuple[float, float]:
@@ -353,18 +399,36 @@ def solve_window(
     problem: Problem,
     inputs: WindowInputs | None = None,
 ) -> tuple[WindowState, WindowReport]:
-    """Advance one coarse window in the requested mode."""
+    """Advance one coarse window in the requested mode: a real sweep 1, then
+    sweeps 2..n on the scalar datum and one real sweep with its last value."""
     if inputs is None:
         inputs = precompute_window_inputs(grid, window, problem)
     state = init_window_state(grid, window, fine_start, coarse_start, problem, inputs)
+    sweeps = {PREDICTOR_ONLY: 0, SINGLE_ITERATION: 1}.get(mode.kind, mode.max_iters)
+
+    def stops(residuals: tuple[float, float]) -> bool:
+        return mode.kind == CONVERGED and residuals[0] <= mode.eps and residuals[1] <= mode.eps
+
     history: list[tuple[float, float]] = []
     converged = False
-    for _ in range({PREDICTOR_ONLY: 0, SINGLE_ITERATION: 1}.get(mode.kind, mode.max_iters)):
+    if sweeps > 0:
         state, residuals = corrector_sweep(grid, window, state, variant, problem, inputs)
         history.append(residuals)
-        if mode.kind == CONVERGED and residuals[0] <= mode.eps and residuals[1] <= mode.eps:
-            converged = True
-            break
+        converged = stops(residuals)
+    if not converged and len(history) < sweeps:
+        gain = interface_gain(grid, variant, inputs.operators)
+        first = state.dirichlet_used
+        x0 = datum = first.values
+        f1 = fresh = _dirichlet_data(grid, variant, state).values
+        while not converged and len(history) < sweeps:
+            datum = _relax(datum, fresh)
+            fresh = f1 + gain * (datum - x0)
+            # the master's flux is its Neumann datum, so the flux residual is 0
+            history.append((float(np.max(np.abs(datum - fresh))), 0.0))
+            converged = stops(history[-1])
+        state, _ = corrector_sweep(
+            grid, window, state, variant, problem, inputs, Trace(datum, first.resolution, first.dt)
+        )
     defect, scale = conservativity_defect_of(state, grid)
     report = WindowReport(
         iterations=len(history),
@@ -406,6 +470,9 @@ def march(
         coarse_flux[window - 1] = float(state.coarse.flux.values[0])
         report.windows.append(wreport)
         fine_start, coarse_start = fine[window * ratio], coarse[window]
+    gain = operators.gains.get(variant)
+    if gain is not None:
+        report.contraction = 1.0 - DIRICHLET_RELAXATION + DIRICHLET_RELAXATION * gain
     trajectory = Trajectory(
         grid=grid,
         fine=fine,

@@ -182,7 +182,7 @@ NONCONVERGED = re.compile(
     r"corrector did not converge \((?P<label>[^)]*)\): "
     r"window (?P<window>\d+) of 5 after (?P<sweeps>\d+) sweeps, "
     r"last residuals \(dirichlet, neumann\) = \((?P<res_d>[^,]+), (?P<res_n>[^)]+)\), "
-    r"last/previous residual max = (?P<ratio>\S+)$"
+    r"last/previous residual max = (?P<ratio>\S+) \(predicted (?P<predicted>\S+)\)$"
 )
 
 
@@ -198,7 +198,7 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     found = NONCONVERGED.match(capsys.readouterr().err.strip())
     assert found["label"] == "is2-fine" and found["window"] == "1" and found["sweeps"] == "1"
     assert (float(found["res_d"]), float(found["res_n"])) == pytest.approx(first[0], rel=1e-3)
-    assert found["ratio"] == "n/a"
+    assert found["ratio"] == "n/a" and found["predicted"] == "n/a"  # no second sweep, no gain
     # the ladder says the same, with its level
     levels = {"convergence.levels": "1", "mode.max_iters": "2", "mode.eps": "1e-12", "output_dir": str(out)}
     assert run_convergence(BUMP_CFG, levels) == EXIT_NO_CONVERGENCE
@@ -206,6 +206,8 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert found["label"] == "is2-fine, ladder level 0" and found["window"] == "1" and found["sweeps"] == "2"
     assert (float(found["res_d"]), float(found["res_n"])) == pytest.approx(first[1], rel=1e-3)
     assert float(found["ratio"]) == pytest.approx(max(first[1]) / max(first[0]), rel=1e-2)
+    assert float(found["predicted"]) == pytest.approx(report.contraction, rel=1e-2)
+    assert float(found["predicted"]) == pytest.approx(float(found["ratio"]), rel=1e-2)
 
 
 def test_single_iteration_mode_exits_zero(tmp_path):

@@ -16,6 +16,7 @@ from ltsheat import (
     subdomain_l2_error,
     zero_problem,
 )
+from ltsheat.diagnostics import final_l2_error
 from ltsheat.projection import coarse_trace, fine_trace
 
 
@@ -114,6 +115,8 @@ def test_error_report_requires_exact(bump_grid, bump_problem, bump_run):
         error_report(trajectory, prob)
     with pytest.raises(ValueError):
         subdomain_l2_error(trajectory, prob, "fine")
+    with pytest.raises(ValueError):
+        final_l2_error(trajectory, prob)
 
 
 def test_error_report_zero_for_exact_interpolant(bump_grid):
@@ -147,6 +150,17 @@ def test_error_report_shapes(bump_run, bump_problem):
     assert series.l2_final == series.l2_by_window[-1]
     assert series.l2_final > 0.0 and series.h1_final > 0.0 and series.h1_global > 0.0
     assert subdomain_l2_error(trajectory, bump_problem, "fine") <= series.l2_final
+
+
+@pytest.mark.parametrize(
+    "variant, mode",
+    [(v, "converged") for v in ("is1-fine", "is1-coarse", "is2-fine", "is2-coarse")]
+    + [("is2-fine", "single_iteration"), ("is1-coarse", "predictor_only")],
+)
+def test_final_l2_error_is_the_reports_l2_final(bump_run, bump_problem, variant, mode):
+    # ``compare`` writes only this number; it must not move by a bit
+    _, trajectory, _ = bump_run(variant, mode)
+    assert final_l2_error(trajectory, bump_problem) == error_report(trajectory, bump_problem).l2_final
 
 
 def test_fine_master_beats_coarse_baseline_in_refined_zone(bump_run, bump_problem):

@@ -1,7 +1,12 @@
 """The tracked outputs under out/ regenerate byte for byte: the bump
 experiment and method comparison, and the refinement study of each coupling
-variant, written to a temporary directory and compared file by file."""
+variant, written to a temporary directory and compared file by file.
 
+When bytes differ the failure names the file and its largest numeric delta:
+relative for every value, except conservativity defects, which are roundoff
+by construction and get the absolute delta."""
+
+import json
 from pathlib import Path
 
 import pytest
@@ -13,10 +18,76 @@ BUMP_CFG = ROOT / "configs" / "bump.cfg"
 GOLDEN = ROOT / "out"
 
 
+def _fields(path: Path) -> dict[str, object]:
+    """Every value of an output file by label: CSV cells as column[row],
+    JSON leaves by key path.  Numbers become floats, other cells stay text."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        found: dict[str, object] = {}
+
+        def walk(node, label):
+            items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else None
+            if items is None:
+                found[label] = float(node) if type(node) in (int, float) else node
+            else:
+                for key, child in items:
+                    walk(child, f"{label}/{key}" if label else str(key))
+
+        walk(json.loads(text), "")
+        return found
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    found = {}
+    for n, row in enumerate(rows):
+        for column, cell in zip(header, row):
+            try:
+                found[f"{column}[{n}]"] = float(cell)
+            except ValueError:
+                found[f"{column}[{n}]"] = cell
+    return found
+
+
+def delta_report(produced: Path, golden: Path) -> str:
+    """The largest relative delta of the file's values, and the largest
+    absolute delta of its conservativity defects."""
+    new, old = _fields(produced), _fields(golden)
+    if new.keys() != old.keys():
+        return "layout differs"
+    numeric = [k for k in new if isinstance(new[k], float) and isinstance(old[k], float)]
+    text = [k for k in new if k not in numeric and new[k] != old[k]]
+    if text:
+        return f"non-numeric values differ: {text[:3]}"
+    defects = [k for k in numeric if "conservativity_defect" in k]
+    rel, at = max(
+        ((abs(new[k] - old[k]) / max(abs(old[k]), 1e-300), k) for k in numeric if k not in defects),
+        default=(0.0, "-"),
+    )
+    report = f"largest relative delta {rel:.3g} at {at}"
+    if defects:
+        absolute, at = max((abs(new[k] - old[k]), k) for k in defects)
+        report += f"; largest conservativity-defect delta {absolute:.3g} (absolute) at {at}"
+    return report
+
+
 def assert_same_bytes(produced: Path, names: tuple[str, ...]) -> None:
     for name in names:
-        golden = GOLDEN / produced.name / name
-        assert (produced / name).read_bytes() == golden.read_bytes(), f"{produced.name}/{name}"
+        new, golden = produced / name, GOLDEN / produced.name / name
+        assert new.read_bytes() == golden.read_bytes(), f"{produced.name}/{name}: {delta_report(new, golden)}"
+
+
+def test_delta_report_names_the_largest_deltas(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("method,l2,max_conservativity_defect\na,1.0,0\nb,2.0,1e-17\n")
+    new.write_text("method,l2,max_conservativity_defect\na,1.0,2e-17\nb,2.000002,1e-17\n")
+    assert delta_report(new, old) == (
+        "largest relative delta 1e-06 at l2[1]; "
+        "largest conservativity-defect delta 2e-17 (absolute) at max_conservativity_defect[0]"
+    )
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps({"grid": {"dt": 0.5}, "iterations": [3, 4], "variant": "x"}))
+    new.write_text(json.dumps({"grid": {"dt": 0.5}, "iterations": [3, 5], "variant": "x"}))
+    assert delta_report(new, old) == "largest relative delta 0.25 at iterations/1"
+    new.write_text(json.dumps({"grid": {"dt": 0.5}, "iterations": [3, 4], "variant": "y"}))
+    assert delta_report(new, old) == "non-numeric values differ: ['variant']"
 
 
 def test_bump_experiment_and_comparison(tmp_path):

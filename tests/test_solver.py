@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,16 @@ from ltsheat import (
     solve_window_monolithic,
     zero_problem,
 )
-from ltsheat.scheme import VARIANTS, LinearSystem, TridiagonalLU, Variant
-from ltsheat.solver import init_window_state, interface_residuals, predictor_step
+import ltsheat.solver
+from ltsheat.scheme import VARIANTS, LinearSystem, StepOperators, TridiagonalLU, Variant
+from ltsheat.solver import (
+    DIRICHLET_RELAXATION,
+    corrector_sweep,
+    init_window_state,
+    interface_gain,
+    interface_residuals,
+    predictor_step,
+)
 from tests.conftest import random_smooth_problem
 
 
@@ -303,6 +312,104 @@ def test_every_window_converges_over_the_grid_space(ratio, cells, x_iface, varia
     assert report.all_converged
     for window in report.windows:
         assert window.conservativity_defect <= 1e-12 * max(1.0, window.flux_scale)
+
+
+def _sweep_until_eps(grid, window, fine_start, coarse_start, variant, mode, problem, inputs):
+    """The corrector as real sweeps until both residuals reach eps: the
+    reference for ``solve_window``'s reduced sweeps 2..n."""
+    state = init_window_state(grid, window, fine_start, coarse_start, problem, inputs)
+    history = []
+    for _ in range(mode.max_iters):
+        state, residuals = corrector_sweep(grid, window, state, variant, problem, inputs)
+        history.append(residuals)
+        if residuals[0] <= mode.eps and residuals[1] <= mode.eps:
+            break
+    return state, history
+
+
+def _state_fields(state):
+    """Cells, interface pressure and interface flux of both sides."""
+    return [
+        array
+        for sub in (state.fine, state.coarse)
+        for array in (sub.cells, sub.pressure.values, sub.flux.values)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.sampled_from([1, 2, 5, 10, 20, 50]),
+    cells=st.sampled_from([(10, 10), (20, 5), (5, 20), (40, 8)]),
+    x_iface=st.sampled_from([0.25, 0.5, 0.8]),
+    variant=st.sampled_from(VARIANTS),
+)
+def test_reduced_sweeps_match_real_sweeps_over_the_grid_space(ratio, cells, x_iface, variant):
+    grid = build_composite_grid(GridConfig(0.0, 1.0, x_iface, *cells, 0.01 / ratio, 0.01, 0.02))
+    problem, mode = manufactured_problem(), SolveMode.converged(1e-8)
+    operators = StepOperators(grid)
+    fine_start, coarse_start = problem.p0(grid.centers_fine), problem.p0(grid.centers_coarse)
+    for window in range(1, grid.n_windows + 1):
+        inputs = precompute_window_inputs(grid, window, problem, operators)
+        args = (grid, window, fine_start, coarse_start, variant, mode, problem, inputs)
+        state, report = solve_window(*args)
+        expected, history = _sweep_until_eps(*args)
+        assert report.iterations == len(history)
+        # the real sweeps' residuals scatter by up to 11 ulp of the datum about
+        # the geometric sequence res_1 r^(n-1), which the reduced sweeps follow
+        # to 1 ulp; residuals near eps are compared on that scale
+        datum = float(np.max(np.abs(expected.dirichlet_used.values)))
+        floor = 32 * np.finfo(float).eps * max(1.0, datum)
+        np.testing.assert_allclose(report.residual_history, history, rtol=1e-12, atol=floor)
+        for got, want in zip(_state_fields(state), _state_fields(expected)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        fine_start, coarse_start = state.fine.cells[-1], state.coarse.cells
+
+
+@pytest.mark.parametrize("mode", [SolveMode.single_iteration(), SolveMode.converged(1e-14, 1)], ids=["single", "one"])
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+def test_one_sweep_windows_are_one_real_sweep(bump_grid, bump_problem, variant, mode):
+    # a window that stops after sweep 1 gives today's results bit for bit
+    p0f, p0c = bump_problem.p0(bump_grid.centers_fine), bump_problem.p0(bump_grid.centers_coarse)
+    state, report = solve_window(bump_grid, 1, p0f, p0c, variant, mode, bump_problem)
+    one_sweep = SolveMode.converged(1e-14, 1)
+    expected, history = _sweep_until_eps(bump_grid, 1, p0f, p0c, variant, one_sweep, bump_problem, None)
+    assert report.residual_history == history
+    for got, want in zip(_state_fields(state), _state_fields(expected)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+def test_only_two_sweeps_per_window_march_the_subdomains(monkeypatch, bump_grid, bump_problem, variant):
+    calls = Counter()
+    for name in ("solve_linear", "predictor_step", "corrector_sweep"):
+
+        def counted(*args, _original=getattr(ltsheat.solver, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ltsheat.solver, name, counted)
+    _, report = ltsheat.solver.march(bump_grid, variant, SolveMode.converged(1e-5, 100), bump_problem)
+    windows = len(report.windows)
+    assert max(report.iterations) > 2
+    assert calls["predictor_step"] == windows
+    assert calls["solve_linear"] == calls["predictor_step"] + (bump_grid.ratio + 1) * calls["corrector_sweep"]
+    assert calls["corrector_sweep"] <= 2 * windows + 1
+    # sweep 1 of every window, the reconstruction of each window with more
+    # sweeps, and the one gain sweep of the march
+    reduced = sum(n > 1 for n in report.iterations)
+    assert calls["corrector_sweep"] == windows + reduced + (reduced > 0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+def test_predicted_contraction_matches_the_observed_ratio(bump_run, variant):
+    grid, _, report = bump_run(variant.name)
+    gain = interface_gain(grid, variant, StepOperators(grid))
+    assert report.contraction == 1.0 - DIRICHLET_RELAXATION + DIRICHLET_RELAXATION * gain
+    for window in report.windows:
+        r = [max(pair) for pair in window.residual_history]
+        for a, b in zip(r, r[1:]):
+            assert b / a == pytest.approx(abs(report.contraction), rel=1e-8)
+    assert bump_run(variant.name, "single_iteration")[2].contraction is None
 
 
 def test_march_zero_data(bump_grid):
