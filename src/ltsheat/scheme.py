@@ -25,6 +25,8 @@ import scipy.linalg.lapack
 if TYPE_CHECKING:
     import scipy.sparse
 
+    from .solver import WindowState
+
 from .errors import ConfigurationError, DimensionError, SolverError
 from .grid import CompositeGrid, Side
 from .projection import COARSE, FINE, Trace
@@ -408,14 +410,17 @@ class StepOperators:
     union mesh) and the interface closure kind, never on the window, the time
     level or the sweep: every step of a march reuses its side's factors and
     forms only its right-hand side.  The bands are read-only because all those
-    systems share them.  ``gains`` holds the corrector's interface gain of each
-    coupling variant on this grid, which the solver computes on first use.
+    systems share them.  ``gains`` holds, per coupling variant, the
+    corrector's interface gain g on this grid and the window state of the
+    sweep it comes from (from a unit datum on the homogeneous problem), which
+    the solver computes on first use and superposes onto every window that
+    needs more than one sweep.
     """
 
     def __init__(self, grid: CompositeGrid):
         self.grid = grid
         self._factored: dict[tuple[str, str | None], tuple[Bands, TridiagonalLU]] = {}
-        self.gains: dict[Variant, float] = {}
+        self.gains: dict[Variant, tuple[float, WindowState]] = {}
 
     def get(self, side: str, closure_kind: str | None = None) -> tuple[Bands, TridiagonalLU]:
         key = (side, closure_kind)

@@ -10,23 +10,27 @@ sweep ends with the Neumann-side solve and both projections preserve the
 time-weighted flux sum exactly, the coupling is conservative after every
 whole sweep, including the single-iteration mode.
 
-Only two sweeps of a window march the subdomains.  After the projections the
+Only sweep 1 of a window marches the subdomains.  After the projections the
 slave's Dirichlet datum is one number per window (a coarse value, or one
 value copied to the K fine slots), and a sweep is affine in it: from datum x
 the master's new Dirichlet data is f1 + g (x - x0), where x0 is the first
-sweep's datum, f1 the data after it, and g the interface gain
-(``interface_gain``), the response of one sweep to a unit datum on the
-homogeneous problem.  This is the Steklov-Poincare form of the coupling in
-one unknown.  So sweep 1 is a real sweep, sweeps 2..n run that recursion with
-the same relaxation, residuals and stopping test, and one more real sweep
-with the last datum reconstructs the cells and traces.  A window that stops
-after sweep 1 does no extra work.  The gain is computed by one sweep per grid
-and variant, the first time a window needs it.
+sweep's datum, f1 the data after it, and g the interface gain, the response
+of one sweep to a unit datum on the homogeneous problem.  This is the
+Steklov-Poincare form of the coupling in one unknown.  So sweep 1 is a real
+sweep, and sweeps 2..n run that recursion with the same relaxation,
+residuals and stopping test.  The window's cells are then sweep 1's cells
+plus (x - x0) times the cells of the unit-datum sweep, and its traces follow
+from those cells through the same closures as a real sweep: the slave takes
+the last datum, the master the projected slave flux, which keeps the
+coupling conservative.  A window that stops after sweep 1 does no extra
+work.  The unit-datum sweep (``interface_gain``) runs once per grid and
+variant, the first time a window needs a second sweep.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,15 +133,24 @@ class WindowState:
     coarse: SubdomainState
     dirichlet_used: Trace | None = None  # data of the latest slave solve
     neumann_used: Trace | None = None  # data of the latest master solve
+    dirichlet_fresh: Trace | None = None  # the slave data the iterate implies, undamped
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowReport:
+    """How one window's corrector went.  A march keeps one report per window,
+    so each is stored compactly: slots, and the residuals as one flat array."""
+
     iterations: int
-    residual_history: list[tuple[float, float]]  # (dirichlet, neumann) max-norms
+    residuals: array  # dirichlet, neumann, dirichlet, ...: the max-norm pair of each sweep
     conservativity_defect: float
     flux_scale: float
     converged: bool
+
+    @property
+    def residual_history(self) -> list[tuple[float, float]]:
+        """The (dirichlet, neumann) residual pair of each sweep."""
+        return list(zip(self.residuals[::2], self.residuals[1::2]))
 
 
 @dataclass
@@ -290,13 +303,16 @@ def _neumann_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> 
 
 
 def interface_residuals(
-    grid: CompositeGrid, variant: Variant, state: WindowState
+    grid: CompositeGrid, variant: Variant, state: WindowState, fresh: Trace | None = None
 ) -> tuple[float, float]:
     """Max-norm violation of the variant's two interface conditions by the
-    current iterate, in pressure and flux units respectively."""
+    current iterate, in pressure and flux units respectively.  ``fresh`` is
+    the iterate's projected Dirichlet data when the caller has it already."""
     if state.dirichlet_used is None or state.neumann_used is None:
         raise SolverError("residuals need at least one completed sweep")
-    res_d = float(np.max(np.abs(state.dirichlet_used.values - _dirichlet_data(grid, variant, state).values)))
+    if fresh is None:
+        fresh = _dirichlet_data(grid, variant, state)
+    res_d = float(np.max(np.abs(state.dirichlet_used.values - fresh.values)))
     master_flux = getattr(state, variant.master).flux
     res_n = float(np.max(np.abs(master_flux.values - _neumann_data(grid, variant, state).values)))
     return res_d, res_n
@@ -314,14 +330,24 @@ def _solve_subdomain(
 ) -> None:
     """March one subdomain through its time levels of the window with the
     given interface closure, updating its cells and interface traces in place."""
-    side, sub = grid.sides[name], getattr(state, name)
+    side = grid.sides[name]
     closure = InterfaceClosure(closure_kind, data)
     levels = np.empty((side.levels, side.widths.size))
-    prev = sub.start
+    prev = getattr(state, name).start
     for k in range(1, side.levels + 1):
         system = assemble_subdomain_step(grid, name, window, k, prev, closure, problem, inputs)
         levels[k - 1] = solve_linear(system)
         prev = levels[k - 1]
+    _set_subdomain(grid, state, name, closure_kind, data, levels)
+
+
+def _set_subdomain(
+    grid: CompositeGrid, state: WindowState, name: str, closure_kind: str, data: Trace, levels: np.ndarray
+) -> None:
+    """Store one subdomain's cells at its time levels and the interface
+    traces they give under the closure with ``data``."""
+    side, sub = grid.sides[name], getattr(state, name)
+    levels = levels.reshape(side.levels, -1)
     sub.cells = levels.reshape(sub.cells.shape)
     flux, pressure = interface_traces(grid, side, closure_kind, data.values, levels[:, side.iface])
     sub.flux = Trace(flux, name, side.dt)
@@ -353,15 +379,36 @@ def corrector_sweep(
     )
     state.neumann_used = _neumann_data(grid, variant, state)
     _solve_subdomain(grid, window, state, variant.master, "neumann", state.neumann_used, problem, inputs)
-    return state, interface_residuals(grid, variant, state)
+    state.dirichlet_fresh = _dirichlet_data(grid, variant, state)
+    return state, interface_residuals(grid, variant, state, state.dirichlet_fresh)
 
 
-def interface_gain(grid: CompositeGrid, variant: Variant, operators: StepOperators) -> float:
-    """The corrector's interface gain g for ``variant`` on ``grid``: the
-    master's Dirichlet data after one sweep from a unit datum on the
-    homogeneous problem (zero start, source and boundary values).  The sweep
-    runs on the first call and reuses the factors of ``operators``, which
-    keeps the result."""
+def _superpose(
+    grid: CompositeGrid, variant: Variant, state: WindowState, unit: WindowState, datum: Trace
+) -> None:
+    """Turn the sweep-1 iterate ``state`` into the sweep from ``datum``
+    without marching: each side's cells gain (datum - x0) times the cells of
+    ``unit``, the sweep from a unit datum on the homogeneous problem, and the
+    traces follow through the closures, as in ``corrector_sweep``."""
+    step = float(datum.values[0] - state.dirichlet_used.values[0])
+
+    def shifted(name: str) -> np.ndarray:
+        return getattr(state, name).cells + step * getattr(unit, name).cells
+
+    state.dirichlet_used = datum
+    _set_subdomain(grid, state, variant.slave, variant.dirichlet_kind, datum, shifted(variant.slave))
+    state.neumann_used = _neumann_data(grid, variant, state)
+    _set_subdomain(grid, state, variant.master, "neumann", state.neumann_used, shifted(variant.master))
+
+
+def interface_gain(
+    grid: CompositeGrid, variant: Variant, operators: StepOperators
+) -> tuple[float, WindowState]:
+    """The corrector's interface gain g for ``variant`` on ``grid``, and the
+    window state it is read from: one sweep from a unit datum on the
+    homogeneous problem (zero start, source and boundary values), whose
+    master's Dirichlet data is g.  The sweep runs on the first call and
+    reuses the factors of ``operators``, which keeps both."""
     if variant not in operators.gains:
         ratio, n_fine, n_coarse = grid.ratio, grid.n_fine, grid.n_coarse
         inputs = WindowInputs(
@@ -375,7 +422,9 @@ def interface_gain(grid: CompositeGrid, variant: Variant, operators: StepOperato
         slave = grid.sides[variant.slave]
         unit = Trace(np.ones(slave.levels), slave.name, slave.dt)
         state, _ = corrector_sweep(grid, 1, state, variant, zero_problem(), inputs, unit)
-        operators.gains[variant] = float(_dirichlet_data(grid, variant, state).values[0])
+        for sub in (state.fine, state.coarse):
+            sub.cells.setflags(write=False)  # every window of the march reads them
+        operators.gains[variant] = (float(state.dirichlet_fresh.values[0]), state)
     return operators.gains[variant]
 
 
@@ -400,7 +449,7 @@ def solve_window(
     inputs: WindowInputs | None = None,
 ) -> tuple[WindowState, WindowReport]:
     """Advance one coarse window in the requested mode: a real sweep 1, then
-    sweeps 2..n on the scalar datum and one real sweep with its last value."""
+    sweeps 2..n on the scalar datum, superposed onto sweep 1 at the end."""
     if inputs is None:
         inputs = precompute_window_inputs(grid, window, problem)
     state = init_window_state(grid, window, fine_start, coarse_start, problem, inputs)
@@ -416,23 +465,22 @@ def solve_window(
         history.append(residuals)
         converged = stops(residuals)
     if not converged and len(history) < sweeps:
-        gain = interface_gain(grid, variant, inputs.operators)
+        gain, unit = interface_gain(grid, variant, inputs.operators)
         first = state.dirichlet_used
         x0 = datum = first.values
-        f1 = fresh = _dirichlet_data(grid, variant, state).values
+        f1 = fresh = state.dirichlet_fresh.values
         while not converged and len(history) < sweeps:
             datum = _relax(datum, fresh)
             fresh = f1 + gain * (datum - x0)
             # the master's flux is its Neumann datum, so the flux residual is 0
             history.append((float(np.max(np.abs(datum - fresh))), 0.0))
             converged = stops(history[-1])
-        state, _ = corrector_sweep(
-            grid, window, state, variant, problem, inputs, Trace(datum, first.resolution, first.dt)
-        )
+        _superpose(grid, variant, state, unit, Trace(datum, first.resolution, first.dt))
+        state.dirichlet_fresh = Trace(fresh, first.resolution, first.dt)
     defect, scale = conservativity_defect_of(state, grid)
     report = WindowReport(
         iterations=len(history),
-        residual_history=history,
+        residuals=array("d", [r for pair in history for r in pair]),
         conservativity_defect=defect,
         flux_scale=scale,
         converged=converged,
@@ -470,8 +518,8 @@ def march(
         coarse_flux[window - 1] = float(state.coarse.flux.values[0])
         report.windows.append(wreport)
         fine_start, coarse_start = fine[window * ratio], coarse[window]
-    gain = operators.gains.get(variant)
-    if gain is not None:
+    if variant in operators.gains:
+        gain, _ = operators.gains[variant]
         report.contraction = 1.0 - DIRICHLET_RELAXATION + DIRICHLET_RELAXATION * gain
     trajectory = Trajectory(
         grid=grid,
