@@ -4,7 +4,7 @@ projection-based interface conditions and solved by an iterative
 predictor-corrector Dirichlet-Neumann method."""
 
 from .errors import ConfigurationError, DimensionError, SolverError
-from .grid import CompositeGrid, GridConfig, ValidationReport, build_composite_grid, validate_grid
+from .grid import CompositeGrid, GridConfig, build_composite_grid
 from .projection import (
     Trace,
     coarse_trace,
@@ -24,7 +24,6 @@ from .scheme import (
     assemble_composite_step,
     assemble_monolithic_window,
     assemble_subdomain_step,
-    cell_average_source,
     manufactured_problem,
     polynomial_problem,
     precompute_window_inputs,
@@ -64,7 +63,6 @@ __all__ = [
     "SolverError",
     "Trace",
     "Trajectory",
-    "ValidationReport",
     "VARIANTS",
     "Variant",
     "WindowLayout",
@@ -73,7 +71,6 @@ __all__ = [
     "assemble_monolithic_window",
     "assemble_subdomain_step",
     "build_composite_grid",
-    "cell_average_source",
     "coarse_trace",
     "conservativity_defect",
     "corrector_sweep",
@@ -93,7 +90,6 @@ __all__ = [
     "solve_window",
     "solve_window_monolithic",
     "subdomain_l2_error",
-    "validate_grid",
     "zero_problem",
 ]
 

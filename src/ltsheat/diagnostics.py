@@ -1,5 +1,4 @@
-"""Discrete norms, conservativity defect, error reporting and observed-order
-estimation.
+"""Discrete norms, error reporting and observed-order estimation.
 
 Errors are measured against point values of the exact solution at the cell
 centers: L2 errors at the window-end times, H1 seminorm errors at the time
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 from .grid import Side
 from .projection import COARSE, FINE
-from .projection import conservativity_defect  # noqa: F401  (part of this module's interface)
 from .scheme import Problem
 from .solver import Trajectory
 

@@ -182,23 +182,6 @@ class CompositeGrid:
         return (window - 1) * self.dt_coarse + (k - 0.5) * self.dt_fine
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Grid-quality checks: interface stretch ratios and the (vacuous in 1D)
-    face-barycenter condition."""
-
-    stretch_master_fine: float
-    stretch_master_coarse: float
-    alpha_max: float
-    master_fine_ok: bool
-    master_coarse_ok: bool
-    barycenter_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.master_fine_ok and self.master_coarse_ok and self.barycenter_ok
-
-
 def _build_widths(widths: tuple[float, ...] | None, n: int, length: float, name: str) -> np.ndarray:
     if widths is None:
         return np.full(n, length / n)
@@ -250,20 +233,4 @@ def build_composite_grid(config: GridConfig) -> CompositeGrid:
         t_end=config.t_end,
         ratio=ratio,
         n_windows=n_windows,
-    )
-
-
-def validate_grid(grid: CompositeGrid, alpha_max: float) -> ValidationReport:
-    """Report the interface stretch ratio d_master/d_slave for both master
-    choices against ``alpha_max``. Report-only: never raises."""
-    r_fine = grid.d_fine / grid.d_coarse
-    r_coarse = grid.d_coarse / grid.d_fine
-    return ValidationReport(
-        stretch_master_fine=r_fine,
-        stretch_master_coarse=r_coarse,
-        alpha_max=alpha_max,
-        master_fine_ok=r_fine <= alpha_max,
-        master_coarse_ok=r_coarse <= alpha_max,
-        # interface faces are points in 1D, so the barycenter condition holds
-        barycenter_ok=True,
     )

@@ -183,15 +183,6 @@ def slab_source_averages(
     return np.einsum("i,j,...nij->...n", _GAUSS_WEIGHTS, _GAUSS_WEIGHTS, vals) / 4.0
 
 
-def cell_average_source(
-    problem: Problem, cell: tuple[float, float], time_interval: tuple[float, float]
-) -> float:
-    """Average of the source over one space-time cell (order >= 3 per axis)."""
-    return float(
-        slab_source_averages(problem, np.array(cell, dtype=float), *time_interval)[0]
-    )
-
-
 @dataclass(frozen=True)
 class WindowInputs:
     """Per-window precomputed data: slab-averaged sources and boundary values,
@@ -224,9 +215,12 @@ class WindowInputs:
 def precompute_window_inputs(
     grid: CompositeGrid, window: int, problem: Problem, operators: StepOperators | None = None
 ) -> WindowInputs:
-    """Source averages and boundary values of one window.  ``operators``
-    carries step matrices already factored for ``grid`` (``march`` passes one
-    set to all its windows); without it the window gets a fresh set."""
+    """Source averages and boundary values of one window, the only place a
+    problem becomes window data.  ``operators`` carries step matrices already
+    factored for ``grid`` (``march`` passes one set to all its windows);
+    without it the window gets a fresh set."""
+    if not 1 <= window <= grid.n_windows:
+        raise DimensionError(f"window {window!r} outside 1..{grid.n_windows}")
     if operators is None:
         operators = StepOperators(grid)
     elif operators.grid is not grid:
@@ -314,17 +308,6 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return self.rhs.size
-
-    @property
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        if self.sparse is not None:
-            return self.sparse
-        import scipy.sparse
-
-        lower, diag, upper = self.bands
-        return scipy.sparse.diags(
-            [lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr"
-        )
 
 
 @dataclass(frozen=True)
@@ -440,25 +423,23 @@ def _step_rhs(widths: np.ndarray, dt: float, source: np.ndarray, prev) -> np.nda
 def assemble_subdomain_step(
     grid: CompositeGrid,
     subdomain: str,
-    window: int,
     k: int | None,
     state_prev: np.ndarray,
     closure: InterfaceClosure,
-    problem: Problem,
-    inputs: WindowInputs | None = None,
+    inputs: WindowInputs,
 ) -> LinearSystem:
-    """Tridiagonal system for one time level of one subdomain.
+    """Tridiagonal system for one time level of one subdomain in the window
+    of ``inputs``.
 
     For the fine subdomain ``k`` is the sub-level in 1..K and ``state_prev``
     the values at sub-level k-1; for the coarse subdomain ``k`` is ignored
     and ``state_prev`` holds the window-start values.  The exterior end gets
     the half-cell Dirichlet flux u = (g - p_K) / (h/2); the interface end is
     closed per ``closure``.  Which end is which, and the sign of the interface
-    flux, come from ``grid.sides``.  The matrix and its factors come from
+    flux, come from ``grid.sides``.  The source and exterior boundary value
+    come from ``inputs``, the matrix and its factors from
     ``inputs.operators``; only the right-hand side is formed here.
     """
-    if inputs is None:
-        inputs = precompute_window_inputs(grid, window, problem)
     side = grid.sides.get(subdomain)
     if side is None:
         raise DimensionError(f"subdomain must be 'fine' or 'coarse', got {subdomain!r}")
@@ -479,17 +460,11 @@ def assemble_subdomain_step(
 
 
 def assemble_composite_step(
-    grid: CompositeGrid,
-    window: int,
-    fine_prev: np.ndarray,
-    coarse_prev: np.ndarray,
-    problem: Problem,
-    inputs: WindowInputs | None = None,
+    grid: CompositeGrid, fine_prev: np.ndarray, coarse_prev: np.ndarray, inputs: WindowInputs
 ) -> LinearSystem:
     """One implicit step of size dt_coarse on the union mesh (fine spatial cells
-    kept): the predictor system, equal to the conforming single-domain scheme."""
-    if inputs is None:
-        inputs = precompute_window_inputs(grid, window, problem)
+    kept) over the window of ``inputs``: the predictor system, equal to the
+    conforming single-domain scheme."""
     source = np.concatenate([inputs.predictor_fine_source, inputs.coarse_source])
     widths = np.concatenate([grid.widths_fine, grid.widths_coarse])
     prev = np.concatenate([np.asarray(fine_prev, dtype=float), np.asarray(coarse_prev, dtype=float)])
@@ -533,21 +508,17 @@ class WindowLayout:
 
 def assemble_monolithic_window(
     grid: CompositeGrid,
-    window: int,
     fine_start: np.ndarray,
     coarse_start: np.ndarray,
     variant: Variant,
-    problem: Problem,
-    inputs: WindowInputs | None = None,
+    inputs: WindowInputs,
 ) -> LinearSystem:
-    """The exact coupled system of one coarse window: subdomain schemes at all
-    levels plus the variant's two interface conditions."""
+    """The exact coupled system of the window of ``inputs``: subdomain
+    schemes at all levels plus the variant's two interface conditions."""
     # scipy.sparse is imported here, not with the module: only this reference
     # builds sparse systems, and runs that never do skip the import's memory
     import scipy.sparse
 
-    if inputs is None:
-        inputs = precompute_window_inputs(grid, window, problem)
     lay = WindowLayout(grid, variant)
     K, n1, n2 = lay.ratio, lay.n_fine, lay.n_coarse
     d1, d2, dd = grid.d_fine, grid.d_coarse, grid.d_across

@@ -61,7 +61,6 @@ from .scheme import (
     assemble_subdomain_step,
     interface_traces,
     precompute_window_inputs,
-    zero_problem,
 )
 
 #: direct-solve residual acceptance factor
@@ -226,31 +225,20 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
 
 
 def predictor_step(
-    grid: CompositeGrid,
-    window: int,
-    fine_start: np.ndarray,
-    coarse_start: np.ndarray,
-    problem: Problem,
-    inputs: WindowInputs | None = None,
+    grid: CompositeGrid, fine_start: np.ndarray, coarse_start: np.ndarray, inputs: WindowInputs
 ) -> np.ndarray:
     """Approximate window-end values on the union mesh from one dt_coarse step."""
-    system = assemble_composite_step(grid, window, fine_start, coarse_start, problem, inputs)
-    return solve_linear(system)
+    return solve_linear(assemble_composite_step(grid, fine_start, coarse_start, inputs))
 
 
 def init_window_state(
-    grid: CompositeGrid,
-    window: int,
-    fine_start: np.ndarray,
-    coarse_start: np.ndarray,
-    problem: Problem,
-    inputs: WindowInputs | None = None,
+    grid: CompositeGrid, fine_start: np.ndarray, coarse_start: np.ndarray, inputs: WindowInputs
 ) -> WindowState:
     """Initialize the corrector iterate from the predictor: fine values are
     replicated across sub-levels, interface traces are injected in time, and
     the interface pressure is the distance-weighted interpolant of the two
     adjacent predictor values."""
-    union = predictor_step(grid, window, fine_start, coarse_start, problem, inputs)
+    union = predictor_step(grid, fine_start, coarse_start, inputs)
     fine, coarse = grid.sides[FINE], grid.sides[COARSE]
     pf, pc = union[: grid.n_fine], union[grid.n_fine :]
     edge_f, edge_c = pf[fine.iface], pc[coarse.iface]
@@ -303,15 +291,13 @@ def _neumann_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> 
 
 
 def interface_residuals(
-    grid: CompositeGrid, variant: Variant, state: WindowState, fresh: Trace | None = None
+    grid: CompositeGrid, variant: Variant, state: WindowState, fresh: Trace
 ) -> tuple[float, float]:
     """Max-norm violation of the variant's two interface conditions by the
     current iterate, in pressure and flux units respectively.  ``fresh`` is
-    the iterate's projected Dirichlet data when the caller has it already."""
+    the iterate's projected Dirichlet data."""
     if state.dirichlet_used is None or state.neumann_used is None:
         raise SolverError("residuals need at least one completed sweep")
-    if fresh is None:
-        fresh = _dirichlet_data(grid, variant, state)
     res_d = float(np.max(np.abs(state.dirichlet_used.values - fresh.values)))
     master_flux = getattr(state, variant.master).flux
     res_n = float(np.max(np.abs(master_flux.values - _neumann_data(grid, variant, state).values)))
@@ -319,14 +305,7 @@ def interface_residuals(
 
 
 def _solve_subdomain(
-    grid: CompositeGrid,
-    window: int,
-    state: WindowState,
-    name: str,
-    closure_kind: str,
-    data: Trace,
-    problem: Problem,
-    inputs: WindowInputs,
+    grid: CompositeGrid, state: WindowState, name: str, closure_kind: str, data: Trace, inputs: WindowInputs
 ) -> None:
     """March one subdomain through its time levels of the window with the
     given interface closure, updating its cells and interface traces in place."""
@@ -335,7 +314,7 @@ def _solve_subdomain(
     levels = np.empty((side.levels, side.widths.size))
     prev = getattr(state, name).start
     for k in range(1, side.levels + 1):
-        system = assemble_subdomain_step(grid, name, window, k, prev, closure, problem, inputs)
+        system = assemble_subdomain_step(grid, name, k, prev, closure, inputs)
         levels[k - 1] = solve_linear(system)
         prev = levels[k - 1]
     _set_subdomain(grid, state, name, closure_kind, data, levels)
@@ -356,29 +335,23 @@ def _set_subdomain(
 
 def corrector_sweep(
     grid: CompositeGrid,
-    window: int,
     state: WindowState,
     variant: Variant,
-    problem: Problem,
-    inputs: WindowInputs | None = None,
+    inputs: WindowInputs,
     datum: Trace | None = None,
 ) -> tuple[WindowState, tuple[float, float]]:
     """One multiplicative sweep: slave solve with the master's projected
     pressure (relaxed against the previous sweep's datum), or with ``datum``
     when given, then master solve with the slave's projected flux.  Returns
     the updated state and the residuals of the new iterate."""
-    if inputs is None:
-        inputs = precompute_window_inputs(grid, window, problem)
     if datum is None:
         datum = _dirichlet_data(grid, variant, state)
         if state.dirichlet_used is not None:
             datum = Trace(_relax(state.dirichlet_used.values, datum.values), datum.resolution, datum.dt)
     state.dirichlet_used = datum
-    _solve_subdomain(
-        grid, window, state, variant.slave, variant.dirichlet_kind, state.dirichlet_used, problem, inputs
-    )
+    _solve_subdomain(grid, state, variant.slave, variant.dirichlet_kind, state.dirichlet_used, inputs)
     state.neumann_used = _neumann_data(grid, variant, state)
-    _solve_subdomain(grid, window, state, variant.master, "neumann", state.neumann_used, problem, inputs)
+    _solve_subdomain(grid, state, variant.master, "neumann", state.neumann_used, inputs)
     state.dirichlet_fresh = _dirichlet_data(grid, variant, state)
     return state, interface_residuals(grid, variant, state, state.dirichlet_fresh)
 
@@ -421,7 +394,7 @@ def interface_gain(
         )
         slave = grid.sides[variant.slave]
         unit = Trace(np.ones(slave.levels), slave.name, slave.dt)
-        state, _ = corrector_sweep(grid, 1, state, variant, zero_problem(), inputs, unit)
+        state, _ = corrector_sweep(grid, state, variant, inputs, unit)
         for sub in (state.fine, state.coarse):
             sub.cells.setflags(write=False)  # every window of the march reads them
         operators.gains[variant] = (float(state.dirichlet_fresh.values[0]), state)
@@ -440,19 +413,15 @@ def conservativity_defect_of(state: WindowState, grid: CompositeGrid) -> tuple[f
 
 def solve_window(
     grid: CompositeGrid,
-    window: int,
     fine_start: np.ndarray,
     coarse_start: np.ndarray,
     variant: Variant,
     mode: SolveMode,
-    problem: Problem,
-    inputs: WindowInputs | None = None,
+    inputs: WindowInputs,
 ) -> tuple[WindowState, WindowReport]:
-    """Advance one coarse window in the requested mode: a real sweep 1, then
-    sweeps 2..n on the scalar datum, superposed onto sweep 1 at the end."""
-    if inputs is None:
-        inputs = precompute_window_inputs(grid, window, problem)
-    state = init_window_state(grid, window, fine_start, coarse_start, problem, inputs)
+    """Advance the window of ``inputs`` in the requested mode: a real sweep 1,
+    then sweeps 2..n on the scalar datum, superposed onto sweep 1 at the end."""
+    state = init_window_state(grid, fine_start, coarse_start, inputs)
     sweeps = {PREDICTOR_ONLY: 0, SINGLE_ITERATION: 1}.get(mode.kind, mode.max_iters)
 
     def stops(residuals: tuple[float, float]) -> bool:
@@ -461,7 +430,7 @@ def solve_window(
     history: list[tuple[float, float]] = []
     converged = False
     if sweeps > 0:
-        state, residuals = corrector_sweep(grid, window, state, variant, problem, inputs)
+        state, residuals = corrector_sweep(grid, state, variant, inputs)
         history.append(residuals)
         converged = stops(residuals)
     if not converged and len(history) < sweeps:
@@ -506,9 +475,7 @@ def march(
     operators = StepOperators(grid)
     for window in range(1, n_windows + 1):
         inputs = precompute_window_inputs(grid, window, problem, operators)
-        state, wreport = solve_window(
-            grid, window, fine_start, coarse_start, variant, mode, problem, inputs
-        )
+        state, wreport = solve_window(grid, fine_start, coarse_start, variant, mode, inputs)
         rows = slice((window - 1) * ratio + 1, window * ratio + 1)
         fine[rows] = state.fine.cells
         coarse[window] = state.coarse.cells
@@ -540,10 +507,7 @@ def solve_window_monolithic(
     coarse_start: np.ndarray,
     variant: Variant,
     problem: Problem,
-    inputs: WindowInputs | None = None,
 ) -> np.ndarray:
     """Direct solution of the coupled window system (reference path)."""
-    system = assemble_monolithic_window(
-        grid, window, fine_start, coarse_start, variant, problem, inputs
-    )
-    return solve_linear(system)
+    inputs = precompute_window_inputs(grid, window, problem)
+    return solve_linear(assemble_monolithic_window(grid, fine_start, coarse_start, variant, inputs))

@@ -22,6 +22,14 @@ BUMP_CONFIG = GridConfig(
 )
 
 
+def tridiagonal_matrix(system):
+    """The scipy matrix of a banded ``LinearSystem``."""
+    import scipy.sparse
+
+    lower, diag, upper = system.bands
+    return scipy.sparse.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
+
+
 @pytest.fixture(scope="session")
 def bump_grid():
     return build_composite_grid(BUMP_CONFIG)

@@ -28,6 +28,7 @@ from ltsheat import (
     manufactured_problem,
     march,
     observed_order,
+    precompute_window_inputs,
     project_fine_to_coarse,
     solve_linear,
     solve_window,
@@ -146,9 +147,8 @@ def test_criterion_4_oracle_equivalence():
         p0f = problem.p0(grid.centers_fine)
         p0c = problem.p0(grid.centers_coarse)
         variant = VARIANTS[trial % 4]
-        state, rep = solve_window(
-            grid, 1, p0f, p0c, variant, SolveMode.converged(1e-12, 400), problem
-        )
+        inputs = precompute_window_inputs(grid, 1, problem)
+        state, rep = solve_window(grid, p0f, p0c, variant, SolveMode.converged(1e-12, 400), inputs)
         assert rep.converged, (trial, variant.name)
         mono = solve_window_monolithic(grid, 1, p0f, p0c, variant, problem)
         lay = WindowLayout(grid, variant)
@@ -302,8 +302,9 @@ def test_criterion_7_well_posedness(bump_problem_acc):
     # monolithic window matrices factor without singularity
     p0f = bump_problem_acc.p0(grid.centers_fine)
     p0c = bump_problem_acc.p0(grid.centers_coarse)
+    inputs = precompute_window_inputs(grid, 1, bump_problem_acc)
     for variant in VARIANTS:
-        system = assemble_monolithic_window(grid, 1, p0f, p0c, variant, bump_problem_acc)
+        system = assemble_monolithic_window(grid, p0f, p0c, variant, inputs)
         x = solve_linear(system)  # raises SolverError on singular or inaccurate factors
         assert np.all(np.isfinite(x))
     report(

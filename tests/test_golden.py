@@ -4,7 +4,8 @@ variant, written to a temporary directory and compared file by file.
 
 When bytes differ the failure names the file and its largest numeric delta:
 relative for every value, except conservativity defects, which are roundoff
-by construction and get the absolute delta."""
+by construction, and signed errors p - p_exact, which cross zero where a
+relative delta means nothing; these two get the absolute delta."""
 
 import json
 from pathlib import Path
@@ -46,9 +47,18 @@ def _fields(path: Path) -> dict[str, object]:
     return found
 
 
+def _absolute_kind(label: str) -> str | None:
+    """The kind of a value whose delta is reported absolute, else None."""
+    if "conservativity_defect" in label:
+        return "conservativity-defect"
+    if label.startswith("error["):  # the signed error column of error_space.csv
+        return "signed-error"
+    return None
+
+
 def delta_report(produced: Path, golden: Path) -> str:
     """The largest relative delta of the file's values, and the largest
-    absolute delta of its conservativity defects."""
+    absolute delta of its conservativity defects and of its signed errors."""
     new, old = _fields(produced), _fields(golden)
     if new.keys() != old.keys():
         return "layout differs"
@@ -56,15 +66,17 @@ def delta_report(produced: Path, golden: Path) -> str:
     text = [k for k in new if k not in numeric and new[k] != old[k]]
     if text:
         return f"non-numeric values differ: {text[:3]}"
-    defects = [k for k in numeric if "conservativity_defect" in k]
+    by_kind: dict[str | None, list[str]] = {None: []}
+    for k in numeric:
+        by_kind.setdefault(_absolute_kind(k), []).append(k)
     rel, at = max(
-        ((abs(new[k] - old[k]) / max(abs(old[k]), 1e-300), k) for k in numeric if k not in defects),
+        ((abs(new[k] - old[k]) / max(abs(old[k]), 1e-300), k) for k in by_kind.pop(None)),
         default=(0.0, "-"),
     )
     report = f"largest relative delta {rel:.3g} at {at}"
-    if defects:
-        absolute, at = max((abs(new[k] - old[k]), k) for k in defects)
-        report += f"; largest conservativity-defect delta {absolute:.3g} (absolute) at {at}"
+    for kind, labels in by_kind.items():
+        absolute, at = max((abs(new[k] - old[k]), k) for k in labels)
+        report += f"; largest {kind} delta {absolute:.3g} (absolute) at {at}"
     return report
 
 
@@ -88,6 +100,13 @@ def test_delta_report_names_the_largest_deltas(tmp_path):
     assert delta_report(new, old) == "largest relative delta 0.25 at iterations/1"
     new.write_text(json.dumps({"grid": {"dt": 0.5}, "iterations": [3, 4], "variant": "y"}))
     assert delta_report(new, old) == "non-numeric values differ: ['variant']"
+    # a signed error near its zero crossing: a roundoff move, not a 2.5e-12 relative one
+    old, new = tmp_path / "old_space.csv", tmp_path / "new_space.csv"
+    old.write_text("x,error\n0.145,-0.0125\n0.155,0.00053\n")
+    new.write_text("x,error\n0.145,-0.0125\n0.155,0.00053000000000133\n")
+    assert delta_report(new, old) == (
+        "largest relative delta 0 at x[1]; largest signed-error delta 1.33e-15 (absolute) at error[1]"
+    )
 
 
 def test_bump_experiment_and_comparison(tmp_path):

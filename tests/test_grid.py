@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltsheat import ConfigurationError, GridConfig, build_composite_grid, validate_grid
+from ltsheat import ConfigurationError, GridConfig, build_composite_grid
 from tests.conftest import BUMP_CONFIG
 
 
@@ -54,28 +54,6 @@ def test_explicit_widths():
     for bad in ((0.2, float("nan"), 0.1), (0.2, float("inf"), 0.1)):
         with pytest.raises(ConfigurationError, match="widths_fine entries must be positive and finite"):
             GridConfig(0.0, 1.0, 0.5, 3, 2, 0.01, 0.01, 0.1, widths_fine=bad)
-
-
-def test_validation_report(bump_grid):
-    report = validate_grid(bump_grid, alpha_max=5.0)
-    assert report.stretch_master_coarse == pytest.approx(5.0)
-    assert report.stretch_master_fine == pytest.approx(0.2)
-    assert report.master_coarse_ok and report.master_fine_ok
-    assert report.barycenter_ok
-    assert report.passed
-
-    tight = validate_grid(bump_grid, alpha_max=1.0)
-    assert not tight.master_coarse_ok
-    assert tight.master_fine_ok
-    assert not tight.passed
-
-
-def test_uniform_widths_symmetric_ratio():
-    grid = build_composite_grid(GridConfig(0.0, 1.0, 0.5, 5, 5, 0.01, 0.01, 0.1))
-    report = validate_grid(grid, alpha_max=1.0)
-    assert report.stretch_master_fine == pytest.approx(1.0)
-    assert report.stretch_master_coarse == pytest.approx(1.0)
-    assert report.passed
 
 
 def test_time_slabs(bump_grid):

@@ -13,7 +13,6 @@ from ltsheat import (
     assemble_monolithic_window,
     assemble_subdomain_step,
     build_composite_grid,
-    cell_average_source,
     manufactured_problem,
     precompute_window_inputs,
     solve_linear,
@@ -21,6 +20,7 @@ from ltsheat import (
 )
 from ltsheat.projection import coarse_trace, fine_trace
 from ltsheat.scheme import VARIANTS, Problem, Variant, slab_source_averages
+from tests.conftest import tridiagonal_matrix
 
 
 # -- manufactured problem ------------------------------------------------------
@@ -61,7 +61,7 @@ def test_cell_average_constant_source():
         g_lo=lambda t: 0.0 * np.asarray(t),
         g_hi=lambda t: 0.0 * np.asarray(t),
     )
-    assert cell_average_source(prob, (0.2, 0.3), (0.0, 0.01)) == pytest.approx(3.5, rel=1e-15)
+    assert slab_source_averages(prob, np.array([0.2, 0.3]), 0.0, 0.01)[0] == pytest.approx(3.5, rel=1e-15)
 
 
 def test_cell_average_bilinear_exact():
@@ -71,12 +71,12 @@ def test_cell_average_bilinear_exact():
         g_lo=lambda t: 0.0 * np.asarray(t),
         g_hi=lambda t: 0.0 * np.asarray(t),
     )
-    assert cell_average_source(prob, (0.0, 1.0), (0.0, 1.0)) == pytest.approx(0.25, rel=1e-14)
+    assert slab_source_averages(prob, np.array([0.0, 1.0]), 0.0, 1.0)[0] == pytest.approx(0.25, rel=1e-14)
 
 
 def test_cell_average_matches_adaptive_quadrature(bump_grid, bump_problem):
     cell, slab = (0.14, 0.15), (0.098, 0.1)
-    value = cell_average_source(bump_problem, cell, slab)
+    value = float(slab_source_averages(bump_problem, np.array(cell), *slab)[0])
     f = lambda t, x: float(bump_problem.source(x, t))  # noqa: E731
     integral, est = scipy.integrate.dblquad(f, cell[0], cell[1], slab[0], slab[1], epsabs=1e-13, epsrel=1e-13)
     expected = integral / ((cell[1] - cell[0]) * (slab[1] - slab[0]))
@@ -103,7 +103,7 @@ def test_single_cell_hand_assembly():
     grid = one_cell_grid()
     closure = InterfaceClosure("dirichlet_interface", fine_trace([0.0], 1.0))
     system = assemble_subdomain_step(
-        grid, "fine", 1, 1, np.array([1.0]), closure, zero_problem()
+        grid, "fine", 1, np.array([1.0]), closure, precompute_window_inputs(grid, 1, zero_problem())
     )
     _, diag, _ = system.bands
     assert diag[0] == pytest.approx(1.0 + 2.0 / 0.5)
@@ -112,44 +112,39 @@ def test_single_cell_hand_assembly():
 
 
 def test_zero_data_gives_zero_solution(bump_grid):
-    prob = zero_problem()
+    inputs = precompute_window_inputs(bump_grid, 1, zero_problem())
     closure = InterfaceClosure("neumann", fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine))
-    system = assemble_subdomain_step(
-        bump_grid, "fine", 1, 1, np.zeros(bump_grid.n_fine), closure, prob
-    )
+    system = assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), closure, inputs)
     assert np.all(system.rhs == 0.0)
     assert np.all(solve_linear(system) == 0.0)
 
 
 def test_closure_resolution_mismatch_raises(bump_grid, bump_problem):
+    inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
     fine_data = InterfaceClosure("neumann", fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine))
     with pytest.raises(DimensionError):
-        assemble_subdomain_step(
-            bump_grid, "coarse", 1, None, np.zeros(bump_grid.n_coarse), fine_data, bump_problem
-        )
+        assemble_subdomain_step(bump_grid, "coarse", None, np.zeros(bump_grid.n_coarse), fine_data, inputs)
     coarse_data = InterfaceClosure("neumann", coarse_trace(0.0, bump_grid.dt_coarse))
     with pytest.raises(DimensionError):
-        assemble_subdomain_step(
-            bump_grid, "fine", 1, 1, np.zeros(bump_grid.n_fine), coarse_data, bump_problem
-        )
+        assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), coarse_data, inputs)
 
 
 def test_fine_sub_level_outside_range_raises():
     # K = 1: the coarse side ignores k, the fine side must still check it
     grid = one_cell_grid()
     closure = InterfaceClosure("neumann", fine_trace([0.0], 1.0))
+    inputs = precompute_window_inputs(grid, 1, zero_problem())
     for k in (None, 0, 2):
         with pytest.raises(DimensionError):
-            assemble_subdomain_step(grid, "fine", 1, k, np.zeros(1), closure, zero_problem())
+            assemble_subdomain_step(grid, "fine", k, np.zeros(1), closure, inputs)
 
 
 def test_interior_flux_antisymmetry(bump_grid, bump_problem):
     # column sums of the flux part vanish: what remains is mass plus closure terms
     closure = InterfaceClosure("neumann", coarse_trace(0.3, bump_grid.dt_coarse))
-    system = assemble_subdomain_step(
-        bump_grid, "coarse", 1, None, np.zeros(bump_grid.n_coarse), closure, bump_problem
-    )
-    col_sums = np.asarray(system.matrix.sum(axis=0)).ravel()
+    inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
+    system = assemble_subdomain_step(bump_grid, "coarse", None, np.zeros(bump_grid.n_coarse), closure, inputs)
+    col_sums = np.asarray(tridiagonal_matrix(system).sum(axis=0)).ravel()
     expected = bump_grid.widths_coarse / bump_grid.dt_coarse
     expected = expected.copy()
     expected[-1] += 1.0 / (0.5 * bump_grid.widths_coarse[-1])  # exterior Dirichlet face
@@ -161,17 +156,18 @@ def test_interior_flux_antisymmetry(bump_grid, bump_problem):
 
 def test_monolithic_unknown_counts(bump_grid, bump_problem):
     start = (bump_problem.p0(bump_grid.centers_fine), bump_problem.p0(bump_grid.centers_coarse))
-    is1 = assemble_monolithic_window(bump_grid, 1, *start, Variant("is1", "coarse"), bump_problem)
-    is2 = assemble_monolithic_window(bump_grid, 1, *start, Variant("is2", "coarse"), bump_problem)
+    inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
+    is1 = assemble_monolithic_window(bump_grid, *start, Variant("is1", "coarse"), inputs)
+    is2 = assemble_monolithic_window(bump_grid, *start, Variant("is2", "coarse"), inputs)
     assert is1.n == 25 * 10 + 15 + (10 + 1) == 276
     assert is2.n == 25 * 10 + 15 == 265
 
 
 def test_monolithic_zero_data_is_zero():
     grid = build_composite_grid(GridConfig(0.0, 1.0, 0.4, 4, 4, 0.01, 0.03, 0.06))
-    prob = zero_problem()
+    inputs = precompute_window_inputs(grid, 1, zero_problem())
     for variant in VARIANTS:
-        system = assemble_monolithic_window(grid, 1, np.zeros(4), np.zeros(4), variant, prob)
+        system = assemble_monolithic_window(grid, np.zeros(4), np.zeros(4), variant, inputs)
         assert np.all(system.rhs == 0.0)
         assert np.all(solve_linear(system) == 0.0)
 
@@ -209,9 +205,8 @@ def test_monolithic_satisfies_interface_conditions(bump_grid, bump_problem, vari
     grid = bump_grid
     start_f = bump_problem.p0(grid.centers_fine)
     start_c = bump_problem.p0(grid.centers_coarse)
-    mono = solve_linear(
-        assemble_monolithic_window(grid, 1, start_f, start_c, variant, bump_problem)
-    )
+    inputs = precompute_window_inputs(grid, 1, bump_problem)
+    mono = solve_linear(assemble_monolithic_window(grid, start_f, start_c, variant, inputs))
     fine, coarse, u_fine, u_coarse = recover_interface_fluxes(
         grid, bump_problem, 1, start_f, start_c, mono, variant
     )
@@ -246,10 +241,13 @@ def test_ratio_one_is2_matches_single_domain_rows(bump_problem):
     grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.02, 0.02, 0.1))
     start_f = bump_problem.p0(grid.centers_fine)
     start_c = bump_problem.p0(grid.centers_coarse)
+    inputs = precompute_window_inputs(grid, 1, bump_problem)
     for master in ("fine", "coarse"):
-        mono = assemble_monolithic_window(grid, 1, start_f, start_c, Variant("is2", master), bump_problem)
-        single = assemble_composite_step(grid, 1, start_f, start_c, bump_problem)
-        np.testing.assert_allclose(mono.matrix.toarray(), single.matrix.toarray(), rtol=1e-12, atol=1e-13)
+        mono = assemble_monolithic_window(grid, start_f, start_c, Variant("is2", master), inputs)
+        single = assemble_composite_step(grid, start_f, start_c, inputs)
+        np.testing.assert_allclose(
+            mono.sparse.toarray(), tridiagonal_matrix(single).toarray(), rtol=1e-12, atol=1e-13
+        )
         np.testing.assert_allclose(mono.rhs, single.rhs, rtol=1e-13, atol=0.0)
 
 
@@ -257,11 +255,10 @@ def test_ratio_one_is1_matches_single_domain_solution(bump_problem):
     grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.02, 0.02, 0.1))
     start_f = bump_problem.p0(grid.centers_fine)
     start_c = bump_problem.p0(grid.centers_coarse)
-    single = solve_linear(assemble_composite_step(grid, 1, start_f, start_c, bump_problem))
+    inputs = precompute_window_inputs(grid, 1, bump_problem)
+    single = solve_linear(assemble_composite_step(grid, start_f, start_c, inputs))
     for master in ("fine", "coarse"):
-        mono = solve_linear(
-            assemble_monolithic_window(grid, 1, start_f, start_c, Variant("is1", master), bump_problem)
-        )
+        mono = solve_linear(assemble_monolithic_window(grid, start_f, start_c, Variant("is1", master), inputs))
         np.testing.assert_allclose(mono[: grid.n_fine + grid.n_coarse], single, rtol=1e-12, atol=1e-14)
 
 
@@ -280,9 +277,9 @@ def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
     neumann = InterfaceClosure("neumann", fine_trace(np.ones(bump_grid.ratio), bump_grid.dt_fine))
     prev = bump_problem.p0(bump_grid.centers_fine)
     first, second = (
-        assemble_subdomain_step(bump_grid, "fine", 1, k, prev, dirichlet, bump_problem, inputs) for k in (1, 2)
+        assemble_subdomain_step(bump_grid, "fine", k, prev, dirichlet, inputs) for k in (1, 2)
     )
-    other = assemble_subdomain_step(bump_grid, "fine", 1, 1, prev, neumann, bump_problem, inputs)
+    other = assemble_subdomain_step(bump_grid, "fine", 1, prev, neumann, inputs)
     assert first.lu is second.lu and first.lu is not other.lu
     assert not first.bands[1].flags.writeable
     # the shared factors solve exactly like a fresh factorization
@@ -291,3 +288,11 @@ def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
     other_grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1))
     with pytest.raises(DimensionError):
         precompute_window_inputs(other_grid, 1, bump_problem, inputs.operators)
+
+
+def test_window_outside_the_horizon_raises(bump_grid, bump_problem):
+    # slabs before t = 0 or after t_end are no window of the grid
+    for window in (0, -3, bump_grid.n_windows + 1, bump_grid.n_windows + 5):
+        with pytest.raises(DimensionError, match="window"):
+            precompute_window_inputs(bump_grid, window, bump_problem)
+    assert precompute_window_inputs(bump_grid, bump_grid.n_windows, bump_problem).window == bump_grid.n_windows

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from ltsheat import (
     SolverError,
     Trajectory,
     WindowLayout,
-    assemble_monolithic_window,
     build_composite_grid,
     manufactured_problem,
     march,
@@ -30,6 +30,7 @@ from ltsheat import (
     solve_window_monolithic,
     zero_problem,
 )
+import ltsheat.scheme
 import ltsheat.solver
 from ltsheat.scheme import VARIANTS, LinearSystem, StepOperators, TridiagonalLU, Variant
 from ltsheat.solver import (
@@ -40,7 +41,30 @@ from ltsheat.solver import (
     interface_residuals,
     predictor_step,
 )
-from tests.conftest import random_smooth_problem
+from tests.conftest import random_smooth_problem, tridiagonal_matrix
+
+
+# -- window data ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        ltsheat.solver.predictor_step,
+        ltsheat.solver.init_window_state,
+        ltsheat.solver.corrector_sweep,
+        ltsheat.solver.solve_window,
+        ltsheat.scheme.assemble_subdomain_step,
+        ltsheat.scheme.assemble_composite_step,
+        ltsheat.scheme.assemble_monolithic_window,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_window_data_comes_only_from_inputs(function):
+    # one carrier of a window's data: no window number or problem beside it
+    parameters = inspect.signature(function).parameters
+    assert parameters["inputs"].default is inspect.Parameter.empty
+    assert "window" not in parameters and "problem" not in parameters
 
 
 # -- direct solves -------------------------------------------------------------
@@ -71,8 +95,9 @@ def test_solve_random_tridiagonal_residual():
     rhs = rng.uniform(-5, 5, n)
     system = LinearSystem(rhs=rhs, bands=(lower, diag, upper))
     x = solve_linear(system)
-    residual = system.matrix @ x - rhs
-    norm_a = np.max(np.abs(system.matrix).sum(axis=1))
+    matrix = tridiagonal_matrix(system)
+    residual = matrix @ x - rhs
+    norm_a = np.max(np.abs(matrix).sum(axis=1))
     assert np.max(np.abs(residual)) <= 1e-10 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(rhs)))
 
 
@@ -139,8 +164,8 @@ def test_solve_mode_validation():
 
 
 def test_predictor_zero_data(bump_grid):
-    prob = zero_problem()
-    union = predictor_step(bump_grid, 1, np.zeros(25), np.zeros(15), prob)
+    inputs = precompute_window_inputs(bump_grid, 1, zero_problem())
+    union = predictor_step(bump_grid, np.zeros(25), np.zeros(15), inputs)
     assert np.all(union == 0.0)
 
 
@@ -174,7 +199,7 @@ def test_predictor_matches_independent_dense_assembly(bump_grid, bump_problem):
             A[j, j] += 1.0 / d
             A[j, j + 1] -= 1.0 / d
     expected = np.linalg.solve(A, b)
-    union = predictor_step(grid, 1, prev[:25], prev[25:], prob, inputs)
+    union = predictor_step(grid, prev[:25], prev[25:], inputs)
     np.testing.assert_allclose(union, expected, rtol=1e-12, atol=1e-14)
 
 
@@ -182,11 +207,12 @@ def test_ratio_one_predictor_equals_window_solution(bump_problem):
     grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.02, 0.02, 0.1))
     p0f = bump_problem.p0(grid.centers_fine)
     p0c = bump_problem.p0(grid.centers_coarse)
-    union = predictor_step(grid, 1, p0f, p0c, bump_problem)
+    inputs = precompute_window_inputs(grid, 1, bump_problem)
+    union = predictor_step(grid, p0f, p0c, inputs)
     for variant in VARIANTS:
         mono = solve_window_monolithic(grid, 1, p0f, p0c, variant, bump_problem)
         np.testing.assert_allclose(mono[: grid.n_fine + grid.n_coarse], union, rtol=1e-12, atol=1e-14)
-        state, report = solve_window(grid, 1, p0f, p0c, variant, SolveMode.converged(1e-5, 50), bump_problem)
+        state, report = solve_window(grid, p0f, p0c, variant, SolveMode.converged(1e-5, 50), inputs)
         assert report.iterations == 1 and report.converged
 
 
@@ -194,10 +220,10 @@ def test_ratio_one_predictor_equals_window_solution(bump_problem):
 
 
 def test_zero_data_is_fixed_point(bump_grid):
-    prob = zero_problem()
+    inputs = precompute_window_inputs(bump_grid, 1, zero_problem())
     for variant in VARIANTS:
         state, report = solve_window(
-            bump_grid, 1, np.zeros(25), np.zeros(15), variant, SolveMode.converged(1e-5, 10), prob
+            bump_grid, np.zeros(25), np.zeros(15), variant, SolveMode.converged(1e-5, 10), inputs
         )
         assert report.converged and report.iterations == 1
         assert report.residual_history[0] == (0.0, 0.0)
@@ -207,9 +233,8 @@ def test_zero_data_is_fixed_point(bump_grid):
 def test_neumann_condition_exact_after_sweep(bump_grid, bump_problem, variant):
     p0f = bump_problem.p0(bump_grid.centers_fine)
     p0c = bump_problem.p0(bump_grid.centers_coarse)
-    state, report = solve_window(
-        bump_grid, 1, p0f, p0c, variant, SolveMode.single_iteration(), bump_problem
-    )
+    inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
+    state, report = solve_window(bump_grid, p0f, p0c, variant, SolveMode.single_iteration(), inputs)
     res_d, res_n = report.residual_history[-1]
     assert res_n <= 1e-12 * max(1.0, report.flux_scale)
     assert res_d > 0.0
@@ -226,13 +251,12 @@ def test_residual_history_strictly_decreasing(bump_run):
 def test_residuals_require_a_sweep(bump_grid, bump_problem):
     state = init_window_state(
         bump_grid,
-        1,
         bump_problem.p0(bump_grid.centers_fine),
         bump_problem.p0(bump_grid.centers_coarse),
-        bump_problem,
+        precompute_window_inputs(bump_grid, 1, bump_problem),
     )
     with pytest.raises(SolverError):
-        interface_residuals(bump_grid, Variant("is2", "fine"), state)
+        interface_residuals(bump_grid, Variant("is2", "fine"), state, state.coarse.pressure)
 
 
 # -- window solves against the monolithic reference -----------------------------
@@ -262,7 +286,8 @@ def test_converged_window_matches_monolithic(variant):
         prob = random_smooth_problem(rng)
         p0f = prob.p0(grid.centers_fine)
         p0c = prob.p0(grid.centers_coarse)
-        state, report = solve_window(grid, 1, p0f, p0c, variant, SolveMode.converged(1e-12, 400), prob)
+        inputs = precompute_window_inputs(grid, 1, prob)
+        state, report = solve_window(grid, p0f, p0c, variant, SolveMode.converged(1e-12, 400), inputs)
         assert report.converged
         mono = solve_window_monolithic(grid, 1, p0f, p0c, variant, prob)
         lay = WindowLayout(grid, variant)
@@ -282,10 +307,10 @@ def test_converged_window_matches_monolithic(variant):
 def test_mode_iteration_counts(bump_grid, bump_problem):
     p0f = bump_problem.p0(bump_grid.centers_fine)
     p0c = bump_problem.p0(bump_grid.centers_coarse)
-    variant = Variant("is2", "fine")
-    _, single = solve_window(bump_grid, 1, p0f, p0c, variant, SolveMode.single_iteration(), bump_problem)
+    variant, inputs = Variant("is2", "fine"), precompute_window_inputs(bump_grid, 1, bump_problem)
+    _, single = solve_window(bump_grid, p0f, p0c, variant, SolveMode.single_iteration(), inputs)
     assert single.iterations == 1 and not single.converged
-    state, pred = solve_window(bump_grid, 1, p0f, p0c, variant, SolveMode.predictor_only(), bump_problem)
+    state, pred = solve_window(bump_grid, p0f, p0c, variant, SolveMode.predictor_only(), inputs)
     assert pred.iterations == 0 and pred.residual_history == []
     assert pred.conservativity_defect <= 1e-15
     # predictor values replicated across sub-levels
@@ -295,9 +320,8 @@ def test_mode_iteration_counts(bump_grid, bump_problem):
 def test_nonconvergence_is_flagged_not_raised(bump_grid, bump_problem):
     p0f = bump_problem.p0(bump_grid.centers_fine)
     p0c = bump_problem.p0(bump_grid.centers_coarse)
-    _, report = solve_window(
-        bump_grid, 1, p0f, p0c, Variant("is2", "fine"), SolveMode.converged(1e-14, 2), bump_problem
-    )
+    inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
+    _, report = solve_window(bump_grid, p0f, p0c, Variant("is2", "fine"), SolveMode.converged(1e-14, 2), inputs)
     assert not report.converged
     assert report.iterations == 2
 
@@ -317,13 +341,13 @@ def test_every_window_converges_over_the_grid_space(ratio, cells, x_iface, varia
         assert window.conservativity_defect <= 1e-12 * max(1.0, window.flux_scale)
 
 
-def _sweep_until_eps(grid, window, fine_start, coarse_start, variant, mode, problem, inputs):
+def _sweep_until_eps(grid, fine_start, coarse_start, variant, mode, inputs):
     """The corrector as real sweeps until both residuals reach eps: the
     reference for ``solve_window``'s reduced sweeps 2..n."""
-    state = init_window_state(grid, window, fine_start, coarse_start, problem, inputs)
+    state = init_window_state(grid, fine_start, coarse_start, inputs)
     history = []
     for _ in range(mode.max_iters):
-        state, residuals = corrector_sweep(grid, window, state, variant, problem, inputs)
+        state, residuals = corrector_sweep(grid, state, variant, inputs)
         history.append(residuals)
         if residuals[0] <= mode.eps and residuals[1] <= mode.eps:
             break
@@ -353,7 +377,7 @@ def test_reduced_sweeps_match_real_sweeps_over_the_grid_space(ratio, cells, x_if
     fine_start, coarse_start = problem.p0(grid.centers_fine), problem.p0(grid.centers_coarse)
     for window in range(1, grid.n_windows + 1):
         inputs = precompute_window_inputs(grid, window, problem, operators)
-        args = (grid, window, fine_start, coarse_start, variant, mode, problem, inputs)
+        args = (grid, fine_start, coarse_start, variant, mode, inputs)
         state, report = solve_window(*args)
         expected, history = _sweep_until_eps(*args)
         assert report.iterations == len(history)
@@ -373,9 +397,11 @@ def test_reduced_sweeps_match_real_sweeps_over_the_grid_space(ratio, cells, x_if
 def test_one_sweep_windows_are_one_real_sweep(bump_grid, bump_problem, variant, mode):
     # a window that stops after sweep 1 gives today's results bit for bit
     p0f, p0c = bump_problem.p0(bump_grid.centers_fine), bump_problem.p0(bump_grid.centers_coarse)
-    state, report = solve_window(bump_grid, 1, p0f, p0c, variant, mode, bump_problem)
+    inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
+    state, report = solve_window(bump_grid, p0f, p0c, variant, mode, inputs)
     one_sweep = SolveMode.converged(1e-14, 1)
-    expected, history = _sweep_until_eps(bump_grid, 1, p0f, p0c, variant, one_sweep, bump_problem, None)
+    fresh_inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
+    expected, history = _sweep_until_eps(bump_grid, p0f, p0c, variant, one_sweep, fresh_inputs)
     assert report.residual_history == history
     for got, want in zip(_state_fields(state), _state_fields(expected)):
         assert got.tobytes() == want.tobytes()
@@ -408,14 +434,12 @@ def test_superposed_windows_match_a_real_sweep_from_the_last_datum(bump_grid, bu
     fine_start, coarse_start = bump_problem.p0(bump_grid.centers_fine), bump_problem.p0(bump_grid.centers_coarse)
     for window in range(1, bump_grid.n_windows + 1):
         inputs = precompute_window_inputs(bump_grid, window, bump_problem, operators)
-        args = (bump_grid, window, fine_start, coarse_start)
-        state, report = solve_window(*args, variant, mode, bump_problem, inputs)
+        args = (bump_grid, fine_start, coarse_start)
+        state, report = solve_window(*args, variant, mode, inputs)
         assert report.iterations > 1
-        expected = init_window_state(*args, bump_problem, inputs)
-        expected, _ = corrector_sweep(bump_grid, window, expected, variant, bump_problem, inputs)
-        expected, _ = corrector_sweep(
-            bump_grid, window, expected, variant, bump_problem, inputs, state.dirichlet_used
-        )
+        expected = init_window_state(*args, inputs)
+        expected, _ = corrector_sweep(bump_grid, expected, variant, inputs)
+        expected, _ = corrector_sweep(bump_grid, expected, variant, inputs, state.dirichlet_used)
         fields = lambda s: _state_fields(s) + [s.dirichlet_used.values, s.neumann_used.values]  # noqa: E731
         for got, want in zip(fields(state), fields(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
