@@ -84,9 +84,15 @@ VARIANTS = (
 class Problem:
     """Data of the continuous problem dp/dt - d2p/dx2 = f.
 
-    All callables must accept numpy arrays (broadcasting over x and t).
-    When ``exact_solution`` is set, the other fields are derived from it
-    (manufactured mode) except that the boundary data may be zeroed.
+    The callables are evaluated pointwise on numpy arrays (or floats) whose
+    shapes and layout the solver chooses; ``source`` and ``exact_solution``
+    get x and t arrays that broadcast against each other.  A return only has
+    to broadcast to the shape of the arguments, so ``lambda x, t: 3.0`` and
+    ``lambda x, t: np.sin(3 * x)`` are valid sources, and ``lambda t: 0.0``
+    a valid boundary value; a source or ``g_lo`` return that does not
+    broadcast raises ``DimensionError``.  When ``exact_solution`` is set,
+    the other fields are derived from it (manufactured mode) except that the
+    boundary data may be zeroed.
     """
 
     source: Callable
@@ -160,9 +166,22 @@ def polynomial_problem(source_coeffs, initial_coeffs) -> Problem:
     )
 
 
+def _broadcast_return(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A problem callable's return as a read-only float array of ``shape``."""
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=float), shape)
+    except ValueError:
+        raise DimensionError(
+            f"{name} returned shape {np.shape(value)}, which does not broadcast to {shape}"
+        ) from None
+
+
 # -- source quadrature --------------------------------------------------------
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
+
+#: tensor weights w_i w_j of the 9 Gauss points, x node i major, one per row
+_TENSOR_WEIGHTS = np.outer(_GAUSS_WEIGHTS, _GAUSS_WEIGHTS).reshape(9, 1)
 
 
 def slab_source_averages(
@@ -171,16 +190,23 @@ def slab_source_averages(
     """Space-time averages of the source over each cell of ``faces`` times
     the slab (t0, t1), by 3-point tensor Gauss-Legendre quadrature.  Scalar
     bounds give (n,); arrays of bounds give (levels, n), one row per slab,
-    from a single source evaluation."""
+    from a single source evaluation.
+
+    The source is evaluated on x nodes (3, 1, *levels, n) and t nodes
+    (1, 3, *levels, 1), so the cells are the innermost, contiguous axis; its
+    return needs only to broadcast to the shape of the two.  Each average is
+    the sum of (w_i w_j) f over x node i, then t node j, divided by 4."""
     faces = np.asarray(faces, dtype=float)
     xc = 0.5 * (faces[:-1] + faces[1:])
     hx = np.diff(faces)
-    xs = xc[:, None] + 0.5 * hx[:, None] * _GAUSS_NODES[None, :]  # (n, 3)
     t0, t1 = np.asarray(t0, dtype=float)[..., None], np.asarray(t1, dtype=float)[..., None]
-    ts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * _GAUSS_NODES  # (..., 3)
-    vals = problem.source(xs[:, :, None], ts[..., None, None, :])  # (..., n, 3, 3)
+    nodes = _GAUSS_NODES.reshape((3,) + (1,) * max(t0.ndim, t1.ndim))
+    xs = (xc + 0.5 * hx * nodes)[:, None]  # (3, 1, 1 per level axis, n)
+    ts = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes)[None]  # (1, 3, *levels, 1)
+    shape = np.broadcast_shapes(xs.shape, ts.shape)
+    vals = _broadcast_return(problem.source(xs, ts), shape, "source")
     # weights sum to 2 per axis on [-1, 1]; averaging divides the 4 back out
-    return np.einsum("i,j,...nij->...n", _GAUSS_WEIGHTS, _GAUSS_WEIGHTS, vals) / 4.0
+    return (_TENSOR_WEIGHTS * vals.reshape(9, -1)).sum(axis=0).reshape(shape[2:]) / 4.0
 
 
 @dataclass(frozen=True)
@@ -234,7 +260,7 @@ def precompute_window_inputs(
         window=window,
         fine_source=fine_source,
         coarse_source=coarse_source,
-        g_lo_fine=np.atleast_1d(np.asarray(problem.g_lo(mid_fine), dtype=float)),
+        g_lo_fine=_broadcast_return(problem.g_lo(mid_fine), mid_fine.shape, "g_lo"),
         g_lo_coarse=float(problem.g_lo(mid_coarse)),
         g_hi_coarse=float(problem.g_hi(mid_coarse)),
         operators=operators,

@@ -290,17 +290,17 @@ def _neumann_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> 
     return _project(grid, getattr(state, variant.slave).flux)
 
 
-def interface_residuals(
-    grid: CompositeGrid, variant: Variant, state: WindowState, fresh: Trace
-) -> tuple[float, float]:
+def interface_residuals(variant: Variant, state: WindowState, fresh: Trace) -> tuple[float, float]:
     """Max-norm violation of the variant's two interface conditions by the
     current iterate, in pressure and flux units respectively.  ``fresh`` is
-    the iterate's projected Dirichlet data."""
+    the iterate's projected Dirichlet data; the Neumann residual compares the
+    master's flux with ``state.neumann_used``, the projected slave flux of the
+    latest sweep."""
     if state.dirichlet_used is None or state.neumann_used is None:
         raise SolverError("residuals need at least one completed sweep")
     res_d = float(np.max(np.abs(state.dirichlet_used.values - fresh.values)))
     master_flux = getattr(state, variant.master).flux
-    res_n = float(np.max(np.abs(master_flux.values - _neumann_data(grid, variant, state).values)))
+    res_n = float(np.max(np.abs(master_flux.values - state.neumann_used.values)))
     return res_d, res_n
 
 
@@ -353,7 +353,7 @@ def corrector_sweep(
     state.neumann_used = _neumann_data(grid, variant, state)
     _solve_subdomain(grid, state, variant.master, "neumann", state.neumann_used, inputs)
     state.dirichlet_fresh = _dirichlet_data(grid, variant, state)
-    return state, interface_residuals(grid, variant, state, state.dirichlet_fresh)
+    return state, interface_residuals(variant, state, state.dirichlet_fresh)
 
 
 def _superpose(

@@ -8,12 +8,14 @@ from ltsheat import (
     DimensionError,
     GridConfig,
     InterfaceClosure,
+    SolveMode,
     WindowLayout,
     assemble_composite_step,
     assemble_monolithic_window,
     assemble_subdomain_step,
     build_composite_grid,
     manufactured_problem,
+    march,
     precompute_window_inputs,
     solve_linear,
     zero_problem,
@@ -89,6 +91,109 @@ def test_cell_average_matches_adaptive_quadrature(bump_grid, bump_problem):
     ]
     assert stacked.shape == (10, 25)
     assert stacked.tobytes() == np.array(per_slab).tobytes()
+
+
+def _reference_averages(problem, faces, t0, t1):
+    """Slab source averages summed node by node in the documented order: x
+    node i, then t node j, adding (w_i w_j) f in turn, then dividing by 4."""
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    faces = np.asarray(faces, dtype=float)
+    xc, hx = 0.5 * (faces[:-1] + faces[1:]), np.diff(faces)
+    t0, t1 = np.asarray(t0, dtype=float)[..., None], np.asarray(t1, dtype=float)[..., None]
+    total = None
+    for i in range(3):
+        x = xc + 0.5 * hx * nodes[i]
+        for j in range(3):
+            t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes[j]
+            f = np.broadcast_to(problem.source(x, t), np.broadcast_shapes(x.shape, t.shape))
+            term = (weights[i] * weights[j]) * f
+            total = term if total is None else total + term
+    return total / 4.0
+
+
+def _quadrature_cases():
+    rng = np.random.default_rng(9)
+    jittered = np.concatenate([[0.0], np.cumsum(rng.uniform(0.8, 1.2, 13))]) * 0.03
+    levels = np.arange(1, 11)
+    fine_32 = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 800, 480, 0.002 / 32, 0.02 / 32, 0.1))  # s = 32
+    return {
+        "scalar-bounds": (np.linspace(0.0, 0.25, 26), 0.038, 0.04),
+        "level-bounds": (np.linspace(0.0, 0.25, 26), 0.02 + 0.002 * (levels - 1), 0.02 + 0.002 * levels),
+        "jittered-faces": (jittered, 0.05 + 0.0013 * (levels - 1), 0.05 + 0.0013 * levels),
+        "one-cell": (np.array([0.14, 0.15]), np.array([0.0, 0.5]), np.array([0.5, 1.0])),
+        "s32-fine-mesh": (fine_32.faces_fine, *fine_32.fine_slab(7, levels)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_quadrature_cases()))
+def test_slab_averages_sum_the_gauss_points_in_the_documented_order(bump_problem, case):
+    faces, t0, t1 = _quadrature_cases()[case]
+    got = slab_source_averages(bump_problem, faces, t0, t1)
+    want = _reference_averages(bump_problem, faces, t0, t1)
+    assert got.shape == want.shape == np.broadcast_shapes(np.shape(t0), np.shape(t1)) + (faces.size - 1,)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ratio", [1, 10, 50])
+def test_window_inputs_evaluate_the_source_twice_per_window(ratio):
+    grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.02 / ratio, 0.02, 0.06))
+    bump, calls = manufactured_problem(), []
+
+    def source(x, t):
+        calls.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
+        return bump.source(x, t)
+
+    problem = Problem(source, bump.p0, bump.g_lo, bump.g_hi)
+    for window in range(1, grid.n_windows + 1):
+        del calls[:]
+        precompute_window_inputs(grid, window, problem)
+        assert calls == [(3, 3, ratio, grid.n_fine), (3, 3, grid.n_coarse)]
+
+
+def _problem_with_source(source):
+    zero = zero_problem()
+    return Problem(source, zero.p0, zero.g_lo, zero.g_hi)
+
+
+def test_source_of_x_only_broadcasts_to_the_nodes(bump_grid):
+    returned = []
+
+    def x_only(x, t):
+        value = np.sin(3.0 * x)
+        returned.append((value, value.copy()))
+        return value
+
+    both = _problem_with_source(lambda x, t: np.sin(3.0 * x) + 0.0 * t)
+    for window in (1, bump_grid.n_windows):
+        got = precompute_window_inputs(bump_grid, window, _problem_with_source(x_only))
+        want = precompute_window_inputs(bump_grid, window, both)
+        assert got.fine_source.shape == (bump_grid.ratio, bump_grid.n_fine)
+        assert got.fine_source.tobytes() == want.fine_source.tobytes()
+        assert got.coarse_source.tobytes() == want.coarse_source.tobytes()
+    # the returned arrays are read, never written
+    assert all(array.tobytes() == copy.tobytes() for array, copy in returned)
+
+
+def test_scalar_data_drive_a_march(bump_grid):
+    problem = Problem(lambda x, t: 3.0, lambda x: 0.0, lambda t: 0.0, lambda t: 0.0)
+    inputs = precompute_window_inputs(bump_grid, 2, problem)
+    assert inputs.fine_source.shape == (bump_grid.ratio, bump_grid.n_fine)
+    np.testing.assert_allclose(inputs.fine_source, 3.0, rtol=1e-15)
+    np.testing.assert_allclose(inputs.coarse_source, 3.0, rtol=1e-15)
+    assert inputs.g_lo_fine.shape == (bump_grid.ratio,)
+    trajectory, report = march(bump_grid, VARIANTS[0], SolveMode.converged(1e-8), problem)
+    assert report.all_converged
+    assert np.all(trajectory.fine[1:] > 0.0) and np.all(trajectory.coarse[1:] > 0.0)
+
+
+def test_source_of_the_wrong_shape_raises(bump_grid):
+    problem = _problem_with_source(lambda x, t: np.zeros(7))
+    with pytest.raises(DimensionError, match=r"source returned shape \(7,\).*\(3, 3, 10, 25\)"):
+        precompute_window_inputs(bump_grid, 1, problem)
+    zero = zero_problem()
+    problem = Problem(zero.source, zero.p0, lambda t: np.zeros(3), zero.g_hi)
+    with pytest.raises(DimensionError, match=r"g_lo returned shape \(3,\).*\(10,\)"):
+        precompute_window_inputs(bump_grid, 1, problem)
 
 
 # -- subdomain assembly --------------------------------------------------------

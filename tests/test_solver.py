@@ -256,7 +256,7 @@ def test_residuals_require_a_sweep(bump_grid, bump_problem):
         precompute_window_inputs(bump_grid, 1, bump_problem),
     )
     with pytest.raises(SolverError):
-        interface_residuals(bump_grid, Variant("is2", "fine"), state, state.coarse.pressure)
+        interface_residuals(Variant("is2", "fine"), state, state.coarse.pressure)
 
 
 # -- window solves against the monolithic reference -----------------------------
@@ -332,13 +332,20 @@ def test_nonconvergence_is_flagged_not_raised(bump_grid, bump_problem):
     cells=st.sampled_from([(10, 10), (20, 5), (5, 20), (40, 8)]),
     x_iface=st.sampled_from([0.25, 0.5, 0.8]),
     variant=st.sampled_from(VARIANTS),
+    scale=st.sampled_from([2.0**-20, 2.0**20]),
 )
-def test_every_window_converges_over_the_grid_space(ratio, cells, x_iface, variant):
+def test_every_window_converges_over_the_grid_space(ratio, cells, x_iface, variant, scale):
     grid = build_composite_grid(GridConfig(0.0, 1.0, x_iface, *cells, 0.01 / ratio, 0.01, 0.02))
-    _, report = march(grid, variant, SolveMode.converged(1e-8), manufactured_problem())
+    problem, eps = manufactured_problem(), 1e-8
+    base, report = march(grid, variant, SolveMode.converged(eps), problem)
     assert report.all_converged
     for window in report.windows:
         assert window.conservativity_defect <= 1e-12 * max(1.0, window.flux_scale)
+    # data and eps scaled by a power of two scale the whole march exactly
+    scaled, scaled_report = march(grid, variant, SolveMode.converged(scale * eps), _scaled(problem, scale))
+    assert scaled_report.iterations == report.iterations
+    for name in (f.name for f in dataclasses.fields(Trajectory) if f.name != "grid"):
+        assert getattr(scaled, name).tobytes() == (scale * getattr(base, name)).tobytes(), name
 
 
 def _sweep_until_eps(grid, fine_start, coarse_start, variant, mode, inputs):
