@@ -89,10 +89,10 @@ class Problem:
     get x and t arrays that broadcast against each other.  A return only has
     to broadcast to the shape of the arguments, so ``lambda x, t: 3.0`` and
     ``lambda x, t: np.sin(3 * x)`` are valid sources, and ``lambda t: 0.0``
-    a valid boundary value; a source or ``g_lo`` return that does not
-    broadcast raises ``DimensionError``.  When ``exact_solution`` is set,
-    the other fields are derived from it (manufactured mode) except that the
-    boundary data may be zeroed.
+    a valid boundary value; a ``source``, ``p0``, ``g_lo`` or ``g_hi``
+    return that does not broadcast raises ``DimensionError``.  When
+    ``exact_solution`` is set, the other fields are derived from it
+    (manufactured mode) except that the boundary data may be zeroed.
     """
 
     source: Callable
@@ -261,8 +261,8 @@ def precompute_window_inputs(
         fine_source=fine_source,
         coarse_source=coarse_source,
         g_lo_fine=_broadcast_return(problem.g_lo(mid_fine), mid_fine.shape, "g_lo"),
-        g_lo_coarse=float(problem.g_lo(mid_coarse)),
-        g_hi_coarse=float(problem.g_hi(mid_coarse)),
+        g_lo_coarse=float(_broadcast_return(problem.g_lo(mid_coarse), (), "g_lo")),
+        g_hi_coarse=float(_broadcast_return(problem.g_hi(mid_coarse), (), "g_hi")),
         operators=operators,
     )
 
@@ -540,7 +540,22 @@ def assemble_monolithic_window(
     inputs: WindowInputs,
 ) -> LinearSystem:
     """The exact coupled system of the window of ``inputs``: subdomain
-    schemes at all levels plus the variant's two interface conditions."""
+    schemes at all levels plus the variant's two interface conditions.
+
+    The entries are built as index arrays, one block per kind of equation,
+    in this order: the fine cells at all K sub-levels (diagonal, previous
+    sub-level, left and right neighbors, interface coupling), the coarse
+    cells (diagonal, right and left neighbors, interface coupling), then the
+    is1 interface rows.  Each cell's diagonal is summed here in the order of
+    its balance: (mass + left face) + right face for a fine cell, (mass +
+    exterior-side face) + interface-side face for a coarse cell.  The CSR
+    conversion sums only where the is2-fine ghost-mean block (1/K)/dd meets
+    a fine interface cell's diagonal or previous sub-level: two terms, the
+    same float in either order.  Each right-hand side entry adds, onto zero,
+    mass times start value (first level only), width times source, then the
+    exterior boundary value over the half cell.  It reads only the grid's
+    widths, centers and interface distances, never the iterative path's
+    step matrices."""
     # scipy.sparse is imported here, not with the module: only this reference
     # builds sparse systems, and runs that never do skip the import's memory
     import scipy.sparse
@@ -550,105 +565,68 @@ def assemble_monolithic_window(
     d1, d2, dd = grid.d_fine, grid.d_coarse, grid.d_across
     dt1, dt2 = grid.dt_fine, grid.dt_coarse
     h1, h2 = grid.widths_fine, grid.widths_coarse
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    inv1, inv2 = 1.0 / np.diff(grid.centers_fine), 1.0 / np.diff(grid.centers_coarse)
+    fine = np.arange(K * n1).reshape(K, n1)  # row k - 1, column j: fine cell j at sub-level k
+    coarse = K * n1 + np.arange(n2)
+    edge, c0 = fine[:, -1], coarse[0]  # the cells next to the interface
+    iface_fine, iface_coarse = K * n1 + n2 + np.arange(K), K * n1 + n2 + K  # is1 only
+    is1, fine_master = variant.interface_scheme == IS1, variant.master == FINE
+
+    # fine interface face: own distance (is1), ghost = coarse value (is2-coarse),
+    # or ghost = time mean of the fine interface cell, added below (is2-fine)
+    fine_iface = 1.0 / d1 if is1 else 0.0 if fine_master else 1.0 / dd
+    left1 = np.concatenate([[1.0 / (0.5 * h1[0])], inv1])
+    diag1 = (h1 / dt1 + left1) + np.concatenate([inv1, [fine_iface]])
+    right2 = np.concatenate([inv2, [1.0 / (0.5 * h2[-1])]])
+    diag2 = (h2 / dt2 + right2) + np.concatenate([[1.0 / d2 if is1 else 1.0 / dd], inv2])
+    blocks = [
+        (fine, fine, diag1),
+        (fine[1:], fine[:-1], -h1 / dt1),
+        (fine[:, 1:], fine[:, :-1], -inv1),
+        (fine[:, :-1], fine[:, 1:], -inv1),
+        (coarse, coarse, diag2),
+        (coarse[:-1], coarse[1:], -inv2),
+        (coarse[1:], coarse[:-1], -inv2),
+    ]
+    if is1:
+        blocks += [(edge, iface_fine, -1.0 / d1), (c0, iface_coarse, -1.0 / d2)]
+        if fine_master:
+            # equal fluxes at each sub-level; time-averaged pressures
+            blocks += [
+                (iface_fine, iface_fine, 1.0 / d1),
+                (iface_fine, edge, -1.0 / d1),
+                (iface_fine, c0, -1.0 / d2),
+                (iface_fine, iface_coarse, 1.0 / d2),
+                (iface_coarse, iface_coarse, dt2),
+                (iface_coarse, iface_fine, -dt1),
+            ]
+        else:
+            # equal pressures at each sub-level; time-integrated flux continuity
+            blocks += [
+                (iface_fine, iface_fine, 1.0),
+                (iface_fine, iface_coarse, -1.0),
+                (iface_coarse, c0, dt2 / d2),
+                (iface_coarse, iface_coarse, -dt2 / d2),
+                (iface_coarse, iface_fine, -dt1 / d1),
+                (iface_coarse, edge, dt1 / d1),
+            ]
+    else:
+        # coarse flux (coarse cell - time mean of the fine interface cell) / dd
+        blocks += [(c0, edge, -(1.0 / K) / dd), (edge, c0, -1.0 / dd)]
+        if fine_master:
+            blocks.append((edge[:, None], edge[None, :], (1.0 / K) / dd))
+
     rhs = np.zeros(lay.n_unknowns)
+    rhs_fine = rhs[: K * n1].reshape(K, n1)
+    rhs_fine[0] += (h1 / dt1) * np.asarray(fine_start, dtype=float)
+    rhs_fine += h1 * inputs.fine_source
+    rhs_fine[:, 0] += inputs.g_lo_fine / (0.5 * h1[0])
+    rhs_coarse = rhs[K * n1 : K * n1 + n2]
+    rhs_coarse += (h2 / dt2) * np.asarray(coarse_start, dtype=float) + h2 * inputs.coarse_source
+    rhs_coarse[-1] += inputs.g_hi_coarse / (0.5 * h2[-1])
 
-    def add(r: int, c: int, v: float) -> None:
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    inv_dist1 = 1.0 / np.diff(grid.centers_fine) if n1 > 1 else np.empty(0)
-    inv_dist2 = 1.0 / np.diff(grid.centers_coarse) if n2 > 1 else np.empty(0)
-
-    # fine cell equations, sub-levels k = 1..K
-    for k in range(1, K + 1):
-        for j in range(n1):
-            r = lay.fine(k, j)
-            add(r, r, h1[j] / dt1)
-            if k == 1:
-                rhs[r] += (h1[j] / dt1) * fine_start[j]
-            else:
-                add(r, lay.fine(k - 1, j), -h1[j] / dt1)
-            rhs[r] += h1[j] * inputs.fine_source[k - 1, j]
-            if j > 0:
-                add(r, r, inv_dist1[j - 1])
-                add(r, lay.fine(k, j - 1), -inv_dist1[j - 1])
-            else:
-                d_bnd = 0.5 * h1[0]
-                add(r, r, 1.0 / d_bnd)
-                rhs[r] += float(inputs.g_lo_fine[k - 1]) / d_bnd
-            if j < n1 - 1:
-                add(r, r, inv_dist1[j])
-                add(r, lay.fine(k, j + 1), -inv_dist1[j])
-            else:
-                # interface flux of the fine side at sub-level k
-                if variant.interface_scheme == IS1:
-                    add(r, r, 1.0 / d1)
-                    add(r, lay.iface_fine(k), -1.0 / d1)
-                elif variant.master == COARSE:
-                    # ghost neighbor equals the coarse value at the window end
-                    add(r, r, 1.0 / dd)
-                    add(r, lay.coarse(0), -1.0 / dd)
-                else:
-                    # flux equals the coarse-side flux with ghost = time mean
-                    add(r, lay.coarse(0), -1.0 / dd)
-                    for kk in range(1, K + 1):
-                        add(r, lay.fine(kk, n1 - 1), (1.0 / K) / dd)
-
-    # coarse cell equations at the window end
-    for j in range(n2):
-        r = lay.coarse(j)
-        add(r, r, h2[j] / dt2)
-        rhs[r] += (h2[j] / dt2) * coarse_start[j] + h2[j] * inputs.coarse_source[j]
-        if j < n2 - 1:
-            add(r, r, inv_dist2[j])
-            add(r, lay.coarse(j + 1), -inv_dist2[j])
-        else:
-            d_bnd = 0.5 * h2[-1]
-            add(r, r, 1.0 / d_bnd)
-            rhs[r] += inputs.g_hi_coarse / d_bnd
-        if j > 0:
-            add(r, r, inv_dist2[j - 1])
-            add(r, lay.coarse(j - 1), -inv_dist2[j - 1])
-        else:
-            # interface flux of the coarse side (enters with + sign)
-            if variant.interface_scheme == IS1:
-                add(r, r, 1.0 / d2)
-                add(r, lay.iface_coarse(), -1.0 / d2)
-            else:
-                # both masters: flux (coarse cell - time mean of fine cell) / d
-                add(r, r, 1.0 / dd)
-                for kk in range(1, K + 1):
-                    add(r, lay.fine(kk, n1 - 1), -(1.0 / K) / dd)
-
-    # interface conditions (is1 only; is2 has them substituted above)
-    if variant.interface_scheme == IS1:
-        if variant.master == COARSE:
-            for k in range(1, K + 1):
-                r = lay.iface_fine(k)
-                add(r, lay.iface_fine(k), 1.0)
-                add(r, lay.iface_coarse(), -1.0)
-            r = lay.iface_coarse()
-            add(r, lay.coarse(0), dt2 / d2)
-            add(r, lay.iface_coarse(), -dt2 / d2)
-            for k in range(1, K + 1):
-                add(r, lay.iface_fine(k), -dt1 / d1)
-                add(r, lay.fine(k, n1 - 1), dt1 / d1)
-        else:
-            for k in range(1, K + 1):
-                r = lay.iface_fine(k)
-                add(r, lay.iface_fine(k), 1.0 / d1)
-                add(r, lay.fine(k, n1 - 1), -1.0 / d1)
-                add(r, lay.coarse(0), -1.0 / d2)
-                add(r, lay.iface_coarse(), 1.0 / d2)
-            r = lay.iface_coarse()
-            add(r, lay.iface_coarse(), dt2)
-            for k in range(1, K + 1):
-                add(r, lay.iface_fine(k), -dt1)
-
+    entries = [np.broadcast_arrays(*block) for block in blocks]
+    rows, cols, vals = (np.concatenate([entry[i].ravel() for entry in entries]) for i in range(3))
     matrix = scipy.sparse.coo_matrix(
         (vals, (rows, cols)), shape=(lay.n_unknowns, lay.n_unknowns)
     ).tocsr()

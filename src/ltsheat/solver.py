@@ -56,6 +56,7 @@ from .scheme import (
     TridiagonalLU,
     Variant,
     WindowInputs,
+    _broadcast_return,
     assemble_composite_step,
     assemble_monolithic_window,
     assemble_subdomain_step,
@@ -210,8 +211,12 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
     else:
         import scipy.sparse.linalg  # sparse systems come only from the monolithic reference
 
+        # minimum-degree ordering on A^T + A: the window system is a chain of
+        # tridiagonal level blocks plus a few coupling rows and columns, which
+        # it factors with less fill and time than the default COLAMD
         try:
-            x = scipy.sparse.linalg.splu(system.sparse.tocsc()).solve(system.rhs)
+            lu = scipy.sparse.linalg.splu(system.sparse.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            x = lu.solve(system.rhs)
         except RuntimeError as exc:
             raise SolverError(f"sparse LU failed: {exc}") from exc
         residual = system.sparse @ x - system.rhs
@@ -464,8 +469,8 @@ def march(
     n1, n2, ratio, n_windows = grid.n_fine, grid.n_coarse, grid.ratio, grid.n_windows
     fine = np.zeros((ratio * n_windows + 1, n1))
     coarse = np.zeros((n_windows + 1, n2))
-    fine[0] = np.asarray(problem.p0(grid.centers_fine), dtype=float)
-    coarse[0] = np.asarray(problem.p0(grid.centers_coarse), dtype=float)
+    fine[0] = _broadcast_return(problem.p0(grid.centers_fine), (n1,), "p0")
+    coarse[0] = _broadcast_return(problem.p0(grid.centers_coarse), (n2,), "p0")
     fine_face_pressure = np.zeros((n_windows, ratio))
     coarse_face_pressure = np.zeros(n_windows)
     fine_flux = np.zeros((n_windows, ratio))

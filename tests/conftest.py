@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ltsheat import GridConfig, SolveMode, build_composite_grid, manufactured_problem, march
-from ltsheat.scheme import Variant
+from ltsheat.scheme import COARSE, IS1, LinearSystem, Variant, WindowLayout
 
 #: the reference composite grid: fine [0, 0.25] dx=0.01 dt=0.002,
 #: coarse [0.25, 1] dx=0.05 dt=0.02, horizon 0.1
@@ -88,3 +88,124 @@ def random_smooth_problem(rng: np.random.Generator):
         return np.zeros_like(np.asarray(t, dtype=float))
 
     return Problem(source=source, p0=p0, g_lo=zero_t, g_hi=zero_t, exact_solution=None)
+
+
+def reference_monolithic_window(grid, fine_start, coarse_start, variant, inputs):
+    """The monolithic window system assembled entry by entry, one ``add``
+    per matrix term in the order of each cell's balance: the loop that
+    ``assemble_monolithic_window`` replaced, kept as its reference.  The
+    terms of each entry are summed in the order the loop adds them."""
+    import scipy.sparse
+
+    lay = WindowLayout(grid, variant)
+    K, n1, n2 = lay.ratio, lay.n_fine, lay.n_coarse
+    d1, d2, dd = grid.d_fine, grid.d_coarse, grid.d_across
+    dt1, dt2 = grid.dt_fine, grid.dt_coarse
+    h1, h2 = grid.widths_fine, grid.widths_coarse
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    rhs = np.zeros(lay.n_unknowns)
+
+    def add(r: int, c: int, v: float) -> None:
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    inv_dist1 = 1.0 / np.diff(grid.centers_fine) if n1 > 1 else np.empty(0)
+    inv_dist2 = 1.0 / np.diff(grid.centers_coarse) if n2 > 1 else np.empty(0)
+
+    # fine cell equations, sub-levels k = 1..K
+    for k in range(1, K + 1):
+        for j in range(n1):
+            r = lay.fine(k, j)
+            add(r, r, h1[j] / dt1)
+            if k == 1:
+                rhs[r] += (h1[j] / dt1) * fine_start[j]
+            else:
+                add(r, lay.fine(k - 1, j), -h1[j] / dt1)
+            rhs[r] += h1[j] * inputs.fine_source[k - 1, j]
+            if j > 0:
+                add(r, r, inv_dist1[j - 1])
+                add(r, lay.fine(k, j - 1), -inv_dist1[j - 1])
+            else:
+                d_bnd = 0.5 * h1[0]
+                add(r, r, 1.0 / d_bnd)
+                rhs[r] += float(inputs.g_lo_fine[k - 1]) / d_bnd
+            if j < n1 - 1:
+                add(r, r, inv_dist1[j])
+                add(r, lay.fine(k, j + 1), -inv_dist1[j])
+            else:
+                # interface flux of the fine side at sub-level k
+                if variant.interface_scheme == IS1:
+                    add(r, r, 1.0 / d1)
+                    add(r, lay.iface_fine(k), -1.0 / d1)
+                elif variant.master == COARSE:
+                    # ghost neighbor equals the coarse value at the window end
+                    add(r, r, 1.0 / dd)
+                    add(r, lay.coarse(0), -1.0 / dd)
+                else:
+                    # flux equals the coarse-side flux with ghost = time mean
+                    add(r, lay.coarse(0), -1.0 / dd)
+                    for kk in range(1, K + 1):
+                        add(r, lay.fine(kk, n1 - 1), (1.0 / K) / dd)
+
+    # coarse cell equations at the window end
+    for j in range(n2):
+        r = lay.coarse(j)
+        add(r, r, h2[j] / dt2)
+        rhs[r] += (h2[j] / dt2) * coarse_start[j] + h2[j] * inputs.coarse_source[j]
+        if j < n2 - 1:
+            add(r, r, inv_dist2[j])
+            add(r, lay.coarse(j + 1), -inv_dist2[j])
+        else:
+            d_bnd = 0.5 * h2[-1]
+            add(r, r, 1.0 / d_bnd)
+            rhs[r] += inputs.g_hi_coarse / d_bnd
+        if j > 0:
+            add(r, r, inv_dist2[j - 1])
+            add(r, lay.coarse(j - 1), -inv_dist2[j - 1])
+        else:
+            # interface flux of the coarse side (enters with + sign)
+            if variant.interface_scheme == IS1:
+                add(r, r, 1.0 / d2)
+                add(r, lay.iface_coarse(), -1.0 / d2)
+            else:
+                # both masters: flux (coarse cell - time mean of fine cell) / d
+                add(r, r, 1.0 / dd)
+                for kk in range(1, K + 1):
+                    add(r, lay.fine(kk, n1 - 1), -(1.0 / K) / dd)
+
+    # interface conditions (is1 only; is2 has them substituted above)
+    if variant.interface_scheme == IS1:
+        if variant.master == COARSE:
+            for k in range(1, K + 1):
+                r = lay.iface_fine(k)
+                add(r, lay.iface_fine(k), 1.0)
+                add(r, lay.iface_coarse(), -1.0)
+            r = lay.iface_coarse()
+            add(r, lay.coarse(0), dt2 / d2)
+            add(r, lay.iface_coarse(), -dt2 / d2)
+            for k in range(1, K + 1):
+                add(r, lay.iface_fine(k), -dt1 / d1)
+                add(r, lay.fine(k, n1 - 1), dt1 / d1)
+        else:
+            for k in range(1, K + 1):
+                r = lay.iface_fine(k)
+                add(r, lay.iface_fine(k), 1.0 / d1)
+                add(r, lay.fine(k, n1 - 1), -1.0 / d1)
+                add(r, lay.coarse(0), -1.0 / d2)
+                add(r, lay.iface_coarse(), 1.0 / d2)
+            r = lay.iface_coarse()
+            add(r, lay.iface_coarse(), dt2)
+            for k in range(1, K + 1):
+                add(r, lay.iface_fine(k), -dt1)
+
+    # not scipy's CSR conversion: it sums the duplicates of a long row in no
+    # fixed order (its index sort is not stable)
+    summed: dict[tuple[int, int], float] = {}
+    for r, c, v in zip(rows, cols, vals):
+        summed[r, c] = summed[r, c] + v if (r, c) in summed else v
+    (rows, cols), vals = zip(*summed), list(summed.values())
+    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(lay.n_unknowns, lay.n_unknowns)).tocsr()
+    return LinearSystem(rhs=rhs, sparse=matrix)

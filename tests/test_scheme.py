@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ltsheat import (
 )
 from ltsheat.projection import coarse_trace, fine_trace
 from ltsheat.scheme import VARIANTS, Problem, Variant, slab_source_averages
-from tests.conftest import tridiagonal_matrix
+from tests.conftest import reference_monolithic_window, tridiagonal_matrix
 
 
 # -- manufactured problem ------------------------------------------------------
@@ -196,6 +197,28 @@ def test_source_of_the_wrong_shape_raises(bump_grid):
         precompute_window_inputs(bump_grid, 1, problem)
 
 
+def test_initial_value_of_the_wrong_shape_raises(bump_grid):
+    zero = zero_problem()
+    problem = Problem(zero.source, lambda x: np.zeros(3), zero.g_lo, zero.g_hi)
+    with pytest.raises(DimensionError, match=r"p0 returned shape \(3,\).*\(25,\)"):
+        march(bump_grid, VARIANTS[0], SolveMode.converged(), problem)
+
+
+def test_left_boundary_value_of_the_wrong_shape_raises_at_the_coarse_midtime(bump_grid):
+    # K values broadcast to the K fine midtimes, not to the one coarse midtime
+    zero = zero_problem()
+    problem = Problem(zero.source, zero.p0, lambda t: np.zeros(bump_grid.ratio), zero.g_hi)
+    with pytest.raises(DimensionError, match=r"g_lo returned shape \(10,\).*\(\)"):
+        precompute_window_inputs(bump_grid, 1, problem)
+
+
+def test_right_boundary_value_of_the_wrong_shape_raises(bump_grid):
+    zero = zero_problem()
+    problem = Problem(zero.source, zero.p0, zero.g_lo, lambda t: np.zeros(2))
+    with pytest.raises(DimensionError, match=r"g_hi returned shape \(2,\).*\(\)"):
+        precompute_window_inputs(bump_grid, 1, problem)
+
+
 # -- subdomain assembly --------------------------------------------------------
 
 
@@ -275,6 +298,55 @@ def test_monolithic_zero_data_is_zero():
         system = assemble_monolithic_window(grid, np.zeros(4), np.zeros(4), variant, inputs)
         assert np.all(system.rhs == 0.0)
         assert np.all(solve_linear(system) == 0.0)
+
+
+def _oracle_like_grid(rng, ratio):
+    """One window of 100 fine and 30 coarse cells with widths jittered by up to
+    20 % and a random interface, as the benchmark's oracle cases are built."""
+
+    def jittered(n, length):
+        w = 1.0 + rng.uniform(-0.2, 0.2, n)
+        return tuple(float(v) for v in w * (length / w.sum()))
+
+    x_iface = float(rng.uniform(0.3, 0.7))
+    return build_composite_grid(GridConfig(
+        0.0, 1.0, x_iface, 100, 30, 0.01 / ratio, 0.01, 0.01, jittered(100, x_iface), jittered(30, 1.0 - x_iface)
+    ))
+
+
+def _assembly_cases():
+    rng = np.random.default_rng(401)
+    yield from (_oracle_like_grid(rng, ratio) for ratio in (10, 20, 50))
+    for n_fine, n_coarse in ((1, 6), (6, 1), (1, 1)):
+        yield build_composite_grid(GridConfig(0.0, 1.0, 0.4, n_fine, n_coarse, 0.01, 0.03, 0.06))
+    yield build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.02, 0.02, 0.1))  # K = 1
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+def test_array_assembly_matches_the_loop_reference(bump_problem, variant):
+    for grid in _assembly_cases():
+        start = (bump_problem.p0(grid.centers_fine), bump_problem.p0(grid.centers_coarse))
+        inputs = precompute_window_inputs(grid, 1, bump_problem)
+        got = assemble_monolithic_window(grid, *start, variant, inputs)
+        want = reference_monolithic_window(grid, *start, variant, inputs)
+        assert got.rhs.tobytes() == want.rhs.tobytes()
+        assert np.array_equal(got.sparse.indptr, want.sparse.indptr)
+        assert np.array_equal(got.sparse.indices, want.sparse.indices)
+        assert got.sparse.data.tobytes() == want.sparse.data.tobytes()
+
+
+def test_monolithic_assembly_stays_off_the_iterative_path():
+    # the oracle checks the iterative solver, so it shares none of its step code
+    names, codes = set(), [assemble_monolithic_window.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+    iterative = {
+        "_step_bands", "StepOperators", "closure_distance", "interface_traces",
+        "assemble_subdomain_step", "sides", "operators",
+    }
+    assert not names & iterative
 
 
 def recover_interface_fluxes(grid, problem, window, fine_start, coarse_start, mono, variant):

@@ -582,3 +582,29 @@ def test_interleaved_marches_match_marches_run_in_another_order(tmp_path):
         alone = {key: saved[f"arr_{i}"] for i, key in enumerate(order[::-1])}
     for key, result in zip(order + order, interleaved):
         assert result.tobytes() == alone[key].tobytes(), f"grid {key[0]}, {VARIANTS[key[1]].name}"
+
+
+_SPARSE_IMPORT_PROBE = """
+import sys
+import ltsheat.cli
+from ltsheat import GridConfig, SolveMode, build_composite_grid, manufactured_problem, march, solve_window_monolithic
+from ltsheat.scheme import VARIANTS
+grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1))
+problem = manufactured_problem()
+trajectory, _ = march(grid, VARIANTS[0], SolveMode.converged(), problem)
+print("scipy.sparse" in sys.modules)
+solve_window_monolithic(grid, 1, trajectory.fine[0], trajectory.coarse[0], VARIANTS[0], problem)
+print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
+"""
+
+
+def test_only_the_monolithic_reference_imports_scipy_sparse():
+    # Every run pays scipy.sparse's import time and memory unless it is loaded
+    # on first use, so a fresh interpreter shows which calls load it.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _SPARSE_IMPORT_PROBE], cwd=root, env=env, check=True, timeout=120,
+        capture_output=True, text=True,
+    )
+    assert probe.stdout.split() == ["False", "True", "True"]
