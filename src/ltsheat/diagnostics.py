@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 from .grid import Side
 from .projection import COARSE, FINE
-from .scheme import Problem
+from .scheme import Problem, _broadcast_return, _window_blocks
 from .solver import Trajectory
 
 
@@ -39,15 +39,18 @@ def discrete_norms(
     widths = np.asarray(widths, dtype=float)
     if widths.ndim != 1 or field.shape[-1:] != widths.shape:
         raise DimensionError(f"field shape {field.shape} does not end in widths shape {widths.shape}")
-    dist = 0.5 * (widths[:-1] + widths[1:])
+    l2 = np.sqrt(np.sum(field * field * widths, axis=-1))
+    # squared and divided in place: a stack of fields holds one difference array
     diff = np.diff(field)
-    h1_sq = np.sum(diff * diff / dist, axis=-1)
+    diff *= diff
+    diff /= 0.5 * (widths[:-1] + widths[1:])
+    h1_sq = np.sum(diff, axis=-1)
     for end, value in zip((0, -1, 0, -1), (*boundary_values, *interface_values)):
         if value is not None:
             # C pow, as a scalar's ``** 2``: an array's ``** 2`` multiplies, which
             # rounds differently about once in 1000 and could move recorded errors
             h1_sq = h1_sq + np.float_power(field[..., end] - value, 2) / (0.5 * widths[end])
-    return np.sqrt(np.sum(field * field * widths, axis=-1)), np.sqrt(h1_sq)
+    return l2, np.sqrt(h1_sq)
 
 
 @dataclass(frozen=True)
@@ -69,20 +72,30 @@ class ErrorSeries:
     h1_global: float  # sqrt(sum_i sum_n dt_i * h1(level)^2), levels >= 1
 
 
-def _end_error(trajectory: Trajectory, problem: Problem, side: Side, window: int) -> np.ndarray:
-    """Error of one side's cells at the end of ``window`` (0 = initial),
-    against the exact solution at the window-end time."""
-    cells = getattr(trajectory, side.name)[window * side.levels]
-    return cells - problem.exact_solution(side.centers, window * trajectory.grid.dt_coarse)
+def _exact(problem: Problem, x, t) -> np.ndarray:
+    """The exact solution at ``x`` and ``t``, as an array of their broadcast shape."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+    return _broadcast_return(problem.exact_solution(x, t), shape, "exact_solution")
 
 
-def _window_end_l2(trajectory: Trajectory, problem: Problem, window: int) -> tuple[float, list[np.ndarray]]:
-    """Global L2 error at the end of ``window`` (0 = initial), fine side then
-    coarse side, and each side's cell errors."""
+def _end_errors(trajectory: Trajectory, problem: Problem, side: Side, windows: np.ndarray) -> np.ndarray:
+    """Errors of one side's cells at the end of each of ``windows`` (0 =
+    initial), one row per window, against the exact solution at the
+    window-end times."""
+    cells = getattr(trajectory, side.name)[windows * side.levels]
+    return cells - _exact(problem, side.centers, (windows * trajectory.grid.dt_coarse)[:, None])
+
+
+def _end_l2(
+    trajectory: Trajectory, problem: Problem, windows: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Global L2 error at the end of each of ``windows`` (0 = initial), fine
+    side then coarse side, and each side's cell errors (one row per window)."""
     grid = trajectory.grid
     sides = (grid.sides[FINE], grid.sides[COARSE])
-    ends = [_end_error(trajectory, problem, side, window) for side in sides]
-    return math.sqrt(sum(float(np.sum(e * e * side.widths)) for e, side in zip(ends, sides))), ends
+    ends = [_end_errors(trajectory, problem, side, windows) for side in sides]
+    fine_sq, coarse_sq = (np.sum(e * e * side.widths, axis=-1) for e, side in zip(ends, sides))
+    return np.sqrt(fine_sq + coarse_sq), ends
 
 
 def final_l2_error(trajectory: Trajectory, problem: Problem) -> float:
@@ -90,30 +103,38 @@ def final_l2_error(trajectory: Trajectory, problem: Problem) -> float:
     without the rest of the report."""
     if problem.exact_solution is None:
         raise ValueError("final_l2_error needs a problem with an exact solution")
-    return _window_end_l2(trajectory, problem, trajectory.grid.n_windows)[0]
+    return float(_end_l2(trajectory, problem, np.array([trajectory.grid.n_windows]))[0][0])
 
 
-def _level_h1(trajectory: Trajectory, problem: Problem, side: Side, window: int) -> np.ndarray:
-    """H1 seminorm errors of one side at each of its time levels in ``window``,
-    against the exact solution at the slab midpoints."""
-    grid, exact = trajectory.grid, problem.exact_solution
+def _level_h1(trajectory: Trajectory, problem: Problem, side: Side, block: range) -> np.ndarray:
+    """H1 seminorm errors of one side at each of its time levels in the
+    windows of ``block``, in time order, against the exact solution at the
+    slab midpoints."""
+    grid = trajectory.grid
+    windows = np.arange(block.start, block.stop)
     if side.name == FINE:
-        t = grid.fine_midtime(window, np.arange(1, side.levels + 1))
-        x_bnd, g, face = grid.domain_lo, problem.g_lo, trajectory.fine_face_pressure[window - 1]
+        t = grid.fine_midtime(windows[:, None], np.arange(1, side.levels + 1)).reshape(-1)
+        x_bnd, g, face = grid.domain_lo, "g_lo", trajectory.fine_face_pressure[windows - 1].reshape(-1)
     else:
-        t = np.array([grid.coarse_midtime(window)])
-        x_bnd, g, face = grid.domain_hi, problem.g_hi, trajectory.coarse_face_pressure[window - 1 : window]
-    cells = getattr(trajectory, side.name)[(window - 1) * side.levels + 1 : window * side.levels + 1]
+        t = grid.coarse_midtime(windows)
+        x_bnd, g, face = grid.domain_hi, "g_hi", trajectory.coarse_face_pressure[windows - 1]
+    rows = slice((block.start - 1) * side.levels + 1, (block.stop - 1) * side.levels + 1)
+    cells = getattr(trajectory, side.name)[rows]
     # the exterior and interface cell indices (0 or -1) pick the (left, right) end
     boundary, interface = [None, None], [None, None]
-    boundary[side.exterior] = g(t) - exact(x_bnd, t)
-    interface[side.iface] = face - exact(grid.interface_x, t)
-    _, h1 = discrete_norms(cells - exact(side.centers, t[:, None]), side.widths, boundary, interface)
+    g_values = _broadcast_return(getattr(problem, g)(t), t.shape, g)
+    boundary[side.exterior] = g_values - _exact(problem, x_bnd, t)
+    interface[side.iface] = face - _exact(problem, grid.interface_x, t)
+    _, h1 = discrete_norms(cells - _exact(problem, side.centers, t[:, None]), side.widths, boundary, interface)
     return h1
 
 
 def error_report(trajectory: Trajectory, problem: Problem) -> ErrorSeries:
-    """Error series of a trajectory; the problem must carry an exact solution."""
+    """Error series of a trajectory; the problem must carry an exact solution.
+
+    The exact solution is evaluated once per side on each block of
+    consecutive windows; the global H1 error is still summed level by level
+    in time order (per window: fine levels k = 1..K, then the coarse level)."""
     if problem.exact_solution is None:
         raise ValueError("error_report needs a problem with an exact solution")
     grid = trajectory.grid
@@ -121,21 +142,19 @@ def error_report(trajectory: Trajectory, problem: Problem) -> ErrorSeries:
 
     window_times = np.arange(grid.n_windows + 1) * grid.dt_coarse
     l2_by_window = np.zeros(grid.n_windows + 1)
-    for n in range(grid.n_windows + 1):
-        l2_by_window[n], ends = _window_end_l2(trajectory, problem, n)
-
-    # one stacked H1 evaluation per side and window, summed level by level in
-    # time order: fine levels k = 1..K, then the coarse level
     h1_global_sq = 0.0
-    for window in range(1, grid.n_windows + 1):
-        h1 = {side.name: _level_h1(trajectory, problem, side, window).tolist() for side in sides}
-        for side in sides:
-            for value in h1[side.name]:
-                h1_global_sq += side.dt * value ** 2
+    for block in _window_blocks(grid, 1):
+        ends = np.arange(0 if block.start == 1 else block.start, block.stop)  # window 0 is the initial state
+        l2_by_window[ends], end_errors = _end_l2(trajectory, problem, ends)
+        h1 = {side.name: _level_h1(trajectory, problem, side, block).tolist() for side in sides}
+        for i in range(len(block)):
+            for side in sides:
+                for value in h1[side.name][i * side.levels : (i + 1) * side.levels]:
+                    h1_global_sq += side.dt * value ** 2
 
     return ErrorSeries(
         x=np.concatenate([grid.centers_fine, grid.centers_coarse]),
-        space_error=np.concatenate(ends),  # the last window's end
+        space_error=np.concatenate([e[-1] for e in end_errors]),  # the last window's end
         window_times=window_times,
         l2_by_window=l2_by_window,
         l2_final=float(l2_by_window[-1]),
@@ -151,7 +170,7 @@ def subdomain_l2_error(trajectory: Trajectory, problem: Problem, subdomain: str)
     side = trajectory.grid.sides.get(subdomain)
     if side is None:
         raise DimensionError(f"subdomain must be 'fine' or 'coarse', got {subdomain!r}")
-    e = _end_error(trajectory, problem, side, trajectory.grid.n_windows)
+    e = _end_errors(trajectory, problem, side, np.array([trajectory.grid.n_windows]))[0]
     return math.sqrt(float(np.sum(e * e * side.widths)))
 
 

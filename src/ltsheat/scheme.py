@@ -86,13 +86,16 @@ class Problem:
 
     The callables are evaluated pointwise on numpy arrays (or floats) whose
     shapes and layout the solver chooses; ``source`` and ``exact_solution``
-    get x and t arrays that broadcast against each other.  A return only has
-    to broadcast to the shape of the arguments, so ``lambda x, t: 3.0`` and
+    get x and t arrays that broadcast against each other.  One call may
+    cover a block of several consecutive windows: the t arrays then span
+    all of them, and ``g_lo`` and ``g_hi`` get an array of the blocks'
+    coarse midtimes, not one float.  A return only has to broadcast to the
+    shape of the arguments, so ``lambda x, t: 3.0`` and
     ``lambda x, t: np.sin(3 * x)`` are valid sources, and ``lambda t: 0.0``
-    a valid boundary value; a ``source``, ``p0``, ``g_lo`` or ``g_hi``
-    return that does not broadcast raises ``DimensionError``.  When
-    ``exact_solution`` is set, the other fields are derived from it
-    (manufactured mode) except that the boundary data may be zeroed.
+    a valid boundary value; a return of any callable that does not
+    broadcast raises ``DimensionError``.  When ``exact_solution`` is set,
+    the other fields are derived from it (manufactured mode) except that
+    the boundary data may be zeroed.
     """
 
     source: Callable
@@ -205,8 +208,12 @@ def slab_source_averages(
     ts = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes)[None]  # (1, 3, *levels, 1)
     shape = np.broadcast_shapes(xs.shape, ts.shape)
     vals = _broadcast_return(problem.source(xs, ts), shape, "source")
+    weighted = _TENSOR_WEIGHTS * vals.reshape(9, -1)
+    # numpy sums a single column pairwise, not row by row: one cell at one
+    # level adds its nine terms in turn, as every wider block does
+    total = weighted.sum(axis=0) if weighted.shape[1] > 1 else sum(weighted[1:], weighted[0])
     # weights sum to 2 per axis on [-1, 1]; averaging divides the 4 back out
-    return (_TENSOR_WEIGHTS * vals.reshape(9, -1)).sum(axis=0).reshape(shape[2:]) / 4.0
+    return total.reshape(shape[2:]) / 4.0
 
 
 @dataclass(frozen=True)
@@ -238,33 +245,67 @@ class WindowInputs:
         return self.fine_source.mean(axis=0)
 
 
+#: the most points a problem callable is evaluated on at once when windows
+#: are stacked into blocks; a window that needs more is evaluated alone
+_BLOCK_POINTS = 2**16
+
+
+def _window_blocks(grid: CompositeGrid, points_per_cell: int = _TENSOR_WEIGHTS.size) -> list[range]:
+    """Windows 1..n_windows as blocks of consecutive windows, each as long as
+    keeps one stacked evaluation within ``_BLOCK_POINTS``, at
+    ``points_per_cell`` points per cell and time level of a window (9 for
+    the source quadrature, 1 for point values); a window over the budget is
+    a block of one."""
+    per_window = points_per_cell * max(side.levels * side.widths.size for side in grid.sides.values())
+    size = max(1, _BLOCK_POINTS // per_window)
+    last = grid.n_windows
+    return [range(first, min(first + size, last + 1)) for first in range(1, last + 1, size)]
+
+
 def precompute_window_inputs(
-    grid: CompositeGrid, window: int, problem: Problem, operators: StepOperators | None = None
-) -> WindowInputs:
+    grid: CompositeGrid, window: int | range, problem: Problem, operators: StepOperators | None = None
+) -> WindowInputs | list[WindowInputs]:
     """Source averages and boundary values of one window, the only place a
-    problem becomes window data.  ``operators`` carries step matrices already
-    factored for ``grid`` (``march`` passes one set to all its windows);
-    without it the window gets a fresh set."""
-    if not 1 <= window <= grid.n_windows:
-        raise DimensionError(f"window {window!r} outside 1..{grid.n_windows}")
+    problem becomes window data.  Given a ``range`` of consecutive windows,
+    each callable is evaluated once on arrays stacked over the whole block,
+    and the result is one ``WindowInputs`` per window, holding views of the
+    block's arrays; each equals, bit for bit, that of its own call.
+    ``operators`` carries step matrices already factored for ``grid``
+    (``march`` passes one set to all its windows); without it the windows
+    get a fresh set."""
+    if isinstance(window, range):
+        if window.step != 1 or not window or not 1 <= window[0] <= window[-1] <= grid.n_windows:
+            raise DimensionError(f"windows {window!r} are not consecutive windows in 1..{grid.n_windows}")
+        windows = np.arange(window.start, window.stop)
+    else:
+        if not 1 <= window <= grid.n_windows:
+            raise DimensionError(f"window {window!r} outside 1..{grid.n_windows}")
+        windows = np.asarray(window)
     if operators is None:
         operators = StepOperators(grid)
     elif operators.grid is not grid:
         raise DimensionError("step operators belong to another grid")
+    # one leading axis per window of a range, none for a single window
     levels = np.arange(1, grid.ratio + 1)
-    fine_source = slab_source_averages(problem, grid.faces_fine, *grid.fine_slab(window, levels))
-    coarse_source = slab_source_averages(problem, grid.faces_coarse, *grid.coarse_slab(window))
-    mid_fine = grid.fine_midtime(window, levels)
-    mid_coarse = grid.coarse_midtime(window)
-    return WindowInputs(
-        window=window,
-        fine_source=fine_source,
-        coarse_source=coarse_source,
-        g_lo_fine=_broadcast_return(problem.g_lo(mid_fine), mid_fine.shape, "g_lo"),
-        g_lo_coarse=float(_broadcast_return(problem.g_lo(mid_coarse), (), "g_lo")),
-        g_hi_coarse=float(_broadcast_return(problem.g_hi(mid_coarse), (), "g_hi")),
-        operators=operators,
-    )
+    fine_source = slab_source_averages(problem, grid.faces_fine, *grid.fine_slab(windows[..., None], levels))
+    coarse_source = slab_source_averages(problem, grid.faces_coarse, *grid.coarse_slab(windows))
+    mid_fine = grid.fine_midtime(windows[..., None], levels)
+    mid_coarse = grid.coarse_midtime(windows)
+    g_lo_fine = _broadcast_return(problem.g_lo(mid_fine), mid_fine.shape, "g_lo")
+    g_lo_coarse = _broadcast_return(problem.g_lo(mid_coarse), np.shape(mid_coarse), "g_lo")
+    g_hi_coarse = _broadcast_return(problem.g_hi(mid_coarse), np.shape(mid_coarse), "g_hi")
+    inputs = [
+        WindowInputs(number, fine, coarse, lo_fine, lo, hi, operators)
+        for number, fine, coarse, lo_fine, lo, hi in zip(
+            windows.reshape(-1).tolist(),
+            fine_source.reshape(-1, grid.ratio, grid.n_fine),
+            coarse_source.reshape(-1, grid.n_coarse),
+            g_lo_fine.reshape(-1, grid.ratio),
+            g_lo_coarse.reshape(-1).tolist(),
+            g_hi_coarse.reshape(-1).tolist(),
+        )
+    ]
+    return inputs if isinstance(window, range) else inputs[0]
 
 
 # -- linear systems -----------------------------------------------------------

@@ -57,6 +57,7 @@ from .scheme import (
     Variant,
     WindowInputs,
     _broadcast_return,
+    _window_blocks,
     assemble_composite_step,
     assemble_monolithic_window,
     assemble_subdomain_step,
@@ -478,18 +479,20 @@ def march(
     report = SolveReport()
     fine_start, coarse_start = fine[0], coarse[0]
     operators = StepOperators(grid)
-    for window in range(1, n_windows + 1):
-        inputs = precompute_window_inputs(grid, window, problem, operators)
-        state, wreport = solve_window(grid, fine_start, coarse_start, variant, mode, inputs)
-        rows = slice((window - 1) * ratio + 1, window * ratio + 1)
-        fine[rows] = state.fine.cells
-        coarse[window] = state.coarse.cells
-        fine_face_pressure[window - 1] = state.fine.pressure.values
-        coarse_face_pressure[window - 1] = float(state.coarse.pressure.values[0])
-        fine_flux[window - 1] = state.fine.flux.values
-        coarse_flux[window - 1] = float(state.coarse.flux.values[0])
-        report.windows.append(wreport)
-        fine_start, coarse_start = fine[window * ratio], coarse[window]
+    # the problem is evaluated once per block of consecutive windows
+    for block in _window_blocks(grid):
+        for inputs in precompute_window_inputs(grid, block, problem, operators):
+            window = inputs.window
+            state, wreport = solve_window(grid, fine_start, coarse_start, variant, mode, inputs)
+            rows = slice((window - 1) * ratio + 1, window * ratio + 1)
+            fine[rows] = state.fine.cells
+            coarse[window] = state.coarse.cells
+            fine_face_pressure[window - 1] = state.fine.pressure.values
+            coarse_face_pressure[window - 1] = float(state.coarse.pressure.values[0])
+            fine_flux[window - 1] = state.fine.flux.values
+            coarse_flux[window - 1] = float(state.coarse.flux.values[0])
+            report.windows.append(wreport)
+            fine_start, coarse_start = fine[window * ratio], coarse[window]
     if variant in operators.gains:
         gain, _ = operators.gains[variant]
         report.contraction = 1.0 - DIRICHLET_RELAXATION + DIRICHLET_RELAXATION * gain

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ltsheat import GridConfig, SolveMode, build_composite_grid, manufactured_problem, march
-from ltsheat.scheme import COARSE, IS1, LinearSystem, Variant, WindowLayout
+from ltsheat.scheme import COARSE, FINE, IS1, LinearSystem, Variant, WindowLayout
 
 #: the reference composite grid: fine [0, 0.25] dx=0.01 dt=0.002,
 #: coarse [0.25, 1] dx=0.05 dt=0.02, horizon 0.1
@@ -209,3 +209,55 @@ def reference_monolithic_window(grid, fine_start, coarse_start, variant, inputs)
     (rows, cols), vals = zip(*summed), list(summed.values())
     matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(lay.n_unknowns, lay.n_unknowns)).tocsr()
     return LinearSystem(rhs=rhs, sparse=matrix)
+
+
+def reference_error_report(trajectory, problem):
+    """The error report evaluated one window at a time: the loop that
+    ``error_report`` replaced with blocks of windows, kept as its reference.
+    Each window-end L2 error sums each side as a Python float; each window's
+    H1 errors come from one ``discrete_norms`` call per side, summed into the
+    global H1 error level by level with Python's ``** 2`` (C ``pow``)."""
+    import math
+
+    from ltsheat.diagnostics import ErrorSeries, discrete_norms
+
+    grid, exact = trajectory.grid, problem.exact_solution
+    sides = (grid.sides[FINE], grid.sides[COARSE])
+
+    def end_error(side, window):
+        cells = getattr(trajectory, side.name)[window * side.levels]
+        return cells - exact(side.centers, window * grid.dt_coarse)
+
+    def level_h1(side, window):
+        if side.name == FINE:
+            t = grid.fine_midtime(window, np.arange(1, side.levels + 1))
+            x_bnd, g, face = grid.domain_lo, problem.g_lo, trajectory.fine_face_pressure[window - 1]
+        else:
+            t = np.array([grid.coarse_midtime(window)])
+            x_bnd, g, face = grid.domain_hi, problem.g_hi, trajectory.coarse_face_pressure[window - 1 : window]
+        cells = getattr(trajectory, side.name)[(window - 1) * side.levels + 1 : window * side.levels + 1]
+        boundary, interface = [None, None], [None, None]
+        boundary[side.exterior] = g(t) - exact(x_bnd, t)
+        interface[side.iface] = face - exact(grid.interface_x, t)
+        _, h1 = discrete_norms(cells - exact(side.centers, t[:, None]), side.widths, boundary, interface)
+        return h1
+
+    l2_by_window = np.zeros(grid.n_windows + 1)
+    for n in range(grid.n_windows + 1):
+        ends = [end_error(side, n) for side in sides]
+        l2_by_window[n] = math.sqrt(sum(float(np.sum(e * e * side.widths)) for e, side in zip(ends, sides)))
+    h1_global_sq = 0.0
+    for window in range(1, grid.n_windows + 1):
+        h1 = {side.name: level_h1(side, window).tolist() for side in sides}
+        for side in sides:
+            for value in h1[side.name]:
+                h1_global_sq += side.dt * value ** 2
+    return ErrorSeries(
+        x=np.concatenate([grid.centers_fine, grid.centers_coarse]),
+        space_error=np.concatenate(ends),
+        window_times=np.arange(grid.n_windows + 1) * grid.dt_coarse,
+        l2_by_window=l2_by_window,
+        l2_final=float(l2_by_window[-1]),
+        h1_final=math.sqrt(h1[FINE][-1] ** 2 + h1[COARSE][-1] ** 2),
+        h1_global=math.sqrt(h1_global_sq),
+    )

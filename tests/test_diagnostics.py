@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ltsheat import (
     ConfigurationError,
     DimensionError,
+    Problem,
     Trajectory,
     conservativity_defect,
     discrete_norms,
@@ -117,6 +118,22 @@ def test_error_report_requires_exact(bump_grid, bump_problem, bump_run):
         subdomain_l2_error(trajectory, prob, "fine")
     with pytest.raises(ValueError):
         final_l2_error(trajectory, prob)
+
+
+def test_exact_solution_of_the_wrong_shape_raises(bump_run):
+    _, trajectory, _ = bump_run("is2-fine")
+    zero = zero_problem()
+    bad = Problem(zero.source, zero.p0, zero.g_lo, zero.g_hi, lambda x, t: np.zeros(4))
+    for report in (error_report, final_l2_error, lambda tr, p: subdomain_l2_error(tr, p, "fine")):
+        with pytest.raises(DimensionError, match=r"exact_solution returned shape \(4,\).*\(\d+, 25\)"):
+            report(trajectory, bad)
+    # a scalar return broadcasts: the same report as the zero array
+    scalar = Problem(zero.source, zero.p0, zero.g_lo, zero.g_hi, lambda x, t: 0.0)
+    got, want = error_report(trajectory, scalar), error_report(trajectory, zero)
+    for name in ("space_error", "l2_by_window", "l2_final", "h1_final", "h1_global"):
+        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+    assert final_l2_error(trajectory, scalar) == got.l2_final > 0.0
+    assert subdomain_l2_error(trajectory, scalar, "coarse") == subdomain_l2_error(trajectory, zero, "coarse")
 
 
 def test_error_report_zero_for_exact_interpolant(bump_grid):

@@ -21,6 +21,7 @@ from ltsheat import (
     solve_linear,
     zero_problem,
 )
+from ltsheat import scheme
 from ltsheat.projection import coarse_trace, fine_trace
 from ltsheat.scheme import VARIANTS, Problem, Variant, slab_source_averages
 from tests.conftest import reference_monolithic_window, tridiagonal_matrix
@@ -122,6 +123,7 @@ def _quadrature_cases():
         "level-bounds": (np.linspace(0.0, 0.25, 26), 0.02 + 0.002 * (levels - 1), 0.02 + 0.002 * levels),
         "jittered-faces": (jittered, 0.05 + 0.0013 * (levels - 1), 0.05 + 0.0013 * levels),
         "one-cell": (np.array([0.14, 0.15]), np.array([0.0, 0.5]), np.array([0.5, 1.0])),
+        "one-cell-one-slab": (np.array([0.14, 0.15]), 0.038, 0.04),  # a single column to sum
         "s32-fine-mesh": (fine_32.faces_fine, *fine_32.fine_slab(7, levels)),
     }
 
@@ -136,8 +138,11 @@ def test_slab_averages_sum_the_gauss_points_in_the_documented_order(bump_problem
 
 
 @pytest.mark.parametrize("ratio", [1, 10, 50])
-def test_window_inputs_evaluate_the_source_twice_per_window(ratio):
-    grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.02 / ratio, 0.02, 0.06))
+def test_window_inputs_evaluate_the_source_twice_per_block(monkeypatch, ratio):
+    # a march evaluates the source once per side and block of consecutive
+    # windows, a block holding as many windows of 9 K n_fine points as fit in
+    # the budget: 2 evaluations per block, ceil(n_windows / block) blocks
+    grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.02 / ratio, 0.02, 0.1))
     bump, calls = manufactured_problem(), []
 
     def source(x, t):
@@ -145,10 +150,25 @@ def test_window_inputs_evaluate_the_source_twice_per_window(ratio):
         return bump.source(x, t)
 
     problem = Problem(source, bump.p0, bump.g_lo, bump.g_hi)
-    for window in range(1, grid.n_windows + 1):
+    points = 9 * ratio * grid.n_fine
+    for budget in (2**16, points - 1, 2 * points, 3 * points + 1):
+        monkeypatch.setattr(scheme, "_BLOCK_POINTS", budget)
+        block = max(1, budget // points)
         del calls[:]
-        precompute_window_inputs(grid, window, problem)
-        assert calls == [(3, 3, ratio, grid.n_fine), (3, 3, grid.n_coarse)]
+        march(grid, VARIANTS[0], SolveMode.single_iteration(), problem)
+        assert len(calls) == 2 * math.ceil(grid.n_windows / block)
+        sizes = [min(block, grid.n_windows - first) for first in range(0, grid.n_windows, block)]
+        assert calls == [shape for b in sizes for shape in ((3, 3, b, ratio, 25), (3, 3, b, 15))]
+
+
+def test_window_inputs_of_a_block_are_views_of_one_evaluation(bump_grid, bump_problem):
+    block = precompute_window_inputs(bump_grid, range(2, 5), bump_problem)
+    assert [inputs.window for inputs in block] == [2, 3, 4]
+    assert block[0].fine_source.base is block[2].fine_source.base
+    assert block[0].operators is block[2].operators
+    single = precompute_window_inputs(bump_grid, 3, bump_problem)
+    assert block[1].fine_source.tobytes() == single.fine_source.tobytes()
+    assert (block[1].g_lo_coarse, block[1].g_hi_coarse) == (single.g_lo_coarse, single.g_hi_coarse)
 
 
 def _problem_with_source(source):
@@ -473,3 +493,8 @@ def test_window_outside_the_horizon_raises(bump_grid, bump_problem):
         with pytest.raises(DimensionError, match="window"):
             precompute_window_inputs(bump_grid, window, bump_problem)
     assert precompute_window_inputs(bump_grid, bump_grid.n_windows, bump_problem).window == bump_grid.n_windows
+    n = bump_grid.n_windows
+    for windows in (range(0, 3), range(n, n + 2), range(3, 3), range(1, n + 1, 2)):
+        with pytest.raises(DimensionError, match="windows"):
+            precompute_window_inputs(bump_grid, windows, bump_problem)
+    assert len(precompute_window_inputs(bump_grid, range(1, n + 1), bump_problem)) == n

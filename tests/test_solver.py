@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ltsheat import (
     ConfigurationError,
+    ErrorSeries,
     GridConfig,
     Problem,
     SolveMode,
@@ -22,6 +23,7 @@ from ltsheat import (
     Trajectory,
     WindowLayout,
     build_composite_grid,
+    error_report,
     manufactured_problem,
     march,
     precompute_window_inputs,
@@ -397,6 +399,83 @@ def test_reduced_sweeps_match_real_sweeps_over_the_grid_space(ratio, cells, x_if
         for got, want in zip(_state_fields(state), _state_fields(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         fine_start, coarse_start = state.fine.cells[-1], state.coarse.cells
+
+
+def _single_window_march(grid, variant, mode, problem):
+    """``march`` with each window's inputs from its own single-window call."""
+    blocked = ltsheat.solver.precompute_window_inputs
+
+    def one_at_a_time(grid, windows, problem, operators):
+        return [blocked(grid, window, problem, operators) for window in windows]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ltsheat.solver, "precompute_window_inputs", one_at_a_time)
+        return march(grid, variant, mode, problem)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.sampled_from([1, 2, 5, 10, 20, 50]),
+    cells=st.sampled_from([(10, 10), (20, 5), (5, 20), (40, 8), (1, 3), (3, 1)]),
+    x_iface=st.sampled_from([0.25, 0.5, 0.8]),
+    variant=st.sampled_from(VARIANTS),
+    seed=st.integers(0, 2**16),
+    budget=st.sampled_from([1, 900, 4000, 2**16]),
+)
+def test_blocks_of_windows_match_single_windows_bit_for_bit(ratio, cells, x_iface, variant, seed, budget):
+    # the convergence tests' grid space plus one-cell sides, with jittered
+    # widths and budgets from one window per block to all windows in one
+    from tests.conftest import reference_error_report
+
+    rng = np.random.default_rng(seed)
+    widths = (jittered_widths(rng, cells[0], x_iface), jittered_widths(rng, cells[1], 1.0 - x_iface))
+    grid = build_composite_grid(GridConfig(0.0, 1.0, x_iface, *cells, 0.01 / ratio, 0.01, 0.07, *widths))
+    problem, mode = manufactured_problem(), SolveMode.converged(1e-8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ltsheat.scheme, "_BLOCK_POINTS", budget)
+        for block in ltsheat.scheme._window_blocks(grid):
+            for inputs in precompute_window_inputs(grid, block, problem):
+                single = precompute_window_inputs(grid, inputs.window, problem)
+                for name in ("fine_source", "coarse_source", "g_lo_fine", "g_lo_coarse", "g_hi_coarse"):
+                    assert np.asarray(getattr(inputs, name)).tobytes() == np.asarray(getattr(single, name)).tobytes()
+        trajectory, report = march(grid, variant, mode, problem)
+        series = error_report(trajectory, problem)
+    expected, expected_report = _single_window_march(grid, variant, mode, problem)
+    assert report.iterations == expected_report.iterations
+    for name in (f.name for f in dataclasses.fields(Trajectory) if f.name != "grid"):
+        assert getattr(trajectory, name).tobytes() == getattr(expected, name).tobytes(), name
+    reference = reference_error_report(trajectory, problem)
+    for name in (f.name for f in dataclasses.fields(ErrorSeries)):
+        assert np.asarray(getattr(series, name)).tobytes() == np.asarray(getattr(reference, name)).tobytes(), name
+
+
+@pytest.mark.parametrize("budget", [60, 100, 360, 540])
+def test_no_problem_evaluation_exceeds_the_block_budget(monkeypatch, budget):
+    # 7 windows of 9 x 20 quadrature points and 20 point values each: the
+    # budgets give source blocks of 1, 1, 2 and 3 windows and exact-solution
+    # blocks of 3, 5, 7 and 7, ragged where 7 does not divide
+    grid = build_composite_grid(GridConfig(0.0, 1.0, 0.5, 10, 8, 0.005, 0.01, 0.07))
+    monkeypatch.setattr(ltsheat.scheme, "_BLOCK_POINTS", budget)
+    bump, sizes = manufactured_problem(), Counter()
+
+    def counted(name, f):
+        def evaluate(*args):
+            value = f(*args)
+            sizes[name] = max(sizes[name], int(np.prod(np.broadcast_shapes(*map(np.shape, args)))))
+            return value
+        return evaluate
+
+    problem = Problem(
+        counted("source", bump.source), bump.p0, counted("g_lo", bump.g_lo), counted("g_hi", bump.g_hi),
+        counted("exact_solution", bump.exact_solution),
+    )
+    trajectory, _ = march(grid, VARIANTS[0], SolveMode.converged(), problem)
+    error_report(trajectory, problem)
+    window_points = grid.ratio * grid.n_fine  # more than n_coarse
+    assert sizes["source"] == 9 * window_points * max(1, budget // (9 * window_points))
+    assert sizes["exact_solution"] == window_points * min(grid.n_windows, budget // window_points)
+    for name, size in sizes.items():
+        assert size <= max(budget, (9 if name == "source" else 1) * window_points), name
 
 
 @pytest.mark.parametrize("mode", [SolveMode.single_iteration(), SolveMode.converged(1e-14, 1)], ids=["single", "one"])
