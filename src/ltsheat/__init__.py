@@ -16,7 +16,6 @@ from .projection import (
 )
 from .scheme import (
     VARIANTS,
-    InterfaceClosure,
     LinearSystem,
     Problem,
     Variant,
@@ -55,7 +54,6 @@ __all__ = [
     "DimensionError",
     "ErrorSeries",
     "GridConfig",
-    "InterfaceClosure",
     "LinearSystem",
     "Problem",
     "SolveMode",

@@ -431,8 +431,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
     if args.variant is not None:
         try:
             variant = Variant.parse(args.variant)
-        except Exception:
-            print(f"configuration error: bad --variant {args.variant!r}", file=sys.stderr)
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_CONFIG) from None
         overrides["variant.interface_scheme"] = variant.interface_scheme
         overrides["variant.master"] = variant.master

@@ -22,8 +22,9 @@ RATIO_RTOL = 1e-12
 
 
 def _as_integer_ratio(value: float, name: str) -> int:
-    """Round ``value`` to the nearest integer, rejecting non-integer ratios."""
-    n = int(round(value))
+    """Round ``value`` to the nearest integer, rejecting non-integer ratios
+    (an infinite or nan ratio among them)."""
+    n = int(round(value)) if np.isfinite(value) else 0
     if n < 1 or abs(value - n) > RATIO_RTOL * max(1.0, abs(value)):
         raise ConfigurationError(
             f"{name} = {value!r} is not a positive integer (relative tolerance {RATIO_RTOL})"
@@ -51,6 +52,9 @@ class GridConfig:
     widths_coarse: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for end, name in ((self.domain_lo, "domain_lo"), (self.domain_hi, "domain_hi")):
+            if not np.isfinite(end):
+                raise ConfigurationError(f"{name} must be finite, got {end!r}")
         if not (self.domain_lo < self.interface_x < self.domain_hi):
             raise ConfigurationError(
                 f"interface_x must lie strictly inside the domain: "

@@ -209,9 +209,7 @@ def slab_source_averages(
     shape = np.broadcast_shapes(xs.shape, ts.shape)
     vals = _broadcast_return(problem.source(xs, ts), shape, "source")
     weighted = _TENSOR_WEIGHTS * vals.reshape(9, -1)
-    # numpy sums a single column pairwise, not row by row: one cell at one
-    # level adds its nine terms in turn, as every wider block does
-    total = weighted.sum(axis=0) if weighted.shape[1] > 1 else sum(weighted[1:], weighted[0])
+    total = sum(weighted[1:], weighted[0])
     # weights sum to 2 per axis on [-1, 1]; averaging divides the 4 back out
     return total.reshape(shape[2:]) / 4.0
 
@@ -318,20 +316,23 @@ _LAPACK_MIN_ORDER = 3
 
 @dataclass(frozen=True)
 class TridiagonalLU:
-    """LU factors with partial pivoting of a tridiagonal matrix (LAPACK
-    ``dgttrf``) and the matrix's infinity norm.  A matrix of order below 3 is
-    factored with decoupled identity rows appended, which leaves its own
-    factors and solutions unchanged."""
+    """A tridiagonal matrix's bands, their LU factors with partial pivoting
+    (LAPACK ``dgttrf``) and the matrix's infinity norm.  A matrix of order
+    below 3 is factored with decoupled identity rows appended, which leaves
+    its own factors and solutions unchanged."""
 
-    n: int
+    bands: Bands
     factors: tuple  # (dl, d, du, du2, ipiv) of the padded matrix
     norm_inf: float
+
+    @property
+    def n(self) -> int:
+        return self.bands[1].size
 
     @classmethod
     def factor(cls, bands: Bands) -> "TridiagonalLU":
         lower, diag, upper = bands
-        n = diag.size
-        pad = np.zeros(max(0, _LAPACK_MIN_ORDER - n))
+        pad = np.zeros(max(0, _LAPACK_MIN_ORDER - diag.size))
         *factors, info = scipy.linalg.lapack.dgttrf(
             np.concatenate([lower[1:], pad]),
             np.concatenate([diag, pad + 1.0]),
@@ -340,7 +341,7 @@ class TridiagonalLU:
         if info != 0:
             raise SolverError(f"tridiagonal factorization failed (dgttrf info={info})")
         norm_inf = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
-        return cls(n, tuple(factors), norm_inf)
+        return cls(bands, tuple(factors), norm_inf)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         pad = _LAPACK_MIN_ORDER - self.n
@@ -353,47 +354,28 @@ class TridiagonalLU:
 
 @dataclass
 class LinearSystem:
-    """Square system stored banded (tridiagonal steps, with their LU factors
-    when the matrix is shared) or sparse (monolithic window systems)."""
+    """Square system: a right-hand side with either a factored tridiagonal
+    matrix (subdomain and predictor steps) or a sparse matrix (monolithic
+    window systems)."""
 
     rhs: np.ndarray
-    bands: Bands | None = None
-    sparse: scipy.sparse.csr_matrix | None = None
     lu: TridiagonalLU | None = None
+    sparse: scipy.sparse.csr_matrix | None = None
 
     def __post_init__(self) -> None:
-        if (self.bands is None) == (self.sparse is None):
-            raise DimensionError("LinearSystem needs exactly one of bands or sparse")
-        if self.sparse is not None and self.sparse.shape != (self.n, self.n):
-            raise DimensionError("matrix and right-hand side sizes differ")
-        if self.lu is not None:
-            if self.bands is None or self.lu.n != self.n:
-                raise DimensionError("LU factors do not match the matrix")
-        elif self.bands is not None and any(band.size != self.n for band in self.bands):
+        if (self.lu is None) == (self.sparse is None):
+            raise DimensionError("LinearSystem needs exactly one of lu or sparse")
+        shape = (self.lu.n,) * 2 if self.lu is not None else self.sparse.shape
+        if shape != (self.n, self.n):
             raise DimensionError("matrix and right-hand side sizes differ")
 
     @property
     def n(self) -> int:
         return self.rhs.size
 
-
-@dataclass(frozen=True)
-class InterfaceClosure:
-    """Interface data for a single-subdomain solve.
-
-    kind:
-      - "dirichlet_interface": given interface pressure; flux (p_eps - p_K) / d_own
-      - "dirichlet_neighbor":  given neighbor cell value; flux (P - p_K) / d_across
-      - "neumann":             given flux inserted directly
-    The trace resolution must match the subdomain being solved.
-    """
-
-    kind: str
-    trace: Trace
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("dirichlet_interface", "dirichlet_neighbor", "neumann"):
-            raise DimensionError(f"unknown closure kind {self.kind!r}")
+    @property
+    def bands(self) -> Bands | None:
+        return None if self.lu is None else self.lu.bands
 
 
 UNION = "union"  # the predictor's single-domain mesh: fine cells, then coarse cells
@@ -401,12 +383,20 @@ UNION = "union"  # the predictor's single-domain mesh: fine cells, then coarse c
 
 def closure_distance(grid: CompositeGrid, side: Side, kind: str) -> float | None:
     """Distance over which a Dirichlet closure's interface flux is taken;
-    None for a Neumann closure."""
+    None for a Neumann closure.  The one check of a closure kind:
+
+      - "dirichlet_interface": given interface pressure; flux (p_eps - p_K) / d_own
+      - "dirichlet_neighbor":  given neighbor cell value; flux (P - p_K) / d_across
+      - "neumann":             given flux inserted directly
+
+    Any other kind raises ``DimensionError``."""
     if kind == "dirichlet_interface":
         return side.d_own
     if kind == "dirichlet_neighbor":
         return grid.d_across
-    return None
+    if kind == "neumann":
+        return None
+    raise DimensionError(f"unknown closure kind {kind!r}")
 
 
 def interface_traces(
@@ -469,16 +459,16 @@ class StepOperators:
 
     def __init__(self, grid: CompositeGrid):
         self.grid = grid
-        self._factored: dict[tuple[str, str | None], tuple[Bands, TridiagonalLU]] = {}
+        self._factored: dict[tuple[str, str | None], TridiagonalLU] = {}
         self.gains: dict[Variant, tuple[float, WindowState]] = {}
 
-    def get(self, side: str, closure_kind: str | None = None) -> tuple[Bands, TridiagonalLU]:
+    def get(self, side: str, closure_kind: str | None = None) -> TridiagonalLU:
         key = (side, closure_kind)
         if key not in self._factored:
             bands = _step_bands(self.grid, side, closure_kind)
             for band in bands:
                 band.setflags(write=False)
-            self._factored[key] = (bands, TridiagonalLU.factor(bands))
+            self._factored[key] = TridiagonalLU.factor(bands)
         return self._factored[key]
 
 
@@ -490,40 +480,40 @@ def _step_rhs(widths: np.ndarray, dt: float, source: np.ndarray, prev) -> np.nda
 def assemble_subdomain_step(
     grid: CompositeGrid,
     subdomain: str,
-    k: int | None,
+    k: int,
     state_prev: np.ndarray,
-    closure: InterfaceClosure,
+    closure_kind: str,
+    data: Trace,
     inputs: WindowInputs,
 ) -> LinearSystem:
-    """Tridiagonal system for one time level of one subdomain in the window
-    of ``inputs``.
+    """Tridiagonal system for time level ``k`` of one subdomain in the window
+    of ``inputs``: its right-hand side plus its side's factored matrix.
 
-    For the fine subdomain ``k`` is the sub-level in 1..K and ``state_prev``
-    the values at sub-level k-1; for the coarse subdomain ``k`` is ignored
-    and ``state_prev`` holds the window-start values.  The exterior end gets
-    the half-cell Dirichlet flux u = (g - p_K) / (h/2); the interface end is
-    closed per ``closure``.  Which end is which, and the sign of the interface
-    flux, come from ``grid.sides``.  The source and exterior boundary value
-    come from ``inputs``, the matrix and its factors from
-    ``inputs.operators``; only the right-hand side is formed here.
+    ``k`` runs over the side's time levels, 1..K on the fine side and 1 on
+    the coarse side, and ``state_prev`` holds the values at level k - 1 (the
+    window-start values for k = 1).  The exterior end gets the half-cell
+    Dirichlet flux u = (g - p_K) / (h/2); the interface end is closed by
+    ``closure_kind`` (see ``closure_distance``) with the datum of ``data`` at
+    level k, a trace at the subdomain's own time resolution.  Which end is
+    which, and the sign of the interface flux, come from ``grid.sides``.  The
+    source and exterior boundary value come from ``inputs``, the matrix and
+    its factors from ``inputs.operators``; only the right-hand side is formed
+    here.
     """
     side = grid.sides.get(subdomain)
     if side is None:
         raise DimensionError(f"subdomain must be 'fine' or 'coarse', got {subdomain!r}")
-    level = 0  # the coarse side has one level per window and ignores k
-    if subdomain == FINE:
-        if k is None or not (1 <= k <= grid.ratio):
-            raise DimensionError(f"fine sub-level k={k!r} outside 1..{grid.ratio}")
-        level = k - 1
-    closure.trace.require(subdomain, grid.ratio)
-    data = float(closure.trace.values[level])
+    if k is None or not 1 <= k <= side.levels:
+        raise DimensionError(f"{subdomain} time level k={k!r} outside 1..{side.levels}")
+    d = closure_distance(grid, side, closure_kind)
+    data.require(subdomain, grid.ratio)
+    level = k - 1
     source, g_exterior = inputs.per_side[subdomain]
     rhs = _step_rhs(side.widths, side.dt, source[level], state_prev)
     rhs[side.exterior] += float(g_exterior[level]) / (0.5 * side.widths[side.exterior])
-    d = closure_distance(grid, side, closure.kind)
-    rhs[side.iface] += side.sign * data if d is None else data / d
-    bands, lu = inputs.operators.get(subdomain, closure.kind)
-    return LinearSystem(rhs=rhs, bands=bands, lu=lu)
+    datum = float(data.values[level])
+    rhs[side.iface] += side.sign * datum if d is None else datum / d
+    return LinearSystem(rhs=rhs, lu=inputs.operators.get(subdomain, closure_kind))
 
 
 def assemble_composite_step(
@@ -538,8 +528,7 @@ def assemble_composite_step(
     rhs = _step_rhs(widths, grid.dt_coarse, source, prev)
     rhs[0] += inputs.g_lo_coarse * 2.0 / widths[0]
     rhs[-1] += inputs.g_hi_coarse * 2.0 / widths[-1]
-    bands, lu = inputs.operators.get(UNION)
-    return LinearSystem(rhs=rhs, bands=bands, lu=lu)
+    return LinearSystem(rhs=rhs, lu=inputs.operators.get(UNION))
 
 
 # -- monolithic window system -------------------------------------------------

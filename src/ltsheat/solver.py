@@ -48,12 +48,9 @@ from .projection import (
     project_fine_to_coarse,
 )
 from .scheme import (
-    IS1,
-    InterfaceClosure,
     LinearSystem,
     Problem,
     StepOperators,
-    TridiagonalLU,
     Variant,
     WindowInputs,
     _broadcast_return,
@@ -198,12 +195,12 @@ class Trajectory:
 
 def solve_linear(system: LinearSystem) -> np.ndarray:
     """Direct solve (tridiagonal or sparse LU, partial pivoting) with a
-    residual acceptance check.  A banded system is factored here unless it
-    carries its matrix's shared factors."""
-    if system.bands is not None:
-        lu = system.lu if system.lu is not None else TridiagonalLU.factor(system.bands)
+    residual acceptance check.  A tridiagonal system brings its matrix's
+    factors; a sparse one is factored here."""
+    lu = system.lu
+    if lu is not None:
         x = lu.solve(system.rhs)
-        lower, diag, upper = system.bands
+        lower, diag, upper = lu.bands
         residual = diag * x
         residual -= system.rhs
         residual[:-1] += upper[:-1] * x[1:]
@@ -285,7 +282,7 @@ def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -
     """The slave's Dirichlet data: the projected master interface pressure
     for is1, the projected master interface-cell value for is2."""
     side, master = grid.sides[variant.master], getattr(state, variant.master)
-    if variant.interface_scheme == IS1:
+    if variant.dirichlet_kind == "dirichlet_interface":
         return _project(grid, master.pressure)
     edge = master.cells.reshape(side.levels, -1)[:, side.iface]
     return _project(grid, Trace(edge, side.name, side.dt))
@@ -316,11 +313,10 @@ def _solve_subdomain(
     """March one subdomain through its time levels of the window with the
     given interface closure, updating its cells and interface traces in place."""
     side = grid.sides[name]
-    closure = InterfaceClosure(closure_kind, data)
     levels = np.empty((side.levels, side.widths.size))
     prev = getattr(state, name).start
     for k in range(1, side.levels + 1):
-        system = assemble_subdomain_step(grid, name, k, prev, closure, inputs)
+        system = assemble_subdomain_step(grid, name, k, prev, closure_kind, data, inputs)
         levels[k - 1] = solve_linear(system)
         prev = levels[k - 1]
     _set_subdomain(grid, state, name, closure_kind, data, levels)

@@ -244,10 +244,39 @@ def test_main_flag_overrides(tmp_path):
     assert summary["max_iters"] == 50
 
 
-def test_main_rejects_bad_variant(tmp_path):
+def test_main_rejects_bad_variant(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(BUMP_CFG), "--variant", "is9-fine"])
     assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: variant must be one of")
+    for name in ("is1-fine", "is1-coarse", "is2-fine", "is2-coarse", "'is9-fine'"):
+        assert name in err
+
+
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        ({"grid.dt_fine = 0.002": "grid.dt_fine = 1e-320"}, "dt_coarse / dt_fine = inf is not a positive integer"),
+        (
+            {"grid.dt_fine = 0.002": "grid.dt_fine = 1e-320", "grid.dt_coarse = 0.02": "grid.dt_coarse = 1e-320"},
+            "t_end / dt_coarse = inf is not a positive integer",
+        ),
+        ({"grid.domain_hi = 1.0": "grid.domain_hi = inf"}, "domain_hi must be finite"),
+        ({"grid.domain_lo = 0.0": "grid.domain_lo = -inf"}, "domain_lo must be finite"),
+    ],
+    ids=["dt-ratio", "window-count", "domain-hi", "domain-lo"],
+)
+def test_non_finite_grid_input_is_config_error(tmp_path, capsys, replace, message):
+    # `ltsheat run` on the bundled config with one overflowing or infinite grid value
+    body = BUMP_CFG.read_text()
+    for old, new in replace.items():
+        assert old in body
+        body = body.replace(old, new)
+    out = tmp_path / "o"
+    assert main(["run", str(write_cfg(tmp_path, body)), "--out", str(out)]) == EXIT_CONFIG
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_config_syntax_errors(tmp_path):

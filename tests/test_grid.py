@@ -31,6 +31,19 @@ def test_non_integer_ratio_rejected():
         build_composite_grid(GridConfig(dt_fine=0.008, dt_coarse=0.02, **cfg_kwargs))
     with pytest.raises(ConfigurationError, match="t_end / dt_coarse"):
         build_composite_grid(GridConfig(dt_fine=0.015, dt_coarse=0.015, **cfg_kwargs))
+    # a ratio that overflows to inf is no integer either, and no traceback
+    with pytest.raises(ConfigurationError, match="dt_coarse / dt_fine = inf is not a positive integer"):
+        build_composite_grid(GridConfig(dt_fine=1e-320, dt_coarse=0.02, **cfg_kwargs))
+    with pytest.raises(ConfigurationError, match="t_end / dt_coarse = inf is not a positive integer"):
+        build_composite_grid(GridConfig(dt_fine=1e-320, dt_coarse=1e-320, **cfg_kwargs))
+
+
+@pytest.mark.parametrize("name", ["domain_lo", "domain_hi"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_domain_end_rejected(name, value):
+    ends = {"domain_lo": 0.0, "domain_hi": 1.0, name: value}
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        GridConfig(interface_x=0.5, n_cells_fine=4, n_cells_coarse=4, dt_fine=0.01, dt_coarse=0.01, t_end=0.1, **ends)
 
 
 def test_interface_must_be_interior():

@@ -8,7 +8,6 @@ import scipy.integrate
 from ltsheat import (
     DimensionError,
     GridConfig,
-    InterfaceClosure,
     SolveMode,
     WindowLayout,
     assemble_composite_step,
@@ -249,9 +248,9 @@ def one_cell_grid():
 
 def test_single_cell_hand_assembly():
     grid = one_cell_grid()
-    closure = InterfaceClosure("dirichlet_interface", fine_trace([0.0], 1.0))
     system = assemble_subdomain_step(
-        grid, "fine", 1, np.array([1.0]), closure, precompute_window_inputs(grid, 1, zero_problem())
+        grid, "fine", 1, np.array([1.0]), "dirichlet_interface", fine_trace([0.0], 1.0),
+        precompute_window_inputs(grid, 1, zero_problem()),
     )
     _, diag, _ = system.bands
     assert diag[0] == pytest.approx(1.0 + 2.0 / 0.5)
@@ -261,37 +260,55 @@ def test_single_cell_hand_assembly():
 
 def test_zero_data_gives_zero_solution(bump_grid):
     inputs = precompute_window_inputs(bump_grid, 1, zero_problem())
-    closure = InterfaceClosure("neumann", fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine))
-    system = assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), closure, inputs)
+    data = fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine)
+    system = assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), "neumann", data, inputs)
     assert np.all(system.rhs == 0.0)
     assert np.all(solve_linear(system) == 0.0)
 
 
 def test_closure_resolution_mismatch_raises(bump_grid, bump_problem):
     inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
-    fine_data = InterfaceClosure("neumann", fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine))
+    fine_data = fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine)
     with pytest.raises(DimensionError):
-        assemble_subdomain_step(bump_grid, "coarse", None, np.zeros(bump_grid.n_coarse), fine_data, inputs)
-    coarse_data = InterfaceClosure("neumann", coarse_trace(0.0, bump_grid.dt_coarse))
+        assemble_subdomain_step(bump_grid, "coarse", 1, np.zeros(bump_grid.n_coarse), "neumann", fine_data, inputs)
+    coarse_data = coarse_trace(0.0, bump_grid.dt_coarse)
     with pytest.raises(DimensionError):
-        assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), coarse_data, inputs)
+        assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), "neumann", coarse_data, inputs)
 
 
-def test_fine_sub_level_outside_range_raises():
-    # K = 1: the coarse side ignores k, the fine side must still check it
-    grid = one_cell_grid()
-    closure = InterfaceClosure("neumann", fine_trace([0.0], 1.0))
-    inputs = precompute_window_inputs(grid, 1, zero_problem())
-    for k in (None, 0, 2):
-        with pytest.raises(DimensionError):
-            assemble_subdomain_step(grid, "fine", k, np.zeros(1), closure, inputs)
+def test_time_level_outside_range_raises(bump_grid):
+    # k runs over 1..levels on both sides: K on the fine side (1 on the one-cell
+    # grid), always 1 on the coarse side
+    for grid in (one_cell_grid(), bump_grid):
+        inputs = precompute_window_inputs(grid, 1, zero_problem())
+        data = {"fine": fine_trace(np.zeros(grid.ratio), grid.dt_fine), "coarse": coarse_trace(0.0, grid.dt_coarse)}
+        for name, side in grid.sides.items():
+            prev = np.zeros(side.widths.size)
+            for k in (None, 0, side.levels + 1):
+                with pytest.raises(DimensionError, match="time level"):
+                    assemble_subdomain_step(grid, name, k, prev, "neumann", data[name], inputs)
+            assemble_subdomain_step(grid, name, side.levels, prev, "neumann", data[name], inputs)
+
+
+def test_unknown_closure_kind_raises(bump_grid):
+    # closure_distance is the one check of a closure kind, and every user goes through it
+    inputs = precompute_window_inputs(bump_grid, 1, zero_problem())
+    fine = bump_grid.sides["fine"]
+    data = fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine)
+    for kind in ("dirichlet", None, "Neumann"):
+        with pytest.raises(DimensionError, match="closure kind"):
+            inputs.operators.get("fine", kind)
+        with pytest.raises(DimensionError, match="closure kind"):
+            scheme.interface_traces(bump_grid, fine, kind, data.values, np.zeros(bump_grid.ratio))
+        with pytest.raises(DimensionError, match="closure kind"):
+            assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), kind, data, inputs)
 
 
 def test_interior_flux_antisymmetry(bump_grid, bump_problem):
     # column sums of the flux part vanish: what remains is mass plus closure terms
-    closure = InterfaceClosure("neumann", coarse_trace(0.3, bump_grid.dt_coarse))
+    data = coarse_trace(0.3, bump_grid.dt_coarse)
     inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
-    system = assemble_subdomain_step(bump_grid, "coarse", None, np.zeros(bump_grid.n_coarse), closure, inputs)
+    system = assemble_subdomain_step(bump_grid, "coarse", 1, np.zeros(bump_grid.n_coarse), "neumann", data, inputs)
     col_sums = np.asarray(tridiagonal_matrix(system).sum(axis=0)).ravel()
     expected = bump_grid.widths_coarse / bump_grid.dt_coarse
     expected = expected.copy()
@@ -470,17 +487,17 @@ def test_variant_parsing():
 
 def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
     inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
-    dirichlet = InterfaceClosure("dirichlet_neighbor", fine_trace(np.ones(bump_grid.ratio), bump_grid.dt_fine))
-    neumann = InterfaceClosure("neumann", fine_trace(np.ones(bump_grid.ratio), bump_grid.dt_fine))
+    data = fine_trace(np.ones(bump_grid.ratio), bump_grid.dt_fine)
     prev = bump_problem.p0(bump_grid.centers_fine)
     first, second = (
-        assemble_subdomain_step(bump_grid, "fine", k, prev, dirichlet, inputs) for k in (1, 2)
+        assemble_subdomain_step(bump_grid, "fine", k, prev, "dirichlet_neighbor", data, inputs) for k in (1, 2)
     )
-    other = assemble_subdomain_step(bump_grid, "fine", 1, prev, neumann, inputs)
+    other = assemble_subdomain_step(bump_grid, "fine", 1, prev, "neumann", data, inputs)
     assert first.lu is second.lu and first.lu is not other.lu
+    assert first.lu is inputs.operators.get("fine", "dirichlet_neighbor")
     assert not first.bands[1].flags.writeable
     # the shared factors solve exactly like a fresh factorization
-    fresh = type(first)(rhs=first.rhs, bands=tuple(b.copy() for b in first.bands))
+    fresh = type(first)(rhs=first.rhs, lu=scheme.TridiagonalLU.factor(tuple(b.copy() for b in first.bands)))
     assert solve_linear(first).tobytes() == solve_linear(fresh).tobytes()
     other_grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1))
     with pytest.raises(DimensionError):

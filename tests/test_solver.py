@@ -75,7 +75,7 @@ def test_window_data_comes_only_from_inputs(function):
 def test_solve_identity():
     system = LinearSystem(
         rhs=np.array([3.0, -1.0, 2.0]),
-        bands=(np.zeros(3), np.ones(3), np.zeros(3)),
+        lu=TridiagonalLU.factor((np.zeros(3), np.ones(3), np.zeros(3))),
     )
     np.testing.assert_array_equal(solve_linear(system), system.rhs)
 
@@ -95,7 +95,7 @@ def test_solve_random_tridiagonal_residual():
     upper = np.concatenate([rng.uniform(-1, 1, n - 1), [0.0]])
     diag = 3.0 + rng.uniform(0, 1, n)  # diagonally dominant
     rhs = rng.uniform(-5, 5, n)
-    system = LinearSystem(rhs=rhs, bands=(lower, diag, upper))
+    system = LinearSystem(rhs=rhs, lu=TridiagonalLU.factor((lower, diag, upper)))
     x = solve_linear(system)
     matrix = tridiagonal_matrix(system)
     residual = matrix @ x - rhs
@@ -131,9 +131,10 @@ def test_factored_tridiagonal_solve_matches_solve_banded(n):
         ab[1] = diag
         ab[2, :-1] = lower[1:]
         expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        x = solve_linear(LinearSystem(rhs=rhs, bands=(lower, diag, upper)))
+        lu = TridiagonalLU.factor((lower, diag, upper))
+        x = solve_linear(LinearSystem(rhs=rhs, lu=lu))
         assert np.max(np.abs(x - expected)) <= 4 * np.finfo(float).eps * np.max(np.abs(expected))
-        ipiv = TridiagonalLU.factor((lower, diag, upper)).factors[-1][:n]
+        ipiv = lu.factors[-1][:n]
         interchanges += int(np.sum(ipiv != np.arange(1, n + 1)))
     assert interchanges > 0 or n == 1
 
@@ -148,9 +149,8 @@ def test_singular_banded_system_raises(dense):
     n = a.shape[0]
     lower = np.concatenate([[0.0], np.diag(a, -1)])
     upper = np.concatenate([np.diag(a, 1), [0.0]])
-    system = LinearSystem(rhs=np.ones(n), bands=(lower, np.diag(a).copy(), upper))
     with pytest.raises(SolverError):
-        solve_linear(system)
+        solve_linear(LinearSystem(rhs=np.ones(n), lu=TridiagonalLU.factor((lower, np.diag(a).copy(), upper))))
 
 
 def test_solve_mode_validation():
