@@ -93,9 +93,13 @@ class Side:
     exterior: int  # index of the cell at the exterior Dirichlet boundary
     sign: float  # sign of the left-to-right interface flux in the iface cell's balance
     d_own: float = field(init=False)  # distance from the interface to the iface cell's center
+    mass: np.ndarray = field(init=False)  # widths / dt, the mass term of every step
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d_own", 0.5 * float(self.widths[self.iface]))
+        mass = self.widths / self.dt
+        mass.setflags(write=False)
+        object.__setattr__(self, "mass", mass)
 
 
 @dataclass(frozen=True)
@@ -203,10 +207,20 @@ def build_composite_grid(config: GridConfig) -> CompositeGrid:
     """Build and validate the composite grid from a configuration.
 
     Raises ConfigurationError when dt_coarse/dt_fine or t_end/dt_coarse is
-    not an integer within the relative tolerance, or geometry is invalid.
+    not an integer within the relative tolerance, when a side's trajectory
+    (its cell values at every time level) is too large for one array, or
+    when the geometry is invalid.
     """
     ratio = _as_integer_ratio(config.dt_coarse / config.dt_fine, "dt_coarse / dt_fine")
     n_windows = _as_integer_ratio(config.t_end / config.dt_coarse, "t_end / dt_coarse")
+    for name, levels, n_cells in ((FINE, ratio, config.n_cells_fine), (COARSE, 1, config.n_cells_coarse)):
+        values = (levels * n_windows + 1) * n_cells
+        if values * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"the {name} trajectory has (levels * n_windows + 1) * n_cells = "
+                f"({levels} * {n_windows} + 1) * {n_cells} = {values} values, "
+                f"more than one array of floats can hold"
+            )
 
     len_fine = config.interface_x - config.domain_lo
     len_coarse = config.domain_hi - config.interface_x

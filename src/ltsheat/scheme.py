@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 if TYPE_CHECKING:
@@ -170,7 +171,13 @@ def polynomial_problem(source_coeffs, initial_coeffs) -> Problem:
 
 
 def _broadcast_return(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """A problem callable's return as a read-only float array of ``shape``."""
+    """A problem callable's return as a read-only float array of ``shape``.
+    A float64 array of that shape comes back as a read-only view, so an
+    array the callable keeps is never written."""
+    if type(value) is np.ndarray and value.shape == shape and value.dtype == np.float64:
+        view = value.view()
+        view.setflags(write=False)
+        return view
     try:
         return np.broadcast_to(np.asarray(value, dtype=float), shape)
     except ValueError:
@@ -219,8 +226,11 @@ class WindowInputs:
     """Per-window precomputed data: slab-averaged sources and boundary values,
     shared by the predictor, the corrector sweeps and the monolithic system,
     plus the grid's factored step matrices, shared by every window of a march.
-    ``per_side`` holds, per side name, the source (levels, n) and exterior
-    boundary values (levels,) of each subdomain time level."""
+    ``per_side`` holds, per side name, the two data terms of each subdomain
+    time level's right-hand side, formed once per window: the load
+    widths * source (levels, n) and the exterior boundary term
+    g / (h_exterior / 2) (levels,).  Zero sources and boundary values give
+    zero terms."""
 
     window: int
     fine_source: np.ndarray  # (K, n_fine)
@@ -232,10 +242,13 @@ class WindowInputs:
     per_side: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_side", {
-            FINE: (self.fine_source, self.g_lo_fine),
-            COARSE: (self.coarse_source[None, :], np.array([self.g_hi_coarse])),
-        })
+        per_side = {}
+        data = ((FINE, self.fine_source, self.g_lo_fine), (COARSE, self.coarse_source, self.g_hi_coarse))
+        for name, source, g in data:
+            side = self.operators.grid.sides[name]
+            load = (side.widths * source).reshape(side.levels, -1)
+            per_side[name] = (load, np.atleast_1d(g / (0.5 * side.widths[side.exterior])))
+        object.__setattr__(self, "per_side", per_side)
 
     @property
     def predictor_fine_source(self) -> np.ndarray:
@@ -317,12 +330,15 @@ _LAPACK_MIN_ORDER = 3
 @dataclass(frozen=True)
 class TridiagonalLU:
     """A tridiagonal matrix's bands, their LU factors with partial pivoting
-    (LAPACK ``dgttrf``) and the matrix's infinity norm.  A matrix of order
-    below 3 is factored with decoupled identity rows appended, which leaves
-    its own factors and solutions unchanged."""
+    (LAPACK ``dgttrf``), the matrix in LAPACK band storage for the residual
+    product (BLAS ``dgbmv``), and its infinity norm.  A matrix of order below
+    3 is factored and stored with decoupled identity rows appended, which
+    leaves its own factors, solutions and residuals unchanged, so every
+    order takes one path."""
 
     bands: Bands
     factors: tuple  # (dl, d, du, du2, ipiv) of the padded matrix
+    storage: np.ndarray  # (3, max(n, 3)) rows upper, diagonal, lower of the padded matrix; read-only
     norm_inf: float
 
     @property
@@ -333,23 +349,27 @@ class TridiagonalLU:
     def factor(cls, bands: Bands) -> "TridiagonalLU":
         lower, diag, upper = bands
         pad = np.zeros(max(0, _LAPACK_MIN_ORDER - diag.size))
-        *factors, info = scipy.linalg.lapack.dgttrf(
-            np.concatenate([lower[1:], pad]),
-            np.concatenate([diag, pad + 1.0]),
-            np.concatenate([upper[:-1], pad]),
-        )
+        dl, du = np.concatenate([lower[1:], pad]), np.concatenate([upper[:-1], pad])
+        d = np.concatenate([diag, pad + 1.0])
+        storage = np.zeros((3, d.size), order="F")
+        storage[0, 1:], storage[1], storage[2, :-1] = du, d, dl
+        storage.setflags(write=False)
+        *factors, info = scipy.linalg.lapack.dgttrf(dl, d, du)
         if info != 0:
             raise SolverError(f"tridiagonal factorization failed (dgttrf info={info})")
         norm_inf = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
-        return cls(bands, tuple(factors), norm_inf)
+        return cls(bands, tuple(factors), storage, norm_inf)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        pad = _LAPACK_MIN_ORDER - self.n
-        b = rhs if pad <= 0 else np.concatenate([rhs, np.zeros(pad)])
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The solution x of A x = rhs and its residual A x - rhs."""
+        n = self.n
+        b = rhs if n >= _LAPACK_MIN_ORDER else np.concatenate([rhs, np.zeros(_LAPACK_MIN_ORDER - n)])
         x, info = scipy.linalg.lapack.dgttrs(*self.factors, b)
         if info != 0:
             raise SolverError(f"tridiagonal solve failed (dgttrs info={info})")
-        return x if pad <= 0 else x[: self.n]
+        # positional: incx, offx, beta, y; y is copied, so rhs is not written
+        residual = scipy.linalg.blas.dgbmv(b.size, b.size, 1, 1, 1.0, self.storage, x, 1, 0, -1.0, b)
+        return (x, residual) if n >= _LAPACK_MIN_ORDER else (x[:n], residual[:n])
 
 
 @dataclass
@@ -472,11 +492,6 @@ class StepOperators:
         return self._factored[key]
 
 
-def _step_rhs(widths: np.ndarray, dt: float, source: np.ndarray, prev) -> np.ndarray:
-    """Mass and source part of a step's right-hand side."""
-    return widths * source + (widths / dt) * np.asarray(prev, dtype=float)
-
-
 def assemble_subdomain_step(
     grid: CompositeGrid,
     subdomain: str,
@@ -496,8 +511,9 @@ def assemble_subdomain_step(
     ``closure_kind`` (see ``closure_distance``) with the datum of ``data`` at
     level k, a trace at the subdomain's own time resolution.  Which end is
     which, and the sign of the interface flux, come from ``grid.sides``.  The
-    source and exterior boundary value come from ``inputs``, the matrix and
-    its factors from ``inputs.operators``; only the right-hand side is formed
+    load and exterior boundary term come from ``inputs.per_side``, the mass
+    from the side, the matrix and its factors from ``inputs.operators``; only
+    the right-hand side load + mass * prev + the two end terms is formed
     here.
     """
     side = grid.sides.get(subdomain)
@@ -508,9 +524,9 @@ def assemble_subdomain_step(
     d = closure_distance(grid, side, closure_kind)
     data.require(subdomain, grid.ratio)
     level = k - 1
-    source, g_exterior = inputs.per_side[subdomain]
-    rhs = _step_rhs(side.widths, side.dt, source[level], state_prev)
-    rhs[side.exterior] += float(g_exterior[level]) / (0.5 * side.widths[side.exterior])
+    load, exterior = inputs.per_side[subdomain]
+    rhs = load[level] + side.mass * state_prev
+    rhs[side.exterior] += exterior[level]
     datum = float(data.values[level])
     rhs[side.iface] += side.sign * datum if d is None else datum / d
     return LinearSystem(rhs=rhs, lu=inputs.operators.get(subdomain, closure_kind))
@@ -525,7 +541,7 @@ def assemble_composite_step(
     source = np.concatenate([inputs.predictor_fine_source, inputs.coarse_source])
     widths = np.concatenate([grid.widths_fine, grid.widths_coarse])
     prev = np.concatenate([np.asarray(fine_prev, dtype=float), np.asarray(coarse_prev, dtype=float)])
-    rhs = _step_rhs(widths, grid.dt_coarse, source, prev)
+    rhs = widths * source + (widths / grid.dt_coarse) * prev
     rhs[0] += inputs.g_lo_coarse * 2.0 / widths[0]
     rhs[-1] += inputs.g_hi_coarse * 2.0 / widths[-1]
     return LinearSystem(rhs=rhs, lu=inputs.operators.get(UNION))

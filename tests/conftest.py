@@ -66,6 +66,24 @@ def bump_run():
     return run
 
 
+def jittered_widths(rng, n, length):
+    """n cell widths drawn from [0.8, 1.2] and rescaled to tile ``length``."""
+    widths = rng.uniform(0.8, 1.2, size=n)
+    return tuple(widths * (length / widths.sum()))
+
+
+def scaled_problem(problem, c):
+    """``problem`` with its source, initial and boundary data times c."""
+    from ltsheat import Problem
+
+    return Problem(
+        source=lambda x, t: c * problem.source(x, t),
+        p0=lambda x: c * problem.p0(x),
+        g_lo=lambda t: c * problem.g_lo(t),
+        g_hi=lambda t: c * problem.g_hi(t),
+    )
+
+
 def random_smooth_problem(rng: np.random.Generator):
     """Smooth random source and initial value with homogeneous Dirichlet data."""
     from ltsheat import Problem
@@ -88,6 +106,26 @@ def random_smooth_problem(rng: np.random.Generator):
         return np.zeros_like(np.asarray(t, dtype=float))
 
     return Problem(source=source, p0=p0, g_lo=zero_t, g_hi=zero_t, exact_solution=None)
+
+
+def reference_subdomain_rhs(grid, subdomain, k, state_prev, closure_kind, data, inputs):
+    """The right-hand side of one subdomain step formed level by level from
+    the window's sources and boundary values: the assembly that the
+    per-window loads of ``WindowInputs.per_side`` replaced, kept as the
+    reference of ``assemble_subdomain_step``."""
+    from ltsheat.scheme import closure_distance
+
+    side, level = grid.sides[subdomain], k - 1
+    source, g_exterior = {
+        FINE: (inputs.fine_source, inputs.g_lo_fine),
+        COARSE: (inputs.coarse_source[None, :], np.array([inputs.g_hi_coarse])),
+    }[subdomain]
+    rhs = side.widths * source[level] + (side.widths / side.dt) * np.asarray(state_prev, dtype=float)
+    rhs[side.exterior] += float(g_exterior[level]) / (0.5 * side.widths[side.exterior])
+    d = closure_distance(grid, side, closure_kind)
+    datum = float(data.values[level])
+    rhs[side.iface] += side.sign * datum if d is None else datum / d
+    return rhs
 
 
 def reference_monolithic_window(grid, fine_start, coarse_start, variant, inputs):

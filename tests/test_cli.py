@@ -264,8 +264,13 @@ def test_main_rejects_bad_variant(tmp_path, capsys):
         ),
         ({"grid.domain_hi = 1.0": "grid.domain_hi = inf"}, "domain_hi must be finite"),
         ({"grid.domain_lo = 0.0": "grid.domain_lo = -inf"}, "domain_lo must be finite"),
+        ({"grid.t_end = 0.1": "grid.t_end = 1e300"}, "the fine trajectory has (levels * n_windows + 1) * n_cells = (10 * "),
+        (
+            {"grid.n_cells_fine = 25": f"grid.n_cells_fine = {10**19}"},
+            f"the fine trajectory has (levels * n_windows + 1) * n_cells = (10 * 5 + 1) * {10**19} = {51 * 10**19} values",
+        ),
     ],
-    ids=["dt-ratio", "window-count", "domain-hi", "domain-lo"],
+    ids=["dt-ratio", "window-count", "domain-hi", "domain-lo", "oversized-horizon", "oversized-mesh"],
 )
 def test_non_finite_grid_input_is_config_error(tmp_path, capsys, replace, message):
     # `ltsheat run` on the bundled config with one overflowing or infinite grid value

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,3 +109,17 @@ def test_rebuild_is_bitwise_deterministic():
 def test_grid_arrays_are_read_only(bump_grid):
     with pytest.raises(ValueError):
         bump_grid.widths_fine[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (dict(t_end=1e300), r"the fine trajectory has \(levels \* n_windows \+ 1\) \* n_cells = \(10 \* 5"),
+        (dict(n_cells_fine=10**19), r"the fine trajectory .* = \(10 \* 5 \+ 1\) \* 10{19} = 510{19} values"),
+        (dict(n_cells_coarse=2**62), r"the coarse trajectory .* = \(1 \* 5 \+ 1\) \* 4611686018427387904 = "),
+    ],
+    ids=["horizon", "fine-cells", "coarse-cells"],
+)
+def test_a_trajectory_too_large_for_one_array_is_rejected(override, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build_composite_grid(replace(BUMP_CONFIG, **override))

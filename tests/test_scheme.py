@@ -4,6 +4,8 @@ import types
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltsheat import (
     DimensionError,
@@ -21,9 +23,15 @@ from ltsheat import (
     zero_problem,
 )
 from ltsheat import scheme
-from ltsheat.projection import coarse_trace, fine_trace
-from ltsheat.scheme import VARIANTS, Problem, Variant, slab_source_averages
-from tests.conftest import reference_monolithic_window, tridiagonal_matrix
+from ltsheat.projection import Trace, coarse_trace, fine_trace
+from ltsheat.scheme import VARIANTS, Problem, Variant, WindowInputs, _broadcast_return, slab_source_averages
+from tests.conftest import (
+    jittered_widths,
+    reference_monolithic_window,
+    reference_subdomain_rhs,
+    scaled_problem,
+    tridiagonal_matrix,
+)
 
 
 # -- manufactured problem ------------------------------------------------------
@@ -515,3 +523,73 @@ def test_window_outside_the_horizon_raises(bump_grid, bump_problem):
         with pytest.raises(DimensionError, match="windows"):
             precompute_window_inputs(bump_grid, windows, bump_problem)
     assert len(precompute_window_inputs(bump_grid, range(1, n + 1), bump_problem)) == n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.sampled_from([1, 2, 5, 10, 20, 50]),
+    cells=st.sampled_from([(10, 10), (20, 5), (5, 20), (40, 8), (1, 3), (3, 1)]),
+    x_iface=st.sampled_from([0.25, 0.5, 0.8]),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([1.0, 2.0**-20, 2.0**20]),
+)
+def test_step_right_hand_sides_match_the_level_by_level_reference(ratio, cells, x_iface, seed, scale):
+    # the convergence tests' grid space with one-cell sides, jittered widths
+    # and scaled data: every side, level and closure kind, bit for bit
+    rng = np.random.default_rng(seed)
+    widths = (jittered_widths(rng, cells[0], x_iface), jittered_widths(rng, cells[1], 1.0 - x_iface))
+    grid = build_composite_grid(GridConfig(0.0, 1.0, x_iface, *cells, 0.01 / ratio, 0.01, 0.03, *widths))
+    problem = scaled_problem(manufactured_problem(), scale)
+    for inputs in precompute_window_inputs(grid, range(1, grid.n_windows + 1), problem):
+        for name, side in grid.sides.items():
+            prev = scale * rng.uniform(-1.0, 1.0, side.widths.size)
+            data = Trace(scale * rng.uniform(-1.0, 1.0, side.levels), name, side.dt)
+            for kind in ("dirichlet_interface", "dirichlet_neighbor", "neumann"):
+                for k in range(1, side.levels + 1):
+                    args = (grid, name, k, prev, kind, data, inputs)
+                    assert assemble_subdomain_step(*args).rhs.tobytes() == reference_subdomain_rhs(*args).tobytes()
+
+
+def test_zero_window_data_give_zero_loads(bump_grid):
+    # the homogeneous window of the interface gain
+    ratio, n_fine, n_coarse = bump_grid.ratio, bump_grid.n_fine, bump_grid.n_coarse
+    operators = scheme.StepOperators(bump_grid)
+    inputs = WindowInputs(1, np.zeros((ratio, n_fine)), np.zeros(n_coarse), np.zeros(ratio), 0.0, 0.0, operators)
+    for name, side in bump_grid.sides.items():
+        load, exterior = inputs.per_side[name]
+        assert load.shape == (side.levels, side.widths.size) and exterior.shape == (side.levels,)
+        assert not load.any() and not exterior.any()
+
+
+def test_a_float_array_of_the_shape_comes_back_as_a_read_only_view():
+    kept = np.arange(6.0).reshape(2, 3)
+    got = _broadcast_return(kept, (2, 3), "source")
+    assert np.shares_memory(got, kept) and not got.flags.writeable and kept.flags.writeable
+    # other returns are converted or broadcast, never written
+    assert _broadcast_return(np.arange(6).reshape(2, 3), (2, 3), "source").dtype == np.float64
+    assert not _broadcast_return(np.arange(3.0), (2, 3), "source").flags.writeable
+    with pytest.raises(DimensionError, match="source returned shape"):
+        _broadcast_return(kept.T, (2, 3), "source")
+
+
+def test_a_problem_that_keeps_its_returns_gets_them_back_unwritten(bump_grid):
+    kept = []
+
+    def keep(value, *args):
+        shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+        kept.append(np.full(shape, value))
+        return kept[-1]
+
+    problem = Problem(
+        source=lambda x, t: keep(2.0, x, t),
+        p0=lambda x: keep(0.5, x),
+        g_lo=lambda t: keep(0.25, t),
+        g_hi=lambda t: keep(-0.25, t),
+    )
+    trajectory, _ = march(bump_grid, VARIANTS[0], SolveMode.converged(), problem)
+    assert kept and all(a.flags.writeable and np.all(a == a.flat[0]) for a in kept)
+    # the same data as broadcast scalars give the same march
+    scalars = Problem(source=lambda x, t: 2.0, p0=lambda x: 0.5, g_lo=lambda t: 0.25, g_hi=lambda t: -0.25)
+    expected, _ = march(bump_grid, VARIANTS[0], SolveMode.converged(), scalars)
+    assert trajectory.fine.tobytes() == expected.fine.tobytes()
+    assert trajectory.coarse.tobytes() == expected.coarse.tobytes()

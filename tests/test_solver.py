@@ -43,7 +43,7 @@ from ltsheat.solver import (
     interface_residuals,
     predictor_step,
 )
-from tests.conftest import random_smooth_problem, tridiagonal_matrix
+from tests.conftest import jittered_widths, random_smooth_problem, scaled_problem, tridiagonal_matrix
 
 
 # -- window data ---------------------------------------------------------------
@@ -151,6 +151,52 @@ def test_singular_banded_system_raises(dense):
     upper = np.concatenate([np.diag(a, 1), [0.0]])
     with pytest.raises(SolverError):
         solve_linear(LinearSystem(rhs=np.ones(n), lu=TridiagonalLU.factor((lower, np.diag(a).copy(), upper))))
+
+
+def _dominant_bands(rng, n):
+    """Diagonally dominant tridiagonal bands of order n."""
+    off = rng.uniform(-1.0, 1.0, (2, n - 1))
+    return np.concatenate([[0.0], off[0]]), 3.0 + rng.uniform(0.0, 1.0, n), np.concatenate([off[1], [0.0]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_banded_check_rejects_factors_of_another_matrix(n):
+    # x solves the matrix with twice the diagonal, so A x - b is of the size of b
+    rng = np.random.default_rng(3000 + n)
+    lower, diag, upper = _dominant_bands(rng, n)
+    lu = TridiagonalLU.factor((lower, diag, upper))
+    mismatched = dataclasses.replace(lu, factors=TridiagonalLU.factor((lower, 2.0 * diag, upper)).factors)
+    rhs = rng.uniform(1.0, 5.0, n)
+    solve_linear(LinearSystem(rhs=rhs, lu=lu))
+    with pytest.raises(SolverError, match="residual exceeds the acceptance bound"):
+        solve_linear(LinearSystem(rhs=rhs, lu=mismatched))
+
+
+@pytest.mark.parametrize("bad", ["nan-last", "inf"])
+@pytest.mark.parametrize("n", [1, 2, 3, 50])
+def test_banded_check_rejects_a_non_finite_rhs(n, bad):
+    # x is not finite, and neither is its residual, which the bound alone
+    # would let pass: NaN > bound is false
+    rng = np.random.default_rng(4000 + n)
+    lu = TridiagonalLU.factor(_dominant_bands(rng, n))
+    rhs = rng.uniform(1.0, 5.0, n)
+    if bad == "nan-last":
+        rhs[-1] = np.nan
+    else:
+        rhs[n // 2] = -np.inf
+    with pytest.raises(SolverError, match="residual exceeds the acceptance bound"):
+        solve_linear(LinearSystem(rhs=rhs, lu=lu))
+
+
+def test_banded_solve_writes_neither_rhs_nor_matrix():
+    rng = np.random.default_rng(5)
+    lu = TridiagonalLU.factor(_dominant_bands(rng, 2))
+    rhs = np.array([1.0, -2.0])
+    solve_linear(LinearSystem(rhs=rhs, lu=lu))
+    assert rhs.tolist() == [1.0, -2.0]
+    assert lu.storage.shape == (3, 3) and not lu.storage.flags.writeable
+    lower, diag, upper = lu.bands
+    np.testing.assert_array_equal(lu.storage, [[0.0, upper[0], 0.0], [diag[0], diag[1], 1.0], [lower[1], 0.0, 0.0]])
 
 
 def test_solve_mode_validation():
@@ -264,12 +310,6 @@ def test_residuals_require_a_sweep(bump_grid, bump_problem):
 # -- window solves against the monolithic reference -----------------------------
 
 
-def jittered_widths(rng, n, length):
-    """n cell widths drawn from [0.8, 1.2] and rescaled to tile ``length``."""
-    widths = rng.uniform(0.8, 1.2, size=n)
-    return tuple(widths * (length / widths.sum()))
-
-
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
 def test_converged_window_matches_monolithic(variant):
     # two uniform grids with K <= 3, then K = 10, 20, 50 on nonuniform grids
@@ -344,7 +384,7 @@ def test_every_window_converges_over_the_grid_space(ratio, cells, x_iface, varia
     for window in report.windows:
         assert window.conservativity_defect <= 1e-12 * max(1.0, window.flux_scale)
     # data and eps scaled by a power of two scale the whole march exactly
-    scaled, scaled_report = march(grid, variant, SolveMode.converged(scale * eps), _scaled(problem, scale))
+    scaled, scaled_report = march(grid, variant, SolveMode.converged(scale * eps), scaled_problem(problem, scale))
     assert scaled_report.iterations == report.iterations
     for name in (f.name for f in dataclasses.fields(Trajectory) if f.name != "grid"):
         assert getattr(scaled, name).tobytes() == (scale * getattr(base, name)).tobytes(), name
@@ -535,16 +575,6 @@ def test_superposed_windows_match_a_real_sweep_from_the_last_datum(bump_grid, bu
         fine_start, coarse_start = state.fine.cells[-1], state.coarse.cells
 
 
-def _scaled(problem, c):
-    """``problem`` with its source, initial and boundary data times c."""
-    return Problem(
-        source=lambda x, t: c * problem.source(x, t),
-        p0=lambda x: c * problem.p0(x),
-        g_lo=lambda t: c * problem.g_lo(t),
-        g_hi=lambda t: c * problem.g_hi(t),
-    )
-
-
 @pytest.mark.parametrize("c", [2.0**-20, 2.0**20], ids=["2^-20", "2^20"])
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
 def test_scaled_data_scale_the_march_exactly(bump_grid, bump_problem, variant, c):
@@ -552,7 +582,7 @@ def test_scaled_data_scale_the_march_exactly(bump_grid, bump_problem, variant, c
     # scaled by a power of two scale every float of the march exactly
     eps = 1e-5
     base, base_report = march(bump_grid, variant, SolveMode.converged(eps, 100), bump_problem)
-    scaled, report = march(bump_grid, variant, SolveMode.converged(c * eps, 100), _scaled(bump_problem, c))
+    scaled, report = march(bump_grid, variant, SolveMode.converged(c * eps, 100), scaled_problem(bump_problem, c))
     assert report.iterations == base_report.iterations
     for name in (f.name for f in dataclasses.fields(Trajectory) if f.name != "grid"):
         assert getattr(scaled, name).tobytes() == (c * getattr(base, name)).tobytes(), name
