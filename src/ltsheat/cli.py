@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -120,6 +121,13 @@ def _get_floats(pairs: dict[str, str], key: str) -> tuple[float, ...] | None:
         raise ConfigurationError(f"config key {key!r} is not a comma list of numbers") from None
 
 
+def _get_coeffs(pairs: dict[str, str], key: str) -> tuple[float, ...] | None:
+    values = _get_floats(pairs, key)
+    if values is not None and not all(math.isfinite(v) for v in values):
+        raise ConfigurationError(f"config key {key!r} entries must be finite, got {pairs[key]!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully parsed run description."""
@@ -170,17 +178,29 @@ def load_run_config(pairs: dict[str, str]) -> RunConfig:
         problem_kind=problem_kind,
         boundary_mode=boundary_mode,
         output_dir=Path(pairs.get("output_dir", "out")),
-        source_coeffs=_get_floats(pairs, "problem.source_coeffs"),
-        initial_coeffs=_get_floats(pairs, "problem.initial_coeffs"),
+        source_coeffs=_get_coeffs(pairs, "problem.source_coeffs"),
+        initial_coeffs=_get_coeffs(pairs, "problem.initial_coeffs"),
         levels=levels,
     )
 
 
+def _check_output_dir(out: Path) -> None:
+    """Reject an output directory that cannot be made, creating nothing: the
+    path or its nearest existing ancestor must be a directory."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        where = "" if existing == out else f"cannot be made: {str(existing)!r} "
+        raise ConfigurationError(f"output_dir {str(out)!r} {where}is not a directory")
+
+
 def _load_config(config_path: str | Path, overrides: dict[str, str] | None) -> RunConfig:
-    """Parse a config file, apply command-line overrides and validate."""
+    """Parse a config file, apply command-line overrides and validate,
+    including that the output directory can be made."""
     pairs = parse_config_file(config_path)
     pairs.update(overrides or {})
-    return load_run_config(pairs)
+    config = load_run_config(pairs)
+    _check_output_dir(config.output_dir)
+    return config
 
 
 def build_problem(config: RunConfig) -> Problem:

@@ -16,12 +16,16 @@ Sign convention: fluxes are oriented left to right, u = (p_right - p_left) / d.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
+from types import ModuleType
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.linalg.blas
-import scipy.linalg.lapack
+import scipy
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -327,6 +331,37 @@ Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (lower, diag, upper); lower
 _LAPACK_MIN_ORDER = 3
 
 
+def _scipy_linalg_extension(name: str) -> ModuleType:
+    """scipy's compiled wrapper module ``scipy.linalg.<name>``, loaded from its
+    extension file without running the ``scipy.linalg`` package.
+
+    Importing ``scipy.linalg`` costs about 0.3 s and 22 MB (its array-API
+    layer pulls in ``numpy.f2py`` and ``numpy.testing``), while the iterative
+    path needs only four compiled functions.  The module is registered under
+    its own ``sys.modules`` name, and one already there is reused, so a later
+    ``import scipy.linalg`` finds the same module and never loads the file
+    twice.  Checked only against scipy 1.17.1, while ``pyproject.toml``
+    allows scipy >= 1.10; a missing file is an ``ImportError`` naming where
+    it was looked for."""
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    directory = Path(scipy.__file__).parent / "linalg"
+    paths = [directory / (name + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if path.is_file()), None)
+    if path is None:
+        raise ImportError(f"no extension file for {fullname}: tried {', '.join(map(str, paths))}", name=fullname)
+    loader = importlib.machinery.ExtensionFileLoader(fullname, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(fullname, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[fullname] = module
+    return module
+
+
+_flapack = _scipy_linalg_extension("_flapack")
+_fblas = _scipy_linalg_extension("_fblas")
+
+
 @dataclass(frozen=True)
 class TridiagonalLU:
     """A tridiagonal matrix's bands, their LU factors with partial pivoting
@@ -354,7 +389,7 @@ class TridiagonalLU:
         storage = np.zeros((3, d.size), order="F")
         storage[0, 1:], storage[1], storage[2, :-1] = du, d, dl
         storage.setflags(write=False)
-        *factors, info = scipy.linalg.lapack.dgttrf(dl, d, du)
+        *factors, info = _flapack.dgttrf(dl, d, du)
         if info != 0:
             raise SolverError(f"tridiagonal factorization failed (dgttrf info={info})")
         norm_inf = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
@@ -364,11 +399,11 @@ class TridiagonalLU:
         """The solution x of A x = rhs and its residual A x - rhs."""
         n = self.n
         b = rhs if n >= _LAPACK_MIN_ORDER else np.concatenate([rhs, np.zeros(_LAPACK_MIN_ORDER - n)])
-        x, info = scipy.linalg.lapack.dgttrs(*self.factors, b)
+        x, info = _flapack.dgttrs(*self.factors, b)
         if info != 0:
             raise SolverError(f"tridiagonal solve failed (dgttrs info={info})")
         # positional: incx, offx, beta, y; y is copied, so rhs is not written
-        residual = scipy.linalg.blas.dgbmv(b.size, b.size, 1, 1, 1.0, self.storage, x, 1, 0, -1.0, b)
+        residual = _fblas.dgbmv(b.size, b.size, 1, 1, 1.0, self.storage, x, 1, 0, -1.0, b)
         return (x, residual) if n >= _LAPACK_MIN_ORDER else (x[:n], residual[:n])
 
 

@@ -34,7 +34,6 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.blas
 
 from .errors import ConfigurationError, SolverError
 from .grid import CompositeGrid
@@ -55,6 +54,7 @@ from .scheme import (
     Variant,
     WindowInputs,
     _broadcast_return,
+    _fblas,
     _window_blocks,
     assemble_composite_step,
     assemble_monolithic_window,
@@ -93,8 +93,8 @@ class SolveMode:
     def __post_init__(self) -> None:
         if self.kind not in (CONVERGED, SINGLE_ITERATION, PREDICTOR_ONLY):
             raise ConfigurationError(f"unknown solve mode {self.kind!r}")
-        if not self.eps > 0.0:
-            raise ConfigurationError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigurationError(f"eps must be positive and finite, got {self.eps!r}")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
 
@@ -197,7 +197,7 @@ class Trajectory:
 def _max_abs(v: np.ndarray) -> float:
     """max |v_i| by BLAS ``idamax``: exact unless v holds a NaN, which it may
     skip, so it is no finiteness test."""
-    return abs(float(v[scipy.linalg.blas.idamax(v)]))
+    return abs(float(v[_fblas.idamax(v)]))
 
 
 def solve_linear(system: LinearSystem) -> np.ndarray:

@@ -102,6 +102,21 @@ def test_custom_coefficients_problem(tmp_path):
     assert (out / "error_space.csv").read_text() == "x,error\n"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("problem.source_coeffs", "nan, 1"), ("problem.source_coeffs", "1e400"), ("problem.initial_coeffs", "0, -inf")],
+)
+def test_non_finite_problem_coefficient_is_config_error(tmp_path, capsys, key, value):
+    out = tmp_path / "o"
+    cfg = write_cfg(
+        tmp_path,
+        MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\n" + f"{key} = {value}\noutput_dir = {out}\n",
+    )
+    assert run_experiment(cfg) == EXIT_CONFIG
+    assert f"configuration error: config key {key!r} entries must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_custom_problem_requires_homogeneous_boundary(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "problem = custom-coefficients\n")
     assert run_experiment(cfg) == EXIT_CONFIG
@@ -282,6 +297,21 @@ def test_non_finite_grid_input_is_config_error(tmp_path, capsys, replace, messag
     assert main(["run", str(write_cfg(tmp_path, body)), "--out", str(out)]) == EXIT_CONFIG
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
+@pytest.mark.parametrize("below_file", [False, True], ids=["file", "below-file"])
+def test_unusable_output_dir_is_config_error(tmp_path, capsys, command, below_file):
+    # checked before any march, so the error comes first and nothing is made
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" / "dir" if below_file else blocker
+    assert main([command, str(BUMP_CFG), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: output_dir {str(out)!r} ")
+    assert err.rstrip().endswith(f"{str(blocker)!r} is not a directory" if below_file else "is not a directory")
+    assert blocker.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 def test_parse_config_syntax_errors(tmp_path):

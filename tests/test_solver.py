@@ -1,8 +1,11 @@
 import dataclasses
 import inspect
+import math
 import os
+import re
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -200,8 +203,9 @@ def test_banded_solve_writes_neither_rhs_nor_matrix():
 
 
 def test_solve_mode_validation():
-    with pytest.raises(ConfigurationError):
-        SolveMode("converged", eps=0.0)
+    for eps in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="eps must be positive and finite"):
+            SolveMode("converged", eps=eps)
     with pytest.raises(ConfigurationError):
         SolveMode("converged", max_iters=0)
     with pytest.raises(ConfigurationError):
@@ -693,27 +697,55 @@ def test_interleaved_marches_match_marches_run_in_another_order(tmp_path):
         assert result.tobytes() == alone[key].tobytes(), f"grid {key[0]}, {VARIANTS[key[1]].name}"
 
 
-_SPARSE_IMPORT_PROBE = """
+_SCIPY_IMPORT_PROBE = """
 import sys
 import ltsheat.cli
-from ltsheat import GridConfig, SolveMode, build_composite_grid, manufactured_problem, march, solve_window_monolithic
+from ltsheat import (
+    GridConfig, SolveMode, build_composite_grid, error_report, manufactured_problem, march, solve_window_monolithic,
+)
+from ltsheat import scheme
 from ltsheat.scheme import VARIANTS
 grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1))
 problem = manufactured_problem()
 trajectory, _ = march(grid, VARIANTS[0], SolveMode.converged(), problem)
-print("scipy.sparse" in sys.modules)
+error_report(trajectory, problem)
+print(*(name in sys.modules for name in ("scipy.sparse", "scipy.linalg", "numpy.f2py", "numpy.testing")))
 solve_window_monolithic(grid, 1, trajectory.fine[0], trajectory.coarse[0], VARIANTS[0], problem)
-print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
+print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules, "scipy.linalg" in sys.modules)
+import scipy.linalg.blas, scipy.linalg.lapack
+print(
+    scipy.linalg.lapack.dgttrf is scheme._flapack.dgttrf,
+    scipy.linalg.lapack.dgttrs is scheme._flapack.dgttrs,
+    scipy.linalg.blas.dgbmv is scheme._fblas.dgbmv,
+    scipy.linalg.blas.idamax is scheme._fblas.idamax,
+)
 """
 
 
 def test_only_the_monolithic_reference_imports_scipy_sparse():
-    # Every run pays scipy.sparse's import time and memory unless it is loaded
-    # on first use, so a fresh interpreter shows which calls load it.
+    # Every run pays the import time and memory of scipy.sparse and of the
+    # scipy.linalg package unless they are loaded on first use, so a fresh
+    # interpreter shows which calls load them.  The iterative path reaches
+    # LAPACK and BLAS through scipy.linalg's extension modules alone; once the
+    # monolithic reference has imported the package, its functions must be the
+    # ones the tridiagonal path calls, each extension loaded once.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     probe = subprocess.run(
-        [sys.executable, "-c", _SPARSE_IMPORT_PROBE], cwd=root, env=env, check=True, timeout=120,
+        [sys.executable, "-c", _SCIPY_IMPORT_PROBE], cwd=root, env=env, check=True, timeout=120,
         capture_output=True, text=True,
     )
-    assert probe.stdout.split() == ["False", "True", "True"]
+    assert probe.stdout.split() == ["False"] * 4 + ["True"] * 7
+
+
+def test_scipy_extension_loader_reuses_a_loaded_module_and_names_a_missing_file(monkeypatch):
+    # a registered module is returned untouched: loading the file again would
+    # refill its namespace from the extension
+    registered = types.ModuleType("scipy.linalg._fblas")
+    monkeypatch.setitem(sys.modules, "scipy.linalg._fblas", registered)
+    assert ltsheat.scheme._scipy_linalg_extension("_fblas") is registered
+    assert vars(registered).keys() == vars(types.ModuleType("")).keys()
+    directory = Path(scipy.__file__).parent / "linalg"
+    with pytest.raises(ImportError, match=re.escape(f"scipy.linalg._no_such_wrapper: tried {directory / '_no_such_wrapper'}")):
+        ltsheat.scheme._scipy_linalg_extension("_no_such_wrapper")
+    assert "scipy.linalg._no_such_wrapper" not in sys.modules
