@@ -6,10 +6,7 @@ predictor-corrector Dirichlet-Neumann method."""
 from .errors import ConfigurationError, DimensionError, SolverError
 from .grid import CompositeGrid, GridConfig, build_composite_grid
 from .projection import (
-    Trace,
-    coarse_trace,
     conservativity_defect,
-    fine_trace,
     inject_coarse_to_fine,
     interface_pairing,
     project_fine_to_coarse,
@@ -59,7 +56,6 @@ __all__ = [
     "SolveMode",
     "SolveReport",
     "SolverError",
-    "Trace",
     "Trajectory",
     "VARIANTS",
     "Variant",
@@ -69,12 +65,10 @@ __all__ = [
     "assemble_monolithic_window",
     "assemble_subdomain_step",
     "build_composite_grid",
-    "coarse_trace",
     "conservativity_defect",
     "corrector_sweep",
     "discrete_norms",
     "error_report",
-    "fine_trace",
     "inject_coarse_to_fine",
     "interface_pairing",
     "manufactured_problem",

@@ -277,6 +277,17 @@ def _summary_payload(
     return payload
 
 
+def _non_finite_keys(payload: dict) -> list[str]:
+    """The keys of a summary payload whose value, or an entry of it, is a
+    non-finite number, which JSON cannot hold."""
+    bad = []
+    for key, value in sorted(payload.items()):
+        entries = value.values() if isinstance(value, dict) else value if isinstance(value, list) else [value]
+        if any(isinstance(entry, float) and not math.isfinite(entry) for entry in entries):
+            bad.append(key)
+    return bad
+
+
 def run_experiment(config_path: str | Path, overrides: dict[str, str] | None = None) -> int:
     """Single run: summary.json, error_space.csv, error_time.csv."""
     try:
@@ -293,10 +304,14 @@ def run_experiment(config_path: str | Path, overrides: dict[str, str] | None = N
         return EXIT_ERROR
 
     series = error_report(trajectory, problem) if problem.exact_solution is not None else None
+    payload = _summary_payload(config, grid, report, trajectory, series)
+    bad = _non_finite_keys(payload)
+    if bad:
+        print(f"solver error: summary values are not finite: {', '.join(bad)}", file=sys.stderr)
+        return EXIT_ERROR
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    payload = _summary_payload(config, grid, report, trajectory, series)
-    (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     if series is not None:
         _write_csv(

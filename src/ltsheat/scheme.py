@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +35,7 @@ if TYPE_CHECKING:
 
 from .errors import ConfigurationError, DimensionError, SolverError
 from .grid import CompositeGrid, Side
-from .projection import COARSE, FINE, Trace
+from .projection import COARSE, FINE
 
 IS1 = "is1"  # interface-unknown coupling
 IS2 = "is2"  # overlapping coupling
@@ -293,8 +294,8 @@ def precompute_window_inputs(
             raise DimensionError(f"windows {window!r} are not consecutive windows in 1..{grid.n_windows}")
         windows = np.arange(window.start, window.stop)
     else:
-        if not 1 <= window <= grid.n_windows:
-            raise DimensionError(f"window {window!r} outside 1..{grid.n_windows}")
+        if not isinstance(window, numbers.Integral) or not 1 <= window <= grid.n_windows:
+            raise DimensionError(f"window {window!r} is not an integer in 1..{grid.n_windows}")
         windows = np.asarray(window)
     if operators is None:
         operators = StepOperators(grid)
@@ -455,15 +456,15 @@ def closure_distance(grid: CompositeGrid, side: Side, kind: str) -> float | None
 
 
 def interface_traces(
-    grid: CompositeGrid, side: Side, kind: str, data: np.ndarray, p_edge: np.ndarray
+    grid: CompositeGrid, side: Side, kind: str, datum: float, p_edge: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(left-to-right interface flux, face pressure) at each time level of a
-    subdomain solved with closure ``kind`` and interface ``data``, given its
+    subdomain solved with closure ``kind`` and interface ``datum``, given its
     interface-cell values ``p_edge``."""
     d = closure_distance(grid, side, kind)
-    flux = data.copy() if d is None else side.sign * (data - p_edge) / d
+    flux = np.full(side.levels, datum) if d is None else side.sign * (datum - p_edge) / d
     if kind == "dirichlet_interface":
-        return flux, data.copy()
+        return flux, np.full(side.levels, datum)
     return flux, p_edge + side.sign * side.d_own * flux
 
 
@@ -533,7 +534,7 @@ def assemble_subdomain_step(
     k: int,
     state_prev: np.ndarray,
     closure_kind: str,
-    data: Trace,
+    datum: float,
     inputs: WindowInputs,
 ) -> LinearSystem:
     """Tridiagonal system for time level ``k`` of one subdomain in the window
@@ -543,13 +544,13 @@ def assemble_subdomain_step(
     the coarse side, and ``state_prev`` holds the values at level k - 1 (the
     window-start values for k = 1).  The exterior end gets the half-cell
     Dirichlet flux u = (g - p_K) / (h/2); the interface end is closed by
-    ``closure_kind`` (see ``closure_distance``) with the datum of ``data`` at
-    level k, a trace at the subdomain's own time resolution.  Which end is
-    which, and the sign of the interface flux, come from ``grid.sides``.  The
-    load and exterior boundary term come from ``inputs.per_side``, the mass
-    from the side, the matrix and its factors from ``inputs.operators``; only
-    the right-hand side load + mass * prev + the two end terms is formed
-    here.
+    ``closure_kind`` (see ``closure_distance``) with ``datum``: the other
+    side's projected trace, constant over the window, so one number serves
+    every level.  Which end is which, and the sign of the interface flux,
+    come from ``grid.sides``.  The load and exterior boundary term come from
+    ``inputs.per_side``, the mass from the side, the matrix and its factors
+    from ``inputs.operators``; only the right-hand side load + mass * prev +
+    the two end terms is formed here.
     """
     side = grid.sides.get(subdomain)
     if side is None:
@@ -557,12 +558,10 @@ def assemble_subdomain_step(
     if k is None or not 1 <= k <= side.levels:
         raise DimensionError(f"{subdomain} time level k={k!r} outside 1..{side.levels}")
     d = closure_distance(grid, side, closure_kind)
-    data.require(subdomain, grid.ratio)
     level = k - 1
     load, exterior = inputs.per_side[subdomain]
     rhs = load[level] + side.mass * state_prev
     rhs[side.exterior] += exterior[level]
-    datum = float(data.values[level])
     rhs[side.iface] += side.sign * datum if d is None else datum / d
     return LinearSystem(rhs=rhs, lu=inputs.operators.get(subdomain, closure_kind))
 

@@ -4,27 +4,29 @@ predictor, and the multiplicative Dirichlet-Neumann corrector.
 Each coarse window is solved by (1) a predictor: one implicit step of size
 dt_coarse on the union mesh, and (2) corrector sweeps alternating subdomain
 solves: the slave subdomain receives the master's pressure quantity as
-Dirichlet data (projected to its time resolution), then the master receives
-the slave's interface flux as Neumann data (projected likewise).  Because a
-sweep ends with the Neumann-side solve and both projections preserve the
-time-weighted flux sum exactly, the coupling is conservative after every
-whole sweep, including the single-iteration mode.
+Dirichlet data, then the master receives the slave's interface flux as
+Neumann data.  A side's interface traces hold one value per own time level
+(K fine, 1 coarse), and the piecewise constant projections in time make
+every datum one number per window: the average of K fine values for the
+coarse side, a coarse value taken at each of the K levels for the fine
+side.  Because a sweep ends with the Neumann-side solve and both projections
+preserve the time-weighted flux sum exactly, the coupling is conservative
+after every whole sweep, including the single-iteration mode.
 
-Only sweep 1 of a window marches the subdomains.  After the projections the
-slave's Dirichlet datum is one number per window (a coarse value, or one
-value copied to the K fine slots), and a sweep is affine in it: from datum x
-the master's new Dirichlet data is f1 + g (x - x0), where x0 is the first
-sweep's datum, f1 the data after it, and g the interface gain, the response
-of one sweep to a unit datum on the homogeneous problem.  This is the
-Steklov-Poincare form of the coupling in one unknown.  So sweep 1 is a real
-sweep, and sweeps 2..n run that recursion with the same relaxation,
-residuals and stopping test.  The window's cells are then sweep 1's cells
-plus (x - x0) times the cells of the unit-datum sweep, and its traces follow
-from those cells through the same closures as a real sweep: the slave takes
-the last datum, the master the projected slave flux, which keeps the
-coupling conservative.  A window that stops after sweep 1 does no extra
-work.  The unit-datum sweep (``interface_gain``) runs once per grid and
-variant, the first time a window needs a second sweep.
+Only sweep 1 of a window marches the subdomains.  A sweep is affine in the
+slave's Dirichlet datum: from datum x the master's new Dirichlet datum is
+f1 + g (x - x0), where x0 is the first sweep's datum, f1 the datum after it,
+and g the interface gain, the response of one sweep to a unit datum on the
+homogeneous problem.  This is the Steklov-Poincare form of the coupling in
+one unknown.  So sweep 1 is a real sweep, and sweeps 2..n run that
+recursion with the same relaxation, residuals and stopping test.  The
+window's cells are then sweep 1's cells plus (x - x0) times the cells of the
+unit-datum sweep, and its traces follow from those cells through the same
+closures as a real sweep: the slave takes the last datum, the master the
+projected slave flux, which keeps the coupling conservative.  A window that
+stops after sweep 1 does no extra work.  The unit-datum sweep
+(``interface_gain``) runs once per grid and variant, the first time a window
+needs a second sweep.
 """
 
 from __future__ import annotations
@@ -36,17 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .grid import CompositeGrid
-from .projection import (
-    COARSE,
-    FINE,
-    Trace,
-    coarse_trace,
-    conservativity_defect,
-    fine_trace,
-    inject_coarse_to_fine,
-    project_fine_to_coarse,
-)
+from .grid import CompositeGrid, Side
+from .projection import COARSE, FINE, conservativity_defect, inject_coarse_to_fine, project_fine_to_coarse
 from .scheme import (
     LinearSystem,
     Problem,
@@ -119,20 +112,21 @@ class SubdomainState:
 
     start: np.ndarray
     cells: np.ndarray  # fine: (K, n_fine); coarse: (n_coarse,)
-    pressure: Trace  # interface face pressure at own resolution
-    flux: Trace  # interface flux (left-to-right) at own resolution
+    pressure: np.ndarray  # (levels,): interface face pressure at each own time level
+    flux: np.ndarray  # (levels,): interface flux (left-to-right) at each own time level
 
 
 @dataclass
 class WindowState:
     """Full corrector iterate for one window; ``state.fine`` and
-    ``state.coarse`` are also reached by side name."""
+    ``state.coarse`` are also reached by side name.  The data are projected
+    traces of the other side, one number per window."""
 
     fine: SubdomainState
     coarse: SubdomainState
-    dirichlet_used: Trace | None = None  # data of the latest slave solve
-    neumann_used: Trace | None = None  # data of the latest master solve
-    dirichlet_fresh: Trace | None = None  # the slave data the iterate implies, undamped
+    dirichlet_used: float | None = None  # datum of the latest slave solve
+    neumann_used: float | None = None  # datum of the latest master solve
+    dirichlet_fresh: float | None = None  # the slave datum the iterate implies, undamped
 
 
 @dataclass(slots=True)
@@ -242,10 +236,10 @@ def predictor_step(
 def init_window_state(
     grid: CompositeGrid, fine_start: np.ndarray, coarse_start: np.ndarray, inputs: WindowInputs
 ) -> WindowState:
-    """Initialize the corrector iterate from the predictor: fine values are
-    replicated across sub-levels, interface traces are injected in time, and
-    the interface pressure is the distance-weighted interpolant of the two
-    adjacent predictor values."""
+    """Initialize the corrector iterate from the predictor, one coarse step:
+    fine values are replicated across sub-levels, the coarse interface values
+    are injected to the fine side's levels, and the interface pressure is the
+    distance-weighted interpolant of the two adjacent predictor values."""
     union = predictor_step(grid, fine_start, coarse_start, inputs)
     fine, coarse = grid.sides[FINE], grid.sides[COARSE]
     pf, pc = union[: grid.n_fine], union[grid.n_fine :]
@@ -257,63 +251,63 @@ def init_window_state(
         fine=SubdomainState(
             start=np.asarray(fine_start, dtype=float),
             cells=np.tile(pf, (ratio, 1)),
-            pressure=fine_trace(np.full(ratio, p_iface), grid.dt_fine),
-            flux=fine_trace(np.full(ratio, u_iface), grid.dt_fine),
+            pressure=inject_coarse_to_fine(p_iface, ratio),
+            flux=inject_coarse_to_fine(u_iface, ratio),
         ),
         coarse=SubdomainState(
             start=np.asarray(coarse_start, dtype=float),
             cells=pc.copy(),
-            pressure=coarse_trace(p_iface, grid.dt_coarse),
-            flux=coarse_trace(u_iface, grid.dt_coarse),
+            pressure=np.array([p_iface]),
+            flux=np.array([u_iface]),
         ),
     )
 
 
-def _project(grid: CompositeGrid, trace: Trace) -> Trace:
-    """Carry a trace to the other side's time resolution: average fine values
-    to one coarse value, replicate a coarse value to K fine slots."""
-    if trace.resolution == FINE:
-        return project_fine_to_coarse(trace, grid.ratio)
-    return inject_coarse_to_fine(trace, grid.ratio)
+def _project(grid: CompositeGrid, side: Side, values: np.ndarray) -> float:
+    """The other side's datum from a trace of ``side``: the average of the K
+    fine values, or the coarse value, which the fine side takes at each of
+    its K levels."""
+    if side.name == FINE:
+        return project_fine_to_coarse(values, grid.ratio)
+    return float(values[0])
 
 
-def _relax(used: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+def _relax(used: float, fresh: float) -> float:
     """The damped Dirichlet datum of the next sweep."""
     theta = DIRICHLET_RELAXATION
     return (1.0 - theta) * used + theta * fresh
 
 
-def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> Trace:
-    """The slave's Dirichlet data: the projected master interface pressure
+def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> float:
+    """The slave's Dirichlet datum: the projected master interface pressure
     for is1, the projected master interface-cell value for is2."""
     side, master = grid.sides[variant.master], getattr(state, variant.master)
     if variant.dirichlet_kind == "dirichlet_interface":
-        return _project(grid, master.pressure)
-    edge = master.cells.reshape(side.levels, -1)[:, side.iface]
-    return _project(grid, Trace(edge, side.name, side.dt))
+        return _project(grid, side, master.pressure)
+    return _project(grid, side, master.cells.reshape(side.levels, -1)[:, side.iface])
 
 
-def _neumann_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> Trace:
-    """The master's Neumann data: the projected slave interface flux."""
-    return _project(grid, getattr(state, variant.slave).flux)
+def _neumann_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> float:
+    """The master's Neumann datum: the projected slave interface flux."""
+    return _project(grid, grid.sides[variant.slave], getattr(state, variant.slave).flux)
 
 
-def interface_residuals(variant: Variant, state: WindowState, fresh: Trace) -> tuple[float, float]:
+def interface_residuals(variant: Variant, state: WindowState, fresh: float) -> tuple[float, float]:
     """Max-norm violation of the variant's two interface conditions by the
     current iterate, in pressure and flux units respectively.  ``fresh`` is
-    the iterate's projected Dirichlet data; the Neumann residual compares the
+    the iterate's projected Dirichlet datum; the Neumann residual compares the
     master's flux with ``state.neumann_used``, the projected slave flux of the
     latest sweep."""
     if state.dirichlet_used is None or state.neumann_used is None:
         raise SolverError("residuals need at least one completed sweep")
-    res_d = float(np.max(np.abs(state.dirichlet_used.values - fresh.values)))
+    res_d = abs(state.dirichlet_used - fresh)
     master_flux = getattr(state, variant.master).flux
-    res_n = float(np.max(np.abs(master_flux.values - state.neumann_used.values)))
+    res_n = float(np.max(np.abs(master_flux - state.neumann_used)))
     return res_d, res_n
 
 
 def _solve_subdomain(
-    grid: CompositeGrid, state: WindowState, name: str, closure_kind: str, data: Trace, inputs: WindowInputs
+    grid: CompositeGrid, state: WindowState, name: str, closure_kind: str, datum: float, inputs: WindowInputs
 ) -> None:
     """March one subdomain through its time levels of the window with the
     given interface closure, updating its cells and interface traces in place."""
@@ -321,23 +315,21 @@ def _solve_subdomain(
     levels = np.empty((side.levels, side.widths.size))
     prev = getattr(state, name).start
     for k in range(1, side.levels + 1):
-        system = assemble_subdomain_step(grid, name, k, prev, closure_kind, data, inputs)
+        system = assemble_subdomain_step(grid, name, k, prev, closure_kind, datum, inputs)
         levels[k - 1] = solve_linear(system)
         prev = levels[k - 1]
-    _set_subdomain(grid, state, name, closure_kind, data, levels)
+    _set_subdomain(grid, state, name, closure_kind, datum, levels)
 
 
 def _set_subdomain(
-    grid: CompositeGrid, state: WindowState, name: str, closure_kind: str, data: Trace, levels: np.ndarray
+    grid: CompositeGrid, state: WindowState, name: str, closure_kind: str, datum: float, levels: np.ndarray
 ) -> None:
     """Store one subdomain's cells at its time levels and the interface
-    traces they give under the closure with ``data``."""
+    traces they give under the closure with ``datum``."""
     side, sub = grid.sides[name], getattr(state, name)
     levels = levels.reshape(side.levels, -1)
     sub.cells = levels.reshape(sub.cells.shape)
-    flux, pressure = interface_traces(grid, side, closure_kind, data.values, levels[:, side.iface])
-    sub.flux = Trace(flux, name, side.dt)
-    sub.pressure = Trace(pressure, name, side.dt)
+    sub.flux, sub.pressure = interface_traces(grid, side, closure_kind, datum, levels[:, side.iface])
 
 
 def corrector_sweep(
@@ -345,7 +337,7 @@ def corrector_sweep(
     state: WindowState,
     variant: Variant,
     inputs: WindowInputs,
-    datum: Trace | None = None,
+    datum: float | None = None,
 ) -> tuple[WindowState, tuple[float, float]]:
     """One multiplicative sweep: slave solve with the master's projected
     pressure (relaxed against the previous sweep's datum), or with ``datum``
@@ -354,7 +346,7 @@ def corrector_sweep(
     if datum is None:
         datum = _dirichlet_data(grid, variant, state)
         if state.dirichlet_used is not None:
-            datum = Trace(_relax(state.dirichlet_used.values, datum.values), datum.resolution, datum.dt)
+            datum = _relax(state.dirichlet_used, datum)
     state.dirichlet_used = datum
     _solve_subdomain(grid, state, variant.slave, variant.dirichlet_kind, state.dirichlet_used, inputs)
     state.neumann_used = _neumann_data(grid, variant, state)
@@ -364,13 +356,13 @@ def corrector_sweep(
 
 
 def _superpose(
-    grid: CompositeGrid, variant: Variant, state: WindowState, unit: WindowState, datum: Trace
+    grid: CompositeGrid, variant: Variant, state: WindowState, unit: WindowState, datum: float
 ) -> None:
     """Turn the sweep-1 iterate ``state`` into the sweep from ``datum``
     without marching: each side's cells gain (datum - x0) times the cells of
     ``unit``, the sweep from a unit datum on the homogeneous problem, and the
     traces follow through the closures, as in ``corrector_sweep``."""
-    step = float(datum.values[0] - state.dirichlet_used.values[0])
+    step = datum - state.dirichlet_used
 
     def shifted(name: str) -> np.ndarray:
         return getattr(state, name).cells + step * getattr(unit, name).cells
@@ -394,27 +386,22 @@ def interface_gain(
         inputs = WindowInputs(
             1, np.zeros((ratio, n_fine)), np.zeros(n_coarse), np.zeros(ratio), 0.0, 0.0, operators
         )
-        zero_f, zero_c = fine_trace(np.zeros(ratio), grid.dt_fine), coarse_trace(0.0, grid.dt_coarse)
         state = WindowState(
-            fine=SubdomainState(np.zeros(n_fine), np.zeros((ratio, n_fine)), zero_f, zero_f),
-            coarse=SubdomainState(np.zeros(n_coarse), np.zeros(n_coarse), zero_c, zero_c),
+            fine=SubdomainState(np.zeros(n_fine), np.zeros((ratio, n_fine)), np.zeros(ratio), np.zeros(ratio)),
+            coarse=SubdomainState(np.zeros(n_coarse), np.zeros(n_coarse), np.zeros(1), np.zeros(1)),
         )
-        slave = grid.sides[variant.slave]
-        unit = Trace(np.ones(slave.levels), slave.name, slave.dt)
-        state, _ = corrector_sweep(grid, state, variant, inputs, unit)
+        state, _ = corrector_sweep(grid, state, variant, inputs, 1.0)
         for sub in (state.fine, state.coarse):
             sub.cells.setflags(write=False)  # every window of the march reads them
-        operators.gains[variant] = (float(state.dirichlet_fresh.values[0]), state)
+        operators.gains[variant] = (state.dirichlet_fresh, state)
     return operators.gains[variant]
 
 
 def conservativity_defect_of(state: WindowState, grid: CompositeGrid) -> tuple[float, float]:
     """(defect, flux scale) of the current iterate's interface fluxes."""
-    defect = conservativity_defect(state.fine.flux, state.coarse.flux, grid.dt_fine, grid.dt_coarse)
-    scale = max(
-        float(np.max(np.abs(state.fine.flux.values))),
-        abs(float(state.coarse.flux.values[0])),
-    )
+    coarse_flux = float(state.coarse.flux[0])
+    defect = conservativity_defect(state.fine.flux, coarse_flux, grid.dt_fine, grid.dt_coarse)
+    scale = max(float(np.max(np.abs(state.fine.flux))), abs(coarse_flux))
     return defect, scale
 
 
@@ -442,17 +429,16 @@ def solve_window(
         converged = stops(residuals)
     if not converged and len(history) < sweeps:
         gain, unit = interface_gain(grid, variant, inputs.operators)
-        first = state.dirichlet_used
-        x0 = datum = first.values
-        f1 = fresh = state.dirichlet_fresh.values
+        x0 = datum = state.dirichlet_used
+        f1 = fresh = state.dirichlet_fresh
         while not converged and len(history) < sweeps:
             datum = _relax(datum, fresh)
             fresh = f1 + gain * (datum - x0)
             # the master's flux is its Neumann datum, so the flux residual is 0
-            history.append((float(np.max(np.abs(datum - fresh))), 0.0))
+            history.append((abs(datum - fresh), 0.0))
             converged = stops(history[-1])
-        _superpose(grid, variant, state, unit, Trace(datum, first.resolution, first.dt))
-        state.dirichlet_fresh = Trace(fresh, first.resolution, first.dt)
+        _superpose(grid, variant, state, unit, datum)
+        state.dirichlet_fresh = fresh
     defect, scale = conservativity_defect_of(state, grid)
     report = WindowReport(
         iterations=len(history),
@@ -488,10 +474,10 @@ def march(
             rows = slice((window - 1) * ratio + 1, window * ratio + 1)
             fine[rows] = state.fine.cells
             coarse[window] = state.coarse.cells
-            fine_face_pressure[window - 1] = state.fine.pressure.values
-            coarse_face_pressure[window - 1] = float(state.coarse.pressure.values[0])
-            fine_flux[window - 1] = state.fine.flux.values
-            coarse_flux[window - 1] = float(state.coarse.flux.values[0])
+            fine_face_pressure[window - 1] = state.fine.pressure
+            coarse_face_pressure[window - 1] = state.coarse.pressure[0]
+            fine_flux[window - 1] = state.fine.flux
+            coarse_flux[window - 1] = state.coarse.flux[0]
             report.windows.append(wreport)
             fine_start, coarse_start = fine[window * ratio], coarse[window]
     if variant in operators.gains:

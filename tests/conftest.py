@@ -108,7 +108,7 @@ def random_smooth_problem(rng: np.random.Generator):
     return Problem(source=source, p0=p0, g_lo=zero_t, g_hi=zero_t, exact_solution=None)
 
 
-def reference_subdomain_rhs(grid, subdomain, k, state_prev, closure_kind, data, inputs):
+def reference_subdomain_rhs(grid, subdomain, k, state_prev, closure_kind, datum, inputs):
     """The right-hand side of one subdomain step formed level by level from
     the window's sources and boundary values: the assembly that the
     per-window loads of ``WindowInputs.per_side`` replaced, kept as the
@@ -123,7 +123,6 @@ def reference_subdomain_rhs(grid, subdomain, k, state_prev, closure_kind, data, 
     rhs = side.widths * source[level] + (side.widths / side.dt) * np.asarray(state_prev, dtype=float)
     rhs[side.exterior] += float(g_exterior[level]) / (0.5 * side.widths[side.exterior])
     d = closure_distance(grid, side, closure_kind)
-    datum = float(data.values[level])
     rhs[side.iface] += side.sign * datum if d is None else datum / d
     return rhs
 

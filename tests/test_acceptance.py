@@ -36,7 +36,6 @@ from ltsheat import (
     subdomain_l2_error,
     zero_problem,
 )
-from ltsheat.projection import coarse_trace, fine_trace
 from ltsheat.scheme import VARIANTS, Variant
 from tests.conftest import BUMP_CONFIG, random_smooth_problem
 
@@ -160,8 +159,8 @@ def test_criterion_4_oracle_equivalence():
             pe_f = mono[[lay.iface_fine(k) for k in range(1, ratio + 1)]]
             err = max(
                 err,
-                np.max(np.abs(state.fine.pressure.values - pe_f)),
-                abs(float(state.coarse.pressure.values[0]) - mono[lay.iface_coarse()]),
+                np.max(np.abs(state.fine.pressure - pe_f)),
+                abs(float(state.coarse.pressure[0]) - mono[lay.iface_coarse()]),
             )
         worst = max(worst, err)
         cases += 1
@@ -320,14 +319,14 @@ def test_criterion_8_projection_algebra():
     for trial in range(1000):
         ratio = int(rng.choice([1, 2, 3, 10]))
         dt1 = float(rng.uniform(1e-4, 0.5))
-        u1 = fine_trace(rng.uniform(-1.0, 1.0, ratio), dt1)
-        u2 = coarse_trace(float(rng.uniform(-1.0, 1.0)), dt1 * ratio)
-        lhs = interface_pairing(inject_coarse_to_fine(u2, ratio), u1, 1.0)
-        rhs = interface_pairing(u2, project_fine_to_coarse(u1, ratio), 1.0)
+        u1 = rng.uniform(-1.0, 1.0, ratio)
+        u2 = float(rng.uniform(-1.0, 1.0))
+        lhs = interface_pairing(inject_coarse_to_fine(u2, ratio), u1, dt1, 1.0)
+        rhs = interface_pairing(np.array([u2]), np.array([project_fine_to_coarse(u1, ratio)]), dt1 * ratio, 1.0)
         scale = max(
             abs(lhs),
             abs(rhs),
-            dt1 * float(np.sum(np.abs(u2.values[0] * u1.values))),
+            dt1 * float(np.sum(np.abs(u2 * u1))),
             1e-300,
         )
         worst = max(worst, abs(lhs - rhs) / scale)

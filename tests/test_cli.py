@@ -7,6 +7,7 @@ import pytest
 from ltsheat import SolveMode, build_composite_grid, manufactured_problem, march
 from ltsheat.cli import (
     EXIT_CONFIG,
+    EXIT_ERROR,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     load_run_config,
@@ -114,6 +115,24 @@ def test_non_finite_problem_coefficient_is_config_error(tmp_path, capsys, key, v
     )
     assert run_experiment(cfg) == EXIT_CONFIG
     assert f"configuration error: config key {key!r} entries must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_summary_value_that_overflows_is_solver_error(tmp_path, capsys):
+    # finite coefficients whose solution's L2 norm overflows: summary.json
+    # cannot hold it, so nothing is written
+    out = tmp_path / "o"
+    cfg = write_cfg(
+        tmp_path,
+        "grid.domain_lo = 0\ngrid.domain_hi = 1\ngrid.interface_x = 0.4\n"
+        + "grid.n_cells_fine = 5\ngrid.n_cells_coarse = 3\n"
+        + "grid.dt_fine = 0.01\ngrid.dt_coarse = 0.02\ngrid.t_end = 0.04\n"
+        + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
+        + f"problem.source_coeffs = 1e300, 1e300\nmode.type = single_iteration\noutput_dir = {out}\n",
+    )
+    assert run_experiment(cfg) == EXIT_ERROR
+    assert "solver error: summary values are not finite: final_l2_norm" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -47,3 +47,6 @@ def test_benchmark_trace_sees_every_counted_call(monkeypatch, bump_grid):
         sweeps = calls["solver.corrector_sweep"]
         assert sweeps >= bump_grid.n_windows
         assert calls["scheme.assemble_subdomain_step"] == sweeps * (bump_grid.ratio + 1) > 0
+        # the projections are wrapped as solver attributes too; a march that
+        # stops calling them there would read 0 in the traced projection metric
+        assert calls["projection"] > 0

@@ -23,7 +23,6 @@ from ltsheat import (
     zero_problem,
 )
 from ltsheat import scheme
-from ltsheat.projection import Trace, coarse_trace, fine_trace
 from ltsheat.scheme import VARIANTS, Problem, Variant, WindowInputs, _broadcast_return, slab_source_averages
 from tests.conftest import (
     jittered_widths,
@@ -257,7 +256,7 @@ def one_cell_grid():
 def test_single_cell_hand_assembly():
     grid = one_cell_grid()
     system = assemble_subdomain_step(
-        grid, "fine", 1, np.array([1.0]), "dirichlet_interface", fine_trace([0.0], 1.0),
+        grid, "fine", 1, np.array([1.0]), "dirichlet_interface", 0.0,
         precompute_window_inputs(grid, 1, zero_problem()),
     )
     _, diag, _ = system.bands
@@ -268,20 +267,9 @@ def test_single_cell_hand_assembly():
 
 def test_zero_data_gives_zero_solution(bump_grid):
     inputs = precompute_window_inputs(bump_grid, 1, zero_problem())
-    data = fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine)
-    system = assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), "neumann", data, inputs)
+    system = assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), "neumann", 0.0, inputs)
     assert np.all(system.rhs == 0.0)
     assert np.all(solve_linear(system) == 0.0)
-
-
-def test_closure_resolution_mismatch_raises(bump_grid, bump_problem):
-    inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
-    fine_data = fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine)
-    with pytest.raises(DimensionError):
-        assemble_subdomain_step(bump_grid, "coarse", 1, np.zeros(bump_grid.n_coarse), "neumann", fine_data, inputs)
-    coarse_data = coarse_trace(0.0, bump_grid.dt_coarse)
-    with pytest.raises(DimensionError):
-        assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), "neumann", coarse_data, inputs)
 
 
 def test_time_level_outside_range_raises(bump_grid):
@@ -289,34 +277,31 @@ def test_time_level_outside_range_raises(bump_grid):
     # grid), always 1 on the coarse side
     for grid in (one_cell_grid(), bump_grid):
         inputs = precompute_window_inputs(grid, 1, zero_problem())
-        data = {"fine": fine_trace(np.zeros(grid.ratio), grid.dt_fine), "coarse": coarse_trace(0.0, grid.dt_coarse)}
         for name, side in grid.sides.items():
             prev = np.zeros(side.widths.size)
             for k in (None, 0, side.levels + 1):
                 with pytest.raises(DimensionError, match="time level"):
-                    assemble_subdomain_step(grid, name, k, prev, "neumann", data[name], inputs)
-            assemble_subdomain_step(grid, name, side.levels, prev, "neumann", data[name], inputs)
+                    assemble_subdomain_step(grid, name, k, prev, "neumann", 0.0, inputs)
+            assemble_subdomain_step(grid, name, side.levels, prev, "neumann", 0.0, inputs)
 
 
 def test_unknown_closure_kind_raises(bump_grid):
     # closure_distance is the one check of a closure kind, and every user goes through it
     inputs = precompute_window_inputs(bump_grid, 1, zero_problem())
     fine = bump_grid.sides["fine"]
-    data = fine_trace(np.zeros(bump_grid.ratio), bump_grid.dt_fine)
     for kind in ("dirichlet", None, "Neumann"):
         with pytest.raises(DimensionError, match="closure kind"):
             inputs.operators.get("fine", kind)
         with pytest.raises(DimensionError, match="closure kind"):
-            scheme.interface_traces(bump_grid, fine, kind, data.values, np.zeros(bump_grid.ratio))
+            scheme.interface_traces(bump_grid, fine, kind, 0.0, np.zeros(bump_grid.ratio))
         with pytest.raises(DimensionError, match="closure kind"):
-            assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), kind, data, inputs)
+            assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), kind, 0.0, inputs)
 
 
 def test_interior_flux_antisymmetry(bump_grid, bump_problem):
     # column sums of the flux part vanish: what remains is mass plus closure terms
-    data = coarse_trace(0.3, bump_grid.dt_coarse)
     inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
-    system = assemble_subdomain_step(bump_grid, "coarse", 1, np.zeros(bump_grid.n_coarse), "neumann", data, inputs)
+    system = assemble_subdomain_step(bump_grid, "coarse", 1, np.zeros(bump_grid.n_coarse), "neumann", 0.3, inputs)
     col_sums = np.asarray(tridiagonal_matrix(system).sum(axis=0)).ravel()
     expected = bump_grid.widths_coarse / bump_grid.dt_coarse
     expected = expected.copy()
@@ -495,12 +480,11 @@ def test_variant_parsing():
 
 def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
     inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
-    data = fine_trace(np.ones(bump_grid.ratio), bump_grid.dt_fine)
     prev = bump_problem.p0(bump_grid.centers_fine)
     first, second = (
-        assemble_subdomain_step(bump_grid, "fine", k, prev, "dirichlet_neighbor", data, inputs) for k in (1, 2)
+        assemble_subdomain_step(bump_grid, "fine", k, prev, "dirichlet_neighbor", 1.0, inputs) for k in (1, 2)
     )
-    other = assemble_subdomain_step(bump_grid, "fine", 1, prev, "neumann", data, inputs)
+    other = assemble_subdomain_step(bump_grid, "fine", 1, prev, "neumann", 1.0, inputs)
     assert first.lu is second.lu and first.lu is not other.lu
     assert first.lu is inputs.operators.get("fine", "dirichlet_neighbor")
     assert not first.bands[1].flags.writeable
@@ -513,11 +497,13 @@ def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
 
 
 def test_window_outside_the_horizon_raises(bump_grid, bump_problem):
-    # slabs before t = 0 or after t_end are no window of the grid
-    for window in (0, -3, bump_grid.n_windows + 1, bump_grid.n_windows + 5):
+    # slabs before t = 0, after t_end or between windows are no window of the
+    # grid, and a window number is an integer even where a float names one
+    for window in (0, -3, bump_grid.n_windows + 1, bump_grid.n_windows + 5, 1.5, 2.0):
         with pytest.raises(DimensionError, match="window"):
             precompute_window_inputs(bump_grid, window, bump_problem)
     assert precompute_window_inputs(bump_grid, bump_grid.n_windows, bump_problem).window == bump_grid.n_windows
+    assert precompute_window_inputs(bump_grid, np.int64(2), bump_problem).window == 2
     n = bump_grid.n_windows
     for windows in (range(0, 3), range(n, n + 2), range(3, 3), range(1, n + 1, 2)):
         with pytest.raises(DimensionError, match="windows"):
@@ -543,10 +529,10 @@ def test_step_right_hand_sides_match_the_level_by_level_reference(ratio, cells, 
     for inputs in precompute_window_inputs(grid, range(1, grid.n_windows + 1), problem):
         for name, side in grid.sides.items():
             prev = scale * rng.uniform(-1.0, 1.0, side.widths.size)
-            data = Trace(scale * rng.uniform(-1.0, 1.0, side.levels), name, side.dt)
+            datum = scale * float(rng.uniform(-1.0, 1.0))
             for kind in ("dirichlet_interface", "dirichlet_neighbor", "neumann"):
                 for k in range(1, side.levels + 1):
-                    args = (grid, name, k, prev, kind, data, inputs)
+                    args = (grid, name, k, prev, kind, datum, inputs)
                     assert assemble_subdomain_step(*args).rhs.tobytes() == reference_subdomain_rhs(*args).tobytes()
 
 

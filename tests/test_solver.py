@@ -308,7 +308,7 @@ def test_residuals_require_a_sweep(bump_grid, bump_problem):
         precompute_window_inputs(bump_grid, 1, bump_problem),
     )
     with pytest.raises(SolverError):
-        interface_residuals(Variant("is2", "fine"), state, state.coarse.pressure)
+        interface_residuals(Variant("is2", "fine"), state, float(state.coarse.pressure[0]))
 
 
 # -- window solves against the monolithic reference -----------------------------
@@ -343,8 +343,8 @@ def test_converged_window_matches_monolithic(variant):
         assert np.max(np.abs(state.coarse.cells - mono_coarse)) <= 1e-8
         if lay.has_interface_unknowns:
             pe_f = mono[[lay.iface_fine(k) for k in range(1, ratio + 1)]]
-            assert np.max(np.abs(state.fine.pressure.values - pe_f)) <= 1e-8
-            assert abs(float(state.coarse.pressure.values[0]) - mono[lay.iface_coarse()]) <= 1e-8
+            assert np.max(np.abs(state.fine.pressure - pe_f)) <= 1e-8
+            assert abs(float(state.coarse.pressure[0]) - mono[lay.iface_coarse()]) <= 1e-8
 
 
 # -- modes and marching ---------------------------------------------------------
@@ -387,6 +387,12 @@ def test_every_window_converges_over_the_grid_space(ratio, cells, x_iface, varia
     assert report.all_converged
     for window in report.windows:
         assert window.conservativity_defect <= 1e-12 * max(1.0, window.flux_scale)
+    # the data a side receives are one number per window: the fine slave's face
+    # pressure (is1-coarse) and the fine master's flux are its datum at every level
+    rows = {"is1-coarse": base.fine_face_pressure, "is1-fine": base.fine_flux, "is2-fine": base.fine_flux}
+    if variant.name in rows:
+        bits = rows[variant.name].view(np.uint64)
+        assert (bits == bits[:, :1]).all()
     # data and eps scaled by a power of two scale the whole march exactly
     scaled, scaled_report = march(grid, variant, SolveMode.converged(scale * eps), scaled_problem(problem, scale))
     assert scaled_report.iterations == report.iterations
@@ -412,7 +418,7 @@ def _state_fields(state):
     return [
         array
         for sub in (state.fine, state.coarse)
-        for array in (sub.cells, sub.pressure.values, sub.flux.values)
+        for array in (sub.cells, sub.pressure, sub.flux)
     ]
 
 
@@ -437,7 +443,7 @@ def test_reduced_sweeps_match_real_sweeps_over_the_grid_space(ratio, cells, x_if
         # the real sweeps' residuals scatter by up to 11 ulp of the datum about
         # the geometric sequence res_1 r^(n-1), which the reduced sweeps follow
         # to 1 ulp; residuals near eps are compared on that scale
-        datum = float(np.max(np.abs(expected.dirichlet_used.values)))
+        datum = abs(expected.dirichlet_used)
         floor = 32 * np.finfo(float).eps * max(1.0, datum)
         np.testing.assert_allclose(report.residual_history, history, rtol=1e-12, atol=floor)
         for got, want in zip(_state_fields(state), _state_fields(expected)):
@@ -570,11 +576,11 @@ def test_superposed_windows_match_a_real_sweep_from_the_last_datum(bump_grid, bu
         expected = init_window_state(*args, inputs)
         expected, _ = corrector_sweep(bump_grid, expected, variant, inputs)
         expected, _ = corrector_sweep(bump_grid, expected, variant, inputs, state.dirichlet_used)
-        fields = lambda s: _state_fields(s) + [s.dirichlet_used.values, s.neumann_used.values]  # noqa: E731
+        fields = lambda s: _state_fields(s) + [s.dirichlet_used, s.neumann_used]  # noqa: E731
         for got, want in zip(fields(state), fields(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         master = getattr(state, variant.master)
-        assert master.flux.values.tobytes() == state.neumann_used.values.tobytes()
+        assert master.flux.tobytes() == np.full(master.flux.size, state.neumann_used).tobytes()
         assert report.conservativity_defect <= 1e-12 * max(1.0, report.flux_scale)
         fine_start, coarse_start = state.fine.cells[-1], state.coarse.cells
 
