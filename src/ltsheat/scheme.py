@@ -29,8 +29,6 @@ import numpy as np
 import scipy
 
 if TYPE_CHECKING:
-    import scipy.sparse
-
     from .solver import WindowState
 
 from .errors import ConfigurationError, DimensionError, SolverError
@@ -332,22 +330,24 @@ Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (lower, diag, upper); lower
 _LAPACK_MIN_ORDER = 3
 
 
-def _scipy_linalg_extension(name: str) -> ModuleType:
-    """scipy's compiled wrapper module ``scipy.linalg.<name>``, loaded from its
-    extension file without running the ``scipy.linalg`` package.
+def _scipy_extension(fullname: str) -> ModuleType:
+    """scipy's compiled wrapper module ``fullname`` (say
+    ``scipy.linalg._flapack``), loaded from its extension file without
+    running the packages above it.
 
     Importing ``scipy.linalg`` costs about 0.3 s and 22 MB (its array-API
-    layer pulls in ``numpy.f2py`` and ``numpy.testing``), while the iterative
-    path needs only four compiled functions.  The module is registered under
-    its own ``sys.modules`` name, and one already there is reused, so a later
-    ``import scipy.linalg`` finds the same module and never loads the file
-    twice.  Checked only against scipy 1.17.1, while ``pyproject.toml``
-    allows scipy >= 1.10; a missing file is an ``ImportError`` naming where
-    it was looked for."""
-    fullname = f"scipy.linalg.{name}"
+    layer pulls in ``numpy.f2py`` and ``numpy.testing``), and
+    ``scipy.sparse.linalg`` about as much again, while ltsheat needs only a
+    few compiled functions.  The module is registered under its own
+    ``sys.modules`` name, and one already there is reused, so a later
+    ``import scipy.linalg`` or ``import scipy.sparse.linalg`` finds the same
+    module and never loads the file twice.  Checked only against scipy
+    1.17.1, while ``pyproject.toml`` allows scipy >= 1.10; a missing file is
+    an ``ImportError`` naming where it was looked for."""
     if fullname in sys.modules:
         return sys.modules[fullname]
-    directory = Path(scipy.__file__).parent / "linalg"
+    *packages, name = fullname.split(".")
+    directory = Path(scipy.__file__).parent.joinpath(*packages[1:])
     paths = [directory / (name + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((path for path in paths if path.is_file()), None)
     if path is None:
@@ -359,8 +359,8 @@ def _scipy_linalg_extension(name: str) -> ModuleType:
     return module
 
 
-_flapack = _scipy_linalg_extension("_flapack")
-_fblas = _scipy_linalg_extension("_fblas")
+_flapack = _scipy_extension("scipy.linalg._flapack")
+_fblas = _scipy_extension("scipy.linalg._fblas")
 
 
 @dataclass(frozen=True)
@@ -408,22 +408,46 @@ class TridiagonalLU:
         return (x, residual) if n >= _LAPACK_MIN_ORDER else (x[:n], residual[:n])
 
 
+#: a sparse matrix in compressed sparse column form, as SuperLU takes it:
+#: float64 values and intc row indices of the nonzeros, column by column, and
+#: the intc offsets where each column starts in them, ending at their count
+CSC = tuple[np.ndarray, np.ndarray, np.ndarray]  # (data, rowind, colptr)
+
+
 @dataclass
 class LinearSystem:
     """Square system: a right-hand side with either a factored tridiagonal
-    matrix (subdomain and predictor steps) or a sparse matrix (monolithic
-    window systems)."""
+    matrix (subdomain and predictor steps) or a ``CSC`` matrix (monolithic
+    window systems).  A CSC triple reaches SuperLU's C code unchecked, so a
+    malformed one is a ``DimensionError`` here."""
 
     rhs: np.ndarray
     lu: TridiagonalLU | None = None
-    sparse: scipy.sparse.csr_matrix | None = None
+    sparse: CSC | None = None
 
     def __post_init__(self) -> None:
         if (self.lu is None) == (self.sparse is None):
             raise DimensionError("LinearSystem needs exactly one of lu or sparse")
-        shape = (self.lu.n,) * 2 if self.lu is not None else self.sparse.shape
-        if shape != (self.n, self.n):
+        if self.lu is not None:
+            if self.lu.n != self.n:
+                raise DimensionError("matrix and right-hand side sizes differ")
+            return
+        if not isinstance(self.sparse, tuple) or len(self.sparse) != 3:
+            raise DimensionError("a sparse matrix is a CSC triple (data, rowind, colptr)")
+        data, rowind, colptr = self.sparse
+        if not all(
+            isinstance(a, np.ndarray) and a.dtype == t and a.ndim == 1 and a.flags.c_contiguous
+            for a, t in ((data, np.float64), (rowind, np.intc), (colptr, np.intc))
+        ):
+            raise DimensionError("a CSC matrix is contiguous 1-D float64 values, intc row indices and column pointers")
+        if rowind.size != data.size:
+            raise DimensionError("CSC row indices and values differ in number")
+        if colptr.size != self.n + 1:
             raise DimensionError("matrix and right-hand side sizes differ")
+        if colptr[0] != 0 or colptr[-1] != data.size or np.any(colptr[1:] < colptr[:-1]):
+            raise DimensionError("CSC column pointers must rise from 0 to the number of nonzeros")
+        if data.size and not 0 <= rowind.min() <= rowind.max() < self.n:
+            raise DimensionError(f"CSC row indices must lie in 0..{self.n - 1}")
 
     @property
     def n(self) -> int:
@@ -628,18 +652,15 @@ def assemble_monolithic_window(
     cells (diagonal, right and left neighbors, interface coupling), then the
     is1 interface rows.  Each cell's diagonal is summed here in the order of
     its balance: (mass + left face) + right face for a fine cell, (mass +
-    exterior-side face) + interface-side face for a coarse cell.  The CSR
-    conversion sums only where the is2-fine ghost-mean block (1/K)/dd meets
-    a fine interface cell's diagonal or previous sub-level: two terms, the
-    same float in either order.  Each right-hand side entry adds, onto zero,
-    mass times start value (first level only), width times source, then the
-    exterior boundary value over the half cell.  It reads only the grid's
-    widths, centers and interface distances, never the iterative path's
-    step matrices."""
-    # scipy.sparse is imported here, not with the module: only this reference
-    # builds sparse systems, and runs that never do skip the import's memory
-    import scipy.sparse
-
+    exterior-side face) + interface-side face for a coarse cell.  The
+    entries are then ordered by column and row into the ``CSC`` triple, and
+    equal positions summed: only where the is2-fine ghost-mean block
+    (1/K)/dd meets a fine interface cell's diagonal or previous sub-level,
+    two terms, the same float in either order.  Each right-hand side entry
+    adds, onto zero, mass times start value (first level only), width times
+    source, then the exterior boundary value over the half cell.  It reads
+    only the grid's widths, centers and interface distances, never the
+    iterative path's step matrices."""
     lay = WindowLayout(grid, variant)
     K, n1, n2 = lay.ratio, lay.n_fine, lay.n_coarse
     d1, d2, dd = grid.d_fine, grid.d_coarse, grid.d_across
@@ -707,7 +728,10 @@ def assemble_monolithic_window(
 
     entries = [np.broadcast_arrays(*block) for block in blocks]
     rows, cols, vals = (np.concatenate([entry[i].ravel() for entry in entries]) for i in range(3))
-    matrix = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(lay.n_unknowns, lay.n_unknowns)
-    ).tocsr()
+    order = np.lexsort((rows, cols))  # by column, then row
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]))
+    colptr = np.zeros(lay.n_unknowns + 1, dtype=np.intc)
+    np.cumsum(np.bincount(cols[first], minlength=lay.n_unknowns), out=colptr[1:])
+    matrix = (np.add.reduceat(vals, first), rows[first].astype(np.intc), colptr)
     return LinearSystem(rhs=rhs, sparse=matrix)

@@ -48,6 +48,7 @@ from .scheme import (
     WindowInputs,
     _broadcast_return,
     _fblas,
+    _scipy_extension,
     _window_blocks,
     assemble_composite_step,
     assemble_monolithic_window,
@@ -200,24 +201,31 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
     ||A x - b||_inf <= SOLVE_RTOL (||A||_inf ||x||_inf + ||b||_inf), and a
     ``SolverError`` is raised otherwise.  A tridiagonal system brings its
     matrix's factors and band storage, and its residual is one BLAS banded
-    product at every order; a sparse one is factored here."""
+    product at every order.  A ``CSC`` one is factored here by SuperLU's
+    ``gstrf``, the factorization ``scipy.sparse.linalg.splu`` calls, from
+    scipy's ``_superlu`` extension alone, loaded on first use; its residual
+    and row sums are formed from the CSC arrays."""
     lu = system.lu
     if lu is not None:
         x, residual = lu.solve(system.rhs)
         norm_a = lu.norm_inf
     else:
-        import scipy.sparse.linalg  # sparse systems come only from the monolithic reference
-
+        data, rowind, colptr = system.sparse
+        n = system.n
+        superlu = _scipy_extension("scipy.sparse.linalg._dsolve._superlu")
         # minimum-degree ordering on A^T + A: the window system is a chain of
         # tridiagonal level blocks plus a few coupling rows and columns, which
         # it factors with less fill and time than the default COLAMD
         try:
-            lu = scipy.sparse.linalg.splu(system.sparse.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            lu = superlu.gstrf(
+                n, data.size, data, rowind, colptr, csc_construct_func=None, options={"ColPerm": "MMD_AT_PLUS_A"}
+            )
             x = lu.solve(system.rhs)
         except RuntimeError as exc:
             raise SolverError(f"sparse LU failed: {exc}") from exc
-        residual = system.sparse @ x - system.rhs
-        norm_a = float(np.max(np.abs(system.sparse).sum(axis=1)))
+        products = data * x[np.repeat(np.arange(n), np.diff(colptr))]
+        residual = np.bincount(rowind, weights=products, minlength=n) - system.rhs
+        norm_a = float(np.bincount(rowind, weights=np.abs(data), minlength=n).max())
     # a NaN or infinity anywhere in x makes x_max non-finite; _max_abs may skip a NaN
     x_max = float(np.abs(x).max())
     bound = SOLVE_RTOL * (norm_a * x_max + _max_abs(system.rhs))

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import functools
+import types
 
 import numpy as np
 import pytest
 
 from ltsheat import GridConfig, SolveMode, build_composite_grid, manufactured_problem, march
-from ltsheat.scheme import COARSE, FINE, IS1, LinearSystem, Variant, WindowLayout
+from ltsheat.scheme import COARSE, FINE, IS1, Variant, WindowLayout
 
 #: the reference composite grid: fine [0, 0.25] dx=0.01 dt=0.002,
 #: coarse [0.25, 1] dx=0.05 dt=0.02, horizon 0.1
@@ -131,7 +132,9 @@ def reference_monolithic_window(grid, fine_start, coarse_start, variant, inputs)
     """The monolithic window system assembled entry by entry, one ``add``
     per matrix term in the order of each cell's balance: the loop that
     ``assemble_monolithic_window`` replaced, kept as its reference.  The
-    terms of each entry are summed in the order the loop adds them."""
+    terms of each entry are summed in the order the loop adds them.  Returns
+    ``rhs`` and ``sparse``, a scipy CSR matrix, built independently of the
+    CSC triple the library hands to SuperLU."""
     import scipy.sparse
 
     lay = WindowLayout(grid, variant)
@@ -245,7 +248,7 @@ def reference_monolithic_window(grid, fine_start, coarse_start, variant, inputs)
         summed[r, c] = summed[r, c] + v if (r, c) in summed else v
     (rows, cols), vals = zip(*summed), list(summed.values())
     matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(lay.n_unknowns, lay.n_unknowns)).tocsr()
-    return LinearSystem(rhs=rhs, sparse=matrix)
+    return types.SimpleNamespace(rhs=rhs, sparse=matrix)
 
 
 def reference_error_report(trajectory, problem):

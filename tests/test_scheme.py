@@ -4,6 +4,8 @@ import types
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -360,9 +362,23 @@ def test_array_assembly_matches_the_loop_reference(bump_problem, variant):
         got = assemble_monolithic_window(grid, *start, variant, inputs)
         want = reference_monolithic_window(grid, *start, variant, inputs)
         assert got.rhs.tobytes() == want.rhs.tobytes()
-        assert np.array_equal(got.sparse.indptr, want.sparse.indptr)
-        assert np.array_equal(got.sparse.indices, want.sparse.indices)
-        assert got.sparse.data.tobytes() == want.sparse.data.tobytes()
+        want_csc = want.sparse.tocsc()
+        data, rowind, colptr = got.sparse
+        assert colptr.tobytes() == want_csc.indptr.astype(np.intc).tobytes()
+        assert rowind.tobytes() == want_csc.indices.astype(np.intc).tobytes()
+        assert data.tobytes() == want_csc.data.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+def test_monolithic_solve_matches_scipy_splu(bump_problem, variant):
+    # scipy's splu runs the same SuperLU factorization with the same ordering,
+    # so it is the bit-for-bit reference of the direct gstrf call
+    for grid in _assembly_cases():
+        start = (bump_problem.p0(grid.centers_fine), bump_problem.p0(grid.centers_coarse))
+        system = assemble_monolithic_window(grid, *start, variant, precompute_window_inputs(grid, 1, bump_problem))
+        matrix = scipy.sparse.csc_matrix(system.sparse, shape=(system.n, system.n))
+        want = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(system.rhs)
+        assert solve_linear(system).tobytes() == want.tobytes()
 
 
 def test_monolithic_assembly_stays_off_the_iterative_path():
@@ -452,9 +468,8 @@ def test_ratio_one_is2_matches_single_domain_rows(bump_problem):
     for master in ("fine", "coarse"):
         mono = assemble_monolithic_window(grid, start_f, start_c, Variant("is2", master), inputs)
         single = assemble_composite_step(grid, start_f, start_c, inputs)
-        np.testing.assert_allclose(
-            mono.sparse.toarray(), tridiagonal_matrix(single).toarray(), rtol=1e-12, atol=1e-13
-        )
+        dense = scipy.sparse.csc_matrix(mono.sparse, shape=(mono.n, mono.n)).toarray()
+        np.testing.assert_allclose(dense, tridiagonal_matrix(single).toarray(), rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(mono.rhs, single.rhs, rtol=1e-13, atol=0.0)
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from ltsheat import (
     ConfigurationError,
+    DimensionError,
     ErrorSeries,
     GridConfig,
     Problem,
@@ -83,11 +84,14 @@ def test_solve_identity():
     np.testing.assert_array_equal(solve_linear(system), system.rhs)
 
 
+def _csc(dense):
+    """The CSC triple of a dense matrix, built by scipy."""
+    matrix = scipy.sparse.csc_matrix(np.asarray(dense, dtype=float))
+    return matrix.data, matrix.indices.astype(np.intc), matrix.indptr.astype(np.intc)
+
+
 def test_solve_symmetric_2x2():
-    system = LinearSystem(
-        rhs=np.array([3.0, 3.0]),
-        sparse=scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])),
-    )
+    system = LinearSystem(rhs=np.array([3.0, 3.0]), sparse=_csc([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(solve_linear(system), [1.0, 1.0], rtol=1e-14)
 
 
@@ -107,12 +111,50 @@ def test_solve_random_tridiagonal_residual():
 
 
 def test_singular_system_raises():
-    system = LinearSystem(
-        rhs=np.array([1.0, 1.0]),
-        sparse=scipy.sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])),
-    )
-    with pytest.raises(SolverError):
+    system = LinearSystem(rhs=np.array([1.0, 1.0]), sparse=_csc([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError, match="sparse LU failed"):
         solve_linear(system)
+
+
+_TRIDIAGONAL_3 = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]  # its 7 entries: rows 0 1 | 0 1 2 | 1 2
+
+
+def _malformed_csc(form):
+    """The CSC triple of ``_TRIDIAGONAL_3`` broken in one way, and the error
+    it must raise."""
+    data, rowind, colptr = _csc(_TRIDIAGONAL_3)
+    dtypes, rising = "contiguous 1-D float64 values, intc", "must rise from 0 to the number of nonzeros"
+    return {
+        "scipy-matrix": (scipy.sparse.csc_matrix(_TRIDIAGONAL_3), "is a CSC triple"),
+        "float32-data": ((data.astype(np.float32), rowind, colptr), dtypes),
+        "int64-rowind": ((data, rowind.astype(np.int64), colptr), dtypes),
+        "int64-colptr": ((data, rowind, colptr.astype(np.int64)), dtypes),
+        "strided-data": ((np.repeat(data, 2)[::2], rowind, colptr), dtypes),
+        "short-rowind": ((data, rowind[:-1], colptr), "row indices and values differ in number"),
+        "long-colptr": ((data, rowind, np.append(colptr, colptr[-1]).astype(np.intc)), "sizes differ"),
+        "colptr-not-from-0": ((data, rowind, colptr + np.intc(1)), rising),
+        "colptr-decreasing": ((data, rowind, np.array([0, 3, 2, 7], dtype=np.intc)), rising),
+        "colptr-short-of-nnz": ((data, rowind, np.array([0, 2, 5, 6], dtype=np.intc)), rising),
+        "negative-row": ((data, np.array([0, 1, 0, -1, 2, 1, 2], dtype=np.intc), colptr), "must lie in 0..2"),
+        "row-past-n": ((data, np.array([0, 1, 0, 1, 2, 1, 3], dtype=np.intc), colptr), "must lie in 0..2"),
+    }[form]
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        "scipy-matrix", "float32-data", "int64-rowind", "int64-colptr", "strided-data", "short-rowind",
+        "long-colptr", "colptr-not-from-0", "colptr-decreasing", "colptr-short-of-nnz", "negative-row", "row-past-n",
+    ],
+)
+def test_malformed_csc_triple_raises_before_any_solve(form):
+    # the triple reaches SuperLU's C code, which reads out of bounds on a bad
+    # index instead of failing, so a malformed one never becomes a system
+    rhs = np.array([3.0, 4.0, 3.0])
+    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, sparse=_csc(_TRIDIAGONAL_3))), 1.0, rtol=1e-14)
+    triple, message = _malformed_csc(form)
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        LinearSystem(rhs=rhs, sparse=triple)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
@@ -705,6 +747,7 @@ def test_interleaved_marches_match_marches_run_in_another_order(tmp_path):
 
 _SCIPY_IMPORT_PROBE = """
 import sys
+import numpy as np
 import ltsheat.cli
 from ltsheat import (
     GridConfig, SolveMode, build_composite_grid, error_report, manufactured_problem, march, solve_window_monolithic,
@@ -715,9 +758,14 @@ grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1)
 problem = manufactured_problem()
 trajectory, _ = march(grid, VARIANTS[0], SolveMode.converged(), problem)
 error_report(trajectory, problem)
-print(*(name in sys.modules for name in ("scipy.sparse", "scipy.linalg", "numpy.f2py", "numpy.testing")))
 solve_window_monolithic(grid, 1, trajectory.fine[0], trajectory.coarse[0], VARIANTS[0], problem)
-print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules, "scipy.linalg" in sys.modules)
+packages = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py", "numpy.testing")
+print(*(name in sys.modules for name in packages))
+loaded = sys.modules["scipy.sparse.linalg._dsolve._superlu"]
+import scipy.sparse, scipy.sparse.linalg
+print(scipy.sparse.linalg._dsolve.linsolve._superlu is loaded, sys.modules["scipy.sparse.linalg._dsolve._superlu"] is loaded)
+lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+print(np.array_equal(lu.solve(np.array([3.0, 3.0])), [1.0, 1.0]))
 import scipy.linalg.blas, scipy.linalg.lapack
 print(
     scipy.linalg.lapack.dgttrf is scheme._flapack.dgttrf,
@@ -728,30 +776,33 @@ print(
 """
 
 
-def test_only_the_monolithic_reference_imports_scipy_sparse():
-    # Every run pays the import time and memory of scipy.sparse and of the
-    # scipy.linalg package unless they are loaded on first use, so a fresh
-    # interpreter shows which calls load them.  The iterative path reaches
-    # LAPACK and BLAS through scipy.linalg's extension modules alone; once the
-    # monolithic reference has imported the package, its functions must be the
-    # ones the tridiagonal path calls, each extension loaded once.
+def test_no_ltsheat_call_imports_scipy_packages():
+    # Every run would pay the import time and memory of scipy.sparse and of
+    # the scipy.linalg package if a call loaded them, so a fresh interpreter
+    # shows that none does: the iterative path reaches LAPACK and BLAS, and
+    # the monolithic reference SuperLU, through scipy's extension modules
+    # alone.  Once a user imports the packages, their functions must be the
+    # ones ltsheat calls, each extension loaded once, and splu must work.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     probe = subprocess.run(
         [sys.executable, "-c", _SCIPY_IMPORT_PROBE], cwd=root, env=env, check=True, timeout=120,
         capture_output=True, text=True,
     )
-    assert probe.stdout.split() == ["False"] * 4 + ["True"] * 7
+    assert probe.stdout.split() == ["False"] * 5 + ["True"] * 7
 
 
 def test_scipy_extension_loader_reuses_a_loaded_module_and_names_a_missing_file(monkeypatch):
     # a registered module is returned untouched: loading the file again would
-    # refill its namespace from the extension
-    registered = types.ModuleType("scipy.linalg._fblas")
-    monkeypatch.setitem(sys.modules, "scipy.linalg._fblas", registered)
-    assert ltsheat.scheme._scipy_linalg_extension("_fblas") is registered
-    assert vars(registered).keys() == vars(types.ModuleType("")).keys()
-    directory = Path(scipy.__file__).parent / "linalg"
-    with pytest.raises(ImportError, match=re.escape(f"scipy.linalg._no_such_wrapper: tried {directory / '_no_such_wrapper'}")):
-        ltsheat.scheme._scipy_linalg_extension("_no_such_wrapper")
-    assert "scipy.linalg._no_such_wrapper" not in sys.modules
+    # refill its namespace from the extension; the LAPACK and BLAS wrappers
+    # and SuperLU's sit in different scipy packages
+    for package, name in (("scipy.linalg", "_fblas"), ("scipy.sparse.linalg._dsolve", "_superlu")):
+        registered = types.ModuleType(f"{package}.{name}")
+        monkeypatch.setitem(sys.modules, f"{package}.{name}", registered)
+        assert ltsheat.scheme._scipy_extension(f"{package}.{name}") is registered
+        assert vars(registered).keys() == vars(types.ModuleType("")).keys()
+        directory = Path(scipy.__file__).parent.joinpath(*package.split(".")[1:])
+        missing = f"{package}._no_such_wrapper"
+        with pytest.raises(ImportError, match=re.escape(f"{missing}: tried {directory / '_no_such_wrapper'}")):
+            ltsheat.scheme._scipy_extension(missing)
+        assert missing not in sys.modules
