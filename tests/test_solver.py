@@ -117,42 +117,32 @@ def test_singular_system_raises():
 
 
 _TRIDIAGONAL_3 = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]  # its 7 entries: rows 0 1 | 0 1 2 | 1 2
+_DATA, _ROWIND, _COLPTR = _csc(_TRIDIAGONAL_3)
+_DTYPES, _RISING = "contiguous 1-D float64 values, intc", "must rise from 0 to the number of nonzeros"
+#: the CSC triple of ``_TRIDIAGONAL_3`` broken in one way each, and the error each must raise
+_MALFORMED_CSC = {
+    "scipy-matrix": (scipy.sparse.csc_matrix(_TRIDIAGONAL_3), "is a CSC triple"),
+    "float32-data": ((_DATA.astype(np.float32), _ROWIND, _COLPTR), _DTYPES),
+    "int64-rowind": ((_DATA, _ROWIND.astype(np.int64), _COLPTR), _DTYPES),
+    "int64-colptr": ((_DATA, _ROWIND, _COLPTR.astype(np.int64)), _DTYPES),
+    "strided-data": ((np.repeat(_DATA, 2)[::2], _ROWIND, _COLPTR), _DTYPES),
+    "short-rowind": ((_DATA, _ROWIND[:-1], _COLPTR), "row indices and values differ in number"),
+    "long-colptr": ((_DATA, _ROWIND, np.append(_COLPTR, _COLPTR[-1]).astype(np.intc)), "sizes differ"),
+    "colptr-not-from-0": ((_DATA, _ROWIND, _COLPTR + np.intc(1)), _RISING),
+    "colptr-decreasing": ((_DATA, _ROWIND, np.array([0, 3, 2, 7], dtype=np.intc)), _RISING),
+    "colptr-short-of-nnz": ((_DATA, _ROWIND, np.array([0, 2, 5, 6], dtype=np.intc)), _RISING),
+    "negative-row": ((_DATA, np.array([0, 1, 0, -1, 2, 1, 2], dtype=np.intc), _COLPTR), "must lie in 0..2"),
+    "row-past-n": ((_DATA, np.array([0, 1, 0, 1, 2, 1, 3], dtype=np.intc), _COLPTR), "must lie in 0..2"),
+}
 
 
-def _malformed_csc(form):
-    """The CSC triple of ``_TRIDIAGONAL_3`` broken in one way, and the error
-    it must raise."""
-    data, rowind, colptr = _csc(_TRIDIAGONAL_3)
-    dtypes, rising = "contiguous 1-D float64 values, intc", "must rise from 0 to the number of nonzeros"
-    return {
-        "scipy-matrix": (scipy.sparse.csc_matrix(_TRIDIAGONAL_3), "is a CSC triple"),
-        "float32-data": ((data.astype(np.float32), rowind, colptr), dtypes),
-        "int64-rowind": ((data, rowind.astype(np.int64), colptr), dtypes),
-        "int64-colptr": ((data, rowind, colptr.astype(np.int64)), dtypes),
-        "strided-data": ((np.repeat(data, 2)[::2], rowind, colptr), dtypes),
-        "short-rowind": ((data, rowind[:-1], colptr), "row indices and values differ in number"),
-        "long-colptr": ((data, rowind, np.append(colptr, colptr[-1]).astype(np.intc)), "sizes differ"),
-        "colptr-not-from-0": ((data, rowind, colptr + np.intc(1)), rising),
-        "colptr-decreasing": ((data, rowind, np.array([0, 3, 2, 7], dtype=np.intc)), rising),
-        "colptr-short-of-nnz": ((data, rowind, np.array([0, 2, 5, 6], dtype=np.intc)), rising),
-        "negative-row": ((data, np.array([0, 1, 0, -1, 2, 1, 2], dtype=np.intc), colptr), "must lie in 0..2"),
-        "row-past-n": ((data, np.array([0, 1, 0, 1, 2, 1, 3], dtype=np.intc), colptr), "must lie in 0..2"),
-    }[form]
-
-
-@pytest.mark.parametrize(
-    "form",
-    [
-        "scipy-matrix", "float32-data", "int64-rowind", "int64-colptr", "strided-data", "short-rowind",
-        "long-colptr", "colptr-not-from-0", "colptr-decreasing", "colptr-short-of-nnz", "negative-row", "row-past-n",
-    ],
-)
+@pytest.mark.parametrize("form", list(_MALFORMED_CSC))
 def test_malformed_csc_triple_raises_before_any_solve(form):
     # the triple reaches SuperLU's C code, which reads out of bounds on a bad
     # index instead of failing, so a malformed one never becomes a system
     rhs = np.array([3.0, 4.0, 3.0])
-    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, sparse=_csc(_TRIDIAGONAL_3))), 1.0, rtol=1e-14)
-    triple, message = _malformed_csc(form)
+    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, sparse=(_DATA, _ROWIND, _COLPTR))), 1.0, rtol=1e-14)
+    triple, message = _MALFORMED_CSC[form]
     with pytest.raises(DimensionError, match=re.escape(message)):
         LinearSystem(rhs=rhs, sparse=triple)
 
