@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,43 +132,80 @@ class WindowState:
 
 @dataclass(slots=True)
 class WindowReport:
-    """How one window's corrector went.  A march keeps one report per window,
-    so each is stored compactly: slots, and the residuals as one flat array."""
+    """How one window's corrector went.  ``solve_window`` returns one, and
+    ``SolveReport.windows`` builds them as views of a march's columns."""
 
-    iterations: int
-    residuals: array  # dirichlet, neumann, dirichlet, ...: the max-norm pair of each sweep
+    dirichlet_residuals: array  # the max-norm Dirichlet residual of each sweep
     conservativity_defect: float
     flux_scale: float
     converged: bool
 
     @property
+    def iterations(self) -> int:
+        return len(self.dirichlet_residuals)
+
+    @property
     def residual_history(self) -> list[tuple[float, float]]:
-        """The (dirichlet, neumann) residual pair of each sweep."""
-        return list(zip(self.residuals[::2], self.residuals[1::2]))
+        """The (dirichlet, neumann) residual pair of each sweep.  The master
+        is solved with the projected slave flux as its Neumann datum, so its
+        flux meets that datum exactly and the Neumann residual is 0.0 by
+        construction; it is not stored."""
+        return [(r, 0.0) for r in self.dirichlet_residuals]
 
 
-@dataclass
 class SolveReport:
-    windows: list[WindowReport] = field(default_factory=list)
-    #: per-sweep contraction 1 - theta + theta g of the march's corrector; None
-    #: when no window needed a second sweep, so the gain g was never computed
-    contraction: float | None = None
+    """How a march's corrector went, window by window, kept as columns: one
+    typed array per ``WindowReport`` field and one flat array of every
+    sweep's Dirichlet residual, window after window, so a march of any
+    length holds the same five containers and no per-window object."""
+
+    __slots__ = ("_iterations", "_residuals", "_defects", "_flux_scales", "_converged", "contraction")
+
+    def __init__(self) -> None:
+        self._iterations = array("q")
+        self._residuals = array("d")
+        self._defects = array("d")
+        self._flux_scales = array("d")
+        self._converged = array("b")
+        #: per-sweep contraction 1 - theta + theta g of the march's corrector;
+        #: None when no window needed a second sweep, so the gain g was never
+        #: computed
+        self.contraction: float | None = None
+
+    def append(self, window: WindowReport) -> None:
+        self._iterations.append(window.iterations)
+        self._residuals.extend(window.dirichlet_residuals)
+        self._defects.append(window.conservativity_defect)
+        self._flux_scales.append(window.flux_scale)
+        self._converged.append(window.converged)
+
+    @property
+    def windows(self) -> list[WindowReport]:
+        """A view of each window's report, built on every access."""
+        views, start = [], 0
+        for iterations, defect, scale, converged in zip(
+            self._iterations, self._defects, self._flux_scales, self._converged
+        ):
+            end = start + iterations
+            views.append(WindowReport(self._residuals[start:end], defect, scale, bool(converged)))
+            start = end
+        return views
 
     @property
     def iterations(self) -> list[int]:
-        return [w.iterations for w in self.windows]
+        return self._iterations.tolist()
 
     @property
     def mean_iterations(self) -> float:
-        return float(np.mean(self.iterations)) if self.windows else 0.0
+        return float(np.mean(self._iterations)) if self._iterations else 0.0
 
     @property
     def max_defect(self) -> float:
-        return max((w.conservativity_defect for w in self.windows), default=0.0)
+        return max(self._defects, default=0.0)
 
     @property
     def all_converged(self) -> bool:
-        return all(w.converged for w in self.windows)
+        return all(self._converged)
 
 
 @dataclass
@@ -426,36 +463,30 @@ def solve_window(
     state = init_window_state(grid, fine_start, coarse_start, inputs)
     sweeps = {PREDICTOR_ONLY: 0, SINGLE_ITERATION: 1}.get(mode.kind, mode.max_iters)
 
-    def stops(residuals: tuple[float, float]) -> bool:
-        return mode.kind == CONVERGED and residuals[0] <= mode.eps and residuals[1] <= mode.eps
+    def stops(res_d: float, res_n: float) -> bool:
+        return mode.kind == CONVERGED and res_d <= mode.eps and res_n <= mode.eps
 
-    history: list[tuple[float, float]] = []
+    residuals = array("d")  # the Dirichlet residual of each sweep
     converged = False
     if sweeps > 0:
-        state, residuals = corrector_sweep(grid, state, variant, inputs)
-        history.append(residuals)
-        converged = stops(residuals)
-    if not converged and len(history) < sweeps:
+        state, (res_d, res_n) = corrector_sweep(grid, state, variant, inputs)
+        residuals.append(res_d)
+        converged = stops(res_d, res_n)
+    if not converged and len(residuals) < sweeps:
         gain, unit = interface_gain(grid, variant, inputs.operators)
         x0 = datum = state.dirichlet_used
         f1 = fresh = state.dirichlet_fresh
-        while not converged and len(history) < sweeps:
+        while not converged and len(residuals) < sweeps:
             datum = _relax(datum, fresh)
             fresh = f1 + gain * (datum - x0)
+            res_d = abs(datum - fresh)
+            residuals.append(res_d)
             # the master's flux is its Neumann datum, so the flux residual is 0
-            history.append((abs(datum - fresh), 0.0))
-            converged = stops(history[-1])
+            converged = stops(res_d, 0.0)
         _superpose(grid, variant, state, unit, datum)
         state.dirichlet_fresh = fresh
     defect, scale = conservativity_defect_of(state, grid)
-    report = WindowReport(
-        iterations=len(history),
-        residuals=array("d", [r for pair in history for r in pair]),
-        conservativity_defect=defect,
-        flux_scale=scale,
-        converged=converged,
-    )
-    return state, report
+    return state, WindowReport(residuals, defect, scale, converged)
 
 
 def march(
@@ -478,7 +509,10 @@ def march(
     for block in _window_blocks(grid):
         for inputs in precompute_window_inputs(grid, block, problem, operators):
             window = inputs.window
-            state, wreport = solve_window(grid, fine_start, coarse_start, variant, mode, inputs)
+            try:
+                state, window_report = solve_window(grid, fine_start, coarse_start, variant, mode, inputs)
+            except SolverError as exc:
+                raise SolverError(f"{variant.name}, window {window} of {n_windows}: {exc}") from exc
             rows = slice((window - 1) * ratio + 1, window * ratio + 1)
             fine[rows] = state.fine.cells
             coarse[window] = state.coarse.cells
@@ -486,7 +520,7 @@ def march(
             coarse_face_pressure[window - 1] = state.coarse.pressure[0]
             fine_flux[window - 1] = state.fine.flux
             coarse_flux[window - 1] = state.coarse.flux[0]
-            report.windows.append(wreport)
+            report.append(window_report)
             fine_start, coarse_start = fine[window * ratio], coarse[window]
     if variant in operators.gains:
         gain, _ = operators.gains[variant]

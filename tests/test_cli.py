@@ -136,6 +136,20 @@ def test_summary_value_that_overflows_is_solver_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys):
+    # a source that overflows fails the first direct solve of the first window
+    cfg = write_cfg(
+        tmp_path,
+        MINIMAL
+        + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
+        + f"problem.source_coeffs = 1e308, 1e308\noutput_dir = {tmp_path / 'o'}\n",
+    )
+    assert main(["run", str(cfg)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "solver error: is2-fine, window 1 of 5: direct solve residual exceeds the acceptance bound" in err
+
+
 def test_custom_problem_requires_homogeneous_boundary(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "problem = custom-coefficients\n")
     assert run_experiment(cfg) == EXIT_CONFIG

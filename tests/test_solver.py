@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import inspect
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -145,6 +148,18 @@ def test_malformed_csc_triple_raises_before_any_solve(form):
     triple, message = _MALFORMED_CSC[form]
     with pytest.raises(DimensionError, match=re.escape(message)):
         LinearSystem(rhs=rhs, sparse=triple)
+
+
+def test_tridiagonal_matrix_without_unknowns_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="needs at least one unknown"):
+        TridiagonalLU.factor((np.zeros(0), np.zeros(0), np.zeros(0)))
+
+
+def test_sparse_system_without_unknowns_is_a_dimension_error():
+    # an empty triple is well formed, and gstrf would take it
+    empty = (np.zeros(0), np.zeros(0, dtype=np.intc), np.zeros(1, dtype=np.intc))
+    with pytest.raises(DimensionError, match="needs at least one unknown"):
+        LinearSystem(rhs=np.zeros(0), sparse=empty)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
@@ -402,6 +417,99 @@ def test_nonconvergence_is_flagged_not_raised(bump_grid, bump_problem):
     _, report = solve_window(bump_grid, p0f, p0c, Variant("is2", "fine"), SolveMode.converged(1e-14, 2), inputs)
     assert not report.converged
     assert report.iterations == 2
+
+
+def _bits(*values: float) -> bytes:
+    return array("d", values).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.sampled_from([1, 2, 5, 10, 20, 50]),
+    cells=st.sampled_from([(10, 10), (20, 5), (5, 20), (40, 8)]),
+    x_iface=st.sampled_from([0.25, 0.5, 0.8]),
+    variant=st.sampled_from(VARIANTS),
+    mode=st.sampled_from([
+        SolveMode.converged(1e-8),
+        SolveMode.converged(1e-8, 3),  # some windows stop unconverged
+        SolveMode.single_iteration(),
+        SolveMode.predictor_only(),
+    ]),
+)
+def test_report_columns_give_back_every_window_report(ratio, cells, x_iface, variant, mode):
+    grid = build_composite_grid(GridConfig(0.0, 1.0, x_iface, *cells, 0.01 / ratio, 0.01, 0.02))
+    returned, neumann = [], []
+
+    def recording_solve_window(*args):
+        state, report = solve_window(*args)
+        returned.append(report)
+        return state, report
+
+    def recording_sweep(*args):
+        state, residuals = corrector_sweep(*args)
+        neumann.append(residuals[1])
+        return state, residuals
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ltsheat.solver, "solve_window", recording_solve_window)
+        mp.setattr(ltsheat.solver, "corrector_sweep", recording_sweep)
+        _, report = ltsheat.solver.march(grid, variant, mode, manufactured_problem())
+    views = report.windows
+    assert len(views) == len(returned) == grid.n_windows
+    for view, window in zip(views, returned):
+        assert view.iterations == window.iterations
+        assert view.converged is window.converged
+        assert _bits(view.conservativity_defect, view.flux_scale) == _bits(window.conservativity_defect, window.flux_scale)
+        assert _bits(*(r for pair in view.residual_history for r in pair)) == _bits(
+            *(r for pair in window.residual_history for r in pair)
+        )
+    assert report.iterations == [w.iterations for w in returned]
+    assert report.mean_iterations == float(np.mean([w.iterations for w in returned]))
+    assert report.max_defect == max(w.conservativity_defect for w in returned)
+    assert report.all_converged == all(w.converged for w in returned)
+    # the one fact that lets the report drop the Neumann residual: every real
+    # sweep (sweep 1 of a window, or the gain's unit-datum sweep) leaves it 0.0
+    assert len(neumann) >= sum(w.iterations > 0 for w in returned)
+    assert _bits(*neumann) == _bits(*[0.0] * len(neumann))
+
+
+def _held(report) -> list:
+    """Every object ``report`` refers to, directly or through another, its
+    class excluded."""
+    held, todo = [], list(gc.get_referents(report))
+    while todo:
+        obj = todo.pop()
+        if not isinstance(obj, type):
+            held.append(obj)
+            todo += gc.get_referents(obj)
+    return held
+
+
+def test_report_holds_five_containers_and_few_bytes_per_window(bump_problem):
+    # the s = 8 converged bump march (is2-fine, 40 windows, 253 sweeps) retains
+    # 94.3 bytes per window in its report: 8 per sweep plus 25 per window, and
+    # the arrays' headers and spare room; one report object per window took 318
+    for s in (1, 8):
+        config = GridConfig(0.0, 1.0, 0.25, 25 * s, 15 * s, 0.002 / s, 0.02 / s, 0.1)
+        grid = build_composite_grid(config)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, report = march(grid, Variant("is2", "fine"), SolveMode.converged(), bump_problem)
+            containers = [obj for obj in _held(report) if not isinstance(obj, (float, type(None)))]
+            assert len(containers) == 5 and all(isinstance(obj, array) for obj in containers)
+            windows = len(report.iterations)
+            del containers
+            gc.collect()
+            with_report = tracemalloc.get_traced_memory()[0]
+            del report
+            gc.collect()
+            retained = with_report - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        if s == 8:
+            assert windows == 40
+            assert retained / windows < 100
 
 
 @settings(max_examples=40, deadline=None)
@@ -749,7 +857,7 @@ problem = manufactured_problem()
 trajectory, _ = march(grid, VARIANTS[0], SolveMode.converged(), problem)
 error_report(trajectory, problem)
 solve_window_monolithic(grid, 1, trajectory.fine[0], trajectory.coarse[0], VARIANTS[0], problem)
-packages = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py", "numpy.testing")
+packages = ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py", "numpy.testing")
 print(*(name in sys.modules for name in packages))
 loaded = sys.modules["scipy.sparse.linalg._dsolve._superlu"]
 import scipy.sparse, scipy.sparse.linalg
@@ -767,11 +875,11 @@ print(
 
 
 def test_no_ltsheat_call_imports_scipy_packages():
-    # Every run would pay the import time and memory of scipy.sparse and of
-    # the scipy.linalg package if a call loaded them, so a fresh interpreter
-    # shows that none does: the iterative path reaches LAPACK and BLAS, and
-    # the monolithic reference SuperLU, through scipy's extension modules
-    # alone.  Once a user imports the packages, their functions must be the
+    # Every run would pay the import time and memory of scipy.sparse, of the
+    # scipy.linalg package and of the scipy package itself if a call loaded
+    # them, so a fresh interpreter shows that none does: the iterative path
+    # reaches LAPACK and BLAS, and the monolithic reference SuperLU, through
+    # scipy's extension modules alone.  Once a user imports the packages, their functions must be the
     # ones ltsheat calls, each extension loaded once, and splu must work.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
@@ -779,7 +887,7 @@ def test_no_ltsheat_call_imports_scipy_packages():
         [sys.executable, "-c", _SCIPY_IMPORT_PROBE], cwd=root, env=env, check=True, timeout=120,
         capture_output=True, text=True,
     )
-    assert probe.stdout.split() == ["False"] * 5 + ["True"] * 7
+    assert probe.stdout.split() == ["False"] * 6 + ["True"] * 7
 
 
 def test_scipy_extension_loader_reuses_a_loaded_module_and_names_a_missing_file(monkeypatch):
