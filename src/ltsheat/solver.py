@@ -13,26 +13,30 @@ side.  Because a sweep ends with the Neumann-side solve and both projections
 preserve the time-weighted flux sum exactly, the coupling is conservative
 after every whole sweep, including the single-iteration mode.
 
-Only sweep 1 of a window marches the subdomains.  A sweep is affine in the
-slave's Dirichlet datum: from datum x the master's new Dirichlet datum is
-f1 + g (x - x0), where x0 is the first sweep's datum, f1 the datum after it,
-and g the interface gain, the response of one sweep to a unit datum on the
-homogeneous problem.  This is the Steklov-Poincare form of the coupling in
-one unknown.  So sweep 1 is a real sweep, and sweeps 2..n run that
-recursion with the same relaxation, residuals and stopping test.  The
-window's cells are then sweep 1's cells plus (x - x0) times the cells of the
-unit-datum sweep, and its traces follow from those cells through the same
-closures as a real sweep: the slave takes the last datum, the master the
-projected slave flux, which keeps the coupling conservative.  A window that
-stops after sweep 1 does no extra work.  The unit-datum sweep
-(``interface_gain``) runs once per grid and variant, the first time a window
-needs a second sweep.
+One sweep body serves the real, the unit-datum and the superposed sweeps:
+it closes the slave with its Dirichlet datum, then the master with the
+projected slave flux, and sets each side's traces from the cells it is
+given.  A sweep is affine in the slave's datum: from datum x the master's
+new Dirichlet datum is f1 + g (x - x0), where x0 is the first sweep's datum,
+f1 the datum after it, and g the interface gain, the response of one sweep
+to a unit datum on the homogeneous problem (the Steklov-Poincare form of the
+coupling in one unknown).  So only sweep 1 marches the subdomains, and
+sweeps 2..n run that recursion with the same relaxation and stopping test.
+A sweep's residual is |datum - fresh|, fresh being the master's projected
+Dirichlet datum after it; only ``WindowReport.residual_history`` adds the
+Neumann residual, 0.0 because the master's flux is its Neumann datum.  A
+window that ran more sweeps then goes once more through the sweep body with
+sweep 1's cells plus (x - x0) times the unit-datum sweep's cells, which
+keeps it conservative.  The unit-datum sweep (``interface_gain``) runs once
+per grid and variant, the first time a window needs a second sweep.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +93,8 @@ class SolveMode:
             raise ConfigurationError(f"unknown solve mode {self.kind!r}")
         if not 0.0 < self.eps < math.inf:
             raise ConfigurationError(f"eps must be positive and finite, got {self.eps!r}")
+        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
+            raise ConfigurationError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
 
@@ -126,8 +132,6 @@ class WindowState:
     fine: SubdomainState
     coarse: SubdomainState
     dirichlet_used: float | None = None  # datum of the latest slave solve
-    neumann_used: float | None = None  # datum of the latest master solve
-    dirichlet_fresh: float | None = None  # the slave datum the iterate implies, undamped
 
 
 @dataclass(slots=True)
@@ -135,7 +139,7 @@ class WindowReport:
     """How one window's corrector went.  ``solve_window`` returns one, and
     ``SolveReport.windows`` builds them as views of a march's columns."""
 
-    dirichlet_residuals: array  # the max-norm Dirichlet residual of each sweep
+    dirichlet_residuals: array  # |datum - fresh| of each sweep
     conservativity_defect: float
     flux_scale: float
     converged: bool
@@ -318,9 +322,16 @@ def _project(grid: CompositeGrid, side: Side, values: np.ndarray) -> float:
 
 
 def _relax(used: float, fresh: float) -> float:
-    """The damped Dirichlet datum of the next sweep."""
+    """The damped Dirichlet datum of the next sweep: the relaxed
+    Dirichlet-Neumann update of Funaro, Quarteroni & Zanolli (SIAM J. Numer.
+    Anal. 25, 1988)."""
     theta = DIRICHLET_RELAXATION
     return (1.0 - theta) * used + theta * fresh
+
+
+def _contraction(gain: float) -> float:
+    """The per-sweep contraction 1 - theta + theta g of the damped datum."""
+    return 1.0 - DIRICHLET_RELAXATION + DIRICHLET_RELAXATION * gain
 
 
 def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> float:
@@ -332,90 +343,50 @@ def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -
     return _project(grid, side, master.cells.reshape(side.levels, -1)[:, side.iface])
 
 
-def _neumann_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> float:
-    """The master's Neumann datum: the projected slave interface flux."""
-    return _project(grid, grid.sides[variant.slave], getattr(state, variant.slave).flux)
-
-
-def interface_residuals(variant: Variant, state: WindowState, fresh: float) -> tuple[float, float]:
-    """Max-norm violation of the variant's two interface conditions by the
-    current iterate, in pressure and flux units respectively.  ``fresh`` is
-    the iterate's projected Dirichlet datum; the Neumann residual compares the
-    master's flux with ``state.neumann_used``, the projected slave flux of the
-    latest sweep."""
-    if state.dirichlet_used is None or state.neumann_used is None:
-        raise SolverError("residuals need at least one completed sweep")
-    res_d = abs(state.dirichlet_used - fresh)
-    master_flux = getattr(state, variant.master).flux
-    res_n = float(np.max(np.abs(master_flux - state.neumann_used)))
-    return res_d, res_n
-
-
-def _solve_subdomain(
-    grid: CompositeGrid, state: WindowState, name: str, closure_kind: str, datum: float, inputs: WindowInputs
-) -> None:
-    """March one subdomain through its time levels of the window with the
-    given interface closure, updating its cells and interface traces in place."""
-    side = grid.sides[name]
-    levels = np.empty((side.levels, side.widths.size))
-    prev = getattr(state, name).start
-    for k in range(1, side.levels + 1):
-        system = assemble_subdomain_step(grid, name, k, prev, closure_kind, datum, inputs)
-        levels[k - 1] = solve_linear(system)
-        prev = levels[k - 1]
-    _set_subdomain(grid, state, name, closure_kind, datum, levels)
-
-
-def _set_subdomain(
-    grid: CompositeGrid, state: WindowState, name: str, closure_kind: str, datum: float, levels: np.ndarray
-) -> None:
-    """Store one subdomain's cells at its time levels and the interface
-    traces they give under the closure with ``datum``."""
-    side, sub = grid.sides[name], getattr(state, name)
-    levels = levels.reshape(side.levels, -1)
-    sub.cells = levels.reshape(sub.cells.shape)
-    sub.flux, sub.pressure = interface_traces(grid, side, closure_kind, datum, levels[:, side.iface])
-
-
-def corrector_sweep(
+def _sweep(
     grid: CompositeGrid,
     state: WindowState,
     variant: Variant,
-    inputs: WindowInputs,
-    datum: float | None = None,
-) -> tuple[WindowState, tuple[float, float]]:
-    """One multiplicative sweep: slave solve with the master's projected
-    pressure (relaxed against the previous sweep's datum), or with ``datum``
-    when given, then master solve with the slave's projected flux.  Returns
-    the updated state and the residuals of the new iterate."""
-    if datum is None:
-        datum = _dirichlet_data(grid, variant, state)
-        if state.dirichlet_used is not None:
-            datum = _relax(state.dirichlet_used, datum)
-    state.dirichlet_used = datum
-    _solve_subdomain(grid, state, variant.slave, variant.dirichlet_kind, state.dirichlet_used, inputs)
-    state.neumann_used = _neumann_data(grid, variant, state)
-    _solve_subdomain(grid, state, variant.master, "neumann", state.neumann_used, inputs)
-    state.dirichlet_fresh = _dirichlet_data(grid, variant, state)
-    return state, interface_residuals(variant, state, state.dirichlet_fresh)
-
-
-def _superpose(
-    grid: CompositeGrid, variant: Variant, state: WindowState, unit: WindowState, datum: float
+    datum: float,
+    cells: Callable[[str, str, float], np.ndarray],
 ) -> None:
-    """Turn the sweep-1 iterate ``state`` into the sweep from ``datum``
-    without marching: each side's cells gain (datum - x0) times the cells of
-    ``unit``, the sweep from a unit datum on the homogeneous problem, and the
-    traces follow through the closures, as in ``corrector_sweep``."""
-    step = datum - state.dirichlet_used
+    """One Dirichlet-Neumann sweep from the slave's Dirichlet ``datum``: the
+    slave is closed with the datum, then the master with the projected slave
+    flux as its Neumann datum.  ``cells(name, closure_kind, datum)`` gives a
+    side's cells at its time levels under that closure; they and the
+    interface traces they give are stored in ``state``."""
 
-    def shifted(name: str) -> np.ndarray:
-        return getattr(state, name).cells + step * getattr(unit, name).cells
+    def close(name: str, closure_kind: str, datum: float) -> None:
+        side, sub = grid.sides[name], getattr(state, name)
+        levels = cells(name, closure_kind, datum).reshape(side.levels, -1)
+        sub.cells = levels.reshape(sub.cells.shape)
+        sub.flux, sub.pressure = interface_traces(grid, side, closure_kind, datum, levels[:, side.iface])
 
     state.dirichlet_used = datum
-    _set_subdomain(grid, state, variant.slave, variant.dirichlet_kind, datum, shifted(variant.slave))
-    state.neumann_used = _neumann_data(grid, variant, state)
-    _set_subdomain(grid, state, variant.master, "neumann", state.neumann_used, shifted(variant.master))
+    close(variant.slave, variant.dirichlet_kind, datum)
+    close(variant.master, "neumann", _project(grid, grid.sides[variant.slave], getattr(state, variant.slave).flux))
+
+
+def corrector_sweep(
+    grid: CompositeGrid, state: WindowState, variant: Variant, inputs: WindowInputs, datum: float
+) -> float:
+    """One real sweep from the slave's Dirichlet ``datum``: each side is
+    marched through its time levels of the window, slave first, and ``state``
+    is updated in place.  Returns the master's projected Dirichlet datum
+    after the sweep."""
+
+    def marched(name: str, closure_kind: str, datum: float) -> np.ndarray:
+        side = grid.sides[name]
+        levels = np.empty((side.levels, side.widths.size))
+        prev = getattr(state, name).start
+        for k in range(1, side.levels + 1):
+            system = assemble_subdomain_step(grid, name, k, prev, closure_kind, datum, inputs)
+            levels[k - 1] = solve_linear(system)
+            prev = levels[k - 1]
+        return levels
+
+    _sweep(grid, state, variant, datum, marched)
+    return _dirichlet_data(grid, variant, state)
 
 
 def interface_gain(
@@ -435,19 +406,11 @@ def interface_gain(
             fine=SubdomainState(np.zeros(n_fine), np.zeros((ratio, n_fine)), np.zeros(ratio), np.zeros(ratio)),
             coarse=SubdomainState(np.zeros(n_coarse), np.zeros(n_coarse), np.zeros(1), np.zeros(1)),
         )
-        state, _ = corrector_sweep(grid, state, variant, inputs, 1.0)
+        gain = corrector_sweep(grid, state, variant, inputs, 1.0)
         for sub in (state.fine, state.coarse):
             sub.cells.setflags(write=False)  # every window of the march reads them
-        operators.gains[variant] = (state.dirichlet_fresh, state)
+        operators.gains[variant] = (gain, state)
     return operators.gains[variant]
-
-
-def conservativity_defect_of(state: WindowState, grid: CompositeGrid) -> tuple[float, float]:
-    """(defect, flux scale) of the current iterate's interface fluxes."""
-    coarse_flux = float(state.coarse.flux[0])
-    defect = conservativity_defect(state.fine.flux, coarse_flux, grid.dt_fine, grid.dt_coarse)
-    scale = max(float(np.max(np.abs(state.fine.flux))), abs(coarse_flux))
-    return defect, scale
 
 
 def solve_window(
@@ -459,33 +422,35 @@ def solve_window(
     inputs: WindowInputs,
 ) -> tuple[WindowState, WindowReport]:
     """Advance the window of ``inputs`` in the requested mode: a real sweep 1,
-    then sweeps 2..n on the scalar datum, superposed onto sweep 1 at the end."""
+    then sweeps 2..n on the scalar datum, superposed onto sweep 1 at the end.
+    A residual that is not finite raises a ``SolverError``."""
     state = init_window_state(grid, fine_start, coarse_start, inputs)
     sweeps = {PREDICTOR_ONLY: 0, SINGLE_ITERATION: 1}.get(mode.kind, mode.max_iters)
-
-    def stops(res_d: float, res_n: float) -> bool:
-        return mode.kind == CONVERGED and res_d <= mode.eps and res_n <= mode.eps
-
-    residuals = array("d")  # the Dirichlet residual of each sweep
+    residuals = array("d")  # |datum - fresh| of each sweep
     converged = False
-    if sweeps > 0:
-        state, (res_d, res_n) = corrector_sweep(grid, state, variant, inputs)
-        residuals.append(res_d)
-        converged = stops(res_d, res_n)
-    if not converged and len(residuals) < sweeps:
-        gain, unit = interface_gain(grid, variant, inputs.operators)
-        x0 = datum = state.dirichlet_used
-        f1 = fresh = state.dirichlet_fresh
-        while not converged and len(residuals) < sweeps:
+    while not converged and len(residuals) < sweeps:
+        if not residuals:
+            x0 = datum = _dirichlet_data(grid, variant, state)
+            f1 = fresh = corrector_sweep(grid, state, variant, inputs, datum)
+        else:
+            gain, unit = interface_gain(grid, variant, inputs.operators)
             datum = _relax(datum, fresh)
             fresh = f1 + gain * (datum - x0)
-            res_d = abs(datum - fresh)
-            residuals.append(res_d)
-            # the master's flux is its Neumann datum, so the flux residual is 0
-            converged = stops(res_d, 0.0)
-        _superpose(grid, variant, state, unit, datum)
-        state.dirichlet_fresh = fresh
-    defect, scale = conservativity_defect_of(state, grid)
+        residuals.append(abs(datum - fresh))
+        if not math.isfinite(residuals[-1]):
+            predicted = f"{_contraction(gain):.3g}" if len(residuals) > 1 else "n/a"
+            raise SolverError(
+                f"Dirichlet residual is not finite after {len(residuals)} sweeps (predicted contraction {predicted})"
+            )
+        converged = mode.kind == CONVERGED and residuals[-1] <= mode.eps
+    if len(residuals) > 1:
+        step = datum - x0
+        _sweep(
+            grid, state, variant, datum, lambda name, *_: getattr(state, name).cells + step * getattr(unit, name).cells
+        )
+    coarse_flux = float(state.coarse.flux[0])
+    defect = conservativity_defect(state.fine.flux, coarse_flux, grid.dt_fine, grid.dt_coarse)
+    scale = max(float(np.max(np.abs(state.fine.flux))), abs(coarse_flux))
     return state, WindowReport(residuals, defect, scale, converged)
 
 
@@ -524,7 +489,7 @@ def march(
             fine_start, coarse_start = fine[window * ratio], coarse[window]
     if variant in operators.gains:
         gain, _ = operators.gains[variant]
-        report.contraction = 1.0 - DIRICHLET_RELAXATION + DIRICHLET_RELAXATION * gain
+        report.contraction = _contraction(gain)
     trajectory = Trajectory(
         grid=grid,
         fine=fine,

@@ -150,6 +150,28 @@ def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys):
     assert "solver error: is2-fine, window 1 of 5: direct solve residual exceeds the acceptance bound" in err
 
 
+def test_datum_that_overflows_fails_in_its_own_window(tmp_path, capsys):
+    # dt_coarse / h_coarse^2 = 0.004 gives is1-coarse a contraction of -1.5 per
+    # sweep: within 2000 sweeps window 1's datum overflows, and the error
+    # names that window, not the next one that would start from its cells
+    cfg = write_cfg(
+        tmp_path,
+        BUMP_CFG.read_text()
+        .replace("grid.dt_fine = 0.002", "grid.dt_fine = 1e-6")
+        .replace("grid.dt_coarse = 0.02", "grid.dt_coarse = 1e-5")
+        .replace("grid.t_end = 0.1", "grid.t_end = 1e-4")
+        .replace("output_dir = out/bump", f"output_dir = {tmp_path / 'o'}"),
+    )
+    assert main(["run", str(cfg), "--variant", "is1-coarse", "--max-iters", "2000"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "solver error: is1-coarse, window 1 of 10: Dirichlet residual is not finite after" in err
+    assert "(predicted contraction -1.5)" in err
+    # with fewer sweeps than it takes to overflow, the window ends unconverged
+    assert main(["run", str(cfg), "--variant", "is1-coarse", "--max-iters", "100"]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "corrector did not converge (is1-coarse): window 1 of 10 after 100 sweeps" in err
+
+
 def test_custom_problem_requires_homogeneous_boundary(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "problem = custom-coefficients\n")
     assert run_experiment(cfg) == EXIT_CONFIG

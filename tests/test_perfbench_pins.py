@@ -4,9 +4,13 @@
 checks, per march, that ``solve_linear`` = predictor + sweeps (K + 1) and
 ``assemble_subdomain_step`` = sweeps (K + 1).  A refactor that renames one of
 those calls or routes around it would otherwise show only in a traced
-benchmark run."""
+benchmark run.  The benchmark's per-march checks and sweep statistics read
+the marches' reports, ``windows`` and ``residual_history``, so they run here
+on the same reports."""
 
 import importlib
+import math
+import statistics
 import sys
 from collections import Counter
 from pathlib import Path
@@ -26,15 +30,25 @@ def test_benchmark_trace_sees_every_counted_call(monkeypatch, bump_grid):
     sp = worker.sp
     tracer = sp.Tracer()
     worker.wrap_layers(tracer, ltsheat)
+    reports = []
     try:
         for variant in VARIANTS:
             for mode in (SolveMode.converged(), SolveMode.single_iteration()):
                 # through the module attribute, which is the wrapped one
-                ltsheat.solver.march(bump_grid, variant, mode, manufactured_problem())
+                _, report = ltsheat.solver.march(bump_grid, variant, mode, manufactured_problem())
+                reports.append(report)
+                assert worker.march_checks(report, must_converge=mode.kind == "converged") == []
     finally:
         tracer.restore()
     spans = tracer.spans
     assert worker.completeness_failures(spans) == []
+
+    # the benchmark's sweep statistics read the reports' windows and residual histories
+    metrics = worker.report_metrics(reports)
+    iterations = [n for report in reports for n in report.iterations]
+    assert metrics["solver.sweeps_per_window.mean"] == statistics.fmean(iterations)
+    contraction = metrics["solver.contraction.mean"]
+    assert math.isfinite(contraction) and 0.0 < contraction < 1.0
 
     # the rule is checked per march, so it must not pass for want of marches or calls
     per_march: dict[int, Counter] = {}

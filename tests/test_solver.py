@@ -44,10 +44,12 @@ import ltsheat.solver
 from ltsheat.scheme import VARIANTS, LinearSystem, StepOperators, TridiagonalLU, Variant
 from ltsheat.solver import (
     DIRICHLET_RELAXATION,
+    _dirichlet_data,
+    _project,
+    _relax,
     corrector_sweep,
     init_window_state,
     interface_gain,
-    interface_residuals,
     predictor_step,
 )
 from tests.conftest import jittered_widths, random_smooth_problem, scaled_problem, tridiagonal_matrix
@@ -255,6 +257,11 @@ def test_solve_mode_validation():
             SolveMode("converged", eps=eps)
     with pytest.raises(ConfigurationError):
         SolveMode("converged", max_iters=0)
+    # a sweep count is a whole number: no float, even an integral one, and no bool
+    for max_iters in (2.5, 3.0, np.float64(3.0), True):
+        with pytest.raises(ConfigurationError, match="max_iters must be an integer"):
+            SolveMode("converged", max_iters=max_iters)
+    assert SolveMode("converged", max_iters=np.int64(3)).max_iters == 3
     with pytest.raises(ConfigurationError):
         SolveMode("newton")
 
@@ -347,17 +354,6 @@ def test_residual_history_strictly_decreasing(bump_run):
         assert res_d[-1] <= 1e-5
 
 
-def test_residuals_require_a_sweep(bump_grid, bump_problem):
-    state = init_window_state(
-        bump_grid,
-        bump_problem.p0(bump_grid.centers_fine),
-        bump_problem.p0(bump_grid.centers_coarse),
-        precompute_window_inputs(bump_grid, 1, bump_problem),
-    )
-    with pytest.raises(SolverError):
-        interface_residuals(Variant("is2", "fine"), state, float(state.coarse.pressure[0]))
-
-
 # -- window solves against the monolithic reference -----------------------------
 
 
@@ -445,10 +441,10 @@ def test_report_columns_give_back_every_window_report(ratio, cells, x_iface, var
         returned.append(report)
         return state, report
 
-    def recording_sweep(*args):
-        state, residuals = corrector_sweep(*args)
-        neumann.append(residuals[1])
-        return state, residuals
+    def recording_sweep(grid, state, variant, inputs, datum):
+        fresh = corrector_sweep(grid, state, variant, inputs, datum)
+        neumann.append(_neumann_residual(grid, variant, state))
+        return fresh
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ltsheat.solver, "solve_window", recording_solve_window)
@@ -540,16 +536,24 @@ def test_every_window_converges_over_the_grid_space(ratio, cells, x_iface, varia
         assert getattr(scaled, name).tobytes() == (scale * getattr(base, name)).tobytes(), name
 
 
+def _neumann_residual(grid, variant, state):
+    """max |master flux - projected slave flux| of a state after a sweep."""
+    slave_flux = _project(grid, grid.sides[variant.slave], getattr(state, variant.slave).flux)
+    return float(np.max(np.abs(getattr(state, variant.master).flux - slave_flux)))
+
+
 def _sweep_until_eps(grid, fine_start, coarse_start, variant, mode, inputs):
-    """The corrector as real sweeps until both residuals reach eps: the
-    reference for ``solve_window``'s reduced sweeps 2..n."""
+    """The corrector as real sweeps, each datum relaxed against the last,
+    until both residuals reach eps: the reference for ``solve_window``'s
+    reduced sweeps 2..n."""
     state = init_window_state(grid, fine_start, coarse_start, inputs)
-    history = []
+    datum, history = _dirichlet_data(grid, variant, state), []
     for _ in range(mode.max_iters):
-        state, residuals = corrector_sweep(grid, state, variant, inputs)
-        history.append(residuals)
-        if residuals[0] <= mode.eps and residuals[1] <= mode.eps:
+        fresh = corrector_sweep(grid, state, variant, inputs, datum)
+        history.append((abs(datum - fresh), _neumann_residual(grid, variant, state)))
+        if max(history[-1]) <= mode.eps:
             break
+        datum = _relax(datum, fresh)
     return state, history
 
 
@@ -714,13 +718,14 @@ def test_superposed_windows_match_a_real_sweep_from_the_last_datum(bump_grid, bu
         state, report = solve_window(*args, variant, mode, inputs)
         assert report.iterations > 1
         expected = init_window_state(*args, inputs)
-        expected, _ = corrector_sweep(bump_grid, expected, variant, inputs)
-        expected, _ = corrector_sweep(bump_grid, expected, variant, inputs, state.dirichlet_used)
-        fields = lambda s: _state_fields(s) + [s.dirichlet_used, s.neumann_used]  # noqa: E731
+        corrector_sweep(bump_grid, expected, variant, inputs, state.dirichlet_used)
+        fields = lambda s: _state_fields(s) + [s.dirichlet_used]  # noqa: E731
         for got, want in zip(fields(state), fields(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # the master's flux is the projected slave flux, bit for bit at every level
+        neumann = _project(bump_grid, bump_grid.sides[variant.slave], getattr(state, variant.slave).flux)
         master = getattr(state, variant.master)
-        assert master.flux.tobytes() == np.full(master.flux.size, state.neumann_used).tobytes()
+        assert master.flux.tobytes() == np.full(master.flux.size, neumann).tobytes()
         assert report.conservativity_defect <= 1e-12 * max(1.0, report.flux_scale)
         fine_start, coarse_start = state.fine.cells[-1], state.coarse.cells
 
