@@ -7,25 +7,24 @@ import sys
 from pathlib import Path
 
 from ltsheat.cli import run_convergence
+from ltsheat import VARIANTS
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "bump.cfg"
-VARIANTS = ("is1-fine", "is1-coarse", "is2-fine", "is2-coarse")
 
 if __name__ == "__main__":
     worst = 0
-    for name in VARIANTS:
-        scheme, master = name.split("-")
-        out = Path("out") / f"convergence-{name}"
+    for variant in VARIANTS:
+        out = Path("out") / f"convergence-{variant.name}"
         code = run_convergence(
             CONFIG,
             {
-                "variant.interface_scheme": scheme,
-                "variant.master": master,
+                "variant.interface_scheme": variant.interface_scheme,
+                "variant.master": variant.master,
                 "output_dir": str(out),
             },
         )
         worst = max(worst, code)
         if code == 0:
-            print(f"== {name}")
+            print(f"== {variant.name}")
             print((out / "convergence.csv").read_text().rstrip())
     sys.exit(worst)

@@ -28,7 +28,8 @@ import numpy as np
 from .diagnostics import ErrorSeries, error_report, final_l2_error, observed_order
 from .errors import ConfigurationError, SolverError
 from .grid import CompositeGrid, GridConfig, build_composite_grid
-from .scheme import Problem, Variant, manufactured_problem, polynomial_problem, zero_problem
+from .projection import COARSE, FINE
+from .scheme import IS1, IS2, VARIANTS, Problem, Variant, manufactured_problem, polynomial_problem, zero_problem
 from .solver import CONVERGED, SolveMode, SolveReport, Trajectory, march
 
 EXIT_OK = 0
@@ -157,8 +158,8 @@ def load_run_config(pairs: dict[str, str]) -> RunConfig:
         widths_coarse=_get_floats(pairs, "grid.widths_coarse"),
     )
     variant = Variant(
-        _get_choice(pairs, "variant.interface_scheme", ("is1", "is2"), "is2"),
-        _get_choice(pairs, "variant.master", ("fine", "coarse"), "fine"),
+        _get_choice(pairs, "variant.interface_scheme", (IS1, IS2), IS2),
+        _get_choice(pairs, "variant.master", (FINE, COARSE), FINE),
     )
     kind = _get_choice(pairs, "mode.type", ("converged", "single_iteration", "predictor_only"), "converged")
     mode = SolveMode(kind, eps=_get_float(pairs, "mode.eps", 1e-5), max_iters=_get_int(pairs, "mode.max_iters", 100))
@@ -213,19 +214,18 @@ def build_problem(config: RunConfig) -> Problem:
 
 def _check_converged(mode: SolveMode, report: SolveReport, label: str) -> bool:
     """False when a converged-mode march left a window unconverged; stderr then names
-    the first one, its sweeps, last residual pair and last/previous residual max,
-    next to the march's predicted contraction per sweep."""
+    the first one, its sweeps, its last and first Dirichlet residuals and their
+    last/previous ratio, next to the march's predicted contraction per sweep."""
     if mode.kind != CONVERGED or report.all_converged:
         return True
     window, failed = next((n, w) for n, w in enumerate(report.windows, start=1) if not w.converged)
-    history = failed.residual_history
-    ratio = f"{max(history[-1]) / max(history[-2]):.3g}" if len(history) > 1 else "n/a"
+    residuals = failed.dirichlet_residuals
+    ratio = f"{residuals[-1] / residuals[-2]:.3g}" if len(residuals) > 1 else "n/a"
     predicted = "n/a" if report.contraction is None else f"{report.contraction:.3g}"
     print(
         f"corrector did not converge ({label}): window {window} of {len(report.windows)} "
-        f"after {failed.iterations} sweeps, last residuals (dirichlet, neumann) = "
-        f"({history[-1][0]:.3e}, {history[-1][1]:.3e}), "
-        f"last/previous residual max = {ratio} (predicted {predicted})",
+        f"after {failed.iterations} sweeps, Dirichlet residual last {residuals[-1]:.3e}, "
+        f"first {residuals[0]:.3e}, last/previous {ratio} (predicted contraction {predicted})",
         file=sys.stderr,
     )
     return False
@@ -399,17 +399,6 @@ def run_convergence(config_path: str | Path, overrides: dict[str, str] | None = 
     return EXIT_NO_CONVERGENCE if any_nonconverged else EXIT_OK
 
 
-_COMPARE_METHODS = (
-    ("is1-fine", None),
-    ("is1-coarse", None),
-    ("is2-fine", None),
-    ("is2-coarse", None),
-    ("uniform-fine", "fine"),
-    ("uniform-coarse", "coarse"),
-    ("is2-fine-single-iteration", None),
-)
-
-
 def run_compare(config_path: str | Path, overrides: dict[str, str] | None = None) -> int:
     """Four variants, two uniform-time-step baselines on the same spatial mesh,
     and the single-iteration comparison method: compare.csv."""
@@ -417,12 +406,12 @@ def run_compare(config_path: str | Path, overrides: dict[str, str] | None = None
         config = _load_config(config_path, overrides)
         base_grid = build_composite_grid(config.grid)  # validates before any run
         problem = build_problem(config)
-        uniform = {}
-        for label, dt_key in (("uniform-fine", "dt_fine"), ("uniform-coarse", "dt_coarse")):
-            dt = getattr(config.grid, dt_key)
-            uniform[label] = build_composite_grid(
-                replace(config.grid, dt_fine=dt, dt_coarse=dt)
-            )
+        baseline = Variant(IS2, FINE)
+        runs = [(variant.name, base_grid, variant, config.mode) for variant in VARIANTS]
+        for side, dt in ((FINE, config.grid.dt_fine), (COARSE, config.grid.dt_coarse)):
+            grid = build_composite_grid(replace(config.grid, dt_fine=dt, dt_coarse=dt))
+            runs.append((f"uniform-{side}", grid, baseline, config.mode))
+        runs.append((f"{baseline.name}-single-iteration", base_grid, baseline, SolveMode.single_iteration()))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -430,23 +419,14 @@ def run_compare(config_path: str | Path, overrides: dict[str, str] | None = None
     rows = []
     any_nonconverged = False
     try:
-        for method, uniform_key in _COMPARE_METHODS:
-            if uniform_key is not None:
-                grid = uniform[method]
-                variant, mode = Variant("is2", "fine"), config.mode
-            elif method.endswith("single-iteration"):
-                grid = base_grid
-                variant, mode = Variant("is2", "fine"), SolveMode.single_iteration()
-            else:
-                grid = base_grid
-                variant, mode = Variant.parse(method), config.mode
+        for label, grid, variant, mode in runs:
             trajectory, report = march(grid, variant, mode, problem)
-            any_nonconverged |= not _check_converged(mode, report, method)
+            any_nonconverged |= not _check_converged(mode, report, label)
             if problem.exact_solution is not None:
                 l2 = _fmt(final_l2_error(trajectory, problem))
             else:
                 l2 = ""
-            rows.append([method, l2, _fmt(report.mean_iterations), _fmt(report.max_defect)])
+            rows.append([label, l2, _fmt(report.mean_iterations), _fmt(report.max_defect)])
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -495,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a key-value config file")
-        p.add_argument("--variant", help="is1-fine | is1-coarse | is2-fine | is2-coarse")
+        p.add_argument("--variant", help=" | ".join(variant.name for variant in VARIANTS))
         p.add_argument("--mode", choices=["converged", "single_iteration", "predictor_only"])
         p.add_argument("--eps", type=float, help="corrector stopping tolerance")
         p.add_argument("--max-iters", type=int, help="corrector sweep limit")

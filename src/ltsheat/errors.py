@@ -6,8 +6,11 @@ class ConfigurationError(ValueError):
 
 
 class DimensionError(ValueError):
-    """Mismatched shapes or trace resolutions."""
+    """An array or linear system of the wrong shape or size, or a window,
+    time level or subdomain outside its range."""
 
 
 class SolverError(RuntimeError):
-    """A direct linear solve failed (singular or inaccurate factorization)."""
+    """A direct linear solve failed (LAPACK or SuperLU reported a failed
+    factorization or solve, or the residual check rejected the solution),
+    or a corrector sweep's Dirichlet residual was not finite."""

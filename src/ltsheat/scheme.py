@@ -40,16 +40,20 @@ IS2 = "is2"  # overlapping coupling
 
 @dataclass(frozen=True)
 class Variant:
-    """One of the four interface coupling schemes."""
+    """One of the four interface coupling schemes, and the one place that says
+    how each closes a side: the master by its Neumann datum, the projected
+    slave flux; the slave by a Dirichlet datum with flux (datum - p_K) / d,
+    over its own half cell for is1 (datum: the master's face pressure) or
+    across the interface for is2 (the master's interface-cell value)."""
 
     interface_scheme: str  # IS1 or IS2
-    master: str  # "fine" or "coarse"
+    master: str  # FINE or COARSE
 
     def __post_init__(self) -> None:
         if self.interface_scheme not in (IS1, IS2):
             raise ConfigurationError(f"unknown interface scheme {self.interface_scheme!r}")
         if self.master not in (FINE, COARSE):
-            raise ConfigurationError(f"master must be 'fine' or 'coarse', got {self.master!r}")
+            raise ConfigurationError(f"master must be {FINE!r} or {COARSE!r}, got {self.master!r}")
 
     @property
     def slave(self) -> str:
@@ -60,9 +64,17 @@ class Variant:
         return f"{self.interface_scheme}-{self.master}"
 
     @property
-    def dirichlet_kind(self) -> str:
-        """Closure of the slave solve: at the face (is1) or across it (is2)."""
-        return "dirichlet_interface" if self.interface_scheme == IS1 else "dirichlet_neighbor"
+    def face_datum(self) -> bool:
+        """True when the slave's datum is the master's face pressure (is1),
+        False when it is the master's interface-cell value (is2)."""
+        return self.interface_scheme == IS1
+
+    def closure(self, grid: CompositeGrid, side: Side) -> float | None:
+        """The distance d of ``side``'s Dirichlet closure, or None for the
+        master, which is closed by its Neumann datum."""
+        if side.name == self.master:
+            return None
+        return side.d_own if self.face_datum else grid.d_across
 
     @classmethod
     def parse(cls, name: str) -> "Variant":
@@ -70,9 +82,8 @@ class Variant:
             scheme, master = name.strip().lower().split("-")
             return cls(scheme, master)
         except (ValueError, ConfigurationError):
-            raise ConfigurationError(
-                f"variant must be one of is1-fine, is1-coarse, is2-fine, is2-coarse; got {name!r}"
-            ) from None
+            names = ", ".join(variant.name for variant in VARIANTS)
+            raise ConfigurationError(f"variant must be one of {names}; got {name!r}") from None
 
 
 VARIANTS = (
@@ -469,41 +480,25 @@ class LinearSystem:
 UNION = "union"  # the predictor's single-domain mesh: fine cells, then coarse cells
 
 
-def closure_distance(grid: CompositeGrid, side: Side, kind: str) -> float | None:
-    """Distance over which a Dirichlet closure's interface flux is taken;
-    None for a Neumann closure.  The one check of a closure kind:
-
-      - "dirichlet_interface": given interface pressure; flux (p_eps - p_K) / d_own
-      - "dirichlet_neighbor":  given neighbor cell value; flux (P - p_K) / d_across
-      - "neumann":             given flux inserted directly
-
-    Any other kind raises ``DimensionError``."""
-    if kind == "dirichlet_interface":
-        return side.d_own
-    if kind == "dirichlet_neighbor":
-        return grid.d_across
-    if kind == "neumann":
-        return None
-    raise DimensionError(f"unknown closure kind {kind!r}")
-
-
 def interface_traces(
-    grid: CompositeGrid, side: Side, kind: str, datum: float, p_edge: np.ndarray
+    grid: CompositeGrid, side: Side, variant: Variant, datum: float, p_edge: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(left-to-right interface flux, face pressure) at each time level of a
-    subdomain solved with closure ``kind`` and interface ``datum``, given its
-    interface-cell values ``p_edge``."""
-    d = closure_distance(grid, side, kind)
+    subdomain closed by ``variant`` with interface ``datum``, given its
+    interface-cell values ``p_edge``.  The face pressure is the datum itself
+    only for an is1 slave; otherwise it is extrapolated from the cell."""
+    d = variant.closure(grid, side)
     flux = np.full(side.levels, datum) if d is None else side.sign * (datum - p_edge) / d
-    if kind == "dirichlet_interface":
+    if d is not None and variant.face_datum:
         return flux, np.full(side.levels, datum)
     return flux, p_edge + side.sign * side.d_own * flux
 
 
-def _step_bands(grid: CompositeGrid, side: str, closure_kind: str | None) -> Bands:
+def _step_bands(grid: CompositeGrid, side: str, closure: float | None) -> Bands:
     """Matrix of one implicit step: mass, interior fluxes and, at each closed
     end (cell index, distance d), a Dirichlet flux u = (g - p_K) / d: the
-    half-cell flux at each exterior end and a subdomain's Dirichlet closure."""
+    half-cell flux at each exterior end and, at a subdomain's interface, a
+    Dirichlet ``closure`` distance (None for a Neumann closure)."""
     if side == UNION:
         widths = np.concatenate([grid.widths_fine, grid.widths_coarse])
         centers = np.concatenate([grid.centers_fine, grid.centers_coarse])
@@ -513,9 +508,8 @@ def _step_bands(grid: CompositeGrid, side: str, closure_kind: str | None) -> Ban
         s = grid.sides[side]
         widths, centers, dt = s.widths, s.centers, s.dt
         closed_ends = [(s.exterior, 0.5 * widths[s.exterior])]
-        d = closure_distance(grid, s, closure_kind)
-        if d is not None:
-            closed_ends.append((s.iface, d))
+        if closure is not None:
+            closed_ends.append((s.iface, closure))
     n = widths.size
     lower = np.zeros(n)
     diag = widths / dt
@@ -535,9 +529,9 @@ class StepOperators:
     """The factored step matrices of one grid, each built on first use.
 
     A step matrix depends only on the side (fine, coarse, or the predictor's
-    union mesh) and the interface closure kind, never on the window, the time
-    level or the sweep: every step of a march reuses its side's factors and
-    forms only its right-hand side.  The bands are read-only because all those
+    union mesh) and its interface closure distance (``Variant.closure``),
+    never on the window, the time level or the sweep: every step of a march
+    reuses its side's factors and forms only its right-hand side.  The bands are read-only because all those
     systems share them.  ``gains`` holds, per coupling variant, the
     corrector's interface gain g on this grid and the window state of the
     sweep it comes from (from a unit datum on the homogeneous problem), which
@@ -547,13 +541,13 @@ class StepOperators:
 
     def __init__(self, grid: CompositeGrid):
         self.grid = grid
-        self._factored: dict[tuple[str, str | None], TridiagonalLU] = {}
+        self._factored: dict[tuple[str, float | None], TridiagonalLU] = {}
         self.gains: dict[Variant, tuple[float, WindowState]] = {}
 
-    def get(self, side: str, closure_kind: str | None = None) -> TridiagonalLU:
-        key = (side, closure_kind)
+    def get(self, side: str, closure: float | None = None) -> TridiagonalLU:
+        key = (side, closure)
         if key not in self._factored:
-            bands = _step_bands(self.grid, side, closure_kind)
+            bands = _step_bands(self.grid, side, closure)
             for band in bands:
                 band.setflags(write=False)
             self._factored[key] = TridiagonalLU.factor(bands)
@@ -565,7 +559,7 @@ def assemble_subdomain_step(
     subdomain: str,
     k: int,
     state_prev: np.ndarray,
-    closure_kind: str,
+    variant: Variant,
     datum: float,
     inputs: WindowInputs,
 ) -> LinearSystem:
@@ -575,8 +569,8 @@ def assemble_subdomain_step(
     ``k`` runs over the side's time levels, 1..K on the fine side and 1 on
     the coarse side, and ``state_prev`` holds the values at level k - 1 (the
     window-start values for k = 1).  The exterior end gets the half-cell
-    Dirichlet flux u = (g - p_K) / (h/2); the interface end is closed by
-    ``closure_kind`` (see ``closure_distance``) with ``datum``: the other
+    Dirichlet flux u = (g - p_K) / (h/2); the interface end is closed as
+    ``variant`` closes this side (``Variant.closure``) with ``datum``: the other
     side's projected trace, constant over the window, so one number serves
     every level.  Which end is which, and the sign of the interface flux,
     come from ``grid.sides``.  The load and exterior boundary term come from
@@ -589,13 +583,13 @@ def assemble_subdomain_step(
         raise DimensionError(f"subdomain must be 'fine' or 'coarse', got {subdomain!r}")
     if k is None or not 1 <= k <= side.levels:
         raise DimensionError(f"{subdomain} time level k={k!r} outside 1..{side.levels}")
-    d = closure_distance(grid, side, closure_kind)
+    d = variant.closure(grid, side)
     level = k - 1
     load, exterior = inputs.per_side[subdomain]
     rhs = load[level] + side.mass * state_prev
     rhs[side.exterior] += exterior[level]
     rhs[side.iface] += side.sign * datum if d is None else datum / d
-    return LinearSystem(rhs=rhs, lu=inputs.operators.get(subdomain, closure_kind))
+    return LinearSystem(rhs=rhs, lu=inputs.operators.get(subdomain, d))
 
 
 def assemble_composite_step(

@@ -23,12 +23,12 @@ to a unit datum on the homogeneous problem (the Steklov-Poincare form of the
 coupling in one unknown).  So only sweep 1 marches the subdomains, and
 sweeps 2..n run that recursion with the same relaxation and stopping test.
 A sweep's residual is |datum - fresh|, fresh being the master's projected
-Dirichlet datum after it; only ``WindowReport.residual_history`` adds the
-Neumann residual, 0.0 because the master's flux is its Neumann datum.  A
-window that ran more sweeps then goes once more through the sweep body with
-sweep 1's cells plus (x - x0) times the unit-datum sweep's cells, which
-keeps it conservative.  The unit-datum sweep (``interface_gain``) runs once
-per grid and variant, the first time a window needs a second sweep.
+Dirichlet datum after it; the master's flux is its Neumann datum, so there
+is no Neumann residual.  A window that ran more sweeps then goes once more
+through the sweep body with sweep 1's cells plus (x - x0) times the
+unit-datum sweep's cells, which keeps it conservative.  The unit-datum
+sweep (``interface_gain``) runs once per grid and variant, the first time a
+window needs a second sweep.
 """
 
 from __future__ import annotations
@@ -137,7 +137,10 @@ class WindowState:
 @dataclass(slots=True)
 class WindowReport:
     """How one window's corrector went.  ``solve_window`` returns one, and
-    ``SolveReport.windows`` builds them as views of a march's columns."""
+    ``SolveReport.windows`` builds them as views of a march's columns.  In
+    predictor-only mode no sweep runs, and the defect compares the traces the
+    predictor injects into both sides (zero to roundoff), not balances that
+    the stored cells satisfy."""
 
     dirichlet_residuals: array  # |datum - fresh| of each sweep
     conservativity_defect: float
@@ -153,7 +156,8 @@ class WindowReport:
         """The (dirichlet, neumann) residual pair of each sweep.  The master
         is solved with the projected slave flux as its Neumann datum, so its
         flux meets that datum exactly and the Neumann residual is 0.0 by
-        construction; it is not stored."""
+        construction; it is not stored.  Kept for its one reader, the
+        benchmark's ``perfbench/worker.py::report_metrics``."""
         return [(r, 0.0) for r in self.dirichlet_residuals]
 
 
@@ -335,12 +339,11 @@ def _contraction(gain: float) -> float:
 
 
 def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> float:
-    """The slave's Dirichlet datum: the projected master interface pressure
-    for is1, the projected master interface-cell value for is2."""
+    """The slave's Dirichlet datum: the projected master face pressure or
+    interface-cell value, as ``variant`` takes it."""
     side, master = grid.sides[variant.master], getattr(state, variant.master)
-    if variant.dirichlet_kind == "dirichlet_interface":
-        return _project(grid, side, master.pressure)
-    return _project(grid, side, master.cells.reshape(side.levels, -1)[:, side.iface])
+    values = master.pressure if variant.face_datum else master.cells.reshape(side.levels, -1)[:, side.iface]
+    return _project(grid, side, values)
 
 
 def _sweep(
@@ -348,23 +351,23 @@ def _sweep(
     state: WindowState,
     variant: Variant,
     datum: float,
-    cells: Callable[[str, str, float], np.ndarray],
+    cells: Callable[[str, float], np.ndarray],
 ) -> None:
     """One Dirichlet-Neumann sweep from the slave's Dirichlet ``datum``: the
     slave is closed with the datum, then the master with the projected slave
-    flux as its Neumann datum.  ``cells(name, closure_kind, datum)`` gives a
-    side's cells at its time levels under that closure; they and the
-    interface traces they give are stored in ``state``."""
+    flux as its Neumann datum.  ``cells(name, datum)`` gives a side's cells at
+    its time levels, closed as ``variant`` closes it with that datum; they and
+    the interface traces they give are stored in ``state``."""
 
-    def close(name: str, closure_kind: str, datum: float) -> None:
+    def close(name: str, datum: float) -> None:
         side, sub = grid.sides[name], getattr(state, name)
-        levels = cells(name, closure_kind, datum).reshape(side.levels, -1)
+        levels = cells(name, datum).reshape(side.levels, -1)
         sub.cells = levels.reshape(sub.cells.shape)
-        sub.flux, sub.pressure = interface_traces(grid, side, closure_kind, datum, levels[:, side.iface])
+        sub.flux, sub.pressure = interface_traces(grid, side, variant, datum, levels[:, side.iface])
 
     state.dirichlet_used = datum
-    close(variant.slave, variant.dirichlet_kind, datum)
-    close(variant.master, "neumann", _project(grid, grid.sides[variant.slave], getattr(state, variant.slave).flux))
+    close(variant.slave, datum)
+    close(variant.master, _project(grid, grid.sides[variant.slave], getattr(state, variant.slave).flux))
 
 
 def corrector_sweep(
@@ -375,12 +378,12 @@ def corrector_sweep(
     is updated in place.  Returns the master's projected Dirichlet datum
     after the sweep."""
 
-    def marched(name: str, closure_kind: str, datum: float) -> np.ndarray:
+    def marched(name: str, datum: float) -> np.ndarray:
         side = grid.sides[name]
         levels = np.empty((side.levels, side.widths.size))
         prev = getattr(state, name).start
         for k in range(1, side.levels + 1):
-            system = assemble_subdomain_step(grid, name, k, prev, closure_kind, datum, inputs)
+            system = assemble_subdomain_step(grid, name, k, prev, variant, datum, inputs)
             levels[k - 1] = solve_linear(system)
             prev = levels[k - 1]
         return levels
@@ -446,7 +449,7 @@ def solve_window(
     if len(residuals) > 1:
         step = datum - x0
         _sweep(
-            grid, state, variant, datum, lambda name, *_: getattr(state, name).cells + step * getattr(unit, name).cells
+            grid, state, variant, datum, lambda name, _: getattr(state, name).cells + step * getattr(unit, name).cells
         )
     coarse_flux = float(state.coarse.flux[0])
     defect = conservativity_defect(state.fine.flux, coarse_flux, grid.dt_fine, grid.dt_coarse)

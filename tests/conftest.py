@@ -109,13 +109,11 @@ def random_smooth_problem(rng: np.random.Generator):
     return Problem(source=source, p0=p0, g_lo=zero_t, g_hi=zero_t, exact_solution=None)
 
 
-def reference_subdomain_rhs(grid, subdomain, k, state_prev, closure_kind, datum, inputs):
+def reference_subdomain_rhs(grid, subdomain, k, state_prev, variant, datum, inputs):
     """The right-hand side of one subdomain step formed level by level from
     the window's sources and boundary values: the assembly that the
     per-window loads of ``WindowInputs.per_side`` replaced, kept as the
     reference of ``assemble_subdomain_step``."""
-    from ltsheat.scheme import closure_distance
-
     side, level = grid.sides[subdomain], k - 1
     source, g_exterior = {
         FINE: (inputs.fine_source, inputs.g_lo_fine),
@@ -123,7 +121,7 @@ def reference_subdomain_rhs(grid, subdomain, k, state_prev, closure_kind, datum,
     }[subdomain]
     rhs = side.widths * source[level] + (side.widths / side.dt) * np.asarray(state_prev, dtype=float)
     rhs[side.exterior] += float(g_exterior[level]) / (0.5 * side.widths[side.exterior])
-    d = closure_distance(grid, side, closure_kind)
+    d = variant.closure(grid, side)
     rhs[side.iface] += side.sign * datum if d is None else datum / d
     return rhs
 

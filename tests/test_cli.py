@@ -251,8 +251,8 @@ def test_convergence_zero_problem_all_orders_undefined(tmp_path):
 NONCONVERGED = re.compile(
     r"corrector did not converge \((?P<label>[^)]*)\): "
     r"window (?P<window>\d+) of 5 after (?P<sweeps>\d+) sweeps, "
-    r"last residuals \(dirichlet, neumann\) = \((?P<res_d>[^,]+), (?P<res_n>[^)]+)\), "
-    r"last/previous residual max = (?P<ratio>\S+) \(predicted (?P<predicted>\S+)\)$"
+    r"Dirichlet residual last (?P<last>\S+), first (?P<first>\S+), "
+    r"last/previous (?P<ratio>\S+) \(predicted contraction (?P<predicted>\S+)\)$"
 )
 
 
@@ -264,18 +264,18 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     config = load_run_config(parse_config_file(BUMP_CFG))
     grid = build_composite_grid(config.grid)
     _, report = march(grid, config.variant, SolveMode.converged(1e-12, 2), manufactured_problem())
-    first = report.windows[0].residual_history
+    first = report.windows[0].dirichlet_residuals
     found = NONCONVERGED.match(capsys.readouterr().err.strip())
     assert found["label"] == "is2-fine" and found["window"] == "1" and found["sweeps"] == "1"
-    assert (float(found["res_d"]), float(found["res_n"])) == pytest.approx(first[0], rel=1e-3)
+    assert float(found["last"]) == float(found["first"]) == pytest.approx(first[0], rel=1e-3)
     assert found["ratio"] == "n/a" and found["predicted"] == "n/a"  # no second sweep, no gain
     # the ladder says the same, with its level
     levels = {"convergence.levels": "1", "mode.max_iters": "2", "mode.eps": "1e-12", "output_dir": str(out)}
     assert run_convergence(BUMP_CFG, levels) == EXIT_NO_CONVERGENCE
     found = NONCONVERGED.match(capsys.readouterr().err.strip())
     assert found["label"] == "is2-fine, ladder level 0" and found["window"] == "1" and found["sweeps"] == "2"
-    assert (float(found["res_d"]), float(found["res_n"])) == pytest.approx(first[1], rel=1e-3)
-    assert float(found["ratio"]) == pytest.approx(max(first[1]) / max(first[0]), rel=1e-2)
+    assert (float(found["last"]), float(found["first"])) == pytest.approx((first[1], first[0]), rel=1e-3)
+    assert float(found["ratio"]) == pytest.approx(first[1] / first[0], rel=1e-2)
     assert float(found["predicted"]) == pytest.approx(report.contraction, rel=1e-2)
     assert float(found["predicted"]) == pytest.approx(float(found["ratio"]), rel=1e-2)
 

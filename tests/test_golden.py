@@ -5,18 +5,50 @@ variant, written to a temporary directory and compared file by file.
 When bytes differ the failure names the file and its largest numeric delta:
 relative for every value, except conservativity defects, which are roundoff
 by construction, and signed errors p - p_exact, which cross zero where a
-relative delta means nothing; these two get the absolute delta."""
+relative delta means nothing; these two get the absolute delta.  It also
+names the numpy build recorded in out/PROVENANCE.json next to the running
+one, since the bytes depend on numpy's vectorized ``exp``, which differs
+between versions and CPU dispatch targets.  After regenerating out/, record
+the running build with ``PYTHONPATH=src python tests/test_golden.py``."""
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ltsheat.cli import EXIT_OK, run_compare, run_convergence, run_experiment
+from ltsheat.scheme import VARIANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 BUMP_CFG = ROOT / "configs" / "bump.cfg"
 GOLDEN = ROOT / "out"
+PROVENANCE = GOLDEN / "PROVENANCE.json"
+
+
+def numpy_build() -> dict[str, object]:
+    """numpy's version, the CPU targets its loops were compiled for (the
+    baseline and the dispatched ones), and the CPU features found here."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {
+        "numpy": np.__version__,
+        "cpu_baseline": list(umath.__cpu_baseline__),
+        "cpu_dispatch": list(umath.__cpu_dispatch__),
+        "cpu_features": sorted(name for name, found in umath.__cpu_features__.items() if found),
+    }
+
+
+def build_note(recorded: dict[str, object], running: dict[str, object]) -> str:
+    """The recorded and the running numpy build; CPU features as the ones
+    found by only one of the two."""
+    keys = ("numpy", "cpu_baseline", "cpu_dispatch")
+    notes = [f"{key} recorded {recorded[key]}, running {running[key]}" for key in keys]
+    was, now = set(recorded["cpu_features"]), set(running["cpu_features"])
+    notes.append(f"cpu_features recorded only {sorted(was - now)}, running only {sorted(now - was)}")
+    return "; ".join(notes)
 
 
 def _fields(path: Path) -> dict[str, object]:
@@ -83,7 +115,9 @@ def delta_report(produced: Path, golden: Path) -> str:
 def assert_same_bytes(produced: Path, names: tuple[str, ...]) -> None:
     for name in names:
         new, golden = produced / name, GOLDEN / produced.name / name
-        assert new.read_bytes() == golden.read_bytes(), f"{produced.name}/{name}: {delta_report(new, golden)}"
+        if new.read_bytes() != golden.read_bytes():
+            note = build_note(json.loads(PROVENANCE.read_text()), numpy_build())
+            pytest.fail(f"{produced.name}/{name}: {delta_report(new, golden)}; {note}")
 
 
 def test_delta_report_names_the_largest_deltas(tmp_path):
@@ -116,14 +150,26 @@ def test_bump_experiment_and_comparison(tmp_path):
     assert_same_bytes(out, ("summary.json", "error_space.csv", "error_time.csv", "compare.csv"))
 
 
-@pytest.mark.parametrize("variant", ["is1-fine", "is1-coarse", "is2-fine", "is2-coarse"])
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
 def test_convergence_study(tmp_path, variant):
-    scheme, master = variant.split("-")
-    out = tmp_path / f"convergence-{variant}"
+    out = tmp_path / f"convergence-{variant.name}"
     overrides = {
-        "variant.interface_scheme": scheme,
-        "variant.master": master,
+        "variant.interface_scheme": variant.interface_scheme,
+        "variant.master": variant.master,
         "output_dir": str(out),
     }
     assert run_convergence(BUMP_CFG, overrides) == EXIT_OK
     assert_same_bytes(out, ("convergence.csv",))
+
+
+def test_build_note_names_the_recorded_and_the_running_build():
+    recorded = json.loads(PROVENANCE.read_text())
+    assert recorded.keys() == numpy_build().keys()
+    running = dict(recorded, numpy="9.9", cpu_features=recorded["cpu_features"][1:] + ["NEW"])
+    note = build_note(recorded, running)
+    assert f"numpy recorded {recorded['numpy']}, running 9.9" in note
+    assert f"cpu_features recorded only {recorded['cpu_features'][:1]}, running only ['NEW']" in note
+
+
+if __name__ == "__main__":
+    PROVENANCE.write_text(json.dumps(numpy_build(), indent=2) + "\n")

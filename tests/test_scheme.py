@@ -258,7 +258,7 @@ def one_cell_grid():
 def test_single_cell_hand_assembly():
     grid = one_cell_grid()
     system = assemble_subdomain_step(
-        grid, "fine", 1, np.array([1.0]), "dirichlet_interface", 0.0,
+        grid, "fine", 1, np.array([1.0]), Variant("is1", "coarse"), 0.0,
         precompute_window_inputs(grid, 1, zero_problem()),
     )
     _, diag, _ = system.bands
@@ -269,7 +269,9 @@ def test_single_cell_hand_assembly():
 
 def test_zero_data_gives_zero_solution(bump_grid):
     inputs = precompute_window_inputs(bump_grid, 1, zero_problem())
-    system = assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), "neumann", 0.0, inputs)
+    system = assemble_subdomain_step(
+        bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), Variant("is2", "fine"), 0.0, inputs
+    )
     assert np.all(system.rhs == 0.0)
     assert np.all(solve_linear(system) == 0.0)
 
@@ -283,27 +285,37 @@ def test_time_level_outside_range_raises(bump_grid):
             prev = np.zeros(side.widths.size)
             for k in (None, 0, side.levels + 1):
                 with pytest.raises(DimensionError, match="time level"):
-                    assemble_subdomain_step(grid, name, k, prev, "neumann", 0.0, inputs)
-            assemble_subdomain_step(grid, name, side.levels, prev, "neumann", 0.0, inputs)
+                    assemble_subdomain_step(grid, name, k, prev, VARIANTS[0], 0.0, inputs)
+            assemble_subdomain_step(grid, name, side.levels, prev, VARIANTS[0], 0.0, inputs)
 
 
-def test_unknown_closure_kind_raises(bump_grid):
-    # closure_distance is the one check of a closure kind, and every user goes through it
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+def test_each_variant_closes_the_slave_by_dirichlet_and_the_master_by_neumann(bump_grid, variant):
+    # the slave's interface cell gets 1/d_own (is1) or 1/d_across (is2) on its
+    # diagonal and the master nothing; only an is1 slave's face pressure is
+    # its datum, every other one is extrapolated from the interface cell
     inputs = precompute_window_inputs(bump_grid, 1, zero_problem())
-    fine = bump_grid.sides["fine"]
-    for kind in ("dirichlet", None, "Neumann"):
-        with pytest.raises(DimensionError, match="closure kind"):
-            inputs.operators.get("fine", kind)
-        with pytest.raises(DimensionError, match="closure kind"):
-            scheme.interface_traces(bump_grid, fine, kind, 0.0, np.zeros(bump_grid.ratio))
-        with pytest.raises(DimensionError, match="closure kind"):
-            assemble_subdomain_step(bump_grid, "fine", 1, np.zeros(bump_grid.n_fine), kind, 0.0, inputs)
+    rng = np.random.default_rng(7)
+    for name, side in bump_grid.sides.items():
+        slave = name == variant.slave
+        d = {"is1": side.d_own, "is2": bump_grid.d_across}[variant.interface_scheme]
+        diag = assemble_subdomain_step(bump_grid, name, 1, np.zeros(side.widths.size), variant, 0.0, inputs).bands[1]
+        neumann = inputs.operators.get(name).bands[1]
+        assert diag[side.iface] == (neumann[side.iface] + 1.0 / d if slave else neumann[side.iface])
+        assert np.delete(diag, side.iface).tobytes() == np.delete(neumann, side.iface).tobytes()
+        datum, p_edge = 0.3, rng.uniform(-1.0, 1.0, side.levels)
+        flux, pressure = scheme.interface_traces(bump_grid, side, variant, datum, p_edge)
+        want = side.sign * (datum - p_edge) / d if slave else np.full(side.levels, datum)
+        assert flux.tobytes() == want.tobytes()
+        assert np.all(pressure == datum) == (slave and variant.interface_scheme == "is1")
 
 
 def test_interior_flux_antisymmetry(bump_grid, bump_problem):
     # column sums of the flux part vanish: what remains is mass plus closure terms
     inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
-    system = assemble_subdomain_step(bump_grid, "coarse", 1, np.zeros(bump_grid.n_coarse), "neumann", 0.3, inputs)
+    system = assemble_subdomain_step(
+        bump_grid, "coarse", 1, np.zeros(bump_grid.n_coarse), Variant("is2", "coarse"), 0.3, inputs
+    )
     col_sums = np.asarray(tridiagonal_matrix(system).sum(axis=0)).ravel()
     expected = bump_grid.widths_coarse / bump_grid.dt_coarse
     expected = expected.copy()
@@ -389,7 +401,7 @@ def test_monolithic_assembly_stays_off_the_iterative_path():
         names.update(code.co_names)
         codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
     iterative = {
-        "_step_bands", "StepOperators", "closure_distance", "interface_traces",
+        "_step_bands", "StepOperators", "closure", "face_datum", "interface_traces",
         "assemble_subdomain_step", "sides", "operators",
     }
     assert not names & iterative
@@ -497,11 +509,11 @@ def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
     inputs = precompute_window_inputs(bump_grid, 1, bump_problem)
     prev = bump_problem.p0(bump_grid.centers_fine)
     first, second = (
-        assemble_subdomain_step(bump_grid, "fine", k, prev, "dirichlet_neighbor", 1.0, inputs) for k in (1, 2)
+        assemble_subdomain_step(bump_grid, "fine", k, prev, Variant("is2", "coarse"), 1.0, inputs) for k in (1, 2)
     )
-    other = assemble_subdomain_step(bump_grid, "fine", 1, prev, "neumann", 1.0, inputs)
+    other = assemble_subdomain_step(bump_grid, "fine", 1, prev, Variant("is2", "fine"), 1.0, inputs)
     assert first.lu is second.lu and first.lu is not other.lu
-    assert first.lu is inputs.operators.get("fine", "dirichlet_neighbor")
+    assert first.lu is inputs.operators.get("fine", bump_grid.d_across)
     assert not first.bands[1].flags.writeable
     # the shared factors solve exactly like a fresh factorization
     fresh = type(first)(rhs=first.rhs, lu=scheme.TridiagonalLU.factor(tuple(b.copy() for b in first.bands)))
@@ -536,7 +548,7 @@ def test_window_outside_the_horizon_raises(bump_grid, bump_problem):
 )
 def test_step_right_hand_sides_match_the_level_by_level_reference(ratio, cells, x_iface, seed, scale):
     # the convergence tests' grid space with one-cell sides, jittered widths
-    # and scaled data: every side, level and closure kind, bit for bit
+    # and scaled data: every variant, side and level, bit for bit
     rng = np.random.default_rng(seed)
     widths = (jittered_widths(rng, cells[0], x_iface), jittered_widths(rng, cells[1], 1.0 - x_iface))
     grid = build_composite_grid(GridConfig(0.0, 1.0, x_iface, *cells, 0.01 / ratio, 0.01, 0.03, *widths))
@@ -545,9 +557,9 @@ def test_step_right_hand_sides_match_the_level_by_level_reference(ratio, cells, 
         for name, side in grid.sides.items():
             prev = scale * rng.uniform(-1.0, 1.0, side.widths.size)
             datum = scale * float(rng.uniform(-1.0, 1.0))
-            for kind in ("dirichlet_interface", "dirichlet_neighbor", "neumann"):
+            for variant in VARIANTS:
                 for k in range(1, side.levels + 1):
-                    args = (grid, name, k, prev, kind, datum, inputs)
+                    args = (grid, name, k, prev, variant, datum, inputs)
                     assert assemble_subdomain_step(*args).rhs.tobytes() == reference_subdomain_rhs(*args).tobytes()
 
 

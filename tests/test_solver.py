@@ -834,7 +834,7 @@ def _run_marches(order, out_path=None):
 def test_interleaved_marches_match_marches_run_in_another_order(tmp_path):
     # A march may depend only on its own grid and variant.  A fresh interpreter
     # running the same marches in the opposite order starts from another grid
-    # and other closure kinds, so a factor reused across either would show.
+    # and other closures, so a factor reused across either would show.
     order = [(g, v) for v in range(len(VARIANTS)) for g in range(len(_REUSE_GRIDS))]
     interleaved = _run_marches(order + order)
     root = Path(__file__).resolve().parents[1]
@@ -885,13 +885,15 @@ def test_no_ltsheat_call_imports_scipy_packages():
     # them, so a fresh interpreter shows that none does: the iterative path
     # reaches LAPACK and BLAS, and the monolithic reference SuperLU, through
     # scipy's extension modules alone.  Once a user imports the packages, their functions must be the
-    # ones ltsheat calls, each extension loaded once, and splu must work.
+    # ones ltsheat calls, each extension loaded once, and splu must work.  A
+    # scipy that lacks a wrapper or keyword ltsheat calls fails the probe, and
+    # its error, which names the symbol, is the failure message.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     probe = subprocess.run(
-        [sys.executable, "-c", _SCIPY_IMPORT_PROBE], cwd=root, env=env, check=True, timeout=120,
-        capture_output=True, text=True,
+        [sys.executable, "-c", _SCIPY_IMPORT_PROBE], cwd=root, env=env, timeout=120, capture_output=True, text=True
     )
+    assert probe.returncode == 0, f"the scipy probe exited {probe.returncode}:\n{probe.stderr}"
     assert probe.stdout.split() == ["False"] * 6 + ["True"] * 7
 
 
