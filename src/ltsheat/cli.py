@@ -20,17 +20,18 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import ErrorSeries, error_report, final_l2_error, observed_order
+from .diagnostics import ErrorSeries, error_report, observed_order
 from .errors import ConfigurationError, SolverError
 from .grid import CompositeGrid, GridConfig, build_composite_grid
 from .projection import COARSE, FINE
 from .scheme import IS1, IS2, VARIANTS, Problem, Variant, manufactured_problem, polynomial_problem, zero_problem
-from .solver import CONVERGED, SolveMode, SolveReport, Trajectory, march
+from .solver import CONVERGED, MODE_KINDS, SolveMode, SolveReport, Trajectory, march
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,8 +69,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read ``key = value`` pairs; raises ConfigurationError on bad syntax."""
     pairs: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -84,26 +85,20 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return pairs
 
 
-def _get_float(pairs: dict[str, str], key: str, default: float | None = None) -> float:
+def _get_number(
+    pairs: dict[str, str], key: str, kind: type[float] | type[int], default: float | None = None
+) -> float:
+    """The value of ``key`` as a ``float`` or an ``int``; ``default`` when it
+    is absent, which is an error when there is no default."""
     if key not in pairs:
         if default is None:
             raise ConfigurationError(f"missing required config key {key!r}")
         return default
     try:
-        return float(pairs[key])
+        return kind(pairs[key])
     except ValueError:
-        raise ConfigurationError(f"config key {key!r} is not a number: {pairs[key]!r}") from None
-
-
-def _get_int(pairs: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in pairs:
-        if default is None:
-            raise ConfigurationError(f"missing required config key {key!r}")
-        return default
-    try:
-        return int(pairs[key])
-    except ValueError:
-        raise ConfigurationError(f"config key {key!r} is not an integer: {pairs[key]!r}") from None
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigurationError(f"config key {key!r} is not {noun}: {pairs[key]!r}") from None
 
 
 def _get_choice(pairs: dict[str, str], key: str, choices: tuple[str, ...], default: str) -> str:
@@ -146,14 +141,14 @@ class RunConfig:
 
 def load_run_config(pairs: dict[str, str]) -> RunConfig:
     grid = GridConfig(
-        domain_lo=_get_float(pairs, "grid.domain_lo", 0.0),
-        domain_hi=_get_float(pairs, "grid.domain_hi", 1.0),
-        interface_x=_get_float(pairs, "grid.interface_x"),
-        n_cells_fine=_get_int(pairs, "grid.n_cells_fine"),
-        n_cells_coarse=_get_int(pairs, "grid.n_cells_coarse"),
-        dt_fine=_get_float(pairs, "grid.dt_fine"),
-        dt_coarse=_get_float(pairs, "grid.dt_coarse"),
-        t_end=_get_float(pairs, "grid.t_end"),
+        domain_lo=_get_number(pairs, "grid.domain_lo", float, 0.0),
+        domain_hi=_get_number(pairs, "grid.domain_hi", float, 1.0),
+        interface_x=_get_number(pairs, "grid.interface_x", float),
+        n_cells_fine=_get_number(pairs, "grid.n_cells_fine", int),
+        n_cells_coarse=_get_number(pairs, "grid.n_cells_coarse", int),
+        dt_fine=_get_number(pairs, "grid.dt_fine", float),
+        dt_coarse=_get_number(pairs, "grid.dt_coarse", float),
+        t_end=_get_number(pairs, "grid.t_end", float),
         widths_fine=_get_floats(pairs, "grid.widths_fine"),
         widths_coarse=_get_floats(pairs, "grid.widths_coarse"),
     )
@@ -161,15 +156,18 @@ def load_run_config(pairs: dict[str, str]) -> RunConfig:
         _get_choice(pairs, "variant.interface_scheme", (IS1, IS2), IS2),
         _get_choice(pairs, "variant.master", (FINE, COARSE), FINE),
     )
-    kind = _get_choice(pairs, "mode.type", ("converged", "single_iteration", "predictor_only"), "converged")
-    mode = SolveMode(kind, eps=_get_float(pairs, "mode.eps", 1e-5), max_iters=_get_int(pairs, "mode.max_iters", 100))
+    mode = SolveMode(
+        _get_choice(pairs, "mode.type", MODE_KINDS, CONVERGED),
+        eps=_get_number(pairs, "mode.eps", float, 1e-5),
+        max_iters=_get_number(pairs, "mode.max_iters", int, 100),
+    )
     problem_kind = _get_choice(pairs, "problem", ("manufactured", "zero", "custom-coefficients"), "manufactured")
     boundary_mode = _get_choice(pairs, "boundary_mode", ("exact", "homogeneous"), "exact")
     if problem_kind == "custom-coefficients" and boundary_mode != "homogeneous":
         raise ConfigurationError(
             "problem 'custom-coefficients' has no exact solution; set boundary_mode = homogeneous"
         )
-    levels = _get_int(pairs, "convergence.levels", 4)
+    levels = _get_number(pairs, "convergence.levels", int, 4)
     if levels < 1:
         raise ConfigurationError("convergence.levels must be at least 1")
     return RunConfig(
@@ -194,19 +192,10 @@ def _check_output_dir(out: Path) -> None:
         raise ConfigurationError(f"output_dir {str(out)!r} {where}is not a directory")
 
 
-def _load_config(config_path: str | Path, overrides: dict[str, str] | None) -> RunConfig:
-    """Parse a config file, apply command-line overrides and validate,
-    including that the output directory can be made."""
-    pairs = parse_config_file(config_path)
-    pairs.update(overrides or {})
-    config = load_run_config(pairs)
-    _check_output_dir(config.output_dir)
-    return config
-
-
 def build_problem(config: RunConfig) -> Problem:
     if config.problem_kind == "manufactured":
-        return manufactured_problem(homogeneous_boundary=config.boundary_mode == "homogeneous")
+        homogeneous = config.boundary_mode == "homogeneous"
+        return manufactured_problem(homogeneous, config.grid.domain_lo, config.grid.domain_hi)
     if config.problem_kind == "zero":
         return zero_problem()
     return polynomial_problem(config.source_coeffs or (0.0,), config.initial_coeffs or (0.0,))
@@ -235,9 +224,15 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file, making the output directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def _write_csv(path: Path, header: str, rows: list[list[str]]) -> None:
     lines = [header] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _summary_payload(
@@ -288,46 +283,45 @@ def _non_finite_keys(payload: dict) -> list[str]:
     return bad
 
 
-def run_experiment(config_path: str | Path, overrides: dict[str, str] | None = None) -> int:
-    """Single run: summary.json, error_space.csv, error_time.csv."""
+def _run(body: Callable[[RunConfig], int], config_path: str | Path, overrides: dict[str, str] | None) -> int:
+    """Parse a config file, apply command-line overrides and validate,
+    including that the output directory can be made, then run ``body`` on
+    the config and return its exit code.  A configuration error exits 2 and a
+    solver error 1, each with one line on stderr."""
     try:
-        config = _load_config(config_path, overrides)
-        grid = build_composite_grid(config.grid)
-        problem = build_problem(config)
+        pairs = parse_config_file(config_path)
+        pairs.update(overrides or {})
+        config = load_run_config(pairs)
+        _check_output_dir(config.output_dir)
+        return body(config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        trajectory, report = march(grid, config.variant, config.mode, problem)
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
+
+def run_experiment(config_path: str | Path, overrides: dict[str, str] | None = None) -> int:
+    """Single run: summary.json, error_space.csv, error_time.csv."""
+    return _run(_experiment, config_path, overrides)
+
+
+def _experiment(config: RunConfig) -> int:
+    grid = build_composite_grid(config.grid)
+    problem = build_problem(config)
+    trajectory, report = march(grid, config.variant, config.mode, problem)
     series = error_report(trajectory, problem) if problem.exact_solution is not None else None
     payload = _summary_payload(config, grid, report, trajectory, series)
     bad = _non_finite_keys(payload)
     if bad:
-        print(f"solver error: summary values are not finite: {', '.join(bad)}", file=sys.stderr)
-        return EXIT_ERROR
+        raise SolverError(f"summary values are not finite: {', '.join(bad)}")
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.json").write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-    if series is not None:
-        _write_csv(
-            out / "error_space.csv",
-            "x,error",
-            [[_fmt(x), _fmt(e)] for x, e in zip(series.x, series.space_error)],
-        )
-        _write_csv(
-            out / "error_time.csv",
-            "t,l2_error",
-            [[_fmt(t), _fmt(e)] for t, e in zip(series.window_times, series.l2_by_window)],
-        )
-    else:
-        _write_csv(out / "error_space.csv", "x,error", [])
-        _write_csv(out / "error_time.csv", "t,l2_error", [])
-
+    _write(out / "summary.json", json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    space = [] if series is None else zip(series.x, series.space_error)
+    times = [] if series is None else zip(series.window_times, series.l2_by_window)
+    _write_csv(out / "error_space.csv", "x,error", [[_fmt(x), _fmt(e)] for x, e in space])
+    _write_csv(out / "error_time.csv", "t,l2_error", [[_fmt(t), _fmt(e)] for t, e in times])
     return EXIT_OK if _check_converged(config.mode, report, config.variant.name) else EXIT_NO_CONVERGENCE
 
 
@@ -345,54 +339,33 @@ def _refine_grid(grid: GridConfig, factor: int) -> GridConfig:
 
 def run_convergence(config_path: str | Path, overrides: dict[str, str] | None = None) -> int:
     """Simultaneous factor-2 refinement ladder: convergence.csv."""
-    try:
-        config = _load_config(config_path, overrides)
-        if config.problem_kind == "custom-coefficients":
-            raise ConfigurationError("convergence study needs a problem with an exact solution")
-        ladders = [
-            build_composite_grid(_refine_grid(config.grid, 2**level))
-            for level in range(config.levels)
-        ]
-        problem = build_problem(config)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    return _run(_convergence, config_path, overrides)
 
+
+def _convergence(config: RunConfig) -> int:
+    if config.problem_kind == "custom-coefficients":
+        raise ConfigurationError("convergence study needs a problem with an exact solution")
+    ladders = [build_composite_grid(_refine_grid(config.grid, 2**level)) for level in range(config.levels)]
+    problem = build_problem(config)
     rows_data = []
     any_nonconverged = False
-    try:
-        for level, grid in enumerate(ladders):
-            trajectory, report = march(grid, config.variant, config.mode, problem)
-            label = f"{config.variant.name}, ladder level {level}"
-            any_nonconverged |= not _check_converged(config.mode, report, label)
-            series = error_report(trajectory, problem)
-            h = float(max(np.max(grid.widths_fine), np.max(grid.widths_coarse)))
-            rows_data.append((h, grid.dt_coarse, series.l2_final, series.h1_global))
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    for level, grid in enumerate(ladders):
+        trajectory, report = march(grid, config.variant, config.mode, problem)
+        label = f"{config.variant.name}, ladder level {level}"
+        any_nonconverged |= not _check_converged(config.mode, report, label)
+        series = error_report(trajectory, problem)
+        h = float(max(np.max(grid.widths_fine), np.max(grid.widths_coarse)))
+        rows_data.append((h, grid.dt_coarse, series.l2_final, series.h1_global))
 
-    orders_l2 = observed_order([(h, dt, e) for h, dt, e, _ in rows_data])
-    orders_h1 = observed_order([(h, dt, e) for h, dt, _, e in rows_data])
+    # the first level has no order
+    orders_l2 = [None, *observed_order([(h, dt, e) for h, dt, e, _ in rows_data])]
+    orders_h1 = [None, *observed_order([(h, dt, e) for h, dt, _, e in rows_data])]
     rows = []
-    for level, (h, dt, l2, h1) in enumerate(rows_data):
-        o_l2 = orders_l2[level - 1] if level > 0 else None
-        o_h1 = orders_h1[level - 1] if level > 0 else None
-        rows.append(
-            [
-                str(level),
-                _fmt(h),
-                _fmt(dt),
-                _fmt(l2),
-                _fmt(h1),
-                "" if o_l2 is None else _fmt(o_l2),
-                "" if o_h1 is None else _fmt(o_h1),
-            ]
-        )
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    for level, ((h, dt, l2, h1), o_l2, o_h1) in enumerate(zip(rows_data, orders_l2, orders_h1)):
+        orders = ("" if o is None else _fmt(o) for o in (o_l2, o_h1))
+        rows.append([str(level), _fmt(h), _fmt(dt), _fmt(l2), _fmt(h1), *orders])
     _write_csv(
-        out / "convergence.csv",
+        config.output_dir / "convergence.csv",
         "level,h,dt,l2_error,h1_error,observed_order_l2,observed_order_h1",
         rows,
     )
@@ -402,39 +375,28 @@ def run_convergence(config_path: str | Path, overrides: dict[str, str] | None = 
 def run_compare(config_path: str | Path, overrides: dict[str, str] | None = None) -> int:
     """Four variants, two uniform-time-step baselines on the same spatial mesh,
     and the single-iteration comparison method: compare.csv."""
-    try:
-        config = _load_config(config_path, overrides)
-        base_grid = build_composite_grid(config.grid)  # validates before any run
-        problem = build_problem(config)
-        baseline = Variant(IS2, FINE)
-        runs = [(variant.name, base_grid, variant, config.mode) for variant in VARIANTS]
-        for side, dt in ((FINE, config.grid.dt_fine), (COARSE, config.grid.dt_coarse)):
-            grid = build_composite_grid(replace(config.grid, dt_fine=dt, dt_coarse=dt))
-            runs.append((f"uniform-{side}", grid, baseline, config.mode))
-        runs.append((f"{baseline.name}-single-iteration", base_grid, baseline, SolveMode.single_iteration()))
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    return _run(_compare, config_path, overrides)
+
+
+def _compare(config: RunConfig) -> int:
+    base_grid = build_composite_grid(config.grid)  # validates before any run
+    problem = build_problem(config)
+    baseline = Variant(IS2, FINE)
+    runs = [(variant.name, base_grid, variant, config.mode) for variant in VARIANTS]
+    for side, dt in ((FINE, config.grid.dt_fine), (COARSE, config.grid.dt_coarse)):
+        grid = build_composite_grid(replace(config.grid, dt_fine=dt, dt_coarse=dt))
+        runs.append((f"uniform-{side}", grid, baseline, config.mode))
+    runs.append((f"{baseline.name}-single-iteration", base_grid, baseline, SolveMode.single_iteration()))
 
     rows = []
     any_nonconverged = False
-    try:
-        for label, grid, variant, mode in runs:
-            trajectory, report = march(grid, variant, mode, problem)
-            any_nonconverged |= not _check_converged(mode, report, label)
-            if problem.exact_solution is not None:
-                l2 = _fmt(final_l2_error(trajectory, problem))
-            else:
-                l2 = ""
-            rows.append([label, l2, _fmt(report.mean_iterations), _fmt(report.max_defect)])
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    for label, grid, variant, mode in runs:
+        trajectory, report = march(grid, variant, mode, problem)
+        any_nonconverged |= not _check_converged(mode, report, label)
+        l2 = "" if problem.exact_solution is None else _fmt(error_report(trajectory, problem).l2_final)
+        rows.append([label, l2, _fmt(report.mean_iterations), _fmt(report.max_defect)])
     _write_csv(
-        out / "compare.csv",
+        config.output_dir / "compare.csv",
         "method,final_l2_error,mean_iterations,max_conservativity_defect",
         rows,
     )
@@ -476,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a key-value config file")
         p.add_argument("--variant", help=" | ".join(variant.name for variant in VARIANTS))
-        p.add_argument("--mode", choices=["converged", "single_iteration", "predictor_only"])
+        p.add_argument("--mode", choices=MODE_KINDS)
         p.add_argument("--eps", type=float, help="corrector stopping tolerance")
         p.add_argument("--max-iters", type=int, help="corrector sweep limit")
         p.add_argument("--out", help="output directory")

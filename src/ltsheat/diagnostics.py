@@ -86,26 +86,6 @@ def _end_errors(trajectory: Trajectory, problem: Problem, side: Side, windows: n
     return cells - _exact(problem, side.centers, (windows * trajectory.grid.dt_coarse)[:, None])
 
 
-def _end_l2(
-    trajectory: Trajectory, problem: Problem, windows: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Global L2 error at the end of each of ``windows`` (0 = initial), fine
-    side then coarse side, and each side's cell errors (one row per window)."""
-    grid = trajectory.grid
-    sides = (grid.sides[FINE], grid.sides[COARSE])
-    ends = [_end_errors(trajectory, problem, side, windows) for side in sides]
-    fine_sq, coarse_sq = (np.sum(e * e * side.widths, axis=-1) for e, side in zip(ends, sides))
-    return np.sqrt(fine_sq + coarse_sq), ends
-
-
-def final_l2_error(trajectory: Trajectory, problem: Problem) -> float:
-    """Global L2 error at the final time: ``error_report(...).l2_final``
-    without the rest of the report."""
-    if problem.exact_solution is None:
-        raise ValueError("final_l2_error needs a problem with an exact solution")
-    return float(_end_l2(trajectory, problem, np.array([trajectory.grid.n_windows]))[0][0])
-
-
 def _level_h1(trajectory: Trajectory, problem: Problem, side: Side, block: range) -> np.ndarray:
     """H1 seminorm errors of one side at each of its time levels in the
     windows of ``block``, in time order, against the exact solution at the
@@ -145,7 +125,9 @@ def error_report(trajectory: Trajectory, problem: Problem) -> ErrorSeries:
     h1_global_sq = 0.0
     for block in _window_blocks(grid, 1):
         ends = np.arange(0 if block.start == 1 else block.start, block.stop)  # window 0 is the initial state
-        l2_by_window[ends], end_errors = _end_l2(trajectory, problem, ends)
+        end_errors = [_end_errors(trajectory, problem, side, ends) for side in sides]
+        fine_sq, coarse_sq = (np.sum(e * e * side.widths, axis=-1) for e, side in zip(end_errors, sides))
+        l2_by_window[ends] = np.sqrt(fine_sq + coarse_sq)
         h1 = {side.name: _level_h1(trajectory, problem, side, block).tolist() for side in sides}
         for i in range(len(block)):
             for side in sides:

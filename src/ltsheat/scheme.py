@@ -119,9 +119,10 @@ class Problem:
     exact_solution: Callable | None = None
 
 
-def manufactured_problem(homogeneous_boundary: bool = False) -> Problem:
+def manufactured_problem(homogeneous_boundary: bool = False, domain_lo: float = 0.0, domain_hi: float = 1.0) -> Problem:
     """Bump solution p = exp(20(t - t^2) - 37x^2 + 8x - 1) with its induced
-    source f = p * (20(1 - 2t) - (8 - 74x)^2 + 74) and boundary traces."""
+    source f = p * (20(1 - 2t) - (8 - 74x)^2 + 74) and its traces at the
+    domain ends ``domain_lo`` and ``domain_hi`` as boundary data."""
 
     def exact(x, t):
         x = np.asarray(x, dtype=float)
@@ -137,8 +138,8 @@ def manufactured_problem(homogeneous_boundary: bool = False) -> Problem:
         g_lo = _zero_of_t
         g_hi = _zero_of_t
     else:
-        g_lo = lambda t: exact(0.0, t)  # noqa: E731
-        g_hi = lambda t: exact(1.0, t)  # noqa: E731
+        g_lo = lambda t: exact(domain_lo, t)  # noqa: E731
+        g_hi = lambda t: exact(domain_hi, t)  # noqa: E731
 
     return Problem(
         source=source,

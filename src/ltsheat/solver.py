@@ -78,6 +78,7 @@ DIRICHLET_RELAXATION = 0.45
 CONVERGED = "converged"
 SINGLE_ITERATION = "single_iteration"
 PREDICTOR_ONLY = "predictor_only"
+MODE_KINDS = (CONVERGED, SINGLE_ITERATION, PREDICTOR_ONLY)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class SolveMode:
     max_iters: int = 100
 
     def __post_init__(self) -> None:
-        if self.kind not in (CONVERGED, SINGLE_ITERATION, PREDICTOR_ONLY):
+        if self.kind not in MODE_KINDS:
             raise ConfigurationError(f"unknown solve mode {self.kind!r}")
         if not 0.0 < self.eps < math.inf:
             raise ConfigurationError(f"eps must be positive and finite, got {self.eps!r}")
@@ -131,7 +132,6 @@ class WindowState:
 
     fine: SubdomainState
     coarse: SubdomainState
-    dirichlet_used: float | None = None  # datum of the latest slave solve
 
 
 @dataclass(slots=True)
@@ -365,7 +365,6 @@ def _sweep(
         sub.cells = levels.reshape(sub.cells.shape)
         sub.flux, sub.pressure = interface_traces(grid, side, variant, datum, levels[:, side.iface])
 
-    state.dirichlet_used = datum
     close(variant.slave, datum)
     close(variant.master, _project(grid, grid.sides[variant.slave], getattr(state, variant.slave).flux))
 

@@ -150,11 +150,10 @@ def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys):
     assert "solver error: is2-fine, window 1 of 5: direct solve residual exceeds the acceptance bound" in err
 
 
-def test_datum_that_overflows_fails_in_its_own_window(tmp_path, capsys):
+def _overflowing_datum_cfg(tmp_path):
     # dt_coarse / h_coarse^2 = 0.004 gives is1-coarse a contraction of -1.5 per
-    # sweep: within 2000 sweeps window 1's datum overflows, and the error
-    # names that window, not the next one that would start from its cells
-    cfg = write_cfg(
+    # sweep: within 2000 sweeps window 1's datum overflows
+    return write_cfg(
         tmp_path,
         BUMP_CFG.read_text()
         .replace("grid.dt_fine = 0.002", "grid.dt_fine = 1e-6")
@@ -162,11 +161,24 @@ def test_datum_that_overflows_fails_in_its_own_window(tmp_path, capsys):
         .replace("grid.t_end = 0.1", "grid.t_end = 1e-4")
         .replace("output_dir = out/bump", f"output_dir = {tmp_path / 'o'}"),
     )
-    assert main(["run", str(cfg), "--variant", "is1-coarse", "--max-iters", "2000"]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
+def test_datum_that_overflows_fails_in_its_own_window(tmp_path, capsys, command):
+    # the error names that window, not the next one that would start from its
+    # cells, and every command reports it the same way and writes nothing
+    cfg = _overflowing_datum_cfg(tmp_path)
+    assert main([command, str(cfg), "--variant", "is1-coarse", "--max-iters", "2000"]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert "solver error: is1-coarse, window 1 of 10: Dirichlet residual is not finite after" in err
     assert "(predicted contraction -1.5)" in err
+    assert err.count("solver error:") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_datum_short_of_overflow_ends_unconverged(tmp_path, capsys):
     # with fewer sweeps than it takes to overflow, the window ends unconverged
+    cfg = _overflowing_datum_cfg(tmp_path)
     assert main(["run", str(cfg), "--variant", "is1-coarse", "--max-iters", "100"]) == EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
     assert "corrector did not converge (is1-coarse): window 1 of 10 after 100 sweeps" in err
@@ -232,6 +244,17 @@ def test_convergence_rejects_problem_without_exact(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\n")
     assert run_convergence(cfg) == EXIT_CONFIG
     assert "exact solution" in capsys.readouterr().err
+
+
+def test_convergence_on_a_shifted_domain(tmp_path):
+    # the manufactured boundary data are the exact solution at the domain's
+    # own ends, not at x = 0 and x = 1
+    out = tmp_path / "shifted"
+    body = MINIMAL.replace("grid.n_cells_fine = 25", "grid.n_cells_fine = 75")
+    cfg = write_cfg(tmp_path, body + f"grid.domain_lo = -0.5\nconvergence.levels = 3\noutput_dir = {out}\n")
+    assert run_convergence(cfg) == EXIT_OK
+    rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()[1:]]
+    assert [float(row[5]) >= 0.9 for row in rows[1:]] == [True, True]
 
 
 def test_convergence_zero_problem_all_orders_undefined(tmp_path):
@@ -367,6 +390,14 @@ def test_unusable_output_dir_is_config_error(tmp_path, capsys, command, below_fi
     assert err.rstrip().endswith(f"{str(blocker)!r} is not a directory" if below_file else "is not a directory")
     assert blocker.read_text() == "kept\n"
     assert sorted(tmp_path.iterdir()) == [blocker]
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\u00e9, Latin-1 encoded\n".encode("latin-1") + MINIMAL.encode())
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: cannot read config {cfg}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_config_syntax_errors(tmp_path):

@@ -17,7 +17,6 @@ from ltsheat import (
     subdomain_l2_error,
     zero_problem,
 )
-from ltsheat.diagnostics import final_l2_error
 
 
 def test_norms_zero_field():
@@ -115,15 +114,13 @@ def test_error_report_requires_exact(bump_grid, bump_problem, bump_run):
         error_report(trajectory, prob)
     with pytest.raises(ValueError):
         subdomain_l2_error(trajectory, prob, "fine")
-    with pytest.raises(ValueError):
-        final_l2_error(trajectory, prob)
 
 
 def test_exact_solution_of_the_wrong_shape_raises(bump_run):
     _, trajectory, _ = bump_run("is2-fine")
     zero = zero_problem()
     bad = Problem(zero.source, zero.p0, zero.g_lo, zero.g_hi, lambda x, t: np.zeros(4))
-    for report in (error_report, final_l2_error, lambda tr, p: subdomain_l2_error(tr, p, "fine")):
+    for report in (error_report, lambda tr, p: subdomain_l2_error(tr, p, "fine")):
         with pytest.raises(DimensionError, match=r"exact_solution returned shape \(4,\).*\(\d+, 25\)"):
             report(trajectory, bad)
     # a scalar return broadcasts: the same report as the zero array
@@ -131,7 +128,7 @@ def test_exact_solution_of_the_wrong_shape_raises(bump_run):
     got, want = error_report(trajectory, scalar), error_report(trajectory, zero)
     for name in ("space_error", "l2_by_window", "l2_final", "h1_final", "h1_global"):
         assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
-    assert final_l2_error(trajectory, scalar) == got.l2_final > 0.0
+    assert got.l2_final > 0.0
     assert subdomain_l2_error(trajectory, scalar, "coarse") == subdomain_l2_error(trajectory, zero, "coarse")
 
 
@@ -166,17 +163,6 @@ def test_error_report_shapes(bump_run, bump_problem):
     assert series.l2_final == series.l2_by_window[-1]
     assert series.l2_final > 0.0 and series.h1_final > 0.0 and series.h1_global > 0.0
     assert subdomain_l2_error(trajectory, bump_problem, "fine") <= series.l2_final
-
-
-@pytest.mark.parametrize(
-    "variant, mode",
-    [(v, "converged") for v in ("is1-fine", "is1-coarse", "is2-fine", "is2-coarse")]
-    + [("is2-fine", "single_iteration"), ("is1-coarse", "predictor_only")],
-)
-def test_final_l2_error_is_the_reports_l2_final(bump_run, bump_problem, variant, mode):
-    # ``compare`` writes only this number; it must not move by a bit
-    _, trajectory, _ = bump_run(variant, mode)
-    assert final_l2_error(trajectory, bump_problem) == error_report(trajectory, bump_problem).l2_final
 
 
 def test_fine_master_beats_coarse_baseline_in_refined_zone(bump_run, bump_problem):

@@ -557,6 +557,19 @@ def _sweep_until_eps(grid, fine_start, coarse_start, variant, mode, inputs):
     return state, history
 
 
+def _record_sweep_data(monkeypatch):
+    """Wrap ``solver._sweep`` so that the Dirichlet datum of each call is
+    appended to the list returned."""
+    data, original = [], ltsheat.solver._sweep
+
+    def recording(grid, state, variant, datum, cells):
+        data.append(datum)
+        original(grid, state, variant, datum, cells)
+
+    monkeypatch.setattr(ltsheat.solver, "_sweep", recording)
+    return data
+
+
 def _state_fields(state):
     """Cells, interface pressure and interface flux of both sides."""
     return [
@@ -582,12 +595,14 @@ def test_reduced_sweeps_match_real_sweeps_over_the_grid_space(ratio, cells, x_if
         inputs = precompute_window_inputs(grid, window, problem, operators)
         args = (grid, fine_start, coarse_start, variant, mode, inputs)
         state, report = solve_window(*args)
-        expected, history = _sweep_until_eps(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            data = _record_sweep_data(mp)
+            expected, history = _sweep_until_eps(*args)
         assert report.iterations == len(history)
         # the real sweeps' residuals scatter by up to 11 ulp of the datum about
         # the geometric sequence res_1 r^(n-1), which the reduced sweeps follow
         # to 1 ulp; residuals near eps are compared on that scale
-        datum = abs(expected.dirichlet_used)
+        datum = abs(data[-1])
         floor = 32 * np.finfo(float).eps * max(1.0, datum)
         np.testing.assert_allclose(report.residual_history, history, rtol=1e-12, atol=floor)
         for got, want in zip(_state_fields(state), _state_fields(expected)):
@@ -708,8 +723,9 @@ def test_only_one_sweep_per_window_marches_the_subdomains(monkeypatch, bump_grid
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
-def test_superposed_windows_match_a_real_sweep_from_the_last_datum(bump_grid, bump_problem, variant):
+def test_superposed_windows_match_a_real_sweep_from_the_last_datum(monkeypatch, bump_grid, bump_problem, variant):
     mode = SolveMode.converged(1e-5, 100)
+    data = _record_sweep_data(monkeypatch)
     operators = StepOperators(bump_grid)
     fine_start, coarse_start = bump_problem.p0(bump_grid.centers_fine), bump_problem.p0(bump_grid.centers_coarse)
     for window in range(1, bump_grid.n_windows + 1):
@@ -718,9 +734,9 @@ def test_superposed_windows_match_a_real_sweep_from_the_last_datum(bump_grid, bu
         state, report = solve_window(*args, variant, mode, inputs)
         assert report.iterations > 1
         expected = init_window_state(*args, inputs)
-        corrector_sweep(bump_grid, expected, variant, inputs, state.dirichlet_used)
-        fields = lambda s: _state_fields(s) + [s.dirichlet_used]  # noqa: E731
-        for got, want in zip(fields(state), fields(expected)):
+        # the last datum of the window is that of its superposed sweep
+        corrector_sweep(bump_grid, expected, variant, inputs, data[-1])
+        for got, want in zip(_state_fields(state), _state_fields(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         # the master's flux is the projected slave flux, bit for bit at every level
         neumann = _project(bump_grid, bump_grid.sides[variant.slave], getattr(state, variant.slave).flux)
