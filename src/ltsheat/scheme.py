@@ -124,15 +124,25 @@ def manufactured_problem(homogeneous_boundary: bool = False, domain_lo: float = 
     source f = p * (20(1 - 2t) - (8 - 74x)^2 + 74) and its traces at the
     domain ends ``domain_lo`` and ``domain_hi`` as boundary data."""
 
+    # each formula is evaluated in its written order into one full-size array
+    # (the source's bracket into a second), which bounds a quadrature call's
+    # peak memory; scalar arguments give a scalar
     def exact(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        return np.exp(20.0 * (t - t * t) - 37.0 * x * x + 8.0 * x - 1.0)
+        out = np.subtract(20.0 * (t - t * t), 37.0 * x * x)
+        out += 8.0 * x
+        out -= 1.0
+        return np.exp(out, out=out) if out.ndim else np.exp(out)
 
     def source(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        return exact(x, t) * (20.0 * (1.0 - 2.0 * t) - (8.0 - 74.0 * x) ** 2 + 74.0)
+        out = exact(x, t)
+        bracket = np.subtract(20.0 * (1.0 - 2.0 * t), (8.0 - 74.0 * x) ** 2)
+        bracket += 74.0
+        out *= bracket
+        return out
 
     if homogeneous_boundary:
         g_lo = _zero_of_t
@@ -171,13 +181,15 @@ def zero_problem() -> Problem:
 
 def polynomial_problem(source_coeffs, initial_coeffs) -> Problem:
     """Source f(x) and initial value p0(x) given as ascending polynomial
-    coefficients in x; homogeneous Dirichlet data, no exact solution."""
+    coefficients in x; homogeneous Dirichlet data, no exact solution.
+    Only these problems load ``numpy.polynomial``."""
+    from numpy.polynomial.polynomial import polyval
+
     sc = np.asarray(source_coeffs, dtype=float)
     ic = np.asarray(initial_coeffs, dtype=float)
     return Problem(
-        source=lambda x, t: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), sc)
-        + 0.0 * np.asarray(t, dtype=float),
-        p0=lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), ic),
+        source=lambda x, t: polyval(np.asarray(x, dtype=float), sc) + 0.0 * np.asarray(t, dtype=float),
+        p0=lambda x: polyval(np.asarray(x, dtype=float), ic),
         g_lo=_zero_of_t,
         g_hi=_zero_of_t,
         exact_solution=None,
@@ -202,7 +214,12 @@ def _broadcast_return(value, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 # -- source quadrature --------------------------------------------------------
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
+#: 3-point Gauss-Legendre nodes and weights on [-1, 1], bit for bit those of
+#: ``numpy.polynomial.legendre.leggauss(3)`` (whose outer weights are one ulp
+#: above 5/9), written out so that importing ltsheat loads no
+#: ``numpy.polynomial`` and runs no eigensolver
+_GAUSS_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
+_GAUSS_WEIGHTS = np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
 
 #: tensor weights w_i w_j of the 9 Gauss points, x node i major, one per row
 _TENSOR_WEIGHTS = np.outer(_GAUSS_WEIGHTS, _GAUSS_WEIGHTS).reshape(9, 1)

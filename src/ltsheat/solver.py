@@ -24,9 +24,12 @@ coupling in one unknown).  So only sweep 1 marches the subdomains, and
 sweeps 2..n run that recursion with the same relaxation and stopping test.
 A sweep's residual is |datum - fresh|, fresh being the master's projected
 Dirichlet datum after it; the master's flux is its Neumann datum, so there
-is no Neumann residual.  A window that ran more sweeps then goes once more
-through the sweep body with sweep 1's cells plus (x - x0) times the
-unit-datum sweep's cells, which keeps it conservative.  The unit-datum
+is no Neumann residual.  The recursion shrinks each residual by exactly the
+contraction 1 - theta + theta g, so while that is below 1 in magnitude a
+residual that does not fall is roundoff of the datum, above eps, and the
+window stops there unconverged.  A window that ran more sweeps then goes
+once more through the sweep body with sweep 1's cells plus (x - x0) times
+the unit-datum sweep's cells, which keeps it conservative.  The unit-datum
 sweep (``interface_gain``) runs once per grid and variant, the first time a
 window needs a second sweep.
 """
@@ -425,12 +428,14 @@ def solve_window(
 ) -> tuple[WindowState, WindowReport]:
     """Advance the window of ``inputs`` in the requested mode: a real sweep 1,
     then sweeps 2..n on the scalar datum, superposed onto sweep 1 at the end.
-    A residual that is not finite raises a ``SolverError``."""
+    A residual that is not finite raises a ``SolverError``; one that is not
+    below the previous one while the sweeps contract ends the window
+    unconverged."""
     state = init_window_state(grid, fine_start, coarse_start, inputs)
     sweeps = {PREDICTOR_ONLY: 0, SINGLE_ITERATION: 1}.get(mode.kind, mode.max_iters)
     residuals = array("d")  # |datum - fresh| of each sweep
-    converged = False
-    while not converged and len(residuals) < sweeps:
+    converged = stalled = False
+    while not (converged or stalled) and len(residuals) < sweeps:
         if not residuals:
             x0 = datum = _dirichlet_data(grid, variant, state)
             f1 = fresh = corrector_sweep(grid, state, variant, inputs, datum)
@@ -445,6 +450,9 @@ def solve_window(
                 f"Dirichlet residual is not finite after {len(residuals)} sweeps (predicted contraction {predicted})"
             )
         converged = mode.kind == CONVERGED and residuals[-1] <= mode.eps
+        # sweeps 2..n shrink the residual by |rho| each, so with |rho| < 1 one
+        # that does not fall is roundoff of the datum, above eps
+        stalled = len(residuals) > 1 and residuals[-1] >= residuals[-2] and abs(_contraction(gain)) < 1.0
     if len(residuals) > 1:
         step = datum - x0
         _sweep(

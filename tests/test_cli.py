@@ -184,6 +184,25 @@ def test_datum_short_of_overflow_ends_unconverged(tmp_path, capsys):
     assert "corrector did not converge (is1-coarse): window 1 of 10 after 100 sweeps" in err
 
 
+def test_residual_at_its_roundoff_floor_ends_the_window(tmp_path, capsys):
+    # a datum near 1e147 has a roundoff floor near 1e131, far above eps: the
+    # residual falls by the predicted 0.233 per sweep down to it, then stays,
+    # and the window ends there, not after max_iters sweeps
+    body = MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\nproblem.source_coeffs = 1e150, 1e150\n"
+    cfg = write_cfg(tmp_path, body + f"output_dir = {tmp_path / 'o'}\n")
+    assert run_experiment(cfg) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err.strip()
+    stalled = "; the residual stopped falling at the datum's roundoff, above eps 1e-05"
+    assert err.endswith(stalled)
+    found = NONCONVERGED.match(err.removesuffix(stalled))
+    assert found["label"] == "is2-fine" and found["window"] == "1" and found["predicted"] == "0.233"
+    assert float(found["ratio"]) >= 1.0
+    # 0.233^24 ~ 1.6e-15: the fall from 5e147 takes about 24 sweeps
+    assert int(found["sweeps"]) <= 30
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["all_converged"] is False and summary["iterations"][0] == int(found["sweeps"])
+
+
 def test_custom_problem_requires_homogeneous_boundary(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "problem = custom-coefficients\n")
     assert run_experiment(cfg) == EXIT_CONFIG

@@ -12,6 +12,9 @@ between versions and CPU dispatch targets.  After regenerating out/, record
 the running build with ``PYTHONPATH=src python tests/test_golden.py``."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +91,11 @@ def _absolute_kind(label: str) -> str | None:
     return None
 
 
-def delta_report(produced: Path, golden: Path) -> str:
-    """The largest relative delta of the file's values, and the largest
-    absolute delta of its conservativity defects and of its signed errors."""
+def largest_deltas(produced: Path, golden: Path) -> dict[str, tuple[float, str]] | str:
+    """Per kind of value, the largest delta of the file's values and its
+    label: "relative" for every value but the conservativity defects and the
+    signed errors, whose deltas are absolute.  A text naming the difference
+    instead when the layouts or non-numeric values differ."""
     new, old = _fields(produced), _fields(golden)
     if new.keys() != old.keys():
         return "layout differs"
@@ -98,16 +103,28 @@ def delta_report(produced: Path, golden: Path) -> str:
     text = [k for k in new if k not in numeric and new[k] != old[k]]
     if text:
         return f"non-numeric values differ: {text[:3]}"
-    by_kind: dict[str | None, list[str]] = {None: []}
+    by_kind: dict[str, list[str]] = {"relative": []}
     for k in numeric:
-        by_kind.setdefault(_absolute_kind(k), []).append(k)
-    rel, at = max(
-        ((abs(new[k] - old[k]) / max(abs(old[k]), 1e-300), k) for k in by_kind.pop(None)),
+        by_kind.setdefault(_absolute_kind(k) or "relative", []).append(k)
+    deltas = {
+        kind: max(((abs(new[k] - old[k]), k) for k in labels), default=(0.0, "-")) for kind, labels in by_kind.items()
+    }
+    deltas["relative"] = max(
+        ((abs(new[k] - old[k]) / max(abs(old[k]), 1e-300), k) for k in by_kind["relative"]),
         default=(0.0, "-"),
     )
+    return deltas
+
+
+def delta_report(produced: Path, golden: Path) -> str:
+    """The largest relative delta of the file's values, and the largest
+    absolute delta of its conservativity defects and of its signed errors."""
+    deltas = largest_deltas(produced, golden)
+    if isinstance(deltas, str):
+        return deltas
+    rel, at = deltas.pop("relative")
     report = f"largest relative delta {rel:.3g} at {at}"
-    for kind, labels in by_kind.items():
-        absolute, at = max((abs(new[k] - old[k]), k) for k in labels)
+    for kind, (absolute, at) in deltas.items():
         report += f"; largest {kind} delta {absolute:.3g} (absolute) at {at}"
     return report
 
@@ -143,23 +160,95 @@ def test_delta_report_names_the_largest_deltas(tmp_path):
     )
 
 
-def test_bump_experiment_and_comparison(tmp_path):
-    out = tmp_path / "bump"
+#: the golden files of each output directory under out/
+BUMP_FILES = ("summary.json", "error_space.csv", "error_time.csv", "compare.csv")
+CONVERGENCE_FILES = ("convergence.csv",)
+
+
+def write_bump(out: Path) -> None:
     assert run_experiment(BUMP_CFG, {"output_dir": str(out)}) == EXIT_OK
     assert run_compare(BUMP_CFG, {"output_dir": str(out)}) == EXIT_OK
-    assert_same_bytes(out, ("summary.json", "error_space.csv", "error_time.csv", "compare.csv"))
 
 
-@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
-def test_convergence_study(tmp_path, variant):
-    out = tmp_path / f"convergence-{variant.name}"
+def write_convergence(out: Path, variant) -> None:
     overrides = {
         "variant.interface_scheme": variant.interface_scheme,
         "variant.master": variant.master,
         "output_dir": str(out),
     }
     assert run_convergence(BUMP_CFG, overrides) == EXIT_OK
-    assert_same_bytes(out, ("convergence.csv",))
+
+
+def regenerate(root: Path) -> None:
+    """Every golden output directory, written under ``root``."""
+    write_bump(root / "bump")
+    for variant in VARIANTS:
+        write_convergence(root / f"convergence-{variant.name}", variant)
+
+
+def test_bump_experiment_and_comparison(tmp_path):
+    out = tmp_path / "bump"
+    write_bump(out)
+    assert_same_bytes(out, BUMP_FILES)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
+def test_convergence_study(tmp_path, variant):
+    out = tmp_path / f"convergence-{variant.name}"
+    write_convergence(out, variant)
+    assert_same_bytes(out, CONVERGENCE_FILES)
+
+
+#: numpy's AVX-512 dispatch targets, among them its float64 ``exp``
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+#: bounds on the largest deltas of each kind when the AVX-512 loops are off,
+#: about ten times the largest measured with numpy 2.4.6: relative 3.2e-15
+#: (bump/compare.csv final_l2_error; 8.3e-16 at summary.json final_l2_error),
+#: signed error 1.3e-15, conservativity defect 2.8e-17, and relative
+#: 4.48e-13 in the refinement studies (is1-coarse observed_order_l2[3]),
+#: whose observed orders amplify the moves of their errors
+OTHER_CPU_PATH_BOUNDS = {
+    "bump": {"relative": 3e-14, "signed-error": 1e-14, "conservativity-defect": 3e-16},
+    "convergence": {"relative": 5e-12},
+}
+
+_REGENERATE = """
+import json, sys
+from pathlib import Path
+from tests.test_golden import AVX512_TARGETS, numpy_build, regenerate
+regenerate(Path(sys.argv[1]))
+print(json.dumps([target in numpy_build()["cpu_features"] for target in AVX512_TARGETS]))
+"""
+
+
+def test_golden_outputs_stay_close_on_the_cpu_path_without_avx512(tmp_path):
+    # The golden bytes hold on this machine's CPU path only: numpy's float64
+    # exp picks its code by CPU.  A fresh interpreter with the AVX-512 loops
+    # switched off, the nearest stand-in for a CPU without them, regenerates
+    # every golden file; its values must stay within roundoff of the golden.
+    build = numpy_build()
+    targets = [t for t in AVX512_TARGETS if t in build["cpu_dispatch"] and t in build["cpu_features"]]
+    if not targets:
+        pytest.skip(
+            f"numpy {build['numpy']} runs none of {', '.join(AVX512_TARGETS)} here (dispatch "
+            f"{build['cpu_dispatch']}), so there is no AVX-512 path to switch off"
+        )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    run = subprocess.run(
+        [sys.executable, "-c", _REGENERATE, str(tmp_path)], cwd=ROOT, env=env, timeout=120, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [False] * len(AVX512_TARGETS)  # the switch took effect
+    for directory in sorted(path.name for path in GOLDEN.iterdir() if path.is_dir()):
+        kind = directory.split("-")[0]
+        for name in BUMP_FILES if kind == "bump" else CONVERGENCE_FILES:
+            deltas = largest_deltas(tmp_path / directory / name, GOLDEN / directory / name)
+            assert not isinstance(deltas, str), f"{directory}/{name}: {deltas}"
+            for delta_kind, (delta, at) in deltas.items():
+                bound = OTHER_CPU_PATH_BOUNDS[kind][delta_kind]
+                assert delta <= bound, f"{directory}/{name}: {delta_kind} delta {delta:.3g} at {at} > {bound:g}"
 
 
 def test_build_note_names_the_recorded_and_the_running_build():

@@ -913,6 +913,38 @@ def test_no_ltsheat_call_imports_scipy_packages():
     assert probe.stdout.split() == ["False"] * 6 + ["True"] * 7
 
 
+_POLYNOMIAL_IMPORT_PROBE = """
+import sys
+import ltsheat.cli
+from ltsheat import (
+    GridConfig, SolveMode, build_composite_grid, error_report, manufactured_problem, march, solve_window_monolithic,
+)
+from ltsheat.scheme import VARIANTS
+grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1))
+problem = manufactured_problem()
+trajectory, _ = march(grid, VARIANTS[0], SolveMode.converged(), problem)
+error_report(trajectory, problem)
+solve_window_monolithic(grid, 1, trajectory.fine[0], trajectory.coarse[0], VARIANTS[0], problem)
+print("numpy.polynomial" in sys.modules)
+ltsheat.cli.polynomial_problem((1.0,), (0.0,))
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_only_custom_coefficient_problems_import_numpy_polynomial():
+    # numpy.polynomial costs every process about 1.2 MB, and the Gauss rule it
+    # would give is written out, so a fresh interpreter shows that importing
+    # the CLI and a bump march, its error report and the monolithic reference
+    # leave it unloaded, until a custom-coefficient problem is built
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _POLYNOMIAL_IMPORT_PROBE], cwd=root, env=env, timeout=120, capture_output=True, text=True
+    )
+    assert probe.returncode == 0, f"the probe exited {probe.returncode}:\n{probe.stderr}"
+    assert probe.stdout.split() == ["False", "True"]
+
+
 def test_scipy_extension_loader_reuses_a_loaded_module_and_names_a_missing_file(monkeypatch):
     # a registered module is returned untouched: loading the file again would
     # refill its namespace from the extension; the LAPACK and BLAS wrappers
