@@ -38,35 +38,78 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
-_GRID_KEYS = {
-    "grid.domain_lo",
-    "grid.domain_hi",
-    "grid.interface_x",
-    "grid.n_cells_fine",
-    "grid.n_cells_coarse",
-    "grid.dt_fine",
-    "grid.dt_coarse",
-    "grid.t_end",
-    "grid.widths_fine",
-    "grid.widths_coarse",
-}
-_KNOWN_KEYS = _GRID_KEYS | {
-    "variant.interface_scheme",
-    "variant.master",
-    "mode.type",
-    "mode.eps",
-    "mode.max_iters",
-    "problem",
-    "problem.source_coeffs",
-    "problem.initial_coeffs",
-    "boundary_mode",
-    "output_dir",
-    "convergence.levels",
+
+def _number(kind: type[float] | type[int]) -> Callable[[str], float]:
+    noun = "a number" if kind is float else "an integer"
+
+    def read(text: str) -> float:
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"is not {noun}: {text!r}") from None
+
+    return read
+
+
+def _word(*choices: str) -> Callable[[str], str]:
+    def read(text: str) -> str:
+        word = text.lower()
+        if word not in choices:
+            raise ValueError(f"must be one of {choices}, got {word!r}")
+        return word
+
+    return read
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise ValueError("is not a comma list of numbers")
+    return values
+
+
+def _finite_floats(text: str) -> tuple[float, ...]:
+    values = _floats(text)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"entries must be finite, got {text!r}")
+    return values
+
+
+_REQUIRED = object()
+# every config key: its reader (value text -> value; raises ValueError with
+# the tail of the message) and its default; the grid keys are GridConfig's
+# fields, prefixed with "grid."
+_KEYS: dict[str, tuple[Callable[[str], object], object]] = {
+    "grid.domain_lo": (_number(float), 0.0),
+    "grid.domain_hi": (_number(float), 1.0),
+    "grid.interface_x": (_number(float), _REQUIRED),
+    "grid.n_cells_fine": (_number(int), _REQUIRED),
+    "grid.n_cells_coarse": (_number(int), _REQUIRED),
+    "grid.dt_fine": (_number(float), _REQUIRED),
+    "grid.dt_coarse": (_number(float), _REQUIRED),
+    "grid.t_end": (_number(float), _REQUIRED),
+    "grid.widths_fine": (_floats, None),
+    "grid.widths_coarse": (_floats, None),
+    "variant.interface_scheme": (_word(IS1, IS2), IS2),
+    "variant.master": (_word(FINE, COARSE), FINE),
+    "mode.type": (_word(*MODE_KINDS), CONVERGED),
+    "mode.eps": (_number(float), 1e-5),
+    "mode.max_iters": (_number(int), 100),
+    "problem": (_word("manufactured", "zero", "custom-coefficients"), "manufactured"),
+    "problem.source_coeffs": (_finite_floats, None),
+    "problem.initial_coeffs": (_finite_floats, None),
+    "boundary_mode": (_word("exact", "homogeneous"), "exact"),
+    "output_dir": (Path, Path("out")),
+    "convergence.levels": (_number(int), 4),
 }
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read ``key = value`` pairs; raises ConfigurationError on bad syntax."""
+    """Read ``key = value`` pairs; raises ConfigurationError on bad syntax,
+    an unknown key or a key given twice."""
     pairs: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -79,49 +122,30 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in pairs:
+            raise ConfigurationError(f"{path}:{lineno}: config key {key!r} given twice")
         pairs[key] = value
     return pairs
 
 
-def _get_number(
-    pairs: dict[str, str], key: str, kind: type[float] | type[int], default: float | None = None
-) -> float:
-    """The value of ``key`` as a ``float`` or an ``int``; ``default`` when it
-    is absent, which is an error when there is no default."""
+def _value(pairs: dict[str, str], key: str) -> object:
+    """The value of ``key`` by its reader in ``_KEYS``, or its default when
+    it is absent; a required key that is absent, an empty value and a value
+    the reader rejects are configuration errors."""
+    read, default = _KEYS[key]
     if key not in pairs:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigurationError(f"missing required config key {key!r}")
         return default
+    text = pairs[key].strip()
+    if not text:
+        raise ConfigurationError(f"config key {key!r} has no value")
     try:
-        return kind(pairs[key])
-    except ValueError:
-        noun = "a number" if kind is float else "an integer"
-        raise ConfigurationError(f"config key {key!r} is not {noun}: {pairs[key]!r}") from None
-
-
-def _get_choice(pairs: dict[str, str], key: str, choices: tuple[str, ...], default: str) -> str:
-    value = pairs.get(key, default).strip().lower()
-    if value not in choices:
-        raise ConfigurationError(f"config key {key!r} must be one of {choices}, got {value!r}")
-    return value
-
-
-def _get_floats(pairs: dict[str, str], key: str) -> tuple[float, ...] | None:
-    if key not in pairs:
-        return None
-    try:
-        return tuple(float(v) for v in pairs[key].split(",") if v.strip())
-    except ValueError:
-        raise ConfigurationError(f"config key {key!r} is not a comma list of numbers") from None
-
-
-def _get_coeffs(pairs: dict[str, str], key: str) -> tuple[float, ...] | None:
-    values = _get_floats(pairs, key)
-    if values is not None and not all(math.isfinite(v) for v in values):
-        raise ConfigurationError(f"config key {key!r} entries must be finite, got {pairs[key]!r}")
-    return values
+        return read(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"config key {key!r} {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -134,52 +158,33 @@ class RunConfig:
     problem_kind: str  # manufactured | zero | custom-coefficients
     boundary_mode: str  # exact | homogeneous
     output_dir: Path
-    source_coeffs: tuple[float, ...] | None = None
-    initial_coeffs: tuple[float, ...] | None = None
-    levels: int = 4
+    source_coeffs: tuple[float, ...] | None
+    initial_coeffs: tuple[float, ...] | None
+    levels: int
 
 
 def load_run_config(pairs: dict[str, str]) -> RunConfig:
-    grid = GridConfig(
-        domain_lo=_get_number(pairs, "grid.domain_lo", float, 0.0),
-        domain_hi=_get_number(pairs, "grid.domain_hi", float, 1.0),
-        interface_x=_get_number(pairs, "grid.interface_x", float),
-        n_cells_fine=_get_number(pairs, "grid.n_cells_fine", int),
-        n_cells_coarse=_get_number(pairs, "grid.n_cells_coarse", int),
-        dt_fine=_get_number(pairs, "grid.dt_fine", float),
-        dt_coarse=_get_number(pairs, "grid.dt_coarse", float),
-        t_end=_get_number(pairs, "grid.t_end", float),
-        widths_fine=_get_floats(pairs, "grid.widths_fine"),
-        widths_coarse=_get_floats(pairs, "grid.widths_coarse"),
-    )
-    variant = Variant(
-        _get_choice(pairs, "variant.interface_scheme", (IS1, IS2), IS2),
-        _get_choice(pairs, "variant.master", (FINE, COARSE), FINE),
-    )
-    mode = SolveMode(
-        _get_choice(pairs, "mode.type", MODE_KINDS, CONVERGED),
-        eps=_get_number(pairs, "mode.eps", float, 1e-5),
-        max_iters=_get_number(pairs, "mode.max_iters", int, 100),
-    )
-    problem_kind = _get_choice(pairs, "problem", ("manufactured", "zero", "custom-coefficients"), "manufactured")
-    boundary_mode = _get_choice(pairs, "boundary_mode", ("exact", "homogeneous"), "exact")
-    if problem_kind == "custom-coefficients" and boundary_mode != "homogeneous":
+    unknown = sorted(set(pairs) - set(_KEYS))
+    if unknown:
+        raise ConfigurationError(f"unknown config key {unknown[0]!r}")
+    value = {key: _value(pairs, key) for key in _KEYS}
+    grid = GridConfig(**{key.removeprefix("grid."): v for key, v in value.items() if key.startswith("grid.")})
+    if value["problem"] == "custom-coefficients" and value["boundary_mode"] != "homogeneous":
         raise ConfigurationError(
             "problem 'custom-coefficients' has no exact solution; set boundary_mode = homogeneous"
         )
-    levels = _get_number(pairs, "convergence.levels", int, 4)
-    if levels < 1:
+    if value["convergence.levels"] < 1:
         raise ConfigurationError("convergence.levels must be at least 1")
     return RunConfig(
         grid=grid,
-        variant=variant,
-        mode=mode,
-        problem_kind=problem_kind,
-        boundary_mode=boundary_mode,
-        output_dir=Path(pairs.get("output_dir", "out")),
-        source_coeffs=_get_coeffs(pairs, "problem.source_coeffs"),
-        initial_coeffs=_get_coeffs(pairs, "problem.initial_coeffs"),
-        levels=levels,
+        variant=Variant(value["variant.interface_scheme"], value["variant.master"]),
+        mode=SolveMode(value["mode.type"], eps=value["mode.eps"], max_iters=value["mode.max_iters"]),
+        problem_kind=value["problem"],
+        boundary_mode=value["boundary_mode"],
+        output_dir=value["output_dir"],
+        source_coeffs=value["problem.source_coeffs"],
+        initial_coeffs=value["problem.initial_coeffs"],
+        levels=value["convergence.levels"],
     )
 
 
@@ -411,7 +416,9 @@ def _compare(config: RunConfig) -> int:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
+    """The config keys the flags set: each flag but ``--variant`` has its
+    key as its ``dest``; ``--variant`` sets both ``variant.*`` keys."""
+    overrides = {key: str(value) for key, value in vars(args).items() if key in _KEYS and value is not None}
     if args.variant is not None:
         try:
             variant = Variant.parse(args.variant)
@@ -420,14 +427,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
             raise SystemExit(EXIT_CONFIG) from None
         overrides["variant.interface_scheme"] = variant.interface_scheme
         overrides["variant.master"] = variant.master
-    if args.mode is not None:
-        overrides["mode.type"] = args.mode
-    if args.eps is not None:
-        overrides["mode.eps"] = str(args.eps)
-    if args.max_iters is not None:
-        overrides["mode.max_iters"] = str(args.max_iters)
-    if args.out is not None:
-        overrides["output_dir"] = args.out
     return overrides
 
 
@@ -445,10 +444,10 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a key-value config file")
         p.add_argument("--variant", help=" | ".join(variant.name for variant in VARIANTS))
-        p.add_argument("--mode", choices=MODE_KINDS)
-        p.add_argument("--eps", type=float, help="corrector stopping tolerance")
-        p.add_argument("--max-iters", type=int, help="corrector sweep limit")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--mode", dest="mode.type", choices=MODE_KINDS)
+        p.add_argument("--eps", dest="mode.eps", type=float, help="corrector stopping tolerance")
+        p.add_argument("--max-iters", dest="mode.max_iters", type=int, help="corrector sweep limit")
+        p.add_argument("--out", dest="output_dir", help="output directory")
     args = parser.parse_args(argv)
     overrides = _overrides_from_args(args)
     command = {"run": run_experiment, "converge": run_convergence, "compare": run_compare}[args.command]

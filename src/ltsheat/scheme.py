@@ -631,7 +631,8 @@ def assemble_composite_step(
 class WindowLayout:
     """Unknown numbering of the monolithic window system: fine cells at all K
     sub-levels, coarse cells at the window end, then (is1 only) the interface
-    pressures at the K fine sub-levels and at the coarse level."""
+    pressures at the K fine sub-levels and at the coarse level.  The index
+    methods take ints or integer arrays, which broadcast."""
 
     def __init__(self, grid: CompositeGrid, variant: Variant):
         self.ratio = grid.ratio
@@ -642,14 +643,14 @@ class WindowLayout:
         if self.has_interface_unknowns:
             self.n_unknowns += self.ratio + 1
 
-    def fine(self, k: int, j: int) -> int:
+    def fine(self, k: int | np.ndarray, j: int | np.ndarray) -> int | np.ndarray:
         """Fine cell j at sub-level k (1-based k)."""
         return (k - 1) * self.n_fine + j
 
-    def coarse(self, j: int) -> int:
+    def coarse(self, j: int | np.ndarray) -> int | np.ndarray:
         return self.ratio * self.n_fine + j
 
-    def iface_fine(self, k: int) -> int:
+    def iface_fine(self, k: int | np.ndarray) -> int | np.ndarray:
         return self.ratio * self.n_fine + self.n_coarse + (k - 1)
 
     def iface_coarse(self) -> int:
@@ -687,10 +688,11 @@ def assemble_monolithic_window(
     dt1, dt2 = grid.dt_fine, grid.dt_coarse
     h1, h2 = grid.widths_fine, grid.widths_coarse
     inv1, inv2 = 1.0 / np.diff(grid.centers_fine), 1.0 / np.diff(grid.centers_coarse)
-    fine = np.arange(K * n1).reshape(K, n1)  # row k - 1, column j: fine cell j at sub-level k
-    coarse = K * n1 + np.arange(n2)
+    levels = np.arange(1, K + 1)
+    fine = lay.fine(levels[:, None], np.arange(n1))  # row k - 1, column j: fine cell j at sub-level k
+    coarse = lay.coarse(np.arange(n2))
     edge, c0 = fine[:, -1], coarse[0]  # the cells next to the interface
-    iface_fine, iface_coarse = K * n1 + n2 + np.arange(K), K * n1 + n2 + K  # is1 only
+    iface_fine, iface_coarse = lay.iface_fine(levels), lay.iface_coarse()  # is1 only
     is1, fine_master = variant.interface_scheme == IS1, variant.master == FINE
 
     # fine interface face: own distance (is1), ghost = coarse value (is2-coarse),

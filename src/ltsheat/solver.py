@@ -247,12 +247,13 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
     """Direct solve (tridiagonal or sparse LU, partial pivoting) with a
     residual acceptance check: x is accepted when it is finite and
     ||A x - b||_inf <= SOLVE_RTOL (||A||_inf ||x||_inf + ||b||_inf), and a
-    ``SolverError`` is raised otherwise.  A tridiagonal system brings its
-    matrix's factors and band storage, and its residual is one BLAS banded
-    product at every order.  A ``CSC`` one is factored here by SuperLU's
-    ``gstrf``, the factorization ``scipy.sparse.linalg.splu`` calls, from
-    scipy's ``_superlu`` extension alone, loaded on first use; its residual
-    and row sums are formed from the CSC arrays."""
+    ``SolverError`` is raised otherwise, which names a b that is not finite.
+    A tridiagonal system brings its matrix's factors and band storage, and
+    its residual is one BLAS banded product at every order.  A ``CSC`` one
+    is factored here by SuperLU's ``gstrf``, the factorization
+    ``scipy.sparse.linalg.splu`` calls, from scipy's ``_superlu`` extension
+    alone, loaded on first use; its residual and row sums are formed from
+    the CSC arrays."""
     lu = system.lu
     if lu is not None:
         x, residual = lu.solve(system.rhs)
@@ -278,6 +279,8 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
     x_max = float(np.abs(x).max())
     bound = SOLVE_RTOL * (norm_a * x_max + _max_abs(system.rhs))
     if not math.isfinite(x_max) or _max_abs(residual) > max(bound, 1e-300):
+        if not np.isfinite(system.rhs).all():
+            raise SolverError("direct solve right-hand side is not finite")
         raise SolverError("direct solve residual exceeds the acceptance bound")
     return x
 

@@ -6,6 +6,7 @@ import pytest
 
 from ltsheat import SolveMode, build_composite_grid, manufactured_problem, march
 from ltsheat.cli import (
+    _KEYS,
     EXIT_CONFIG,
     EXIT_ERROR,
     EXIT_NO_CONVERGENCE,
@@ -67,6 +68,52 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "grid.dt_medium = 0.01\n")
     assert run_experiment(cfg) == EXIT_CONFIG
     assert "grid.dt_medium" in capsys.readouterr().err
+
+
+def test_unknown_override_key_is_config_error(tmp_path, capsys):
+    # an override is not silently ignored either
+    out = tmp_path / "o"
+    assert run_experiment(BUMP_CFG, {"mode.esp": "1e-3", "output_dir": str(out)}) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: unknown config key 'mode.esp'\n"
+    assert not out.exists()
+
+
+def test_key_given_twice_is_config_error(tmp_path, capsys):
+    # the second value does not silently win
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, MINIMAL + f"output_dir = {out}\ngrid.dt_fine = 0.004\n")
+    assert run_experiment(cfg) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {cfg}:9: config key 'grid.dt_fine' given twice\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("output_dir", "", "has no value"),
+        ("problem.source_coeffs", "", "has no value"),
+        ("problem.source_coeffs", " , ", "is not a comma list of numbers"),
+    ],
+    ids=["output-dir", "source-coeffs", "source-coeffs-comma"],
+)
+def test_empty_value_is_config_error(tmp_path, capsys, monkeypatch, key, value, message):
+    # not the working directory, nor a zero source: nothing runs and nothing is written
+    monkeypatch.chdir(tmp_path)
+    body = MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
+    body += "" if key == "output_dir" else f"output_dir = {tmp_path / 'o'}\n"
+    cfg = write_cfg(tmp_path, body + f"{key} ={value}\n")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: config key {key!r} {message}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    named = [key for row in rows for key in re.findall(r"`([^`]+)`", row)]
+    assert sorted(named) == sorted(_KEYS)
+    assert len(_KEYS) == 21
 
 
 def test_nan_cell_width_is_config_error(tmp_path, capsys):
@@ -138,7 +185,8 @@ def test_summary_value_that_overflows_is_solver_error(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys):
-    # a source that overflows fails the first direct solve of the first window
+    # a source that overflows makes the first direct solve's right-hand side
+    # infinite, in the first window
     cfg = write_cfg(
         tmp_path,
         MINIMAL
@@ -147,7 +195,7 @@ def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys):
     )
     assert main(["run", str(cfg)]) == EXIT_ERROR
     err = capsys.readouterr().err
-    assert "solver error: is2-fine, window 1 of 5: direct solve residual exceeds the acceptance bound" in err
+    assert "solver error: is2-fine, window 1 of 5: direct solve right-hand side is not finite" in err
 
 
 def _overflowing_datum_cfg(tmp_path):

@@ -228,7 +228,7 @@ def test_banded_check_rejects_factors_of_another_matrix(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
 def test_banded_check_rejects_a_non_finite_rhs(n, bad):
     # x is not finite, and neither is its residual, which the bound alone
-    # would let pass: NaN > bound is false
+    # would let pass: NaN > bound is false; the error names the cause
     rng = np.random.default_rng(4000 + n)
     lu = TridiagonalLU.factor(_dominant_bands(rng, n))
     rhs = rng.uniform(1.0, 5.0, n)
@@ -236,7 +236,7 @@ def test_banded_check_rejects_a_non_finite_rhs(n, bad):
         rhs[-1] = np.nan
     else:
         rhs[n // 2] = -np.inf
-    with pytest.raises(SolverError, match="residual exceeds the acceptance bound"):
+    with pytest.raises(SolverError, match="direct solve right-hand side is not finite"):
         solve_linear(LinearSystem(rhs=rhs, lu=lu))
 
 
