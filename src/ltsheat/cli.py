@@ -62,13 +62,11 @@ def _word(*choices: str) -> Callable[[str], str]:
 
 
 def _floats(text: str) -> tuple[float, ...]:
+    """A comma list of numbers; an empty entry is an error, not skipped."""
     try:
-        values = tuple(float(v) for v in text.split(",") if v.strip())
+        return tuple(float(entry) for entry in text.split(","))
     except ValueError:
-        values = ()
-    if not values:
-        raise ValueError("is not a comma list of numbers")
-    return values
+        raise ValueError("is not a comma list of numbers") from None
 
 
 def _finite_floats(text: str) -> tuple[float, ...]:
@@ -299,13 +297,14 @@ def _run(body: Callable[[RunConfig], int], config_path: str | Path, overrides: d
     """Parse a config file, apply command-line overrides and validate,
     including that the output directory can be made, then run ``body`` on
     the config and return its exit code.  A configuration error exits 2 and a
-    solver error 1, each with one line on stderr."""
+    solver error 1, each with one line on stderr and no warning before it."""
     try:
         pairs = parse_config_file(config_path)
         pairs.update(overrides or {})
         config = load_run_config(pairs)
         _check_output_dir(config.output_dir)
-        return body(config)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return body(config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

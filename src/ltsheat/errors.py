@@ -11,8 +11,7 @@ class DimensionError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A direct linear solve failed (LAPACK or SuperLU reported a failed
-    factorization or solve, or the residual check rejected the solution,
-    naming a right-hand side that is not finite),
-    or a corrector sweep's Dirichlet residual was not finite, or a run's
-    summary values were not finite."""
+    """A direct linear solve failed (LAPACK reported a failed factorization
+    or solve, or the residual check rejected the solution, naming a
+    right-hand side that is not finite), or a corrector sweep's Dirichlet
+    residual was not finite, or a run's summary values were not finite."""

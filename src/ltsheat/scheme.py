@@ -364,16 +364,12 @@ def _scipy_extension(fullname: str) -> ModuleType:
     running the packages above it.
 
     Importing ``scipy.linalg`` costs about 0.3 s and 22 MB (its array-API
-    layer pulls in ``numpy.f2py`` and ``numpy.testing``), and
-    ``scipy.sparse.linalg`` about as much again, while ltsheat needs only a
-    few compiled functions.  The module is registered under its own
-    ``sys.modules`` name, and one already there is reused, so a later
-    ``import scipy.linalg`` or ``import scipy.sparse.linalg`` finds the same
-    module and never loads the file twice.  Not even the ``scipy`` package
-    is imported (it adds 23 modules and 16-20 ms): its directory comes from
-    its import spec.  Checked only against scipy 1.17.1, while ``pyproject.toml``
-    allows scipy >= 1.10; a missing file is an ``ImportError`` naming where
-    it was looked for."""
+    layer pulls in ``numpy.f2py`` and ``numpy.testing``) for a few compiled
+    functions.  The module is registered under its own ``sys.modules`` name,
+    and one already there is reused, so a later ``import scipy.linalg``
+    never loads the file twice.  Not even the ``scipy`` package is imported
+    (23 modules, 16-20 ms): its directory comes from its import spec.  A
+    missing file is an ``ImportError`` naming where it was looked for."""
     if fullname in sys.modules:
         return sys.modules[fullname]
     *packages, name = fullname.split(".")
@@ -443,48 +439,51 @@ class TridiagonalLU:
         return (x, residual) if n >= _LAPACK_MIN_ORDER else (x[:n], residual[:n])
 
 
-#: a sparse matrix in compressed sparse column form, as SuperLU takes it:
-#: float64 values and intc row indices of the nonzeros, column by column, and
-#: the intc offsets where each column starts in them, ending at their count
-CSC = tuple[np.ndarray, np.ndarray, np.ndarray]  # (data, rowind, colptr)
+@dataclass
+class BandMatrix:
+    """A square matrix in LAPACK band storage: entry (i, j) of the matrix in
+    band order (``order[p]`` is the unknown at position p) at row
+    kl + ku + i - j, column j of the Fortran-ordered (2 kl + ku + 1, n)
+    ``storage``; ``entries`` are its triplets in the unknowns' own numbering.
+    ``solve_linear`` factors ``storage`` in place and keeps the ``pivots``."""
+
+    storage: np.ndarray
+    kl: int
+    ku: int
+    order: np.ndarray
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    pivots: np.ndarray | None = None
+
+    @classmethod
+    def from_entries(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, order: np.ndarray) -> "BandMatrix":
+        """The band of the triplets, kl and ku as small as they allow: one
+        ``np.bincount`` over the flat positions adds those that share one."""
+        position = np.argsort(order)
+        i, j = position[rows], position[cols]
+        kl, ku = max(int((i - j).max()), 0), max(int((j - i).max()), 0)
+        height = 2 * kl + ku + 1
+        storage = np.bincount(i - j + kl + ku + height * j, weights=vals, minlength=height * order.size)
+        return cls(storage.reshape(-1, height).T, kl, ku, order, (rows, cols, vals))
 
 
 @dataclass
 class LinearSystem:
     """Square system: a right-hand side with either a factored tridiagonal
-    matrix (subdomain and predictor steps) or a ``CSC`` matrix (monolithic
-    window systems).  A CSC triple reaches SuperLU's C code unchecked, so a
-    malformed one is a ``DimensionError`` here."""
+    matrix (subdomain and predictor steps) or a ``BandMatrix`` (monolithic
+    window systems)."""
 
     rhs: np.ndarray
     lu: TridiagonalLU | None = None
-    sparse: CSC | None = None
+    band: BandMatrix | None = None
 
     def __post_init__(self) -> None:
-        if (self.lu is None) == (self.sparse is None):
-            raise DimensionError("LinearSystem needs exactly one of lu or sparse")
-        if self.lu is not None:
-            if self.lu.n != self.n:
-                raise DimensionError("matrix and right-hand side sizes differ")
-            return
-        if not isinstance(self.sparse, tuple) or len(self.sparse) != 3:
-            raise DimensionError("a sparse matrix is a CSC triple (data, rowind, colptr)")
-        if self.n == 0:
-            raise DimensionError("a sparse system needs at least one unknown")
-        data, rowind, colptr = self.sparse
-        if not all(
-            isinstance(a, np.ndarray) and a.dtype == t and a.ndim == 1 and a.flags.c_contiguous
-            for a, t in ((data, np.float64), (rowind, np.intc), (colptr, np.intc))
-        ):
-            raise DimensionError("a CSC matrix is contiguous 1-D float64 values, intc row indices and column pointers")
-        if rowind.size != data.size:
-            raise DimensionError("CSC row indices and values differ in number")
-        if colptr.size != self.n + 1:
+        if (self.lu is None) == (self.band is None):
+            raise DimensionError("LinearSystem needs exactly one of lu or band")
+        sizes = {self.lu.n} if self.band is None else {self.band.storage.shape[-1], self.band.order.size}
+        if sizes != {self.n}:
             raise DimensionError("matrix and right-hand side sizes differ")
-        if colptr[0] != 0 or colptr[-1] != data.size or np.any(colptr[1:] < colptr[:-1]):
-            raise DimensionError("CSC column pointers must rise from 0 to the number of nonzeros")
-        if data.size and not 0 <= rowind.min() <= rowind.max() < self.n:
-            raise DimensionError(f"CSC row indices must lie in 0..{self.n - 1}")
+        if self.n == 0:
+            raise DimensionError("a band system needs at least one unknown")
 
     @property
     def n(self) -> int:
@@ -632,7 +631,8 @@ class WindowLayout:
     """Unknown numbering of the monolithic window system: fine cells at all K
     sub-levels, coarse cells at the window end, then (is1 only) the interface
     pressures at the K fine sub-levels and at the coarse level.  The index
-    methods take ints or integer arrays, which broadcast."""
+    methods take ints or integer arrays, which broadcast; ``band_order``
+    gives the order in which the system's matrix is banded."""
 
     def __init__(self, grid: CompositeGrid, variant: Variant):
         self.ratio = grid.ratio
@@ -656,6 +656,18 @@ class WindowLayout:
     def iface_coarse(self) -> int:
         return self.ratio * self.n_fine + self.n_coarse + self.ratio
 
+    def band_order(self) -> np.ndarray:
+        """The unknown at each band position: the fine cells cell by cell with
+        the K levels innermost, then (is1 only) the coarse interface pressure
+        and the K fine ones, then the coarse cells.  Equations then couple
+        unknowns at most K (is2) or K + 1 (is1) positions apart."""
+        levels = np.arange(1, self.ratio + 1)
+        parts = [self.fine(levels, np.arange(self.n_fine)[:, None]).ravel()]
+        if self.has_interface_unknowns:
+            parts += [[self.iface_coarse()], self.iface_fine(levels)]
+        parts.append(self.coarse(np.arange(self.n_coarse)))
+        return np.concatenate(parts)
+
 
 def assemble_monolithic_window(
     grid: CompositeGrid,
@@ -674,10 +686,10 @@ def assemble_monolithic_window(
     is1 interface rows.  Each cell's diagonal is summed here in the order of
     its balance: (mass + left face) + right face for a fine cell, (mass +
     exterior-side face) + interface-side face for a coarse cell.  The
-    entries are then ordered by column and row into the ``CSC`` triple, and
-    equal positions summed: only where the is2-fine ghost-mean block
-    (1/K)/dd meets a fine interface cell's diagonal or previous sub-level,
-    two terms, the same float in either order.  Each right-hand side entry
+    entries then go into band storage in ``WindowLayout.band_order``, equal
+    positions summed: only where the is2-fine ghost-mean block (1/K)/dd
+    meets a fine interface cell's diagonal or previous sub-level, two terms,
+    the same float in either order.  Each right-hand side entry
     adds, onto zero, mass times start value (first level only), width times
     source, then the exterior boundary value over the half cell.  It reads
     only the grid's widths, centers and interface distances, never the
@@ -750,10 +762,4 @@ def assemble_monolithic_window(
 
     entries = [np.broadcast_arrays(*block) for block in blocks]
     rows, cols, vals = (np.concatenate([entry[i].ravel() for entry in entries]) for i in range(3))
-    order = np.lexsort((rows, cols))  # by column, then row
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    first = np.flatnonzero(np.concatenate([[True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])]))
-    colptr = np.zeros(lay.n_unknowns + 1, dtype=np.intc)
-    np.cumsum(np.bincount(cols[first], minlength=lay.n_unknowns), out=colptr[1:])
-    matrix = (np.add.reduceat(vals, first), rows[first].astype(np.intc), colptr)
-    return LinearSystem(rhs=rhs, sparse=matrix)
+    return LinearSystem(rhs=rhs, band=BandMatrix.from_entries(rows, cols, vals, lay.band_order()))

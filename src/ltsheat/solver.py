@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, DimensionError, SolverError
 from .grid import CompositeGrid, Side
 from .projection import COARSE, FINE, conservativity_defect, inject_coarse_to_fine, project_fine_to_coarse
 from .scheme import (
@@ -55,7 +55,7 @@ from .scheme import (
     WindowInputs,
     _broadcast_return,
     _fblas,
-    _scipy_extension,
+    _flapack,
     _window_blocks,
     assemble_composite_step,
     assemble_monolithic_window,
@@ -244,37 +244,32 @@ def _max_abs(v: np.ndarray) -> float:
 
 
 def solve_linear(system: LinearSystem) -> np.ndarray:
-    """Direct solve (tridiagonal or sparse LU, partial pivoting) with a
+    """Direct solve (tridiagonal or band LU, partial pivoting) with a
     residual acceptance check: x is accepted when it is finite and
     ||A x - b||_inf <= SOLVE_RTOL (||A||_inf ||x||_inf + ||b||_inf), and a
     ``SolverError`` is raised otherwise, which names a b that is not finite.
     A tridiagonal system brings its matrix's factors and band storage, and
-    its residual is one BLAS banded product at every order.  A ``CSC`` one
-    is factored here by SuperLU's ``gstrf``, the factorization
-    ``scipy.sparse.linalg.splu`` calls, from scipy's ``_superlu`` extension
-    alone, loaded on first use; its residual and row sums are formed from
-    the CSC arrays."""
-    lu = system.lu
+    its residual is one BLAS banded product at every order.  A band system
+    is factored in place by LAPACK ``dgbtrf`` on its first solve (a negative
+    info, an argument it rejects, is a ``DimensionError``) and solved by
+    ``dgbtrs``; its residual and row sums come from its triplets, the
+    is2-fine pairs that share a position counted apart in the norm."""
+    lu, band = system.lu, system.band
     if lu is not None:
         x, residual = lu.solve(system.rhs)
         norm_a = lu.norm_inf
     else:
-        data, rowind, colptr = system.sparse
-        n = system.n
-        superlu = _scipy_extension("scipy.sparse.linalg._dsolve._superlu")
-        # minimum-degree ordering on A^T + A: the window system is a chain of
-        # tridiagonal level blocks plus a few coupling rows and columns, which
-        # it factors with less fill and time than the default COLAMD
-        try:
-            lu = superlu.gstrf(
-                n, data.size, data, rowind, colptr, csc_construct_func=None, options={"ColPerm": "MMD_AT_PLUS_A"}
-            )
-            x = lu.solve(system.rhs)
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU failed: {exc}") from exc
-        products = data * x[np.repeat(np.arange(n), np.diff(colptr))]
-        residual = np.bincount(rowind, weights=products, minlength=n) - system.rhs
-        norm_a = float(np.bincount(rowind, weights=np.abs(data), minlength=n).max())
+        if band.pivots is None:
+            factors, pivots, info = _flapack.dgbtrf(band.storage, band.kl, band.ku, overwrite_ab=1)
+            if info:
+                raise (DimensionError if info < 0 else SolverError)(f"band factorization failed (dgbtrf info={info})")
+            band.storage, band.pivots = factors, pivots
+        x = np.empty(system.n)
+        b = system.rhs[band.order]  # a copy, solved in place
+        x[band.order], _ = _flapack.dgbtrs(band.storage, band.kl, band.ku, b, band.pivots, overwrite_b=1)
+        rows, cols, vals = band.entries
+        residual = np.bincount(rows, weights=vals * x[cols], minlength=system.n) - system.rhs
+        norm_a = float(np.bincount(rows, weights=np.abs(vals), minlength=system.n).max())
     # a NaN or infinity anywhere in x makes x_max non-finite; _max_abs may skip a NaN
     x_max = float(np.abs(x).max())
     bound = SOLVE_RTOL * (norm_a * x_max + _max_abs(system.rhs))

@@ -31,6 +31,24 @@ def tridiagonal_matrix(system):
     return scipy.sparse.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
 
 
+def band_entries(system, rows, cols):
+    """Entries (rows, cols) of a band ``LinearSystem``'s matrix, in its
+    unknowns' own numbering, read from the band storage through the band
+    positions of ``system.band.order``; an entry outside the band reads 0."""
+    band = system.band
+    position = np.argsort(band.order)
+    i, j = position[np.asarray(rows)], position[np.asarray(cols)]
+    offset = band.ku + i - j  # the entry's row in the storage below its kl fill rows
+    inside = (offset >= 0) & (offset <= band.kl + band.ku)
+    return np.where(inside, band.storage[band.kl + np.where(inside, offset, 0), j], 0.0)
+
+
+def band_dense(system):
+    """The dense matrix of a band ``LinearSystem``, read through ``band_entries``."""
+    rows, cols = np.indices((system.n, system.n))
+    return band_entries(system, rows, cols)
+
+
 @pytest.fixture(scope="session")
 def bump_grid():
     return build_composite_grid(BUMP_CONFIG)
@@ -132,7 +150,7 @@ def reference_monolithic_window(grid, fine_start, coarse_start, variant, inputs)
     ``assemble_monolithic_window`` replaced, kept as its reference.  The
     terms of each entry are summed in the order the loop adds them.  Returns
     ``rhs`` and ``sparse``, a scipy CSR matrix, built independently of the
-    CSC triple the library hands to SuperLU."""
+    band storage the library factors."""
     import scipy.sparse
 
     lay = WindowLayout(grid, variant)

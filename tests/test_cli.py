@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -93,11 +94,19 @@ def test_key_given_twice_is_config_error(tmp_path, capsys):
         ("output_dir", "", "has no value"),
         ("problem.source_coeffs", "", "has no value"),
         ("problem.source_coeffs", " , ", "is not a comma list of numbers"),
+        ("problem.source_coeffs", "1,,2", "is not a comma list of numbers"),
+        ("problem.source_coeffs", "1, 2,", "is not a comma list of numbers"),
+        ("grid.widths_fine", " 0.01, , 0.24", "is not a comma list of numbers"),
+        ("grid.widths_fine", "0.25,", "is not a comma list of numbers"),
     ],
-    ids=["output-dir", "source-coeffs", "source-coeffs-comma"],
+    ids=[
+        "output-dir", "source-coeffs", "source-coeffs-comma", "source-coeffs-inner-empty",
+        "source-coeffs-trailing-comma", "widths-fine-inner-empty", "widths-fine-trailing-comma",
+    ],
 )
 def test_empty_value_is_config_error(tmp_path, capsys, monkeypatch, key, value, message):
-    # not the working directory, nor a zero source: nothing runs and nothing is written
+    # not the working directory, nor a zero source, nor a list read past an
+    # empty entry: nothing runs and nothing is written
     monkeypatch.chdir(tmp_path)
     body = MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
     body += "" if key == "output_dir" else f"output_dir = {tmp_path / 'o'}\n"
@@ -165,7 +174,6 @@ def test_non_finite_problem_coefficient_is_config_error(tmp_path, capsys, key, v
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_summary_value_that_overflows_is_solver_error(tmp_path, capsys):
     # finite coefficients whose solution's L2 norm overflows: summary.json
     # cannot hold it, so nothing is written
@@ -178,12 +186,14 @@ def test_summary_value_that_overflows_is_solver_error(tmp_path, capsys):
         + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
         + f"problem.source_coeffs = 1e300, 1e300\nmode.type = single_iteration\noutput_dir = {out}\n",
     )
-    assert run_experiment(cfg) == EXIT_ERROR
-    assert "solver error: summary values are not finite: final_l2_norm" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print before the error line
+        assert run_experiment(cfg) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("solver error: summary values are not finite: final_l2_norm")
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys):
     # a source that overflows makes the first direct solve's right-hand side
     # infinite, in the first window
@@ -193,9 +203,11 @@ def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys):
         + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
         + f"problem.source_coeffs = 1e308, 1e308\noutput_dir = {tmp_path / 'o'}\n",
     )
-    assert main(["run", str(cfg)]) == EXIT_ERROR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print before the error line
+        assert main(["run", str(cfg)]) == EXIT_ERROR
     err = capsys.readouterr().err
-    assert "solver error: is2-fine, window 1 of 5: direct solve right-hand side is not finite" in err
+    assert err == "solver error: is2-fine, window 1 of 5: direct solve right-hand side is not finite\n"
 
 
 def _overflowing_datum_cfg(tmp_path):

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +40,7 @@ from ltsheat import (
 )
 import ltsheat.scheme
 import ltsheat.solver
-from ltsheat.scheme import VARIANTS, LinearSystem, StepOperators, TridiagonalLU, Variant
+from ltsheat.scheme import VARIANTS, BandMatrix, LinearSystem, StepOperators, TridiagonalLU, Variant
 from ltsheat.solver import (
     DIRICHLET_RELAXATION,
     _dirichlet_data,
@@ -89,15 +88,19 @@ def test_solve_identity():
     np.testing.assert_array_equal(solve_linear(system), system.rhs)
 
 
-def _csc(dense):
-    """The CSC triple of a dense matrix, built by scipy."""
-    matrix = scipy.sparse.csc_matrix(np.asarray(dense, dtype=float))
-    return matrix.data, matrix.indices.astype(np.intc), matrix.indptr.astype(np.intc)
+def _band(dense):
+    """The band matrix of a dense matrix's nonzeros, in their own order."""
+    dense = np.asarray(dense, dtype=float)
+    rows, cols = np.nonzero(dense)
+    return BandMatrix.from_entries(rows, cols, dense[rows, cols], np.arange(dense.shape[0]))
 
 
 def test_solve_symmetric_2x2():
-    system = LinearSystem(rhs=np.array([3.0, 3.0]), sparse=_csc([[2.0, 1.0], [1.0, 2.0]]))
-    np.testing.assert_allclose(solve_linear(system), [1.0, 1.0], rtol=1e-14)
+    system = LinearSystem(rhs=np.array([3.0, 3.0]), band=_band([[2.0, 1.0], [1.0, 2.0]]))
+    x = solve_linear(system)
+    np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
+    # the first solve factored the storage in place; the second reuses it
+    assert solve_linear(system).tobytes() == x.tobytes()
 
 
 def test_solve_random_tridiagonal_residual():
@@ -116,40 +119,52 @@ def test_solve_random_tridiagonal_residual():
 
 
 def test_singular_system_raises():
-    system = LinearSystem(rhs=np.array([1.0, 1.0]), sparse=_csc([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SolverError, match="sparse LU failed"):
+    system = LinearSystem(rhs=np.array([1.0, 1.0]), band=_band([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError, match=re.escape("band factorization failed (dgbtrf info=2)")):
         solve_linear(system)
 
 
-_TRIDIAGONAL_3 = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]  # its 7 entries: rows 0 1 | 0 1 2 | 1 2
-_DATA, _ROWIND, _COLPTR = _csc(_TRIDIAGONAL_3)
-_DTYPES, _RISING = "contiguous 1-D float64 values, intc", "must rise from 0 to the number of nonzeros"
-#: the CSC triple of ``_TRIDIAGONAL_3`` broken in one way each, and the error each must raise
-_MALFORMED_CSC = {
-    "scipy-matrix": (scipy.sparse.csc_matrix(_TRIDIAGONAL_3), "is a CSC triple"),
-    "float32-data": ((_DATA.astype(np.float32), _ROWIND, _COLPTR), _DTYPES),
-    "int64-rowind": ((_DATA, _ROWIND.astype(np.int64), _COLPTR), _DTYPES),
-    "int64-colptr": ((_DATA, _ROWIND, _COLPTR.astype(np.int64)), _DTYPES),
-    "strided-data": ((np.repeat(_DATA, 2)[::2], _ROWIND, _COLPTR), _DTYPES),
-    "short-rowind": ((_DATA, _ROWIND[:-1], _COLPTR), "row indices and values differ in number"),
-    "long-colptr": ((_DATA, _ROWIND, np.append(_COLPTR, _COLPTR[-1]).astype(np.intc)), "sizes differ"),
-    "colptr-not-from-0": ((_DATA, _ROWIND, _COLPTR + np.intc(1)), _RISING),
-    "colptr-decreasing": ((_DATA, _ROWIND, np.array([0, 3, 2, 7], dtype=np.intc)), _RISING),
-    "colptr-short-of-nnz": ((_DATA, _ROWIND, np.array([0, 2, 5, 6], dtype=np.intc)), _RISING),
-    "negative-row": ((_DATA, np.array([0, 1, 0, -1, 2, 1, 2], dtype=np.intc), _COLPTR), "must lie in 0..2"),
-    "row-past-n": ((_DATA, np.array([0, 1, 0, 1, 2, 1, 3], dtype=np.intc), _COLPTR), "must lie in 0..2"),
+_TRIDIAGONAL_3 = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
+_BAND_3 = _band(_TRIDIAGONAL_3)  # kl = ku = 1: storage of 4 rows, the first one fill
+_SIZES, _INFO = "matrix and right-hand side sizes differ", "band factorization failed (dgbtrf info=-"
+#: the band of ``_TRIDIAGONAL_3`` broken in one way each, and the error each must raise
+_MALFORMED_BAND = {
+    "flat-storage": (dict(storage=_BAND_3.storage.ravel()), _SIZES),
+    "extra-column": (dict(storage=np.hstack([_BAND_3.storage, np.zeros((4, 1))])), _SIZES),
+    "short-order": (dict(order=np.arange(2)), _SIZES),
+    "storage-without-fill-row": (dict(storage=_BAND_3.storage[1:]), _INFO),
+    "negative-kl": (dict(kl=-1), _INFO),
+    "negative-ku": (dict(ku=-1), _INFO),
+    "kl-past-storage": (dict(kl=2), _INFO),
+    "ku-past-storage": (dict(ku=2), _INFO),
 }
 
 
-@pytest.mark.parametrize("form", list(_MALFORMED_CSC))
-def test_malformed_csc_triple_raises_before_any_solve(form):
-    # the triple reaches SuperLU's C code, which reads out of bounds on a bad
-    # index instead of failing, so a malformed one never becomes a system
+def _band_with(**fields):
+    """A fresh band of ``_TRIDIAGONAL_3`` with some of its fields replaced;
+    ``_BAND_3`` itself is never solved, which would factor it in place."""
+    return dataclasses.replace(_band(_TRIDIAGONAL_3), **fields)
+
+
+@pytest.mark.parametrize("form", list(_MALFORMED_BAND))
+def test_malformed_band_is_a_dimension_error(form):
+    # a size that is not the right-hand side's is rejected when the system is
+    # made; storage too short for kl and ku, or a negative kl or ku, by
+    # dgbtrf, whose negative info names the argument (LAPACK's error handler
+    # prints that line too)
     rhs = np.array([3.0, 4.0, 3.0])
-    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, sparse=(_DATA, _ROWIND, _COLPTR))), 1.0, rtol=1e-14)
-    triple, message = _MALFORMED_CSC[form]
+    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, band=_band_with())), 1.0, rtol=1e-14)
+    fields, message = _MALFORMED_BAND[form]
     with pytest.raises(DimensionError, match=re.escape(message)):
-        LinearSystem(rhs=rhs, sparse=triple)
+        solve_linear(LinearSystem(rhs=rhs, band=_band_with(**fields)))
+
+
+def test_band_read_with_the_wrong_kl_fails_the_residual_check():
+    # kl = 0, ku = 2 fit the storage, so LAPACK takes them and factors the
+    # upper triangle alone; the residual, formed from the triplets rather
+    # than the storage, rejects the solution of that matrix
+    with pytest.raises(SolverError, match="residual exceeds the acceptance bound"):
+        solve_linear(LinearSystem(rhs=np.array([3.0, 4.0, 3.0]), band=_band_with(kl=0, ku=2)))
 
 
 def test_tridiagonal_matrix_without_unknowns_is_a_dimension_error():
@@ -157,11 +172,11 @@ def test_tridiagonal_matrix_without_unknowns_is_a_dimension_error():
         TridiagonalLU.factor((np.zeros(0), np.zeros(0), np.zeros(0)))
 
 
-def test_sparse_system_without_unknowns_is_a_dimension_error():
-    # an empty triple is well formed, and gstrf would take it
-    empty = (np.zeros(0), np.zeros(0, dtype=np.intc), np.zeros(1, dtype=np.intc))
+def test_band_system_without_unknowns_is_a_dimension_error():
+    # an empty band is well formed, and dgbtrf would take it
+    empty = BandMatrix(np.zeros((1, 0), order="F"), 0, 0, np.zeros(0, dtype=np.intp), (np.zeros(0),) * 3)
     with pytest.raises(DimensionError, match="needs at least one unknown"):
-        LinearSystem(rhs=np.zeros(0), sparse=empty)
+        LinearSystem(rhs=np.zeros(0), band=empty)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
@@ -880,15 +895,13 @@ error_report(trajectory, problem)
 solve_window_monolithic(grid, 1, trajectory.fine[0], trajectory.coarse[0], VARIANTS[0], problem)
 packages = ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py", "numpy.testing")
 print(*(name in sys.modules for name in packages))
-loaded = sys.modules["scipy.sparse.linalg._dsolve._superlu"]
-import scipy.sparse, scipy.sparse.linalg
-print(scipy.sparse.linalg._dsolve.linsolve._superlu is loaded, sys.modules["scipy.sparse.linalg._dsolve._superlu"] is loaded)
-lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-print(np.array_equal(lu.solve(np.array([3.0, 3.0])), [1.0, 1.0]))
+print("scipy.sparse.linalg._dsolve._superlu" in sys.modules)
 import scipy.linalg.blas, scipy.linalg.lapack
 print(
     scipy.linalg.lapack.dgttrf is scheme._flapack.dgttrf,
     scipy.linalg.lapack.dgttrs is scheme._flapack.dgttrs,
+    scipy.linalg.lapack.dgbtrf is scheme._flapack.dgbtrf,
+    scipy.linalg.lapack.dgbtrs is scheme._flapack.dgbtrs,
     scipy.linalg.blas.dgbmv is scheme._fblas.dgbmv,
     scipy.linalg.blas.idamax is scheme._fblas.idamax,
 )
@@ -899,18 +912,19 @@ def test_no_ltsheat_call_imports_scipy_packages():
     # Every run would pay the import time and memory of scipy.sparse, of the
     # scipy.linalg package and of the scipy package itself if a call loaded
     # them, so a fresh interpreter shows that none does: the iterative path
-    # reaches LAPACK and BLAS, and the monolithic reference SuperLU, through
-    # scipy's extension modules alone.  Once a user imports the packages, their functions must be the
-    # ones ltsheat calls, each extension loaded once, and splu must work.  A
-    # scipy that lacks a wrapper or keyword ltsheat calls fails the probe, and
-    # its error, which names the symbol, is the failure message.
+    # and the monolithic reference reach LAPACK and BLAS through scipy's
+    # extension modules alone, and SuperLU's is never loaded.  Once a user
+    # imports the packages, their functions must be the ones ltsheat calls,
+    # each extension loaded once.  A scipy that lacks a wrapper ltsheat calls
+    # fails the probe, and its error, which names the symbol, is the failure
+    # message.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     probe = subprocess.run(
         [sys.executable, "-c", _SCIPY_IMPORT_PROBE], cwd=root, env=env, timeout=120, capture_output=True, text=True
     )
     assert probe.returncode == 0, f"the scipy probe exited {probe.returncode}:\n{probe.stderr}"
-    assert probe.stdout.split() == ["False"] * 6 + ["True"] * 7
+    assert probe.stdout.split() == ["False"] * 7 + ["True"] * 6
 
 
 _POLYNOMIAL_IMPORT_PROBE = """
@@ -947,8 +961,9 @@ def test_only_custom_coefficient_problems_import_numpy_polynomial():
 
 def test_scipy_extension_loader_reuses_a_loaded_module_and_names_a_missing_file(monkeypatch):
     # a registered module is returned untouched: loading the file again would
-    # refill its namespace from the extension; the LAPACK and BLAS wrappers
-    # and SuperLU's sit in different scipy packages
+    # refill its namespace from the extension; a wrapper of a nested package
+    # (SuperLU's, which ltsheat does not load) is looked for in its own
+    # directory
     for package, name in (("scipy.linalg", "_fblas"), ("scipy.sparse.linalg._dsolve", "_superlu")):
         registered = types.ModuleType(f"{package}.{name}")
         monkeypatch.setitem(sys.modules, f"{package}.{name}", registered)
