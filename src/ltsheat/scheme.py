@@ -457,7 +457,12 @@ class BandMatrix:
     @classmethod
     def from_entries(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, order: np.ndarray) -> "BandMatrix":
         """The band of the triplets, kl and ku as small as they allow: one
-        ``np.bincount`` over the flat positions adds those that share one."""
+        ``np.bincount`` over the flat positions adds those that share one;
+        unequal triplet lengths or an index outside 0..n-1 is a ``DimensionError``."""
+        if not rows.shape == cols.shape == vals.shape == (vals.size,):
+            raise DimensionError("row indices, column indices and values differ in number")
+        if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= order.size:
+            raise DimensionError(f"row and column indices must lie in 0..{order.size - 1}")
         position = np.argsort(order)
         i, j = position[rows], position[cols]
         kl, ku = max(int((i - j).max()), 0), max(int((j - i).max()), 0)

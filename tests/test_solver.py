@@ -159,6 +159,32 @@ def test_malformed_band_is_a_dimension_error(form):
         solve_linear(LinearSystem(rhs=rhs, band=_band_with(**fields)))
 
 
+_ROWS, _COLS = np.nonzero(_TRIDIAGONAL_3)  # its 7 entries: rows 0 0 | 1 1 1 | 2 2
+_VALS = np.asarray(_TRIDIAGONAL_3)[_ROWS, _COLS]
+_RANGE = "indices must lie in 0..2"
+#: the entry triplets of ``_TRIDIAGONAL_3`` broken in one way each, and the error each must raise
+_MALFORMED_TRIPLE = {
+    "short-rowind": ((_ROWS[:-1], _COLS, _VALS), "row indices, column indices and values differ in number"),
+    "negative-row": ((np.array([0, 0, 1, 1, -1, 2, 2]), _COLS, _VALS), _RANGE),
+    "row-past-n": ((np.array([0, 0, 1, 1, 1, 2, 3]), _COLS, _VALS), _RANGE),
+    "negative-column": ((_ROWS, np.array([0, 1, 0, 1, 2, 1, -1]), _VALS), _RANGE),
+}
+
+
+@pytest.mark.parametrize("form", list(_MALFORMED_TRIPLE))
+def test_malformed_csc_triple_raises_before_any_solve(form):
+    # the (row, column, value) triplets a band is built from: numpy would
+    # wrap a negative index into a wrong band, and reject one past n or a
+    # short array only with its own error, so a malformed triple never
+    # becomes a band
+    rhs = np.array([3.0, 4.0, 3.0])
+    good = BandMatrix.from_entries(_ROWS, _COLS, _VALS, np.arange(3))
+    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, band=good)), 1.0, rtol=1e-14)
+    triple, message = _MALFORMED_TRIPLE[form]
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        BandMatrix.from_entries(*triple, np.arange(3))
+
+
 def test_band_read_with_the_wrong_kl_fails_the_residual_check():
     # kl = 0, ku = 2 fit the storage, so LAPACK takes them and factors the
     # upper triangle alone; the residual, formed from the triplets rather
@@ -172,7 +198,7 @@ def test_tridiagonal_matrix_without_unknowns_is_a_dimension_error():
         TridiagonalLU.factor((np.zeros(0), np.zeros(0), np.zeros(0)))
 
 
-def test_band_system_without_unknowns_is_a_dimension_error():
+def test_sparse_system_without_unknowns_is_a_dimension_error():
     # an empty band is well formed, and dgbtrf would take it
     empty = BandMatrix(np.zeros((1, 0), order="F"), 0, 0, np.zeros(0, dtype=np.intp), (np.zeros(0),) * 3)
     with pytest.raises(DimensionError, match="needs at least one unknown"):
