@@ -1,15 +1,16 @@
 """Window solves for the composite grid: direct linear algebra, the coarse
 predictor, and the multiplicative Dirichlet-Neumann corrector.
 
-Each coarse window is solved by (1) a predictor: one implicit step of size
-dt_coarse on the union mesh, and (2) corrector sweeps alternating subdomain
+Each coarse window is solved by corrector sweeps alternating subdomain
 solves: the slave subdomain receives the master's pressure quantity as
 Dirichlet data, then the master receives the slave's interface flux as
-Neumann data.  A side's interface traces hold one value per own time level
-(K fine, 1 coarse), and the piecewise constant projections in time make
-every datum one number per window: the average of K fine values for the
-coarse side, a coarse value taken at each of the K levels for the fine
-side.  Because a sweep ends with the Neumann-side solve and both projections
+Neumann data.  The predictor, one implicit step of size dt_coarse on the
+union mesh, only gives the first sweep's datum; every cell and trace a
+window stores comes from a sweep.  A side's interface traces hold one value
+per own time level (K fine, 1 coarse), and the piecewise constant
+projections in time make every datum one number per window: the average of
+K fine values for the coarse side, a coarse value taken at each of the K
+levels for the fine side.  Because a sweep ends with the Neumann-side solve and both projections
 preserve the time-weighted flux sum exactly, the coupling is conservative
 after every whole sweep, including the single-iteration mode.
 
@@ -40,7 +41,7 @@ import math
 import numbers
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,8 +81,7 @@ DIRICHLET_RELAXATION = 0.45
 
 CONVERGED = "converged"
 SINGLE_ITERATION = "single_iteration"
-PREDICTOR_ONLY = "predictor_only"
-MODE_KINDS = (CONVERGED, SINGLE_ITERATION, PREDICTOR_ONLY)
+MODE_KINDS = (CONVERGED, SINGLE_ITERATION)
 
 
 @dataclass(frozen=True)
@@ -110,21 +110,17 @@ class SolveMode:
     def single_iteration(cls) -> "SolveMode":
         return cls(SINGLE_ITERATION)
 
-    @classmethod
-    def predictor_only(cls) -> "SolveMode":
-        return cls(PREDICTOR_ONLY)
-
 
 @dataclass
 class SubdomainState:
     """One subdomain's iterate over the current window: its window-start
-    values, cell values at its time levels plus its interface pressure and
-    flux traces."""
+    values, and from the first sweep on its cell values at its time levels
+    plus its interface pressure and flux traces."""
 
     start: np.ndarray
-    cells: np.ndarray  # fine: (K, n_fine); coarse: (n_coarse,)
-    pressure: np.ndarray  # (levels,): interface face pressure at each own time level
-    flux: np.ndarray  # (levels,): interface flux (left-to-right) at each own time level
+    cells: np.ndarray = field(init=False)  # fine: (K, n_fine); coarse: (n_coarse,)
+    pressure: np.ndarray = field(init=False)  # (levels,): interface face pressure at each own time level
+    flux: np.ndarray = field(init=False)  # (levels,): interface flux (left-to-right) at each own time level
 
 
 @dataclass
@@ -140,10 +136,9 @@ class WindowState:
 @dataclass(slots=True)
 class WindowReport:
     """How one window's corrector went.  ``solve_window`` returns one, and
-    ``SolveReport.windows`` builds them as views of a march's columns.  In
-    predictor-only mode no sweep runs, and the defect compares the traces the
-    predictor injects into both sides (zero to roundoff), not balances that
-    the stored cells satisfy."""
+    ``SolveReport.windows`` builds them as views of a march's columns.  Every
+    window runs at least one sweep (the predictor only gives its first
+    datum), so the defect is that of the traces of the cells it stores."""
 
     dirichlet_residuals: array  # |datum - fresh| of each sweep
     conservativity_defect: float
@@ -288,33 +283,25 @@ def predictor_step(
 
 
 def init_window_state(
-    grid: CompositeGrid, fine_start: np.ndarray, coarse_start: np.ndarray, inputs: WindowInputs
-) -> WindowState:
-    """Initialize the corrector iterate from the predictor, one coarse step:
-    fine values are replicated across sub-levels, the coarse interface values
-    are injected to the fine side's levels, and the interface pressure is the
-    distance-weighted interpolant of the two adjacent predictor values."""
+    grid: CompositeGrid, fine_start: np.ndarray, coarse_start: np.ndarray, variant: Variant, inputs: WindowInputs
+) -> tuple[WindowState, float]:
+    """The corrector's start: a state that holds only the two window-start
+    vectors, and the slave's first Dirichlet datum x0 from the predictor, one
+    coarse step on the union mesh.  x0 is the master's projected face
+    pressure (the distance-weighted interpolant of the two predictor values
+    next to the interface) or interface-cell value, as ``variant`` takes it,
+    with the predictor value injected to each of the master's time levels."""
     union = predictor_step(grid, fine_start, coarse_start, inputs)
-    fine, coarse = grid.sides[FINE], grid.sides[COARSE]
-    pf, pc = union[: grid.n_fine], union[grid.n_fine :]
-    edge_f, edge_c = pf[fine.iface], pc[coarse.iface]
-    u_iface = (edge_c - edge_f) / grid.d_across
-    p_iface = (coarse.d_own * edge_f + fine.d_own * edge_c) / grid.d_across
-    ratio = grid.ratio
-    return WindowState(
-        fine=SubdomainState(
-            start=np.asarray(fine_start, dtype=float),
-            cells=np.tile(pf, (ratio, 1)),
-            pressure=inject_coarse_to_fine(p_iface, ratio),
-            flux=inject_coarse_to_fine(u_iface, ratio),
-        ),
-        coarse=SubdomainState(
-            start=np.asarray(coarse_start, dtype=float),
-            cells=pc.copy(),
-            pressure=np.array([p_iface]),
-            flux=np.array([u_iface]),
-        ),
+    fine, coarse, master = grid.sides[FINE], grid.sides[COARSE], grid.sides[variant.master]
+    edge = {FINE: union[: grid.n_fine][fine.iface], COARSE: union[grid.n_fine :][coarse.iface]}
+    if variant.face_datum:
+        value = (coarse.d_own * edge[FINE] + fine.d_own * edge[COARSE]) / grid.d_across
+    else:
+        value = edge[variant.master]
+    state = WindowState(
+        SubdomainState(np.asarray(fine_start, dtype=float)), SubdomainState(np.asarray(coarse_start, dtype=float))
     )
+    return state, _project(grid, master, inject_coarse_to_fine(value, master.levels))
 
 
 def _project(grid: CompositeGrid, side: Side, values: np.ndarray) -> float:
@@ -363,7 +350,7 @@ def _sweep(
     def close(name: str, datum: float) -> None:
         side, sub = grid.sides[name], getattr(state, name)
         levels = cells(name, datum).reshape(side.levels, -1)
-        sub.cells = levels.reshape(sub.cells.shape)
+        sub.cells = levels if name == FINE else levels[0]
         sub.flux, sub.pressure = interface_traces(grid, side, variant, datum, levels[:, side.iface])
 
     close(variant.slave, datum)
@@ -405,10 +392,7 @@ def interface_gain(
         inputs = WindowInputs(
             1, np.zeros((ratio, n_fine)), np.zeros(n_coarse), np.zeros(ratio), 0.0, 0.0, operators
         )
-        state = WindowState(
-            fine=SubdomainState(np.zeros(n_fine), np.zeros((ratio, n_fine)), np.zeros(ratio), np.zeros(ratio)),
-            coarse=SubdomainState(np.zeros(n_coarse), np.zeros(n_coarse), np.zeros(1), np.zeros(1)),
-        )
+        state = WindowState(SubdomainState(np.zeros(n_fine)), SubdomainState(np.zeros(n_coarse)))
         gain = corrector_sweep(grid, state, variant, inputs, 1.0)
         for sub in (state.fine, state.coarse):
             sub.cells.setflags(write=False)  # every window of the march reads them
@@ -424,33 +408,30 @@ def solve_window(
     mode: SolveMode,
     inputs: WindowInputs,
 ) -> tuple[WindowState, WindowReport]:
-    """Advance the window of ``inputs`` in the requested mode: a real sweep 1,
-    then sweeps 2..n on the scalar datum, superposed onto sweep 1 at the end.
-    A residual that is not finite raises a ``SolverError``; one that is not
-    below the previous one while the sweeps contract ends the window
-    unconverged."""
-    state = init_window_state(grid, fine_start, coarse_start, inputs)
-    sweeps = {PREDICTOR_ONLY: 0, SINGLE_ITERATION: 1}.get(mode.kind, mode.max_iters)
-    residuals = array("d")  # |datum - fresh| of each sweep
-    converged = stalled = False
+    """Advance the window of ``inputs`` in the requested mode: a real sweep 1
+    from the predictor's datum, then sweeps 2..n on the scalar datum,
+    superposed onto sweep 1 at the end.  A residual of sweeps 2..n that is
+    not finite raises a ``SolverError``; one that is not below the previous
+    one while the sweeps contract ends the window unconverged."""
+    state, x0 = init_window_state(grid, fine_start, coarse_start, variant, inputs)
+    sweeps = 1 if mode.kind == SINGLE_ITERATION else mode.max_iters
+    f1 = fresh = corrector_sweep(grid, state, variant, inputs, x0)
+    datum, residuals = x0, array("d", [abs(x0 - f1)])  # |datum - fresh| of each sweep
+    converged, stalled = mode.kind == CONVERGED and residuals[0] <= mode.eps, False
     while not (converged or stalled) and len(residuals) < sweeps:
-        if not residuals:
-            x0 = datum = _dirichlet_data(grid, variant, state)
-            f1 = fresh = corrector_sweep(grid, state, variant, inputs, datum)
-        else:
-            gain, unit = interface_gain(grid, variant, inputs.operators)
-            datum = _relax(datum, fresh)
-            fresh = f1 + gain * (datum - x0)
+        gain, unit = interface_gain(grid, variant, inputs.operators)
+        datum = _relax(datum, fresh)
+        fresh = f1 + gain * (datum - x0)
         residuals.append(abs(datum - fresh))
         if not math.isfinite(residuals[-1]):
-            predicted = f"{_contraction(gain):.3g}" if len(residuals) > 1 else "n/a"
             raise SolverError(
-                f"Dirichlet residual is not finite after {len(residuals)} sweeps (predicted contraction {predicted})"
+                f"Dirichlet residual is not finite after {len(residuals)} sweeps"
+                f" (predicted contraction {_contraction(gain):.3g})"
             )
         converged = mode.kind == CONVERGED and residuals[-1] <= mode.eps
         # sweeps 2..n shrink the residual by |rho| each, so with |rho| < 1 one
         # that does not fall is roundoff of the datum, above eps
-        stalled = len(residuals) > 1 and residuals[-1] >= residuals[-2] and abs(_contraction(gain)) < 1.0
+        stalled = residuals[-1] >= residuals[-2] and abs(_contraction(gain)) < 1.0
     if len(residuals) > 1:
         step = datum - x0
         _sweep(

@@ -67,10 +67,8 @@ def _bump_run(variant_name: str, mode_kind: str, dt_fine: float, dt_coarse: floa
     problem = manufactured_problem()
     if mode_kind == "converged":
         mode = SolveMode.converged(1e-5, 100)
-    elif mode_kind == "single_iteration":
-        mode = SolveMode.single_iteration()
     else:
-        mode = SolveMode.predictor_only()
+        mode = SolveMode.single_iteration()
     trajectory, report = march(grid, Variant.parse(variant_name), mode, problem)
     return grid, trajectory, report
 

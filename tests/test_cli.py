@@ -19,6 +19,7 @@ from ltsheat.cli import (
     run_convergence,
     run_experiment,
 )
+from ltsheat.solver import MODE_KINDS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUMP_CFG = CONFIGS / "bump.cfg"
@@ -123,6 +124,9 @@ def test_readme_names_every_config_key():
     named = [key for row in rows for key in re.findall(r"`([^`]+)`", row)]
     assert sorted(named) == sorted(_KEYS)
     assert len(_KEYS) == 21
+    # the mode row lists the solve modes before its first ';', and no other
+    (mode_row,) = (line for line in table.splitlines() if line.startswith("| `mode.type` |"))
+    assert tuple(re.findall(r"`([^`]+)`", mode_row.split("|")[2].split(";")[0])) == MODE_KINDS
 
 
 def test_nan_cell_width_is_config_error(tmp_path, capsys):
@@ -382,6 +386,24 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert float(found["predicted"]) == pytest.approx(float(found["ratio"]), rel=1e-2)
 
 
+def test_removed_predictor_only_mode_is_config_error(tmp_path, capsys):
+    # no alias is kept: the config key and the flag both refuse it
+    body = BUMP_CFG.read_text()
+    assert "mode.type = converged" in body
+    cfg = write_cfg(tmp_path, body.replace("mode.type = converged", "mode.type = predictor_only"))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: config key 'mode.type' must be one of ('converged', 'single_iteration'),"
+        " got 'predictor_only'\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(BUMP_CFG), "--mode", "predictor_only", "--out", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice: 'predictor_only'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_single_iteration_mode_exits_zero(tmp_path):
     out = tmp_path / "si"
     code = run_experiment(BUMP_CFG, {"output_dir": str(out), "mode.type": "single_iteration"})
@@ -477,6 +499,16 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"configuration error: cannot read config {cfg}: ")
     assert not (tmp_path / "o").exists()
+
+
+def test_config_with_a_byte_order_mark_is_read(tmp_path):
+    # an editor's UTF-8 byte-order mark is not part of the first line
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + BUMP_CFG.read_bytes())
+    assert parse_config_file(bom) == parse_config_file(BUMP_CFG)
+    for name, cfg in (("plain", BUMP_CFG), ("bom", bom)):
+        assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == EXIT_OK
+    assert (tmp_path / "bom" / "summary.json").read_bytes() == (tmp_path / "plain" / "summary.json").read_bytes()
 
 
 def test_parse_config_syntax_errors(tmp_path):

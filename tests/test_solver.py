@@ -43,7 +43,6 @@ import ltsheat.solver
 from ltsheat.scheme import VARIANTS, BandMatrix, LinearSystem, StepOperators, TridiagonalLU, Variant
 from ltsheat.solver import (
     DIRICHLET_RELAXATION,
-    _dirichlet_data,
     _project,
     _relax,
     corrector_sweep,
@@ -305,6 +304,9 @@ def test_solve_mode_validation():
     assert SolveMode("converged", max_iters=np.int64(3)).max_iters == 3
     with pytest.raises(ConfigurationError):
         SolveMode("newton")
+    # predictor-only mode is gone, with no alias
+    with pytest.raises(ConfigurationError, match="unknown solve mode 'predictor_only'"):
+        SolveMode("predictor_only")
 
 
 # -- predictor -----------------------------------------------------------------
@@ -440,11 +442,6 @@ def test_mode_iteration_counts(bump_grid, bump_problem):
     variant, inputs = Variant("is2", "fine"), precompute_window_inputs(bump_grid, 1, bump_problem)
     _, single = solve_window(bump_grid, p0f, p0c, variant, SolveMode.single_iteration(), inputs)
     assert single.iterations == 1 and not single.converged
-    state, pred = solve_window(bump_grid, p0f, p0c, variant, SolveMode.predictor_only(), inputs)
-    assert pred.iterations == 0 and pred.residual_history == []
-    assert pred.conservativity_defect <= 1e-15
-    # predictor values replicated across sub-levels
-    assert np.all(state.fine.cells[0] == state.fine.cells[-1])
 
 
 def test_nonconvergence_is_flagged_not_raised(bump_grid, bump_problem):
@@ -470,7 +467,6 @@ def _bits(*values: float) -> bytes:
         SolveMode.converged(1e-8),
         SolveMode.converged(1e-8, 3),  # some windows stop unconverged
         SolveMode.single_iteration(),
-        SolveMode.predictor_only(),
     ]),
 )
 def test_report_columns_give_back_every_window_report(ratio, cells, x_iface, variant, mode):
@@ -587,8 +583,8 @@ def _sweep_until_eps(grid, fine_start, coarse_start, variant, mode, inputs):
     """The corrector as real sweeps, each datum relaxed against the last,
     until both residuals reach eps: the reference for ``solve_window``'s
     reduced sweeps 2..n."""
-    state = init_window_state(grid, fine_start, coarse_start, inputs)
-    datum, history = _dirichlet_data(grid, variant, state), []
+    state, datum = init_window_state(grid, fine_start, coarse_start, variant, inputs)
+    history = []
     for _ in range(mode.max_iters):
         fresh = corrector_sweep(grid, state, variant, inputs, datum)
         history.append((abs(datum - fresh), _neumann_residual(grid, variant, state)))
@@ -774,7 +770,7 @@ def test_superposed_windows_match_a_real_sweep_from_the_last_datum(monkeypatch, 
         args = (bump_grid, fine_start, coarse_start)
         state, report = solve_window(*args, variant, mode, inputs)
         assert report.iterations > 1
-        expected = init_window_state(*args, inputs)
+        expected, _ = init_window_state(*args, variant, inputs)
         # the last datum of the window is that of its superposed sweep
         corrector_sweep(bump_grid, expected, variant, inputs, data[-1])
         for got, want in zip(_state_fields(state), _state_fields(expected)):
