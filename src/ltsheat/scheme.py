@@ -23,12 +23,9 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import ModuleType
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .solver import WindowState
 
 from .errors import ConfigurationError, DimensionError, SolverError
 from .grid import CompositeGrid, Side
@@ -445,7 +442,7 @@ class BandMatrix:
     band order (``order[p]`` is the unknown at position p) at row
     kl + ku + i - j, column j of the Fortran-ordered (2 kl + ku + 1, n)
     ``storage``; ``entries`` are its triplets in the unknowns' own numbering.
-    ``solve_linear`` factors ``storage`` in place and keeps the ``pivots``."""
+    The first ``solve`` factors ``storage`` in place and keeps the ``pivots``."""
 
     storage: np.ndarray
     kl: int
@@ -453,6 +450,35 @@ class BandMatrix:
     order: np.ndarray
     entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     pivots: np.ndarray | None = None
+    bands = None  # not a field: a band system has no tridiagonal bands
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.storage) != 2 or not self.storage.shape[1] == self.order.size > 0:
+            raise DimensionError("a band matrix needs at least one unknown and a storage column for each")
+
+    @property
+    def n(self) -> int:
+        return self.order.size
+
+    @property
+    def norm_inf(self) -> float:
+        """||A||_inf from the triplets; entries that share a position count apart."""
+        rows, _, vals = self.entries
+        return float(np.bincount(rows, weights=np.abs(vals), minlength=self.n).max())
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x solving A x = rhs, and A x - rhs from the triplets.  The first call factors ``storage``
+        in place (LAPACK ``dgbtrf``): a negative info is a ``DimensionError``, a positive one a ``SolverError``."""
+        if self.pivots is None:
+            factors, pivots, info = _flapack.dgbtrf(self.storage, self.kl, self.ku, overwrite_ab=1)
+            if info:
+                raise (DimensionError if info < 0 else SolverError)(f"band factorization failed (dgbtrf info={info})")
+            self.storage, self.pivots = factors, pivots
+        x = np.empty(self.n)
+        b = rhs[self.order]  # a copy, solved in place
+        x[self.order], _ = _flapack.dgbtrs(self.storage, self.kl, self.ku, b, self.pivots, overwrite_b=1)
+        rows, cols, vals = self.entries
+        return x, np.bincount(rows, weights=vals * x[cols], minlength=self.n) - rhs
 
     @classmethod
     def from_entries(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, order: np.ndarray) -> "BandMatrix":
@@ -473,22 +499,16 @@ class BandMatrix:
 
 @dataclass
 class LinearSystem:
-    """Square system: a right-hand side with either a factored tridiagonal
-    matrix (subdomain and predictor steps) or a ``BandMatrix`` (monolithic
-    window systems)."""
+    """Square system: a right-hand side and its matrix, a ``TridiagonalLU``
+    (subdomain and predictor steps) or a ``BandMatrix`` (monolithic window
+    systems), which solves itself: ``matrix.solve(rhs)`` is (x, A x - rhs)."""
 
     rhs: np.ndarray
-    lu: TridiagonalLU | None = None
-    band: BandMatrix | None = None
+    matrix: TridiagonalLU | BandMatrix
 
     def __post_init__(self) -> None:
-        if (self.lu is None) == (self.band is None):
-            raise DimensionError("LinearSystem needs exactly one of lu or band")
-        sizes = {self.lu.n} if self.band is None else {self.band.storage.shape[-1], self.band.order.size}
-        if sizes != {self.n}:
+        if self.matrix.n != self.n:
             raise DimensionError("matrix and right-hand side sizes differ")
-        if self.n == 0:
-            raise DimensionError("a band system needs at least one unknown")
 
     @property
     def n(self) -> int:
@@ -496,7 +516,7 @@ class LinearSystem:
 
     @property
     def bands(self) -> Bands | None:
-        return None if self.lu is None else self.lu.bands
+        return self.matrix.bands
 
 
 UNION = "union"  # the predictor's single-domain mesh: fine cells, then coarse cells
@@ -555,16 +575,16 @@ class StepOperators:
     never on the window, the time level or the sweep: every step of a march
     reuses its side's factors and forms only its right-hand side.  The bands are read-only because all those
     systems share them.  ``gains`` holds, per coupling variant, the
-    corrector's interface gain g on this grid and the window state of the
-    sweep it comes from (from a unit datum on the homogeneous problem), which
-    the solver computes on first use and superposes onto every window that
-    needs more than one sweep.
+    corrector's interface gain g on this grid and the cells of the sweep it
+    comes from by side name (from a unit datum on the homogeneous problem),
+    which the solver computes on first use and superposes onto every window
+    that needs more than one sweep.
     """
 
     def __init__(self, grid: CompositeGrid):
         self.grid = grid
         self._factored: dict[tuple[str, float | None], TridiagonalLU] = {}
-        self.gains: dict[Variant, tuple[float, WindowState]] = {}
+        self.gains: dict[Variant, tuple[float, dict[str, np.ndarray]]] = {}
 
     def get(self, side: str, closure: float | None = None) -> TridiagonalLU:
         key = (side, closure)
@@ -611,7 +631,7 @@ def assemble_subdomain_step(
     rhs = load[level] + side.mass * state_prev
     rhs[side.exterior] += exterior[level]
     rhs[side.iface] += side.sign * datum if d is None else datum / d
-    return LinearSystem(rhs=rhs, lu=inputs.operators.get(subdomain, d))
+    return LinearSystem(rhs, inputs.operators.get(subdomain, d))
 
 
 def assemble_composite_step(
@@ -626,7 +646,7 @@ def assemble_composite_step(
     rhs = widths * source + (widths / grid.dt_coarse) * prev
     rhs[0] += inputs.g_lo_coarse * 2.0 / widths[0]
     rhs[-1] += inputs.g_hi_coarse * 2.0 / widths[-1]
-    return LinearSystem(rhs=rhs, lu=inputs.operators.get(UNION))
+    return LinearSystem(rhs, inputs.operators.get(UNION))
 
 
 # -- monolithic window system -------------------------------------------------
@@ -767,4 +787,4 @@ def assemble_monolithic_window(
 
     entries = [np.broadcast_arrays(*block) for block in blocks]
     rows, cols, vals = (np.concatenate([entry[i].ravel() for entry in entries]) for i in range(3))
-    return LinearSystem(rhs=rhs, band=BandMatrix.from_entries(rows, cols, vals, lay.band_order()))
+    return LinearSystem(rhs, BandMatrix.from_entries(rows, cols, vals, lay.band_order()))

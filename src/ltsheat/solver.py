@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, SolverError
+from .errors import ConfigurationError, SolverError
 from .grid import CompositeGrid, Side
 from .projection import COARSE, FINE, conservativity_defect, inject_coarse_to_fine, project_fine_to_coarse
 from .scheme import (
@@ -56,7 +56,6 @@ from .scheme import (
     WindowInputs,
     _broadcast_return,
     _fblas,
-    _flapack,
     _window_blocks,
     assemble_composite_step,
     assemble_monolithic_window,
@@ -239,35 +238,14 @@ def _max_abs(v: np.ndarray) -> float:
 
 
 def solve_linear(system: LinearSystem) -> np.ndarray:
-    """Direct solve (tridiagonal or band LU, partial pivoting) with a
+    """Direct solve by the system's own matrix (``matrix.solve``) with a
     residual acceptance check: x is accepted when it is finite and
     ||A x - b||_inf <= SOLVE_RTOL (||A||_inf ||x||_inf + ||b||_inf), and a
-    ``SolverError`` is raised otherwise, which names a b that is not finite.
-    A tridiagonal system brings its matrix's factors and band storage, and
-    its residual is one BLAS banded product at every order.  A band system
-    is factored in place by LAPACK ``dgbtrf`` on its first solve (a negative
-    info, an argument it rejects, is a ``DimensionError``) and solved by
-    ``dgbtrs``; its residual and row sums come from its triplets, the
-    is2-fine pairs that share a position counted apart in the norm."""
-    lu, band = system.lu, system.band
-    if lu is not None:
-        x, residual = lu.solve(system.rhs)
-        norm_a = lu.norm_inf
-    else:
-        if band.pivots is None:
-            factors, pivots, info = _flapack.dgbtrf(band.storage, band.kl, band.ku, overwrite_ab=1)
-            if info:
-                raise (DimensionError if info < 0 else SolverError)(f"band factorization failed (dgbtrf info={info})")
-            band.storage, band.pivots = factors, pivots
-        x = np.empty(system.n)
-        b = system.rhs[band.order]  # a copy, solved in place
-        x[band.order], _ = _flapack.dgbtrs(band.storage, band.kl, band.ku, b, band.pivots, overwrite_b=1)
-        rows, cols, vals = band.entries
-        residual = np.bincount(rows, weights=vals * x[cols], minlength=system.n) - system.rhs
-        norm_a = float(np.bincount(rows, weights=np.abs(vals), minlength=system.n).max())
+    ``SolverError`` is raised otherwise, which names a b that is not finite."""
+    x, residual = system.matrix.solve(system.rhs)
     # a NaN or infinity anywhere in x makes x_max non-finite; _max_abs may skip a NaN
     x_max = float(np.abs(x).max())
-    bound = SOLVE_RTOL * (norm_a * x_max + _max_abs(system.rhs))
+    bound = SOLVE_RTOL * (system.matrix.norm_inf * x_max + _max_abs(system.rhs))
     if not math.isfinite(x_max) or _max_abs(residual) > max(bound, 1e-300):
         if not np.isfinite(system.rhs).all():
             raise SolverError("direct solve right-hand side is not finite")
@@ -381,12 +359,12 @@ def corrector_sweep(
 
 def interface_gain(
     grid: CompositeGrid, variant: Variant, operators: StepOperators
-) -> tuple[float, WindowState]:
+) -> tuple[float, dict[str, np.ndarray]]:
     """The corrector's interface gain g for ``variant`` on ``grid``, and the
-    window state it is read from: one sweep from a unit datum on the
-    homogeneous problem (zero start, source and boundary values), whose
-    master's Dirichlet data is g.  The sweep runs on the first call and
-    reuses the factors of ``operators``, which keeps both."""
+    read-only cells of the sweep it is read from by side name: one sweep from
+    a unit datum on the homogeneous problem (zero start, source and boundary
+    values), whose master's Dirichlet data is g.  The sweep runs on the first
+    call and reuses the factors of ``operators``, which keeps both."""
     if variant not in operators.gains:
         ratio, n_fine, n_coarse = grid.ratio, grid.n_fine, grid.n_coarse
         inputs = WindowInputs(
@@ -396,7 +374,7 @@ def interface_gain(
         gain = corrector_sweep(grid, state, variant, inputs, 1.0)
         for sub in (state.fine, state.coarse):
             sub.cells.setflags(write=False)  # every window of the march reads them
-        operators.gains[variant] = (gain, state)
+        operators.gains[variant] = (gain, {FINE: state.fine.cells, COARSE: state.coarse.cells})
     return operators.gains[variant]
 
 
@@ -435,7 +413,7 @@ def solve_window(
     if len(residuals) > 1:
         step = datum - x0
         _sweep(
-            grid, state, variant, datum, lambda name, _: getattr(state, name).cells + step * getattr(unit, name).cells
+            grid, state, variant, datum, lambda name, _: getattr(state, name).cells + step * unit[name]
         )
     coarse_flux = float(state.coarse.flux[0])
     defect = conservativity_defect(state.fine.flux, coarse_flux, grid.dt_fine, grid.dt_coarse)

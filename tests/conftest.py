@@ -34,8 +34,8 @@ def tridiagonal_matrix(system):
 def band_entries(system, rows, cols):
     """Entries (rows, cols) of a band ``LinearSystem``'s matrix, in its
     unknowns' own numbering, read from the band storage through the band
-    positions of ``system.band.order``; an entry outside the band reads 0."""
-    band = system.band
+    positions of ``system.matrix.order``; an entry outside the band reads 0."""
+    band = system.matrix
     position = np.argsort(band.order)
     i, j = position[np.asarray(rows)], position[np.asarray(cols)]
     offset = band.ku + i - j  # the entry's row in the storage below its kl fill rows

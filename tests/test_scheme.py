@@ -440,7 +440,7 @@ def test_array_assembly_matches_the_loop_reference(bump_problem, variant):
         assert got.rhs.tobytes() == want.rhs.tobytes()
         want_coo = want.sparse.tocoo()
         assert band_entries(got, want_coo.row, want_coo.col).tobytes() == want_coo.data.tobytes()
-        assert np.count_nonzero(got.band.storage) == np.count_nonzero(want_coo.data)
+        assert np.count_nonzero(got.matrix.storage) == np.count_nonzero(want_coo.data)
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
@@ -450,7 +450,7 @@ def test_monolithic_band_widths(bump_problem, variant):
     # Fortran-ordered array LAPACK factors without a copy
     for grid in _assembly_cases():
         start = (bump_problem.p0(grid.centers_fine), bump_problem.p0(grid.centers_coarse))
-        band = assemble_monolithic_window(grid, *start, variant, precompute_window_inputs(grid, 1, bump_problem)).band
+        band = assemble_monolithic_window(grid, *start, variant, precompute_window_inputs(grid, 1, bump_problem)).matrix
         width = grid.ratio + (variant.interface_scheme == "is1")
         assert (band.kl, band.ku) == (width, width)
         assert band.storage.shape == (3 * width + 1, WindowLayout(grid, variant).n_unknowns)
@@ -467,7 +467,7 @@ def test_monolithic_solve_matches_scipy_splu(bump_problem, variant):
     for grid in _assembly_cases():
         start = (bump_problem.p0(grid.centers_fine), bump_problem.p0(grid.centers_coarse))
         system = assemble_monolithic_window(grid, *start, variant, precompute_window_inputs(grid, 1, bump_problem))
-        rows, cols, vals = system.band.entries
+        rows, cols, vals = system.matrix.entries
         matrix = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(system.n, system.n))
         want = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(system.rhs)
         assert np.max(np.abs(solve_linear(system) - want)) <= 1e-12 * np.max(np.abs(want))
@@ -481,7 +481,7 @@ def test_monolithic_solve_matches_scipy_solve_banded(bump_problem, variant):
     for grid in _assembly_cases():
         start = (bump_problem.p0(grid.centers_fine), bump_problem.p0(grid.centers_coarse))
         system = assemble_monolithic_window(grid, *start, variant, precompute_window_inputs(grid, 1, bump_problem))
-        band = system.band
+        band = system.matrix
         want = scipy.linalg.solve_banded((band.kl, band.ku), band.storage[band.kl :].copy(), system.rhs[band.order])
         got = solve_linear(system)[band.order]
         if (band.kl, band.ku) == (1, 1):
@@ -744,11 +744,11 @@ def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
         assemble_subdomain_step(bump_grid, "fine", k, prev, Variant("is2", "coarse"), 1.0, inputs) for k in (1, 2)
     )
     other = assemble_subdomain_step(bump_grid, "fine", 1, prev, Variant("is2", "fine"), 1.0, inputs)
-    assert first.lu is second.lu and first.lu is not other.lu
-    assert first.lu is inputs.operators.get("fine", bump_grid.d_across)
+    assert first.matrix is second.matrix and first.matrix is not other.matrix
+    assert first.matrix is inputs.operators.get("fine", bump_grid.d_across)
     assert not first.bands[1].flags.writeable
     # the shared factors solve exactly like a fresh factorization
-    fresh = type(first)(rhs=first.rhs, lu=scheme.TridiagonalLU.factor(tuple(b.copy() for b in first.bands)))
+    fresh = type(first)(rhs=first.rhs, matrix=scheme.TridiagonalLU.factor(tuple(b.copy() for b in first.bands)))
     assert solve_linear(first).tobytes() == solve_linear(fresh).tobytes()
     other_grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1))
     with pytest.raises(DimensionError):

@@ -79,10 +79,31 @@ def test_window_data_comes_only_from_inputs(function):
 # -- direct solves -------------------------------------------------------------
 
 
+def test_each_matrix_solves_itself_and_scheme_needs_no_solver(bump_grid):
+    # the LAPACK calls, factors and storage of a band belong to BandMatrix, so
+    # solve_linear only accepts or rejects what the system's matrix returns,
+    # with no branch on its kind; the gain cache holds plain arrays, so scheme
+    # needs no solver type, not even for an annotation
+    names, codes = set(), [solve_linear.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+    assert not names & {"_flapack", "dgbtrf", "dgbtrs", "pivots", "storage", "lu", "band"}
+    assert "_flapack" not in vars(ltsheat.solver)
+    assert not {"solver", "WindowState"} & set(vars(ltsheat.scheme))
+    assert not any(value is ltsheat.solver for value in vars(ltsheat.scheme).values())
+    source = inspect.getsource(ltsheat.scheme)
+    assert "WindowState" not in source and ".solver import" not in source
+    gain, cells = interface_gain(bump_grid, VARIANTS[0], StepOperators(bump_grid))
+    assert isinstance(gain, float) and set(cells) == {"fine", "coarse"}
+    assert all(type(values) is np.ndarray and not values.flags.writeable for values in cells.values())
+
+
 def test_solve_identity():
     system = LinearSystem(
         rhs=np.array([3.0, -1.0, 2.0]),
-        lu=TridiagonalLU.factor((np.zeros(3), np.ones(3), np.zeros(3))),
+        matrix=TridiagonalLU.factor((np.zeros(3), np.ones(3), np.zeros(3))),
     )
     np.testing.assert_array_equal(solve_linear(system), system.rhs)
 
@@ -95,7 +116,7 @@ def _band(dense):
 
 
 def test_solve_symmetric_2x2():
-    system = LinearSystem(rhs=np.array([3.0, 3.0]), band=_band([[2.0, 1.0], [1.0, 2.0]]))
+    system = LinearSystem(rhs=np.array([3.0, 3.0]), matrix=_band([[2.0, 1.0], [1.0, 2.0]]))
     x = solve_linear(system)
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
     # the first solve factored the storage in place; the second reuses it
@@ -109,7 +130,7 @@ def test_solve_random_tridiagonal_residual():
     upper = np.concatenate([rng.uniform(-1, 1, n - 1), [0.0]])
     diag = 3.0 + rng.uniform(0, 1, n)  # diagonally dominant
     rhs = rng.uniform(-5, 5, n)
-    system = LinearSystem(rhs=rhs, lu=TridiagonalLU.factor((lower, diag, upper)))
+    system = LinearSystem(rhs=rhs, matrix=TridiagonalLU.factor((lower, diag, upper)))
     x = solve_linear(system)
     matrix = tridiagonal_matrix(system)
     residual = matrix @ x - rhs
@@ -118,19 +139,19 @@ def test_solve_random_tridiagonal_residual():
 
 
 def test_singular_system_raises():
-    system = LinearSystem(rhs=np.array([1.0, 1.0]), band=_band([[1.0, 1.0], [1.0, 1.0]]))
+    system = LinearSystem(rhs=np.array([1.0, 1.0]), matrix=_band([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError, match=re.escape("band factorization failed (dgbtrf info=2)")):
         solve_linear(system)
 
 
 _TRIDIAGONAL_3 = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
 _BAND_3 = _band(_TRIDIAGONAL_3)  # kl = ku = 1: storage of 4 rows, the first one fill
-_SIZES, _INFO = "matrix and right-hand side sizes differ", "band factorization failed (dgbtrf info=-"
+_COLUMNS, _INFO = "a storage column for each", "band factorization failed (dgbtrf info=-"
 #: the band of ``_TRIDIAGONAL_3`` broken in one way each, and the error each must raise
 _MALFORMED_BAND = {
-    "flat-storage": (dict(storage=_BAND_3.storage.ravel()), _SIZES),
-    "extra-column": (dict(storage=np.hstack([_BAND_3.storage, np.zeros((4, 1))])), _SIZES),
-    "short-order": (dict(order=np.arange(2)), _SIZES),
+    "flat-storage": (dict(storage=_BAND_3.storage.ravel()), _COLUMNS),
+    "extra-column": (dict(storage=np.hstack([_BAND_3.storage, np.zeros((4, 1))])), _COLUMNS),
+    "short-order": (dict(order=np.arange(2)), _COLUMNS),
     "storage-without-fill-row": (dict(storage=_BAND_3.storage[1:]), _INFO),
     "negative-kl": (dict(kl=-1), _INFO),
     "negative-ku": (dict(ku=-1), _INFO),
@@ -147,15 +168,15 @@ def _band_with(**fields):
 
 @pytest.mark.parametrize("form", list(_MALFORMED_BAND))
 def test_malformed_band_is_a_dimension_error(form):
-    # a size that is not the right-hand side's is rejected when the system is
-    # made; storage too short for kl and ku, or a negative kl or ku, by
-    # dgbtrf, whose negative info names the argument (LAPACK's error handler
-    # prints that line too)
+    # storage that has not one column per unknown of the order is rejected
+    # when the band is made; storage too short for kl and ku, or a negative
+    # kl or ku, by dgbtrf, whose negative info names the argument (LAPACK's
+    # error handler prints that line too)
     rhs = np.array([3.0, 4.0, 3.0])
-    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, band=_band_with())), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, matrix=_band_with())), 1.0, rtol=1e-14)
     fields, message = _MALFORMED_BAND[form]
     with pytest.raises(DimensionError, match=re.escape(message)):
-        solve_linear(LinearSystem(rhs=rhs, band=_band_with(**fields)))
+        solve_linear(LinearSystem(rhs=rhs, matrix=_band_with(**fields)))
 
 
 _ROWS, _COLS = np.nonzero(_TRIDIAGONAL_3)  # its 7 entries: rows 0 0 | 1 1 1 | 2 2
@@ -178,7 +199,7 @@ def test_malformed_csc_triple_raises_before_any_solve(form):
     # becomes a band
     rhs = np.array([3.0, 4.0, 3.0])
     good = BandMatrix.from_entries(_ROWS, _COLS, _VALS, np.arange(3))
-    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, band=good)), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(solve_linear(LinearSystem(rhs=rhs, matrix=good)), 1.0, rtol=1e-14)
     triple, message = _MALFORMED_TRIPLE[form]
     with pytest.raises(DimensionError, match=re.escape(message)):
         BandMatrix.from_entries(*triple, np.arange(3))
@@ -189,7 +210,7 @@ def test_band_read_with_the_wrong_kl_fails_the_residual_check():
     # upper triangle alone; the residual, formed from the triplets rather
     # than the storage, rejects the solution of that matrix
     with pytest.raises(SolverError, match="residual exceeds the acceptance bound"):
-        solve_linear(LinearSystem(rhs=np.array([3.0, 4.0, 3.0]), band=_band_with(kl=0, ku=2)))
+        solve_linear(LinearSystem(rhs=np.array([3.0, 4.0, 3.0]), matrix=_band_with(kl=0, ku=2)))
 
 
 def test_tridiagonal_matrix_without_unknowns_is_a_dimension_error():
@@ -198,10 +219,18 @@ def test_tridiagonal_matrix_without_unknowns_is_a_dimension_error():
 
 
 def test_sparse_system_without_unknowns_is_a_dimension_error():
-    # an empty band is well formed, and dgbtrf would take it
-    empty = BandMatrix(np.zeros((1, 0), order="F"), 0, 0, np.zeros(0, dtype=np.intp), (np.zeros(0),) * 3)
+    # an empty band would otherwise be well formed, and dgbtrf would take it
     with pytest.raises(DimensionError, match="needs at least one unknown"):
-        LinearSystem(rhs=np.zeros(0), band=empty)
+        BandMatrix(np.zeros((1, 0), order="F"), 0, 0, np.zeros(0, dtype=np.intp), (np.zeros(0),) * 3)
+
+
+@pytest.mark.parametrize("kind", ["tridiagonal", "band"])
+def test_right_hand_side_of_another_size_is_a_dimension_error(kind):
+    matrix = TridiagonalLU.factor(_dominant_bands(np.random.default_rng(6), 3)) if kind == "tridiagonal" else _band_with()
+    solve_linear(LinearSystem(np.ones(3), matrix))
+    for n in (2, 4):
+        with pytest.raises(DimensionError, match="matrix and right-hand side sizes differ"):
+            LinearSystem(np.ones(n), matrix)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
@@ -224,7 +253,7 @@ def test_factored_tridiagonal_solve_matches_solve_banded(n):
         ab[2, :-1] = lower[1:]
         expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
         lu = TridiagonalLU.factor((lower, diag, upper))
-        x = solve_linear(LinearSystem(rhs=rhs, lu=lu))
+        x = solve_linear(LinearSystem(rhs=rhs, matrix=lu))
         assert np.max(np.abs(x - expected)) <= 4 * np.finfo(float).eps * np.max(np.abs(expected))
         ipiv = lu.factors[-1][:n]
         interchanges += int(np.sum(ipiv != np.arange(1, n + 1)))
@@ -242,7 +271,7 @@ def test_singular_banded_system_raises(dense):
     lower = np.concatenate([[0.0], np.diag(a, -1)])
     upper = np.concatenate([np.diag(a, 1), [0.0]])
     with pytest.raises(SolverError):
-        solve_linear(LinearSystem(rhs=np.ones(n), lu=TridiagonalLU.factor((lower, np.diag(a).copy(), upper))))
+        solve_linear(LinearSystem(rhs=np.ones(n), matrix=TridiagonalLU.factor((lower, np.diag(a).copy(), upper))))
 
 
 def _dominant_bands(rng, n):
@@ -259,9 +288,9 @@ def test_banded_check_rejects_factors_of_another_matrix(n):
     lu = TridiagonalLU.factor((lower, diag, upper))
     mismatched = dataclasses.replace(lu, factors=TridiagonalLU.factor((lower, 2.0 * diag, upper)).factors)
     rhs = rng.uniform(1.0, 5.0, n)
-    solve_linear(LinearSystem(rhs=rhs, lu=lu))
+    solve_linear(LinearSystem(rhs=rhs, matrix=lu))
     with pytest.raises(SolverError, match="residual exceeds the acceptance bound"):
-        solve_linear(LinearSystem(rhs=rhs, lu=mismatched))
+        solve_linear(LinearSystem(rhs=rhs, matrix=mismatched))
 
 
 @pytest.mark.parametrize("bad", ["nan-last", "inf"])
@@ -277,14 +306,14 @@ def test_banded_check_rejects_a_non_finite_rhs(n, bad):
     else:
         rhs[n // 2] = -np.inf
     with pytest.raises(SolverError, match="direct solve right-hand side is not finite"):
-        solve_linear(LinearSystem(rhs=rhs, lu=lu))
+        solve_linear(LinearSystem(rhs=rhs, matrix=lu))
 
 
 def test_banded_solve_writes_neither_rhs_nor_matrix():
     rng = np.random.default_rng(5)
     lu = TridiagonalLU.factor(_dominant_bands(rng, 2))
     rhs = np.array([1.0, -2.0])
-    solve_linear(LinearSystem(rhs=rhs, lu=lu))
+    solve_linear(LinearSystem(rhs=rhs, matrix=lu))
     assert rhs.tolist() == [1.0, -2.0]
     assert lu.storage.shape == (3, 3) and not lu.storage.flags.writeable
     lower, diag, upper = lu.bands
