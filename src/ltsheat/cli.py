@@ -296,8 +296,9 @@ def _non_finite_keys(payload: dict) -> list[str]:
 def _run(body: Callable[[RunConfig], int], config_path: str | Path, overrides: dict[str, str] | None) -> int:
     """Parse a config file, apply command-line overrides and validate,
     including that the output directory can be made, then run ``body`` on
-    the config and return its exit code.  A configuration error exits 2 and a
-    solver error 1, each with one line on stderr and no warning before it."""
+    the config and return its exit code.  A configuration error, or a run too
+    large for the memory there is, exits 2 and a solver error 1, each with
+    one line on stderr and no warning before it."""
     try:
         pairs = parse_config_file(config_path)
         pairs.update(overrides or {})
@@ -307,6 +308,9 @@ def _run(body: Callable[[RunConfig], int], config_path: str | Path, overrides: d
             return body(config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid within its size checks can still need more than there is
+        print(f"configuration error: the run does not fit in memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -22,7 +22,8 @@ new Dirichlet datum is f1 + g (x - x0), where x0 is the first sweep's datum,
 f1 the datum after it, and g the interface gain, the response of one sweep
 to a unit datum on the homogeneous problem (the Steklov-Poincare form of the
 coupling in one unknown).  So only sweep 1 marches the subdomains, and
-sweeps 2..n run that recursion with the same relaxation and stopping test.
+sweeps 2..n run that recursion with the same stopping test, each datum
+relaxed by a damping theta chosen from g.
 A sweep's residual is |datum - fresh|, fresh being the master's projected
 Dirichlet datum after it; the master's flux is its Neumann datum, so there
 is no Neumann residual.  The recursion shrinks each residual by exactly the
@@ -67,14 +68,17 @@ from .scheme import (
 #: direct-solve residual acceptance factor
 SOLVE_RTOL = 1e-10
 
-#: fixed damping of the Dirichlet-trace update between corrector sweeps.  The
-#: raw update overshoots: on the reference composite grid the interface gain g
-#: (``interface_gain``) is negative for all four coupling variants, -0.76
-#: (is1-fine), -1.15 (is1-coarse), -0.70 (is2-fine) and -0.81 (is2-coarse), so
-#: undamped sweeps oscillate, and diverge for is1-coarse.  The new Dirichlet
-#: datum is therefore blended with the previous one, and the error contracts
-#: by r = 1 - theta + theta g per sweep (0.21, 0.033, 0.23, 0.19).  The
-#: Neumann data is never damped: the master always receives the exactly
+#: damping of the Dirichlet-trace update between corrector sweeps, and its
+#: cap.  The raw update overshoots: on the reference composite grid the
+#: interface gain g (``interface_gain``) is negative for all four coupling
+#: variants, -0.76 (is1-fine), -1.15 (is1-coarse), -0.70 (is2-fine) and -0.81
+#: (is2-coarse), so undamped sweeps oscillate, and diverge for is1-coarse.
+#: The new Dirichlet datum is therefore blended with the previous one by
+#: theta, and the error contracts by r = 1 - theta + theta g per sweep (0.21,
+#: 0.033, 0.23, 0.19 with theta = 0.45).  Where g < 1 - 1/0.45, about -1.22,
+#: that r would be negative, and below 1 - 2/0.45 it would exceed 1 in
+#: magnitude; there theta = 1 / (1 - g) (``_damping``), which makes r = 0.
+#: The Neumann data is never damped: the master always receives the exactly
 #: projected slave flux, which keeps every sweep conservative.
 DIRICHLET_RELAXATION = 0.45
 
@@ -291,17 +295,28 @@ def _project(grid: CompositeGrid, side: Side, values: np.ndarray) -> float:
     return float(values[0])
 
 
-def _relax(used: float, fresh: float) -> float:
+def _damping(gain: float) -> float:
+    """The damping theta of the Dirichlet datum for an interface gain g:
+    ``DIRICHLET_RELAXATION`` where g >= 1 - 1 / DIRICHLET_RELAXATION, and
+    1 / (1 - g) below that, where it is smaller and makes the contraction
+    1 - theta + theta g zero (to rounding)."""
+    if gain >= 1.0 - 1.0 / DIRICHLET_RELAXATION:
+        return DIRICHLET_RELAXATION
+    return 1.0 / (1.0 - gain)
+
+
+def _relax(used: float, fresh: float, gain: float) -> float:
     """The damped Dirichlet datum of the next sweep: the relaxed
     Dirichlet-Neumann update of Funaro, Quarteroni & Zanolli (SIAM J. Numer.
-    Anal. 25, 1988)."""
-    theta = DIRICHLET_RELAXATION
+    Anal. 25, 1988), damped by theta of the interface gain g."""
+    theta = _damping(gain)
     return (1.0 - theta) * used + theta * fresh
 
 
 def _contraction(gain: float) -> float:
     """The per-sweep contraction 1 - theta + theta g of the damped datum."""
-    return 1.0 - DIRICHLET_RELAXATION + DIRICHLET_RELAXATION * gain
+    theta = _damping(gain)
+    return 1.0 - theta + theta * gain
 
 
 def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> float:
@@ -398,7 +413,7 @@ def solve_window(
     converged, stalled = mode.kind == CONVERGED and residuals[0] <= mode.eps, False
     while not (converged or stalled) and len(residuals) < sweeps:
         gain, unit = interface_gain(grid, variant, inputs.operators)
-        datum = _relax(datum, fresh)
+        datum = _relax(datum, fresh, gain)
         fresh = f1 + gain * (datum - x0)
         residuals.append(abs(datum - fresh))
         if not math.isfinite(residuals[-1]):

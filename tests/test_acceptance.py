@@ -213,7 +213,10 @@ def test_criterion_5_order_of_accuracy(refinement_ladders, variant):
     # time-summed H1 seminorm scales like dt^(3/4), so their observed H1
     # orders sit below the 0.8 threshold asserted here: is1-coarse near 0.75
     # (0.79, 0.76, 0.76), is2-coarse far lower on this ladder (0.57, 0.59,
-    # 0.63) and rising toward 0.75 only on finer levels.
+    # 0.63) and rising toward 0.75 only on finer levels.  The cause is tested
+    # by tests/test_scheme.py::test_time_interpolated_slave_datum_restores_the_coarse_master_h1_order:
+    # the same datum interpolated linearly in time across each window lifts
+    # both variants' H1 orders above 0.8 on this ladder.
     ladders, _ = refinement_ladders
     rows = ladders[variant.name]
     orders_l2 = observed_order([(h, dt, l2) for h, dt, l2, _ in rows])

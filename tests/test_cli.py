@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,6 +22,8 @@ from ltsheat.cli import (
     run_convergence,
     run_experiment,
 )
+import ltsheat.solver
+from ltsheat.scheme import VARIANTS
 from ltsheat.solver import MODE_KINDS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -178,6 +183,37 @@ def test_non_finite_problem_coefficient_is_config_error(tmp_path, capsys, key, v
     assert not out.exists()
 
 
+#: the CLI in a child whose address space is limited to 1 GiB, so an
+#: allocation past it fails there whatever the machine's overcommit policy
+_ADDRESS_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from ltsheat.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_run_too_large_for_memory_is_one_configuration_error_line(tmp_path):
+    # 10^6 fine cells over 10^5 windows pass the grid's size check, but the
+    # march's fine trajectory alone needs 7.28 TiB
+    body = (
+        MINIMAL.replace("n_cells_fine = 25", "n_cells_fine = 1000000")
+        .replace("dt_fine = 0.002", "dt_fine = 1e-6")
+        .replace("dt_coarse = 0.02", "dt_coarse = 1e-5")
+        .replace("t_end = 0.1", "t_end = 1")
+    )
+    cfg = write_cfg(tmp_path, body + f"output_dir = {tmp_path / 'o'}\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-c", _ADDRESS_LIMITED_CLI, "run", str(cfg)], env=env, timeout=120, capture_output=True, text=True
+    )
+    assert child.returncode == EXIT_CONFIG, child.stderr
+    assert child.stderr.startswith("configuration error: the run does not fit in memory: Unable to allocate")
+    assert child.stderr.count("\n") == 1 and child.stdout == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_summary_value_that_overflows_is_solver_error(tmp_path, capsys):
     # finite coefficients whose solution's L2 norm overflows: summary.json
     # cannot hold it, so nothing is written
@@ -215,8 +251,9 @@ def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys):
 
 
 def _overflowing_datum_cfg(tmp_path):
-    # dt_coarse / h_coarse^2 = 0.004 gives is1-coarse a contraction of -1.5 per
-    # sweep: within 2000 sweeps window 1's datum overflows
+    # dt_coarse / h_coarse^2 = 0.004 gives is1-coarse an interface gain of
+    # -4.55; with the fixed damping 0.45 that is a contraction of -1.5 per
+    # sweep, and within 2000 sweeps window 1's datum overflows
     return write_cfg(
         tmp_path,
         BUMP_CFG.read_text()
@@ -227,10 +264,24 @@ def _overflowing_datum_cfg(tmp_path):
     )
 
 
+def _fixed_damping(monkeypatch):
+    """A diverging corrector: the damping fixed at 0.45 whatever the gain, as
+    before the damping was chosen from it, which no grid makes diverge."""
+    monkeypatch.setattr(ltsheat.solver, "_damping", lambda gain: ltsheat.solver.DIRICHLET_RELAXATION)
+
+
+@pytest.mark.parametrize("variant", [v.name for v in VARIANTS])
+def test_steep_gain_config_converges_for_every_variant(tmp_path, variant):
+    # the damping chosen from the gain makes the contraction 0 where the
+    # fixed one made it -1.5, so the config that overflowed converges
+    assert main(["run", str(_overflowing_datum_cfg(tmp_path)), "--variant", variant]) == EXIT_OK
+
+
 @pytest.mark.parametrize("command", ["run", "converge", "compare"])
-def test_datum_that_overflows_fails_in_its_own_window(tmp_path, capsys, command):
+def test_datum_that_overflows_fails_in_its_own_window(tmp_path, capsys, monkeypatch, command):
     # the error names that window, not the next one that would start from its
     # cells, and every command reports it the same way and writes nothing
+    _fixed_damping(monkeypatch)
     cfg = _overflowing_datum_cfg(tmp_path)
     assert main([command, str(cfg), "--variant", "is1-coarse", "--max-iters", "2000"]) == EXIT_ERROR
     err = capsys.readouterr().err
@@ -240,8 +291,9 @@ def test_datum_that_overflows_fails_in_its_own_window(tmp_path, capsys, command)
     assert not (tmp_path / "o").exists()
 
 
-def test_datum_short_of_overflow_ends_unconverged(tmp_path, capsys):
+def test_datum_short_of_overflow_ends_unconverged(tmp_path, capsys, monkeypatch):
     # with fewer sweeps than it takes to overflow, the window ends unconverged
+    _fixed_damping(monkeypatch)
     cfg = _overflowing_datum_cfg(tmp_path)
     assert main(["run", str(cfg), "--variant", "is1-coarse", "--max-iters", "100"]) == EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err

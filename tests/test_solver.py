@@ -226,7 +226,10 @@ def test_sparse_system_without_unknowns_is_a_dimension_error():
 
 @pytest.mark.parametrize("kind", ["tridiagonal", "band"])
 def test_right_hand_side_of_another_size_is_a_dimension_error(kind):
-    matrix = TridiagonalLU.factor(_dominant_bands(np.random.default_rng(6), 3)) if kind == "tridiagonal" else _band_with()
+    if kind == "tridiagonal":
+        matrix = TridiagonalLU.factor(_dominant_bands(np.random.default_rng(6), 3))
+    else:
+        matrix = _band_with()
     solve_linear(LinearSystem(np.ones(3), matrix))
     for n in (2, 4):
         with pytest.raises(DimensionError, match="matrix and right-hand side sizes differ"):
@@ -609,9 +612,9 @@ def _neumann_residual(grid, variant, state):
 
 
 def _sweep_until_eps(grid, fine_start, coarse_start, variant, mode, inputs):
-    """The corrector as real sweeps, each datum relaxed against the last,
-    until both residuals reach eps: the reference for ``solve_window``'s
-    reduced sweeps 2..n."""
+    """The corrector as real sweeps, each datum relaxed against the last by
+    the damping of the grid's interface gain, until both residuals reach eps:
+    the reference for ``solve_window``'s reduced sweeps 2..n."""
     state, datum = init_window_state(grid, fine_start, coarse_start, variant, inputs)
     history = []
     for _ in range(mode.max_iters):
@@ -619,7 +622,7 @@ def _sweep_until_eps(grid, fine_start, coarse_start, variant, mode, inputs):
         history.append((abs(datum - fresh), _neumann_residual(grid, variant, state)))
         if max(history[-1]) <= mode.eps:
             break
-        datum = _relax(datum, fresh)
+        datum = _relax(datum, fresh, interface_gain(grid, variant, inputs.operators)[0])
     return state, history
 
 
@@ -835,6 +838,21 @@ def test_predicted_contraction_matches_the_observed_ratio(bump_run, variant):
         for a, b in zip(r, r[1:]):
             assert b / a == pytest.approx(abs(report.contraction), rel=1e-8)
     assert bump_run(variant.name, "single_iteration")[2].contraction is None
+
+
+@pytest.mark.parametrize("ratio", [2, 5, 10, 20, 50])
+@pytest.mark.parametrize("name, cells, x_iface", [("is1-fine", (1, 3), 0.8), ("is1-coarse", (3, 1), 0.25)])
+def test_one_cell_sides_converge_with_the_damping_of_their_gain(name, cells, x_iface, ratio):
+    # g is about -4 here, below 1 - 1/0.45, where the fixed damping 0.45 gave a
+    # contraction of -1.19 to -1.32 and 400 sweeps did not converge; theta =
+    # 1 / (1 - g) makes it zero, so the second sweep's datum is the fixed point
+    grid = build_composite_grid(GridConfig(0.0, 1.0, x_iface, *cells, 0.01 / ratio, 0.01, 0.03))
+    variant = Variant.parse(name)
+    _, report = march(grid, variant, SolveMode.converged(1e-8, 400), manufactured_problem())
+    gain, _ = interface_gain(grid, variant, StepOperators(grid))
+    assert gain < 1.0 - 1.0 / DIRICHLET_RELAXATION
+    assert report.all_converged and max(report.iterations) == 2
+    assert abs(report.contraction) <= 2 * np.finfo(float).eps
 
 
 def test_march_zero_data(bump_grid):
