@@ -427,9 +427,7 @@ def solve_window(
         stalled = residuals[-1] >= residuals[-2] and abs(_contraction(gain)) < 1.0
     if len(residuals) > 1:
         step = datum - x0
-        _sweep(
-            grid, state, variant, datum, lambda name, _: getattr(state, name).cells + step * unit[name]
-        )
+        _sweep(grid, state, variant, datum, lambda name, _: getattr(state, name).cells + step * unit[name])
     coarse_flux = float(state.coarse.flux[0])
     defect = conservativity_defect(state.fine.flux, coarse_flux, grid.dt_fine, grid.dt_coarse)
     scale = max(float(np.max(np.abs(state.fine.flux))), abs(coarse_flux))
