@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -188,11 +189,21 @@ def load_run_config(pairs: dict[str, str]) -> RunConfig:
 
 def _check_output_dir(out: Path) -> None:
     """Reject an output directory that cannot be made, creating nothing: the
-    path or its nearest existing ancestor must be a directory."""
-    existing = next(path for path in (out, *out.parents) if path.exists())
+    path must hold no NUL byte and be one the system can look up, its nearest
+    existing ancestor must be a directory, and each name to be made below
+    that must fit its file system."""
+    if "\0" in str(out):
+        raise ConfigurationError(f"output_dir {str(out)!r} holds a NUL byte")
+    try:
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        name_max = os.pathconf(existing, "PC_NAME_MAX")
+    except OSError as exc:
+        raise ConfigurationError(f"output_dir {str(out)!r} cannot be used: {exc.strerror}") from None
     if not existing.is_dir():
         where = "" if existing == out else f"cannot be made: {str(existing)!r} "
         raise ConfigurationError(f"output_dir {str(out)!r} {where}is not a directory")
+    if any(len(os.fsencode(name)) > name_max for name in out.relative_to(existing).parts):
+        raise ConfigurationError(f"output_dir {str(out)!r} cannot be made: a name is over {name_max} bytes")
 
 
 def build_problem(config: RunConfig) -> Problem:

@@ -545,6 +545,21 @@ def test_unusable_output_dir_is_config_error(tmp_path, capsys, command, below_fi
     assert sorted(tmp_path.iterdir()) == [blocker]
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [("a" * 300, "cannot be used"), ("new/" + "a" * 300, "cannot be made"), ("o\0x", "holds a NUL byte")],
+    ids=["name-too-long", "name-too-long-below-a-new-directory", "nul-byte"],
+)
+def test_output_dir_that_cannot_be_named_is_config_error(tmp_path, capsys, name, message):
+    # rejected before the march, so nothing is made, not even a parent directory
+    out = f"{tmp_path}/{name}"
+    cfg = write_cfg(tmp_path, BUMP_CFG.read_text().replace("output_dir = out/bump", f"output_dir = {out}"))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: output_dir {out!r} {message}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes("# caf\u00e9, Latin-1 encoded\n".encode("latin-1") + MINIMAL.encode())
