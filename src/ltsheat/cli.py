@@ -218,14 +218,17 @@ def build_problem(config: RunConfig) -> Problem:
 def _check_converged(mode: SolveMode, report: SolveReport, label: str) -> bool:
     """False when a converged-mode march left a window unconverged; stderr then names
     the first one, its sweeps, its last and first Dirichlet residuals and their
-    last/previous ratio, next to the march's predicted contraction per sweep,
-    and whether the residual stopped falling before ``max_iters``."""
+    last/previous ratio, next to the march's interface gain g, the damping theta
+    chosen from it and the predicted contraction rho = 1 - theta + theta g per
+    sweep, and whether the residual stopped falling before ``max_iters``."""
     if mode.kind != CONVERGED or report.all_converged:
         return True
     window, failed = next((n, w) for n, w in enumerate(report.windows, start=1) if not w.converged)
     residuals = failed.dirichlet_residuals
     ratio = f"{residuals[-1] / residuals[-2]:.3g}" if len(residuals) > 1 else "n/a"
-    predicted = "n/a" if report.contraction is None else f"{report.contraction:.3g}"
+    gain, theta, rho = (
+        "n/a" if value is None else f"{value:.3g}" for value in (report.gain, report.damping, report.contraction)
+    )
     # an unconverged window ends early only when its residual stopped falling
     stalled = (
         f"; the residual stopped falling at the datum's roundoff, above eps {mode.eps:.3g}"
@@ -235,7 +238,8 @@ def _check_converged(mode: SolveMode, report: SolveReport, label: str) -> bool:
     print(
         f"corrector did not converge ({label}): window {window} of {len(report.windows)} "
         f"after {failed.iterations} sweeps, Dirichlet residual last {residuals[-1]:.3e}, "
-        f"first {residuals[0]:.3e}, last/previous {ratio} (predicted contraction {predicted}){stalled}",
+        f"first {residuals[0]:.3e}, last/previous {ratio} "
+        f"(interface gain g = {gain}, damping theta = {theta}, contraction rho = {rho}){stalled}",
         file=sys.stderr,
     )
     return False

@@ -168,7 +168,7 @@ class SolveReport:
     sweep's Dirichlet residual, window after window, so a march of any
     length holds the same five containers and no per-window object."""
 
-    __slots__ = ("_iterations", "_residuals", "_defects", "_flux_scales", "_converged", "contraction")
+    __slots__ = ("_iterations", "_residuals", "_defects", "_flux_scales", "_converged", "gain")
 
     def __init__(self) -> None:
         self._iterations = array("q")
@@ -176,10 +176,9 @@ class SolveReport:
         self._defects = array("d")
         self._flux_scales = array("d")
         self._converged = array("b")
-        #: per-sweep contraction 1 - theta + theta g of the march's corrector;
-        #: None when no window needed a second sweep, so the gain g was never
-        #: computed
-        self.contraction: float | None = None
+        #: the interface gain g of the march's corrector; None when no window
+        #: needed a second sweep, so it was never computed
+        self.gain: float | None = None
 
     def append(self, window: WindowReport) -> None:
         self._iterations.append(window.iterations)
@@ -199,6 +198,16 @@ class SolveReport:
             views.append(WindowReport(self._residuals[start:end], defect, scale, bool(converged)))
             start = end
         return views
+
+    @property
+    def damping(self) -> float | None:
+        """The damping theta of the Dirichlet datum chosen from the gain g."""
+        return None if self.gain is None else _damping(self.gain)
+
+    @property
+    def contraction(self) -> float | None:
+        """The per-sweep contraction 1 - theta + theta g of the corrector."""
+        return None if self.gain is None else _contraction(self.gain)
 
     @property
     def iterations(self) -> list[int]:
@@ -468,8 +477,7 @@ def march(
             report.append(window_report)
             fine_start, coarse_start = fine[window * ratio], coarse[window]
     if variant in operators.gains:
-        gain, _ = operators.gains[variant]
-        report.contraction = _contraction(gain)
+        report.gain, _ = operators.gains[variant]
     trajectory = Trajectory(
         grid=grid,
         fine=fine,

@@ -298,6 +298,7 @@ def test_datum_short_of_overflow_ends_unconverged(tmp_path, capsys, monkeypatch)
     assert main(["run", str(cfg), "--variant", "is1-coarse", "--max-iters", "100"]) == EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
     assert "corrector did not converge (is1-coarse): window 1 of 10 after 100 sweeps" in err
+    assert "(interface gain g = -4.55, damping theta = 0.45, contraction rho = -1.5)" in err
 
 
 def test_residual_at_its_roundoff_floor_ends_the_window(tmp_path, capsys):
@@ -312,6 +313,7 @@ def test_residual_at_its_roundoff_floor_ends_the_window(tmp_path, capsys):
     assert err.endswith(stalled)
     found = NONCONVERGED.match(err.removesuffix(stalled))
     assert found["label"] == "is2-fine" and found["window"] == "1" and found["predicted"] == "0.233"
+    assert (found["gain"], found["theta"]) == ("-0.705", "0.45")
     assert float(found["ratio"]) >= 1.0
     # 0.233^24 ~ 1.6e-15: the fall from 5e147 takes about 24 sweeps
     assert int(found["sweeps"]) <= 30
@@ -410,7 +412,8 @@ NONCONVERGED = re.compile(
     r"corrector did not converge \((?P<label>[^)]*)\): "
     r"window (?P<window>\d+) of 5 after (?P<sweeps>\d+) sweeps, "
     r"Dirichlet residual last (?P<last>\S+), first (?P<first>\S+), "
-    r"last/previous (?P<ratio>\S+) \(predicted contraction (?P<predicted>\S+)\)$"
+    r"last/previous (?P<ratio>\S+) \(interface gain g = (?P<gain>[^,]+), damping theta = (?P<theta>[^,]+), "
+    r"contraction rho = (?P<predicted>[^)]+)\)$"
 )
 
 
@@ -426,7 +429,7 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     found = NONCONVERGED.match(capsys.readouterr().err.strip())
     assert found["label"] == "is2-fine" and found["window"] == "1" and found["sweeps"] == "1"
     assert float(found["last"]) == float(found["first"]) == pytest.approx(first[0], rel=1e-3)
-    assert found["ratio"] == "n/a" and found["predicted"] == "n/a"  # no second sweep, no gain
+    assert found["ratio"] == found["gain"] == found["theta"] == found["predicted"] == "n/a"  # no second sweep
     # the ladder says the same, with its level
     levels = {"convergence.levels": "1", "mode.max_iters": "2", "mode.eps": "1e-12", "output_dir": str(out)}
     assert run_convergence(BUMP_CFG, levels) == EXIT_NO_CONVERGENCE
@@ -434,6 +437,7 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert found["label"] == "is2-fine, ladder level 0" and found["window"] == "1" and found["sweeps"] == "2"
     assert (float(found["last"]), float(found["first"])) == pytest.approx((first[1], first[0]), rel=1e-3)
     assert float(found["ratio"]) == pytest.approx(first[1] / first[0], rel=1e-2)
+    assert float(found["gain"]) == pytest.approx(report.gain, rel=1e-2) and found["theta"] == "0.45"
     assert float(found["predicted"]) == pytest.approx(report.contraction, rel=1e-2)
     assert float(found["predicted"]) == pytest.approx(float(found["ratio"]), rel=1e-2)
 
