@@ -5,6 +5,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from ltsheat import GridConfig, SolveMode, build_composite_grid, manufactured_problem, march
 from ltsheat.scheme import COARSE, FINE, IS1, Variant, WindowLayout
@@ -21,6 +23,34 @@ BUMP_CONFIG = GridConfig(
     dt_coarse=0.02,
     t_end=0.1,
 )
+
+# the same examples on every run, and no deadline: a march's first call builds its factors
+settings.register_profile("ltsheat", deadline=None, derandomize=True, database=None)
+settings.load_profile("ltsheat")
+
+
+@st.composite
+def grid_space(draw, windows: int) -> GridConfig:
+    """A config of the property tests' grid space, ``windows`` coarse windows
+    on [0, 1]: ratio K, cells (fine, coarse) with the size jump either way and
+    one-cell sides, interface, and dt_coarse 1e-2..1e-5 (dt/h^2 from 3e-7 to
+    256 with uniform widths); widths uniform, or jittered from a drawn seed."""
+    ratio = draw(st.sampled_from([1, 2, 5, 10, 20, 50]))
+    n_fine, n_coarse = draw(st.sampled_from([(10, 10), (20, 5), (5, 20), (40, 8), (1, 3), (3, 1)]))
+    x_iface = draw(st.sampled_from([0.25, 0.5, 0.8]))
+    dt_coarse = draw(st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5]))
+    seed = draw(st.none() | st.integers(0, 2**16))
+    widths = (None, None)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        widths = (jittered_widths(rng, n_fine, x_iface), jittered_widths(rng, n_coarse, 1.0 - x_iface))
+    return GridConfig(0.0, 1.0, x_iface, n_fine, n_coarse, dt_coarse / ratio, dt_coarse, windows * dt_coarse, *widths)
+
+
+#: the data scales of the properties that scale a problem (``scaled_problem``)
+data_scales = st.sampled_from([2.0**-20, 2.0**20])
+#: converged, stopped after 3 sweeps (some windows unconverged), and one sweep
+solve_modes = st.sampled_from([SolveMode.converged(1e-8), SolveMode.converged(1e-8, 3), SolveMode.single_iteration()])
 
 
 def tridiagonal_matrix(system):

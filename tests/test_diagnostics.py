@@ -69,7 +69,7 @@ def test_norms_shape_mismatch():
         discrete_norms(np.zeros((2, 3)), np.zeros(4))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(alpha=st.floats(-10, 10, allow_nan=False), data=st.data())
 def test_norms_absolutely_homogeneous(alpha, data):
     n = data.draw(st.integers(2, 8))

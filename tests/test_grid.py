@@ -80,7 +80,7 @@ def test_time_slabs(bump_grid):
     assert bump_grid.fine_midtime(1, 1) == pytest.approx(0.001)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     n_fine=st.integers(1, 40),
     n_coarse=st.integers(1, 40),

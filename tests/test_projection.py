@@ -52,7 +52,7 @@ def test_pairing_rejects_mixed_resolution():
         interface_pairing(np.array([1.0, 2.0]), np.array([1.0]), 0.1, 1.0)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     ratio=st.sampled_from([1, 2, 3, 10]),
     u2=values,
@@ -68,7 +68,7 @@ def test_adjointness(ratio, u2, data, dt1):
     assert abs(lhs - rhs) <= 1e-14 * scale
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(ratio=st.sampled_from([1, 2, 3, 10]), data=st.data())
 def test_projection_nonexpansive_in_max_norm(ratio, data):
     vals = data.draw(st.lists(values, min_size=ratio, max_size=ratio))
