@@ -245,6 +245,18 @@ def _check_converged(mode: SolveMode, report: SolveReport, label: str) -> bool:
     return False
 
 
+def _labelled_march(
+    label: str, grid: CompositeGrid, variant: Variant, mode: SolveMode, problem: Problem
+) -> tuple[Trajectory, SolveReport]:
+    """``march``, with a solver error prefixed by ``label``, the run's name in
+    ``_check_converged``, so that a command of several marches says which
+    one failed."""
+    try:
+        return march(grid, variant, mode, problem)
+    except SolverError as exc:
+        raise SolverError(f"{label}: {exc}") from exc
+
+
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -380,8 +392,8 @@ def _convergence(config: RunConfig) -> int:
     rows_data = []
     any_nonconverged = False
     for level, grid in enumerate(ladders):
-        trajectory, report = march(grid, config.variant, config.mode, problem)
         label = f"{config.variant.name}, ladder level {level}"
+        trajectory, report = _labelled_march(label, grid, config.variant, config.mode, problem)
         any_nonconverged |= not _check_converged(config.mode, report, label)
         series = error_report(trajectory, problem)
         h = float(max(np.max(grid.widths_fine), np.max(grid.widths_coarse)))
@@ -421,7 +433,7 @@ def _compare(config: RunConfig) -> int:
     rows = []
     any_nonconverged = False
     for label, grid, variant, mode in runs:
-        trajectory, report = march(grid, variant, mode, problem)
+        trajectory, report = _labelled_march(label, grid, variant, mode, problem)
         any_nonconverged |= not _check_converged(mode, report, label)
         l2 = "" if problem.exact_solution is None else _fmt(error_report(trajectory, problem).l2_final)
         rows.append([label, l2, _fmt(report.mean_iterations), _fmt(report.max_defect)])

@@ -13,5 +13,6 @@ class DimensionError(ValueError):
 class SolverError(RuntimeError):
     """A direct linear solve failed (LAPACK reported a failed factorization
     or solve, or the residual check rejected the solution, naming a
-    right-hand side that is not finite), or a corrector sweep's Dirichlet
-    residual was not finite, or a run's summary values were not finite."""
+    right-hand side that is not finite), or a run's summary values were not
+    finite.  The corrector's sweeps 2..n raise none: they contract, and stay
+    finite whenever sweep 1 is."""

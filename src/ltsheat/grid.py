@@ -208,8 +208,10 @@ def build_composite_grid(config: GridConfig) -> CompositeGrid:
 
     Raises ConfigurationError when dt_coarse/dt_fine or t_end/dt_coarse is
     not an integer within the relative tolerance, when a side's trajectory
-    (its cell values at every time level) is too large for one array, or
-    when the geometry is invalid.
+    (its cell values at every time level) is too large for one array, when
+    the geometry is invalid, or when an entry of a side's step matrix (its
+    mass h / dt, or a 1 / d over a center distance or half cell) is not
+    finite.
     """
     ratio = _as_integer_ratio(config.dt_coarse / config.dt_fine, "dt_coarse / dt_fine")
     n_windows = _as_integer_ratio(config.t_end / config.dt_coarse, "t_end / dt_coarse")
@@ -235,6 +237,20 @@ def build_composite_grid(config: GridConfig) -> CompositeGrid:
     faces_coarse[-1] = config.domain_hi
     if np.any(np.diff(faces_fine) <= 0.0) or np.any(np.diff(faces_coarse) <= 0.0):
         raise ConfigurationError("cell faces are not strictly increasing")
+    # every entry of a step matrix is a mass h / dt or a 1 / d over a center
+    # distance or a half cell; one that overflows leaves no solvable step
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        centers_fine = 0.5 * (faces_fine[:-1] + faces_fine[1:])
+        centers_coarse = 0.5 * (faces_coarse[:-1] + faces_coarse[1:])
+        for name, widths, centers, dt in (
+            (FINE, widths_fine, centers_fine, config.dt_fine),
+            (COARSE, widths_coarse, centers_coarse, config.dt_coarse),
+        ):
+            if not np.isfinite(np.concatenate((widths / dt, 2.0 / widths, 1.0 / np.diff(centers)))).all():
+                raise ConfigurationError(
+                    f"the {name} step matrix is not finite: h / dt, 2 / h or 1 / (center distance) overflows "
+                    f"(h from {float(widths.min())!r} to {float(widths.max())!r}, dt = {dt!r})"
+                )
 
     return CompositeGrid(
         domain_lo=config.domain_lo,
@@ -242,8 +258,8 @@ def build_composite_grid(config: GridConfig) -> CompositeGrid:
         interface_x=config.interface_x,
         widths_fine=widths_fine,
         widths_coarse=widths_coarse,
-        centers_fine=0.5 * (faces_fine[:-1] + faces_fine[1:]),
-        centers_coarse=0.5 * (faces_coarse[:-1] + faces_coarse[1:]),
+        centers_fine=centers_fine,
+        centers_coarse=centers_coarse,
         faces_fine=faces_fine,
         faces_coarse=faces_coarse,
         dt_fine=config.dt_fine,

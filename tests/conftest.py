@@ -345,3 +345,43 @@ def reference_error_report(trajectory, problem):
         h1_final=math.sqrt(h1[FINE][-1] ** 2 + h1[COARSE][-1] ** 2),
         h1_global=math.sqrt(h1_global_sq),
     )
+
+
+def window_energy_balance(trajectory, variant, window):
+    """The energy balance 1/2 dE + D = I of one window of a march with zero
+    source and boundary data, E = sum h p^2 over both sides.  Summing each
+    implicit step's cell balance times dt p^k (by parts over the faces) gives,
+    per step of a side, the dissipation 1/2 sum h (p^k - p^(k-1))^2 +
+    dt (sum over interior faces of (dp)^2 / d + p_ext^2 / (h_ext / 2)), and
+    the interface term dt p_edge u times the side's flux sign, u being the
+    stored interface flux.  Returns ``half_delta_e``, ``dissipation`` and
+    ``interface``; ``jump``, the form that I takes where the slave's datum
+    equals the master's fresh datum, minus the time-weighted squared interface
+    fluxes over each side's own half cell, and for is2-coarse also over the
+    coarse half cell the spread of the fine fluxes about their mean; and
+    ``scale``, the sum of the magnitudes of every product in the steps'
+    balances, dt |p^k| (|A| |p^k| + |b|), on which each cell's solve residual
+    is a few roundoffs."""
+    grid = trajectory.grid
+    half_delta_e = dissipation = interface = scale = 0.0
+    flux = {FINE: trajectory.fine_flux[window - 1], COARSE: trajectory.coarse_flux[window - 1 : window]}
+    for side in grid.sides.values():
+        cells = getattr(trajectory, side.name)[(window - 1) * side.levels : window * side.levels + 1]
+        new, old, u = cells[1:], cells[:-1], flux[side.name]
+        edge, ext, h_ext = new[:, side.iface], new[:, side.exterior], 0.5 * side.widths[side.exterior]
+        inv_d = 1.0 / np.diff(side.centers)
+        half_delta_e += 0.5 * float((cells[-1] ** 2 - cells[0] ** 2) @ side.widths)
+        dissipation += float(np.sum(0.5 * (new - old) ** 2 @ side.widths))
+        dissipation += side.dt * float(np.sum(np.diff(new) ** 2 @ inv_d) + np.sum(ext**2) / h_ext)
+        interface += side.sign * side.dt * float(edge @ u)
+        size, pair = np.abs(new), np.abs(new[:, 1:]) + np.abs(new[:, :-1])
+        scale += float(np.sum((size * (size + np.abs(old))) @ side.widths))
+        scale += side.dt * float(np.sum(pair**2 @ inv_d) + np.sum(ext**2) / h_ext)
+        scale += side.dt * float(np.abs(edge) @ (np.abs(u) + 2.0 * np.abs(edge) / side.d_own))
+    fine_u, coarse_u = flux[FINE], float(flux[COARSE][0])
+    jump = grid.d_fine * grid.dt_fine * float(fine_u @ fine_u) + grid.d_coarse * grid.dt_coarse * coarse_u**2
+    if variant == Variant("is2", COARSE):
+        jump += grid.d_coarse * grid.dt_fine * float(np.sum((fine_u - coarse_u) ** 2))
+    return types.SimpleNamespace(
+        half_delta_e=half_delta_e, dissipation=dissipation, interface=interface, jump=-jump, scale=scale
+    )

@@ -22,7 +22,8 @@ from ltsheat.cli import (
     run_convergence,
     run_experiment,
 )
-import ltsheat.solver
+import ltsheat.cli
+from ltsheat.errors import SolverError
 from ltsheat.scheme import VARIANTS
 from ltsheat.solver import MODE_KINDS
 
@@ -234,26 +235,62 @@ def test_summary_value_that_overflows_is_solver_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys):
-    # a source that overflows makes the first direct solve's right-hand side
-    # infinite, in the first window
-    cfg = write_cfg(
-        tmp_path,
-        MINIMAL
-        + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
-        + f"problem.source_coeffs = 1e308, 1e308\noutput_dir = {tmp_path / 'o'}\n",
-    )
+#: how each command's solver error line names the march that failed: by its
+#: variant and window, after the ladder level (``converge``) or the method
+#: (``compare``)
+_FAILED_MARCH = {
+    "run": "is2-fine, window 1 of 5",
+    "converge": "is2-fine, ladder level 0: is2-fine, window 1 of 5",
+    "compare": "is1-fine: is1-fine, window 1 of 5",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
+def test_solver_failure_in_a_march_names_variant_and_window(tmp_path, capsys, command):
+    # on a domain of length 1e300 the manufactured source is NaN, so the first
+    # direct solve's right-hand side is not finite, in the first window
+    body = BUMP_CFG.read_text().replace("grid.domain_hi = 1.0", "grid.domain_hi = 1e300")
+    out = tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would print before the error line
-        assert main(["run", str(cfg)]) == EXIT_ERROR
+        assert main([command, str(write_cfg(tmp_path, body)), "--out", str(out)]) == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err == "solver error: is2-fine, window 1 of 5: direct solve right-hand side is not finite\n"
+    assert err == f"solver error: {_FAILED_MARCH[command]}: direct solve right-hand side is not finite\n"
+    assert not out.exists()
 
 
-def _overflowing_datum_cfg(tmp_path):
+@pytest.mark.parametrize(
+    "command, failing, label",
+    [
+        ("compare", 2, "is2-fine"),
+        ("compare", 5, "uniform-coarse"),
+        ("compare", 6, "is2-fine-single-iteration"),
+        ("converge", 2, "is2-fine, ladder level 2"),
+    ],
+)
+def test_solver_error_names_the_run_that_failed(tmp_path, capsys, monkeypatch, command, failing, label):
+    # four of compare's seven marches run is2-fine, so the variant and window
+    # alone do not say which one failed
+    marches, real = [], ltsheat.cli.march
+
+    def failing_march(grid, variant, mode, problem):
+        marches.append(variant.name)
+        if len(marches) == failing + 1:
+            raise SolverError(f"{variant.name}, window 3 of 5: direct solve residual exceeds the acceptance bound")
+        return real(grid, variant, mode, problem)
+
+    monkeypatch.setattr(ltsheat.cli, "march", failing_march)
+    out = tmp_path / "o"
+    assert main([command, str(BUMP_CFG), "--out", str(out)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"solver error: {label}: is2-fine, window 3 of 5: direct solve residual exceeds the acceptance bound\n"
+    assert len(marches) == failing + 1 and not out.exists()
+
+
+def _steep_gain_cfg(tmp_path):
     # dt_coarse / h_coarse^2 = 0.004 gives is1-coarse an interface gain of
-    # -4.55; with the fixed damping 0.45 that is a contraction of -1.5 per
-    # sweep, and within 2000 sweeps window 1's datum overflows
+    # -4.55: a damping fixed at 0.45 would give a contraction of -1.5 per
+    # sweep, and the datum would overflow within 2000 sweeps
     return write_cfg(
         tmp_path,
         BUMP_CFG.read_text()
@@ -264,41 +301,11 @@ def _overflowing_datum_cfg(tmp_path):
     )
 
 
-def _fixed_damping(monkeypatch):
-    """A diverging corrector: the damping fixed at 0.45 whatever the gain, as
-    before the damping was chosen from it, which no grid makes diverge."""
-    monkeypatch.setattr(ltsheat.solver, "_damping", lambda gain: ltsheat.solver.DIRICHLET_RELAXATION)
-
-
 @pytest.mark.parametrize("variant", [v.name for v in VARIANTS])
 def test_steep_gain_config_converges_for_every_variant(tmp_path, variant):
     # the damping chosen from the gain makes the contraction 0 where the
     # fixed one made it -1.5, so the config that overflowed converges
-    assert main(["run", str(_overflowing_datum_cfg(tmp_path)), "--variant", variant]) == EXIT_OK
-
-
-@pytest.mark.parametrize("command", ["run", "converge", "compare"])
-def test_datum_that_overflows_fails_in_its_own_window(tmp_path, capsys, monkeypatch, command):
-    # the error names that window, not the next one that would start from its
-    # cells, and every command reports it the same way and writes nothing
-    _fixed_damping(monkeypatch)
-    cfg = _overflowing_datum_cfg(tmp_path)
-    assert main([command, str(cfg), "--variant", "is1-coarse", "--max-iters", "2000"]) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert "solver error: is1-coarse, window 1 of 10: Dirichlet residual is not finite after" in err
-    assert "(predicted contraction -1.5)" in err
-    assert err.count("solver error:") == 1
-    assert not (tmp_path / "o").exists()
-
-
-def test_datum_short_of_overflow_ends_unconverged(tmp_path, capsys, monkeypatch):
-    # with fewer sweeps than it takes to overflow, the window ends unconverged
-    _fixed_damping(monkeypatch)
-    cfg = _overflowing_datum_cfg(tmp_path)
-    assert main(["run", str(cfg), "--variant", "is1-coarse", "--max-iters", "100"]) == EXIT_NO_CONVERGENCE
-    err = capsys.readouterr().err
-    assert "corrector did not converge (is1-coarse): window 1 of 10 after 100 sweeps" in err
-    assert "(interface gain g = -4.55, damping theta = 0.45, contraction rho = -1.5)" in err
+    assert main(["run", str(_steep_gain_cfg(tmp_path)), "--variant", variant]) == EXIT_OK
 
 
 def test_residual_at_its_roundoff_floor_ends_the_window(tmp_path, capsys):
@@ -519,18 +526,44 @@ def test_main_rejects_bad_variant(tmp_path, capsys):
             {"grid.n_cells_fine = 25": f"grid.n_cells_fine = {10**19}"},
             f"the fine trajectory has (levels * n_windows + 1) * n_cells = (10 * 5 + 1) * {10**19} = {51 * 10**19} values",
         ),
+        # a step matrix entry that overflows: a mass h / dt, or 2 / h of a half cell
+        (
+            {"grid.domain_lo = 0.0": "grid.domain_lo = -1e308", "grid.domain_hi = 1.0": "grid.domain_hi = 1e308"},
+            "the fine step matrix is not finite: h / dt, 2 / h or 1 / (center distance) overflows "
+            "(h from 4e+306 to 4e+306, dt = 0.002)",
+        ),
+        (
+            {"grid.interface_x = 0.25": "grid.interface_x = 1e-310"},
+            "the fine step matrix is not finite: h / dt, 2 / h or 1 / (center distance) overflows "
+            "(h from 4e-312 to 4e-312, dt = 0.002)",
+        ),
+        (
+            {
+                "grid.domain_hi = 1.0": "grid.domain_hi = 1e306",
+                "grid.dt_fine = 0.002": "grid.dt_fine = 2e-6",
+                "grid.dt_coarse = 0.02": "grid.dt_coarse = 2e-5",
+                "grid.t_end = 0.1": "grid.t_end = 1e-4",
+            },
+            "the coarse step matrix is not finite: h / dt, 2 / h or 1 / (center distance) overflows "
+            "(h from 6.666666666666667e+304 to 6.666666666666667e+304, dt = 2e-05)",
+        ),
     ],
-    ids=["dt-ratio", "window-count", "domain-hi", "domain-lo", "oversized-horizon", "oversized-mesh"],
+    ids=[
+        "dt-ratio", "window-count", "domain-hi", "domain-lo", "oversized-horizon", "oversized-mesh",
+        "mass-overflows", "half-cell-overflows", "coarse-mass-overflows",
+    ],
 )
 def test_non_finite_grid_input_is_config_error(tmp_path, capsys, replace, message):
-    # `ltsheat run` on the bundled config with one overflowing or infinite grid value
-    body = BUMP_CFG.read_text()
+    # `ltsheat run` on the bundled config, with the zero problem, and one
+    # overflowing or infinite grid value: one line, and nothing is written
+    body = BUMP_CFG.read_text().replace("problem = manufactured", "problem = zero")
     for old, new in replace.items():
         assert old in body
         body = body.replace(old, new)
     out = tmp_path / "o"
     assert main(["run", str(write_cfg(tmp_path, body)), "--out", str(out)]) == EXIT_CONFIG
-    assert f"configuration error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1, err
     assert not out.exists()
 
 

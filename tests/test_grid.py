@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -123,3 +124,20 @@ def test_grid_arrays_are_read_only(bump_grid):
 def test_a_trajectory_too_large_for_one_array_is_rejected(override, message):
     with pytest.raises(ConfigurationError, match=message):
         build_composite_grid(replace(BUMP_CONFIG, **override))
+
+
+@pytest.mark.parametrize(
+    "override, side",
+    [
+        (dict(domain_lo=-1e308, domain_hi=1e308), "fine"),
+        (dict(interface_x=1e-310), "fine"),
+        (dict(domain_hi=1e306, dt_fine=2e-6, dt_coarse=2e-5, t_end=1e-4), "coarse"),
+    ],
+    ids=["mass", "half-cell", "coarse-mass"],
+)
+def test_a_step_matrix_entry_that_overflows_is_rejected_without_a_warning(override, side):
+    # the overflowing sums and quotients warn nothing before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=f"the {side} step matrix is not finite"):
+            build_composite_grid(replace(BUMP_CONFIG, **override))
