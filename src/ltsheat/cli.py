@@ -248,12 +248,14 @@ def _check_converged(mode: SolveMode, report: SolveReport, label: str) -> bool:
 def _labelled_march(
     label: str, grid: CompositeGrid, variant: Variant, mode: SolveMode, problem: Problem
 ) -> tuple[Trajectory, SolveReport]:
-    """``march``, with a solver error prefixed by ``label``, the run's name in
-    ``_check_converged``, so that a command of several marches says which
-    one failed."""
+    """``march``, with a solver error prefixed by ``label`` unless that is
+    the variant the error already names, so that a command of several
+    marches says which one failed: the ladder level, or a baseline method."""
     try:
         return march(grid, variant, mode, problem)
     except SolverError as exc:
+        if label == variant.name:
+            raise
         raise SolverError(f"{label}: {exc}") from exc
 
 
@@ -392,8 +394,8 @@ def _convergence(config: RunConfig) -> int:
     rows_data = []
     any_nonconverged = False
     for level, grid in enumerate(ladders):
+        trajectory, report = _labelled_march(f"ladder level {level}", grid, config.variant, config.mode, problem)
         label = f"{config.variant.name}, ladder level {level}"
-        trajectory, report = _labelled_march(label, grid, config.variant, config.mode, problem)
         any_nonconverged |= not _check_converged(config.mode, report, label)
         series = error_report(trajectory, problem)
         h = float(max(np.max(grid.widths_fine), np.max(grid.widths_coarse)))

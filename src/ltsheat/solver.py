@@ -413,19 +413,20 @@ def solve_window(
     f1 = fresh = corrector_sweep(grid, state, variant, inputs, x0)
     datum, residuals = x0, array("d", [abs(x0 - f1)])  # |datum - fresh| of each sweep
     converged, stalled = mode.kind == CONVERGED and residuals[0] <= mode.eps, False
+    # a window that needs sweep 2 runs sweeps 2..n on the scalar datum, then
+    # superposes the unit response; no other window fetches the gain
     if not converged and sweeps > 1:
         gain, unit = interface_gain(grid, variant, inputs.operators)
         theta = _damping(gain)
-    while not (converged or stalled) and len(residuals) < sweeps:
-        # the relaxed Dirichlet-Neumann update of Funaro, Quarteroni & Zanolli (1988)
-        datum = (1.0 - theta) * datum + theta * fresh
-        fresh = f1 + gain * (datum - x0)
-        residuals.append(abs(datum - fresh))
-        converged = mode.kind == CONVERGED and residuals[-1] <= mode.eps
-        # the residual shrinks by rho in [0, 0.55) per sweep, so one that does
-        # not fall is roundoff of the datum, above eps
-        stalled = residuals[-1] >= residuals[-2]
-    if len(residuals) > 1:
+        while not (converged or stalled) and len(residuals) < sweeps:
+            # the relaxed Dirichlet-Neumann update of Funaro, Quarteroni & Zanolli (1988)
+            datum = (1.0 - theta) * datum + theta * fresh
+            fresh = f1 + gain * (datum - x0)
+            residuals.append(abs(datum - fresh))
+            converged = mode.kind == CONVERGED and residuals[-1] <= mode.eps
+            # the residual shrinks by rho in [0, 0.55) per sweep, so one that
+            # does not fall is roundoff of the datum, above eps
+            stalled = residuals[-1] >= residuals[-2]
         step = datum - x0
         _sweep(grid, state, variant, datum, lambda name, _: getattr(state, name).cells + step * unit[name])
     coarse_flux = float(state.coarse.flux[0])

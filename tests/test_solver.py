@@ -578,6 +578,8 @@ def test_report_holds_five_containers_and_few_bytes_per_window(bump_problem):
 
 @settings(max_examples=40)
 @given(config=grid_space(windows=2), variant=st.sampled_from(VARIANTS), scale=data_scales)
+# a one-cell coarse side whose gain g = -7.73 lies below 1 - 1/0.45
+@example(GridConfig(0.0, 1.0, 0.25, 3, 1, 2e-4, 1e-3, 2e-3), Variant("is1", "coarse"), 2.0**20)
 def test_every_window_converges_over_the_grid_space(config, variant, scale):
     grid = build_composite_grid(config)
     problem, eps = manufactured_problem(), 1e-8
@@ -594,10 +596,14 @@ def test_every_window_converges_over_the_grid_space(config, variant, scale):
     assert ((0.0 < unit[variant.slave]) & (unit[variant.slave] < 1.0)).all() and (unit[variant.master] <= 0.0).all()
     assert gain < 0.0
     assert -2 * np.finfo(float).eps <= rho < 1.0 - DIRICHLET_RELAXATION
+    # the march fetches the gain in a window that needs sweep 2, and reports it
+    assert (report.gain is None) == (max(report.iterations) == 1)
+    if report.gain is not None:
+        assert report.gain == gain and report.damping == theta and report.contraction == rho
     # below 1 - 1/0.45 the damping 1 / (1 - g) makes the contraction zero, so
     # sweep 2's datum is the fixed point (a damping of 0.45 diverged there)
     if gain < 1.0 - 1.0 / DIRICHLET_RELAXATION:
-        assert max(report.iterations) <= 2
+        assert max(report.iterations) <= 2 and abs(rho) <= 2 * np.finfo(float).eps
     # sweep n's residual is r1 rho^(n - 1), so a window stops after
     # p = 1 + ceil(log(eps / r1) / log rho) sweeps, one more where rounding
     # leaves r1 rho^(p - 1) just above eps
