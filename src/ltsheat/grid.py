@@ -127,11 +127,9 @@ class CompositeGrid:
     t_end: float
     ratio: int
     n_windows: int
-    n_fine_steps: int = field(init=False)
     sides: dict[str, Side] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_fine_steps", self.ratio * self.n_windows)
         fine = Side(FINE, self.widths_fine, self.centers_fine, self.dt_fine,
                     levels=self.ratio, iface=-1, exterior=0, sign=1.0)
         coarse = Side(COARSE, self.widths_coarse, self.centers_coarse, self.dt_coarse,

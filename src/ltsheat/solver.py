@@ -33,8 +33,8 @@ stops converged, or unconverged where its residual does not fall: there it
 is roundoff of the datum, above eps.  A window that ran more sweeps then goes
 once more through the sweep body with sweep 1's cells plus (x - x0) times
 the unit-datum sweep's cells, which keeps it conservative.  The unit-datum
-sweep (``interface_gain``) runs once per grid and variant, the first time a
-window needs a second sweep.
+sweep (``interface_gain``) runs once per march, the first time a window
+needs a second sweep.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import ltsheat
 from ltsheat import SolveMode, build_composite_grid, manufactured_problem, march
 from ltsheat.cli import (
     _KEYS,
@@ -133,6 +136,33 @@ def test_readme_names_every_config_key():
     # the mode row lists the solve modes before its first ';', and no other
     (mode_row,) = (line for line in table.splitlines() if line.startswith("| `mode.type` |"))
     assert tuple(re.findall(r"`([^`]+)`", mode_row.split("|")[2].split(";")[0])) == MODE_KINDS
+
+
+def _names_imported_from_ltsheat(source):
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "ltsheat"
+        for alias in node.names
+    }
+
+
+def test_package_exports_what_its_callers_read():
+    # The package namespace is what the scripts, the README examples, the
+    # acceptance suite and the benchmark read from it, plus the errors that
+    # public functions raise and the variant type every march takes; all
+    # else is imported from its submodule, so the surface cannot grow unseen.
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    sources = [path.read_text() for path in sorted((root / "scripts").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", readme, re.S)
+    sources.append((root / "tests" / "test_acceptance.py").read_text())
+    read = set().union(*map(_names_imported_from_ltsheat, sources))
+    submodules = {info.name for info in pkgutil.iter_modules(ltsheat.__path__)}
+    read |= set(re.findall(r"\blts\.(\w+)", (root / "perfbench" / "worker.py").read_text())) - submodules
+    assert len(set(ltsheat.__all__)) == len(ltsheat.__all__)
+    assert set(ltsheat.__all__) == read | {"ConfigurationError", "DimensionError", "SolverError", "Variant"}
+    assert all(hasattr(ltsheat, name) for name in ltsheat.__all__)
 
 
 def test_nan_cell_width_is_config_error(tmp_path, capsys):

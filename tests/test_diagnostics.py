@@ -9,14 +9,14 @@ from ltsheat import (
     ConfigurationError,
     DimensionError,
     Problem,
-    Trajectory,
-    conservativity_defect,
     discrete_norms,
     error_report,
     observed_order,
     subdomain_l2_error,
     zero_problem,
 )
+from ltsheat.projection import conservativity_defect
+from ltsheat.solver import Trajectory
 
 
 def test_norms_zero_field():
@@ -138,7 +138,7 @@ def test_error_report_zero_for_exact_interpolant(bump_grid):
     g = bump_grid
     trajectory = Trajectory(
         grid=g,
-        fine=np.zeros((g.n_fine_steps + 1, g.n_fine)),
+        fine=np.zeros((g.ratio * g.n_windows + 1, g.n_fine)),
         coarse=np.zeros((g.n_windows + 1, g.n_coarse)),
         fine_face_pressure=np.zeros((g.n_windows, g.ratio)),
         coarse_face_pressure=np.zeros(g.n_windows),

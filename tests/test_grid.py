@@ -15,7 +15,6 @@ def test_reference_grid_counts(bump_grid):
     assert bump_grid.n_coarse == 15
     assert bump_grid.ratio == 10
     assert bump_grid.n_windows == 5
-    assert bump_grid.n_fine_steps == 50
     assert bump_grid.d_fine == pytest.approx(0.005)
     assert bump_grid.d_coarse == pytest.approx(0.025)
     assert bump_grid.d_across == pytest.approx(0.03)
@@ -96,7 +95,6 @@ def test_cell_widths_tile_subdomains(n_fine, n_coarse, iface, ratio):
     assert np.all(np.diff(grid.faces_fine) > 0)
     assert np.all(np.diff(grid.faces_coarse) > 0)
     assert grid.ratio == ratio
-    assert grid.n_fine_steps == grid.ratio * grid.n_windows
 
 
 def test_rebuild_is_bitwise_deterministic():

@@ -15,13 +15,9 @@ from ltsheat import (
     DimensionError,
     GridConfig,
     SolveMode,
-    Trajectory,
     WindowLayout,
-    assemble_composite_step,
     assemble_monolithic_window,
-    assemble_subdomain_step,
     build_composite_grid,
-    conservativity_defect,
     error_report,
     manufactured_problem,
     march,
@@ -32,6 +28,7 @@ from ltsheat import (
     zero_problem,
 )
 from ltsheat import scheme
+from ltsheat.projection import conservativity_defect
 from ltsheat.scheme import (
     COARSE,
     FINE,
@@ -41,9 +38,12 @@ from ltsheat.scheme import (
     Variant,
     WindowInputs,
     _broadcast_return,
+    assemble_composite_step,
+    assemble_subdomain_step,
     interface_traces,
     slab_source_averages,
 )
+from ltsheat.solver import Trajectory
 from tests.conftest import (
     BUMP_CONFIG,
     band_dense,

@@ -21,12 +21,10 @@ from hypothesis import strategies as st
 from ltsheat import (
     ConfigurationError,
     DimensionError,
-    ErrorSeries,
     GridConfig,
     Problem,
     SolveMode,
     SolverError,
-    Trajectory,
     WindowLayout,
     build_composite_grid,
     error_report,
@@ -40,9 +38,11 @@ from ltsheat import (
 )
 import ltsheat.scheme
 import ltsheat.solver
+from ltsheat.diagnostics import ErrorSeries
 from ltsheat.scheme import VARIANTS, BandMatrix, LinearSystem, StepOperators, TridiagonalLU, Variant
 from ltsheat.solver import (
     DIRICHLET_RELAXATION,
+    Trajectory,
     _damping,
     _project,
     corrector_sweep,
