@@ -40,6 +40,11 @@ def discrete_norms(
     if widths.ndim != 1 or field.shape[-1:] != widths.shape:
         raise DimensionError(f"field shape {field.shape} does not end in widths shape {widths.shape}")
     l2 = np.sqrt(np.sum(field * field * widths, axis=-1))
+    return l2, _h1_seminorm(field, widths, boundary_values, interface_values)
+
+
+def _h1_seminorm(field: np.ndarray, widths: np.ndarray, boundary_values: tuple, interface_values: tuple):
+    """The H1 seminorm of ``discrete_norms``, of float arrays it has checked."""
     # squared and divided in place: a stack of fields holds one difference array
     diff = np.diff(field)
     diff *= diff
@@ -50,7 +55,7 @@ def discrete_norms(
             # C pow, as a scalar's ``** 2``: an array's ``** 2`` multiplies, which
             # rounds differently about once in 1000 and could move recorded errors
             h1_sq = h1_sq + np.float_power(field[..., end] - value, 2) / (0.5 * widths[end])
-    return l2, np.sqrt(h1_sq)
+    return np.sqrt(h1_sq)
 
 
 @dataclass(frozen=True)
@@ -102,11 +107,9 @@ def _level_h1(trajectory: Trajectory, problem: Problem, side: Side, block: range
     cells = getattr(trajectory, side.name)[rows]
     # the exterior and interface cell indices (0 or -1) pick the (left, right) end
     boundary, interface = [None, None], [None, None]
-    g_values = _broadcast_return(getattr(problem, g)(t), t.shape, g)
-    boundary[side.exterior] = g_values - _exact(problem, x_bnd, t)
+    boundary[side.exterior] = _broadcast_return(getattr(problem, g)(t), t.shape, g) - _exact(problem, x_bnd, t)
     interface[side.iface] = face - _exact(problem, grid.interface_x, t)
-    _, h1 = discrete_norms(cells - _exact(problem, side.centers, t[:, None]), side.widths, boundary, interface)
-    return h1
+    return _h1_seminorm(cells - _exact(problem, side.centers, t[:, None]), side.widths, boundary, interface)
 
 
 def error_report(trajectory: Trajectory, problem: Problem) -> ErrorSeries:
@@ -123,7 +126,7 @@ def error_report(trajectory: Trajectory, problem: Problem) -> ErrorSeries:
     window_times = np.arange(grid.n_windows + 1) * grid.dt_coarse
     l2_by_window = np.zeros(grid.n_windows + 1)
     h1_global_sq = 0.0
-    for block in _window_blocks(grid, 1):
+    for block in _window_blocks(grid):
         ends = np.arange(0 if block.start == 1 else block.start, block.stop)  # window 0 is the initial state
         end_errors = [_end_errors(trajectory, problem, side, ends) for side in sides]
         fine_sq, coarse_sq = (np.sum(e * e * side.widths, axis=-1) for e, side in zip(end_errors, sides))

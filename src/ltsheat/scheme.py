@@ -98,15 +98,15 @@ class Problem:
     The callables are evaluated pointwise on numpy arrays (or floats) whose
     shapes and layout the solver chooses; ``source`` and ``exact_solution``
     get x and t arrays that broadcast against each other.  One call may
-    cover a block of several consecutive windows: the t arrays then span
-    all of them, and ``g_lo`` and ``g_hi`` get an array of the blocks'
-    coarse midtimes, not one float.  A return only has to broadcast to the
-    shape of the arguments, so ``lambda x, t: 3.0`` and
-    ``lambda x, t: np.sin(3 * x)`` are valid sources, and ``lambda t: 0.0``
-    a valid boundary value; a return of any callable that does not
-    broadcast raises ``DimensionError``.  When ``exact_solution`` is set,
-    the other fields are derived from it (manufactured mode) except that
-    the boundary data may be zeroed.
+    cover a run of consecutive windows, as many as fit in 2^16 points (a
+    window that needs more alone): the t arrays then span all of them, and
+    in a march ``g_lo`` and ``g_hi`` get arrays of midtimes, not one float.
+    A return only has to broadcast to the shape of the arguments, so
+    ``lambda x, t: 3.0`` and ``lambda x, t: np.sin(3 * x)`` are valid
+    sources, and ``lambda t: 0.0`` a valid boundary value; a return of any
+    callable that does not broadcast raises ``DimensionError``.  When
+    ``exact_solution`` is set, the other fields are derived from it
+    (manufactured mode) except that the boundary data may be zeroed.
     """
 
     source: Callable
@@ -244,9 +244,10 @@ def slab_source_averages(
     shape = np.broadcast_shapes(xs.shape, ts.shape)
     vals = _broadcast_return(problem.source(xs, ts), shape, "source")
     weighted = _TENSOR_WEIGHTS * vals.reshape(9, -1)
-    total = sum(weighted[1:], weighted[0])
+    # numpy's reduce adds the rows in order, except a single column's 9, which it sums pairwise
+    total = np.add.reduce(weighted, axis=0) if weighted.shape[1] > 1 else sum(weighted[1:], weighted[0])
     # weights sum to 2 per axis on [-1, 1]; averaging divides the 4 back out
-    return total.reshape(shape[2:]) / 4.0
+    return np.divide(total, 4.0, out=total).reshape(shape[2:])
 
 
 @dataclass(frozen=True)
@@ -285,20 +286,23 @@ class WindowInputs:
 
 
 #: the most points a problem callable is evaluated on at once when windows
-#: are stacked into blocks; a window that needs more is evaluated alone
+#: are stacked into runs; a window that needs more is evaluated alone
 _BLOCK_POINTS = 2**16
 
 
-def _window_blocks(grid: CompositeGrid, points_per_cell: int = _TENSOR_WEIGHTS.size) -> list[range]:
-    """Windows 1..n_windows as blocks of consecutive windows, each as long as
-    keeps one stacked evaluation within ``_BLOCK_POINTS``, at
-    ``points_per_cell`` points per cell and time level of a window (9 for
-    the source quadrature, 1 for point values); a window over the budget is
-    a block of one."""
-    per_window = points_per_cell * max(side.levels * side.widths.size for side in grid.sides.values())
-    size = max(1, _BLOCK_POINTS // per_window)
-    last = grid.n_windows
-    return [range(first, min(first + size, last + 1)) for first in range(1, last + 1, size)]
+def _runs(windows: range, points: int) -> list[range]:
+    """``windows`` (numbers, or positions in a block) in runs of consecutive
+    windows, each as long as keeps ``points`` per window within
+    ``_BLOCK_POINTS``; a window over the budget is a run of one."""
+    size = max(1, _BLOCK_POINTS // points)
+    return [windows[i : i + size] for i in range(0, len(windows), size)]
+
+
+def _window_blocks(grid: CompositeGrid) -> list[range]:
+    """Windows 1..n_windows in runs that keep one window-level array (time
+    levels x cells of the larger side) within ``_BLOCK_POINTS``: the blocks
+    of a march's window inputs and of ``error_report``."""
+    return _runs(range(1, grid.n_windows + 1), max(side.levels * side.widths.size for side in grid.sides.values()))
 
 
 def precompute_window_inputs(
@@ -306,12 +310,12 @@ def precompute_window_inputs(
 ) -> WindowInputs | list[WindowInputs]:
     """Source averages and boundary values of one window, the only place a
     problem becomes window data.  Given a ``range`` of consecutive windows,
-    each callable is evaluated once on arrays stacked over the whole block,
-    and the result is one ``WindowInputs`` per window, holding views of the
-    block's arrays; each equals, bit for bit, that of its own call.
+    each datum is evaluated in as few runs of them (``_runs``) as keep each
+    call within ``_BLOCK_POINTS`` (9 points a cell and level for a source,
+    1 a level for a boundary value); each window's ``WindowInputs`` holds
+    views of one array per datum, bit for bit those of its own call.
     ``operators`` carries step matrices already factored for ``grid``
-    (``march`` passes one set to all its windows); without it the windows
-    get a fresh set."""
+    (``march`` passes one set to all its windows), or a fresh set is made."""
     if isinstance(window, range):
         if window.step != 1 or not window or not 1 <= window[0] <= window[-1] <= grid.n_windows:
             raise DimensionError(f"windows {window!r} are not consecutive windows in 1..{grid.n_windows}")
@@ -324,22 +328,34 @@ def precompute_window_inputs(
         operators = StepOperators(grid)
     elif operators.grid is not grid:
         raise DimensionError("step operators belong to another grid")
-    # one leading axis per window of a range, none for a single window
-    levels = np.arange(1, grid.ratio + 1)
-    fine_source = slab_source_averages(problem, grid.faces_fine, *grid.fine_slab(windows[..., None], levels))
-    coarse_source = slab_source_averages(problem, grid.faces_coarse, *grid.coarse_slab(windows))
-    mid_fine = grid.fine_midtime(windows[..., None], levels)
-    mid_coarse = grid.coarse_midtime(windows)
-    g_lo_fine = _broadcast_return(problem.g_lo(mid_fine), mid_fine.shape, "g_lo")
-    g_lo_coarse = _broadcast_return(problem.g_lo(mid_coarse), np.shape(mid_coarse), "g_lo")
-    g_hi_coarse = _broadcast_return(problem.g_hi(mid_coarse), np.shape(mid_coarse), "g_hi")
+
+    def evaluate(shape: tuple[int, ...], points: int, datum: Callable) -> np.ndarray:
+        # ``datum`` of an array of windows: a leading axis for a range, none for one window
+        if windows.ndim == 0:
+            return datum(windows)
+        out = np.empty(windows.shape + shape)
+        for run in _runs(range(windows.size), points):
+            out[run.start : run.stop] = datum(windows[run.start : run.stop])
+        return out
+
+    def boundary(name: str, t: np.ndarray) -> np.ndarray:
+        return _broadcast_return(getattr(problem, name)(t), np.shape(t), name)
+
+    K, n_fine, n_coarse, levels = grid.ratio, grid.n_fine, grid.n_coarse, np.arange(1, grid.ratio + 1)
+    fine_source = evaluate((K, n_fine), 9 * K * n_fine, lambda w: slab_source_averages(
+        problem, grid.faces_fine, *grid.fine_slab(w[..., None], levels)))
+    coarse_source = evaluate((n_coarse,), 9 * n_coarse, lambda w: slab_source_averages(
+        problem, grid.faces_coarse, *grid.coarse_slab(w)))
+    g_lo_fine = evaluate((K,), K, lambda w: boundary("g_lo", grid.fine_midtime(w[..., None], levels)))
+    g_lo_coarse = evaluate((), 1, lambda w: boundary("g_lo", grid.coarse_midtime(w)))
+    g_hi_coarse = evaluate((), 1, lambda w: boundary("g_hi", grid.coarse_midtime(w)))
     inputs = [
         WindowInputs(number, fine, coarse, lo_fine, lo, hi, operators)
         for number, fine, coarse, lo_fine, lo, hi in zip(
             windows.reshape(-1).tolist(),
-            fine_source.reshape(-1, grid.ratio, grid.n_fine),
-            coarse_source.reshape(-1, grid.n_coarse),
-            g_lo_fine.reshape(-1, grid.ratio),
+            fine_source.reshape(-1, K, n_fine),
+            coarse_source.reshape(-1, n_coarse),
+            g_lo_fine.reshape(-1, K),
             g_lo_coarse.reshape(-1).tolist(),
             g_hi_coarse.reshape(-1).tolist(),
         )

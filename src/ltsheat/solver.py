@@ -451,7 +451,7 @@ def march(
     report = SolveReport()
     fine_start, coarse_start = fine[0], coarse[0]
     operators = StepOperators(grid)
-    # the problem is evaluated once per block of consecutive windows
+    # the problem is evaluated a block of consecutive windows at a time
     for block in _window_blocks(grid):
         for inputs in precompute_window_inputs(grid, block, problem, operators):
             window = inputs.window

@@ -155,6 +155,26 @@ def random_smooth_problem(rng: np.random.Generator):
     return Problem(source=source, p0=p0, g_lo=zero_t, g_hi=zero_t, exact_solution=None)
 
 
+def reference_slab_source_averages(problem, faces, t0, t1):
+    """``slab_source_averages`` summing its 9 weighted rows with Python's
+    ``sum``, a temporary per row: the form that ``np.add.reduce`` replaced,
+    kept as its reference."""
+    from ltsheat.scheme import _GAUSS_NODES, _TENSOR_WEIGHTS, _broadcast_return
+
+    faces = np.asarray(faces, dtype=float)
+    xc = 0.5 * (faces[:-1] + faces[1:])
+    hx = np.diff(faces)
+    t0, t1 = np.asarray(t0, dtype=float)[..., None], np.asarray(t1, dtype=float)[..., None]
+    nodes = _GAUSS_NODES.reshape((3,) + (1,) * max(t0.ndim, t1.ndim))
+    xs = (xc + 0.5 * hx * nodes)[:, None]
+    ts = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes)[None]
+    shape = np.broadcast_shapes(xs.shape, ts.shape)
+    vals = _broadcast_return(problem.source(xs, ts), shape, "source")
+    weighted = _TENSOR_WEIGHTS * vals.reshape(9, -1)
+    total = sum(weighted[1:], weighted[0])
+    return total.reshape(shape[2:]) / 4.0
+
+
 def reference_subdomain_rhs(grid, subdomain, k, state_prev, variant, datum, inputs):
     """The right-hand side of one subdomain step formed level by level from
     the window's sources and boundary values: the assembly that the

@@ -52,6 +52,7 @@ from tests.conftest import (
     grid_space,
     jittered_widths,
     reference_monolithic_window,
+    reference_slab_source_averages,
     reference_subdomain_rhs,
     scaled_problem,
     solve_modes,
@@ -210,28 +211,70 @@ def test_slab_averages_sum_the_gauss_points_in_the_documented_order(bump_problem
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=40)
+@given(config=grid_space(windows=3), scale=data_scales)
+def test_slab_averages_keep_the_bytes_of_the_row_by_row_sum(config, scale):
+    # one window's fine levels, a block of windows, and the coarse slab with
+    # scalar bounds, whose one-cell sides give the single column to sum
+    grid = build_composite_grid(config)
+    problem = scaled_problem(manufactured_problem(), scale)
+    windows, levels = np.arange(1, grid.n_windows + 1), np.arange(1, grid.ratio + 1)
+    cases = [
+        (grid.faces_fine, *grid.fine_slab(2, levels)),
+        (grid.faces_fine, *grid.fine_slab(windows[:, None], levels)),
+        (grid.faces_coarse, *grid.coarse_slab(3)),
+        (grid.faces_coarse, *grid.coarse_slab(windows)),
+    ]
+    for faces, t0, t1 in cases:
+        got = slab_source_averages(problem, faces, t0, t1)
+        assert got.tobytes() == reference_slab_source_averages(problem, faces, t0, t1).tobytes()
+
+
+def _runs_of(count, size):
+    """The lengths of ``count`` windows in runs of ``size`` (at least 1)."""
+    size = max(1, size)
+    return [min(size, count - first) for first in range(0, count, size)]
+
+
 @pytest.mark.parametrize("ratio", [1, 10, 50])
-def test_window_inputs_evaluate_the_source_twice_per_block(monkeypatch, ratio):
-    # a march evaluates the source once per side and block of consecutive
-    # windows, a block holding as many windows of 9 K n_fine points as fit in
-    # the budget: 2 evaluations per block, ceil(n_windows / block) blocks
+def test_window_inputs_evaluate_each_datum_in_budgeted_runs(monkeypatch, ratio):
+    # a block holds as many windows of K n_fine = 25 K points as fit in the
+    # budget; within it, the fine source (9 x 25 K points a window), the
+    # coarse source (9 x 15) and the boundary values (K, 1 and 1) are each
+    # evaluated in runs of as many windows as fit, a window over it alone
     grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.02 / ratio, 0.02, 0.1))
     bump, calls = manufactured_problem(), []
 
-    def source(x, t):
-        calls.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
-        return bump.source(x, t)
+    def recorded(name, f):
+        def evaluate(*args):
+            calls.append((name, np.broadcast_shapes(*map(np.shape, args))))
+            return f(*args)
+        return evaluate
 
-    problem = Problem(source, bump.p0, bump.g_lo, bump.g_hi)
-    points = 9 * ratio * grid.n_fine
-    for budget in (2**16, points - 1, 2 * points, 3 * points + 1):
+    problem = Problem(
+        recorded("source", bump.source), bump.p0, recorded("g_lo", bump.g_lo), recorded("g_hi", bump.g_hi)
+    )
+    window = 25 * ratio
+    for budget in (2**16, window - 1, 2 * window, 9 * window - 1, 27 * window + 1):
         monkeypatch.setattr(scheme, "_BLOCK_POINTS", budget)
-        block = max(1, budget // points)
         del calls[:]
         march(grid, VARIANTS[0], SolveMode.single_iteration(), problem)
-        assert len(calls) == 2 * math.ceil(grid.n_windows / block)
-        sizes = [min(block, grid.n_windows - first) for first in range(0, grid.n_windows, block)]
-        assert calls == [shape for b in sizes for shape in ((3, 3, b, ratio, 25), (3, 3, b, 15))]
+        expected = []
+        for b in _runs_of(grid.n_windows, budget // window):
+            expected += [("source", (3, 3, r, ratio, 25)) for r in _runs_of(b, budget // (9 * window))]
+            expected += [("source", (3, 3, r, 15)) for r in _runs_of(b, budget // (9 * 15))]
+            expected += [("g_lo", (b, ratio)), ("g_lo", (b,)), ("g_hi", (b,))]
+        assert calls == expected
+        # however many runs, a block's windows hold views of one array per datum
+        block = precompute_window_inputs(grid, range(1, grid.n_windows + 1), problem)
+        assert len({id(inputs.fine_source.base) for inputs in block}) == 1
+    if ratio == 10:
+        # the last budget in words: one block of all 5 windows, fine runs of
+        # 3 and 2, and one call for each other datum
+        assert calls[:5] == [
+            ("source", (3, 3, 3, 10, 25)), ("source", (3, 3, 2, 10, 25)), ("source", (3, 3, 5, 15)),
+            ("g_lo", (5, 10)), ("g_lo", (5,)),
+        ]
 
 
 def test_window_inputs_of_a_block_are_views_of_one_evaluation(bump_grid, bump_problem):

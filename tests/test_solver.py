@@ -775,9 +775,12 @@ def test_blocks_of_windows_match_single_windows_bit_for_bit(config, variant, bud
 
 @pytest.mark.parametrize("budget", [60, 100, 360, 540])
 def test_no_problem_evaluation_exceeds_the_block_budget(monkeypatch, budget):
-    # 7 windows of 9 x 20 quadrature points and 20 point values each: the
-    # budgets give source blocks of 1, 1, 2 and 3 windows and exact-solution
-    # blocks of 3, 5, 7 and 7, ragged where 7 does not divide
+    # 7 windows of 20 values per side and level (fine: K = 2 levels of 10
+    # cells; coarse: 8 cells): the budgets give blocks of 3, 5, 7 and 7
+    # windows, ragged where 7 does not divide, for the boundary values and
+    # the exact solution, and fine source runs of 1, 1, 2 and 3 windows
+    # (9 x 20 points each, over the budget of 60 and 100 alone), the
+    # largest source calls (the coarse source's take 9 x 8 points a window)
     grid = build_composite_grid(GridConfig(0.0, 1.0, 0.5, 10, 8, 0.005, 0.01, 0.07))
     monkeypatch.setattr(ltsheat.scheme, "_BLOCK_POINTS", budget)
     bump, sizes = manufactured_problem(), Counter()
@@ -796,8 +799,11 @@ def test_no_problem_evaluation_exceeds_the_block_budget(monkeypatch, budget):
     trajectory, _ = march(grid, VARIANTS[0], SolveMode.converged(), problem)
     error_report(trajectory, problem)
     window_points = grid.ratio * grid.n_fine  # more than n_coarse
+    block = min(grid.n_windows, budget // window_points)
     assert sizes["source"] == 9 * window_points * max(1, budget // (9 * window_points))
-    assert sizes["exact_solution"] == window_points * min(grid.n_windows, budget // window_points)
+    assert sizes["exact_solution"] == window_points * block
+    # K fine midtimes a window, and one coarse midtime
+    assert (sizes["g_lo"], sizes["g_hi"]) == (grid.ratio * block, block)
     for name, size in sizes.items():
         assert size <= max(budget, (9 if name == "source" else 1) * window_points), name
 
