@@ -100,7 +100,6 @@ _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "problem": (_word("manufactured", "zero", "custom-coefficients"), "manufactured"),
     "problem.source_coeffs": (_finite_floats, None),
     "problem.initial_coeffs": (_finite_floats, None),
-    "boundary_mode": (_word("exact", "homogeneous"), "exact"),
     "output_dir": (Path, Path("out")),
     "convergence.levels": (_number(int), 4),
 }
@@ -155,7 +154,6 @@ class RunConfig:
     variant: Variant
     mode: SolveMode
     problem_kind: str  # manufactured | zero | custom-coefficients
-    boundary_mode: str  # exact | homogeneous
     output_dir: Path
     source_coeffs: tuple[float, ...] | None
     initial_coeffs: tuple[float, ...] | None
@@ -168,18 +166,17 @@ def load_run_config(pairs: dict[str, str]) -> RunConfig:
         raise ConfigurationError(f"unknown config key {unknown[0]!r}")
     value = {key: _value(pairs, key) for key in _KEYS}
     grid = GridConfig(**{key.removeprefix("grid."): v for key, v in value.items() if key.startswith("grid.")})
-    if value["problem"] == "custom-coefficients" and value["boundary_mode"] != "homogeneous":
-        raise ConfigurationError(
-            "problem 'custom-coefficients' has no exact solution; set boundary_mode = homogeneous"
-        )
+    problem = value["problem"]
+    for key in ("problem.source_coeffs", "problem.initial_coeffs"):
+        if key in pairs and problem != "custom-coefficients":
+            raise ConfigurationError(f"config key {key!r} is only for problem 'custom-coefficients', not {problem!r}")
     if value["convergence.levels"] < 1:
         raise ConfigurationError("convergence.levels must be at least 1")
     return RunConfig(
         grid=grid,
         variant=Variant(value["variant.interface_scheme"], value["variant.master"]),
         mode=SolveMode(value["mode.type"], eps=value["mode.eps"], max_iters=value["mode.max_iters"]),
-        problem_kind=value["problem"],
-        boundary_mode=value["boundary_mode"],
+        problem_kind=problem,
         output_dir=value["output_dir"],
         source_coeffs=value["problem.source_coeffs"],
         initial_coeffs=value["problem.initial_coeffs"],
@@ -207,9 +204,10 @@ def _check_output_dir(out: Path) -> None:
 
 
 def build_problem(config: RunConfig) -> Problem:
+    """The problem ``problem`` names; it also decides the boundary data: the
+    exact solution at the domain ends for ``manufactured``, zero otherwise."""
     if config.problem_kind == "manufactured":
-        homogeneous = config.boundary_mode == "homogeneous"
-        return manufactured_problem(homogeneous, config.grid.domain_lo, config.grid.domain_hi)
+        return manufactured_problem(config.grid.domain_lo, config.grid.domain_hi)
     if config.problem_kind == "zero":
         return zero_problem()
     return polynomial_problem(config.source_coeffs or (0.0,), config.initial_coeffs or (0.0,))
@@ -283,7 +281,7 @@ def _summary_payload(
         "eps": config.mode.eps,
         "max_iters": config.mode.max_iters,
         "problem": config.problem_kind,
-        "boundary_mode": config.boundary_mode,
+        "boundary_mode": "homogeneous" if config.problem_kind == "custom-coefficients" else "exact",
         "grid": {
             "n_cells_fine": grid.n_fine,
             "n_cells_coarse": grid.n_coarse,

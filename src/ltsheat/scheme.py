@@ -20,7 +20,7 @@ import importlib.machinery
 import importlib.util
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
 from typing import Callable
@@ -105,8 +105,8 @@ class Problem:
     ``lambda x, t: 3.0`` and ``lambda x, t: np.sin(3 * x)`` are valid
     sources, and ``lambda t: 0.0`` a valid boundary value; a return of any
     callable that does not broadcast raises ``DimensionError``.  When
-    ``exact_solution`` is set, the other fields are derived from it
-    (manufactured mode) except that the boundary data may be zeroed.
+    ``exact_solution`` is set, the other fields are derived from it: the
+    boundary data are its traces at the domain ends.
     """
 
     source: Callable
@@ -116,10 +116,11 @@ class Problem:
     exact_solution: Callable | None = None
 
 
-def manufactured_problem(homogeneous_boundary: bool = False, domain_lo: float = 0.0, domain_hi: float = 1.0) -> Problem:
+def manufactured_problem(domain_lo: float = 0.0, domain_hi: float = 1.0) -> Problem:
     """Bump solution p = exp(20(t - t^2) - 37x^2 + 8x - 1) with its induced
     source f = p * (20(1 - 2t) - (8 - 74x)^2 + 74) and its traces at the
-    domain ends ``domain_lo`` and ``domain_hi`` as boundary data."""
+    domain ends ``domain_lo`` and ``domain_hi`` as boundary data, the only
+    boundary data its errors are measured against."""
 
     # each formula is evaluated in its written order into one full-size array
     # (the source's bracket into a second), which bounds a quadrature call's
@@ -141,18 +142,11 @@ def manufactured_problem(homogeneous_boundary: bool = False, domain_lo: float = 
         out *= bracket
         return out
 
-    if homogeneous_boundary:
-        g_lo = _zero_of_t
-        g_hi = _zero_of_t
-    else:
-        g_lo = lambda t: exact(domain_lo, t)  # noqa: E731
-        g_hi = lambda t: exact(domain_hi, t)  # noqa: E731
-
     return Problem(
         source=source,
         p0=lambda x: exact(x, 0.0),
-        g_lo=g_lo,
-        g_hi=g_hi,
+        g_lo=lambda t: exact(domain_lo, t),
+        g_hi=lambda t: exact(domain_hi, t),
         exact_solution=exact,
     )
 
@@ -254,12 +248,7 @@ def slab_source_averages(
 class WindowInputs:
     """Per-window precomputed data: slab-averaged sources and boundary values,
     shared by the predictor, the corrector sweeps and the monolithic system,
-    plus the grid's factored step matrices, shared by every window of a march.
-    ``per_side`` holds, per side name, the two data terms of each subdomain
-    time level's right-hand side, formed once per window: the load
-    widths * source (levels, n) and the exterior boundary term
-    g / (h_exterior / 2) (levels,).  Zero sources and boundary values give
-    zero terms."""
+    plus the grid's factored step matrices, shared by every window of a march."""
 
     window: int
     fine_source: np.ndarray  # (K, n_fine)
@@ -268,21 +257,6 @@ class WindowInputs:
     g_lo_coarse: float  # left boundary value at the coarse slab midpoint
     g_hi_coarse: float  # right boundary value at the coarse slab midpoint
     operators: StepOperators
-    per_side: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        per_side = {}
-        data = ((FINE, self.fine_source, self.g_lo_fine), (COARSE, self.coarse_source, self.g_hi_coarse))
-        for name, source, g in data:
-            side = self.operators.grid.sides[name]
-            load = (side.widths * source).reshape(side.levels, -1)
-            per_side[name] = (load, np.atleast_1d(g / (0.5 * side.widths[side.exterior])))
-        object.__setattr__(self, "per_side", per_side)
-
-    @property
-    def predictor_fine_source(self) -> np.ndarray:
-        # coarse-slab average on fine cells = mean of the fine-slab averages
-        return self.fine_source.mean(axis=0)
 
 
 #: the most points a problem callable is evaluated on at once when windows
@@ -631,10 +605,10 @@ def assemble_subdomain_step(
     ``variant`` closes this side (``Variant.closure``) with ``datum``: the other
     side's projected trace, constant over the window, so one number serves
     every level.  Which end is which, and the sign of the interface flux,
-    come from ``grid.sides``.  The load and exterior boundary term come from
-    ``inputs.per_side``, the mass from the side, the matrix and its factors
-    from ``inputs.operators``; only the right-hand side load + mass * prev +
-    the two end terms is formed here.
+    come from ``grid.sides``.  The source and exterior boundary value of
+    level k come from ``inputs``, the mass from the side, the matrix and its
+    factors from ``inputs.operators``; only the right-hand side
+    widths * source + mass * prev + the two end terms is formed here.
     """
     side = grid.sides.get(subdomain)
     if side is None:
@@ -642,10 +616,12 @@ def assemble_subdomain_step(
     if k is None or not 1 <= k <= side.levels:
         raise DimensionError(f"{subdomain} time level k={k!r} outside 1..{side.levels}")
     d = variant.closure(grid, side)
-    level = k - 1
-    load, exterior = inputs.per_side[subdomain]
-    rhs = load[level] + side.mass * state_prev
-    rhs[side.exterior] += exterior[level]
+    if subdomain == FINE:
+        source, g = inputs.fine_source[k - 1], inputs.g_lo_fine[k - 1]
+    else:
+        source, g = inputs.coarse_source, inputs.g_hi_coarse
+    rhs = side.widths * source + side.mass * state_prev
+    rhs[side.exterior] += g / (0.5 * side.widths[side.exterior])
     rhs[side.iface] += side.sign * datum if d is None else datum / d
     return LinearSystem(rhs, inputs.operators.get(subdomain, d))
 
@@ -656,7 +632,8 @@ def assemble_composite_step(
     """One implicit step of size dt_coarse on the union mesh (fine spatial cells
     kept) over the window of ``inputs``: the predictor system, equal to the
     conforming single-domain scheme."""
-    source = np.concatenate([inputs.predictor_fine_source, inputs.coarse_source])
+    # coarse-slab average on fine cells = mean of the fine-slab averages
+    source = np.concatenate([inputs.fine_source.mean(axis=0), inputs.coarse_source])
     widths = np.concatenate([grid.widths_fine, grid.widths_coarse])
     prev = np.concatenate([np.asarray(fine_prev, dtype=float), np.asarray(coarse_prev, dtype=float)])
     rhs = widths * source + (widths / grid.dt_coarse) * prev

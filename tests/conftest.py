@@ -176,10 +176,9 @@ def reference_slab_source_averages(problem, faces, t0, t1):
 
 
 def reference_subdomain_rhs(grid, subdomain, k, state_prev, variant, datum, inputs):
-    """The right-hand side of one subdomain step formed level by level from
-    the window's sources and boundary values: the assembly that the
-    per-window loads of ``WindowInputs.per_side`` replaced, kept as the
-    reference of ``assemble_subdomain_step``."""
+    """The right-hand side of one subdomain step formed from the window's
+    sources and boundary values at level k, written apart from the library
+    as the reference of ``assemble_subdomain_step``."""
     side, level = grid.sides[subdomain], k - 1
     source, g_exterior = {
         FINE: (inputs.fine_source, inputs.g_lo_fine),

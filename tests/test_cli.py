@@ -58,6 +58,7 @@ def test_bundled_config_runs(tmp_path):
     assert 3.0 <= summary["mean_iterations"] <= 9.0
     assert summary["all_converged"] is True
     assert summary["variant"] == "is2-fine"
+    assert summary["boundary_mode"] == "exact"
     assert summary["final_l2_error"] > 0.0
     space = (out / "error_space.csv").read_text().splitlines()
     assert space[0] == "x,error"
@@ -118,7 +119,7 @@ def test_empty_value_is_config_error(tmp_path, capsys, monkeypatch, key, value, 
     # not the working directory, nor a zero source, nor a list read past an
     # empty entry: nothing runs and nothing is written
     monkeypatch.chdir(tmp_path)
-    body = MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
+    body = MINIMAL + "problem = custom-coefficients\n"
     body += "" if key == "output_dir" else f"output_dir = {tmp_path / 'o'}\n"
     cfg = write_cfg(tmp_path, body + f"{key} ={value}\n")
     assert main(["run", str(cfg)]) == EXIT_CONFIG
@@ -132,7 +133,7 @@ def test_readme_names_every_config_key():
     rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
     named = [key for row in rows for key in re.findall(r"`([^`]+)`", row)]
     assert sorted(named) == sorted(_KEYS)
-    assert len(_KEYS) == 21
+    assert len(_KEYS) == 20
     # the mode row lists the solve modes before its first ';', and no other
     (mode_row,) = (line for line in table.splitlines() if line.startswith("| `mode.type` |"))
     assert tuple(re.findall(r"`([^`]+)`", mode_row.split("|")[2].split(";")[0])) == MODE_KINDS
@@ -175,8 +176,9 @@ def test_nan_cell_width_is_config_error(tmp_path, capsys):
 
 def test_zero_problem_outputs_zero_errors(tmp_path):
     out = tmp_path / "zero"
-    cfg = write_cfg(tmp_path, MINIMAL + f"problem = zero\nboundary_mode = homogeneous\noutput_dir = {out}\n")
+    cfg = write_cfg(tmp_path, MINIMAL + f"problem = zero\noutput_dir = {out}\n")
     assert run_experiment(cfg) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["boundary_mode"] == "exact"
     rows = (out / "error_space.csv").read_text().splitlines()[1:]
     assert all(float(row.split(",")[1]) == 0.0 for row in rows)
     rows = (out / "error_time.csv").read_text().splitlines()[1:]
@@ -188,12 +190,13 @@ def test_custom_coefficients_problem(tmp_path):
     cfg = write_cfg(
         tmp_path,
         MINIMAL
-        + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
+        + "problem = custom-coefficients\n"
         + "problem.source_coeffs = 1.0, -0.5\nproblem.initial_coeffs = 0.0, 1.0\n"
         + f"output_dir = {out}\n",
     )
     assert run_experiment(cfg) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
+    assert summary["boundary_mode"] == "homogeneous"
     assert summary["final_l2_error"] is None
     assert summary["final_l2_norm"] > 0.0
     assert (out / "error_space.csv").read_text() == "x,error\n"
@@ -207,7 +210,7 @@ def test_non_finite_problem_coefficient_is_config_error(tmp_path, capsys, key, v
     out = tmp_path / "o"
     cfg = write_cfg(
         tmp_path,
-        MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\n" + f"{key} = {value}\noutput_dir = {out}\n",
+        MINIMAL + "problem = custom-coefficients\n" + f"{key} = {value}\noutput_dir = {out}\n",
     )
     assert run_experiment(cfg) == EXIT_CONFIG
     assert f"configuration error: config key {key!r} entries must be finite" in capsys.readouterr().err
@@ -254,7 +257,7 @@ def test_summary_value_that_overflows_is_solver_error(tmp_path, capsys):
         "grid.domain_lo = 0\ngrid.domain_hi = 1\ngrid.interface_x = 0.4\n"
         + "grid.n_cells_fine = 5\ngrid.n_cells_coarse = 3\n"
         + "grid.dt_fine = 0.01\ngrid.dt_coarse = 0.02\ngrid.t_end = 0.04\n"
-        + "problem = custom-coefficients\nboundary_mode = homogeneous\n"
+        + "problem = custom-coefficients\n"
         + f"problem.source_coeffs = 1e300, 1e300\nmode.type = single_iteration\noutput_dir = {out}\n",
     )
     with warnings.catch_warnings():
@@ -341,7 +344,7 @@ def test_residual_at_its_roundoff_floor_ends_the_window(tmp_path, capsys):
     # a datum near 1e147 has a roundoff floor near 1e131, far above eps: the
     # residual falls by the predicted 0.233 per sweep down to it, then stays,
     # and the window ends there, not after max_iters sweeps
-    body = MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\nproblem.source_coeffs = 1e150, 1e150\n"
+    body = MINIMAL + "problem = custom-coefficients\nproblem.source_coeffs = 1e150, 1e150\n"
     cfg = write_cfg(tmp_path, body + f"output_dir = {tmp_path / 'o'}\n")
     assert run_experiment(cfg) == EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err.strip()
@@ -357,10 +360,29 @@ def test_residual_at_its_roundoff_floor_ends_the_window(tmp_path, capsys):
     assert summary["all_converged"] is False and summary["iterations"][0] == int(found["sweeps"])
 
 
-def test_custom_problem_requires_homogeneous_boundary(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MINIMAL + "problem = custom-coefficients\n")
-    assert run_experiment(cfg) == EXIT_CONFIG
-    assert "boundary_mode" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
+@pytest.mark.parametrize("problem, value", [("manufactured", "exact"), ("custom-coefficients", "homogeneous")])
+def test_boundary_mode_key_is_unknown(tmp_path, capsys, monkeypatch, command, problem, value):
+    # the problem decides the boundary data; an older config that still names
+    # the key fails as any unknown key does, and writes nothing
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, MINIMAL + f"problem = {problem}\nboundary_mode = {value}\n")
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {cfg}:9: unknown config key 'boundary_mode'\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "problem, key", [("manufactured", "problem.source_coeffs"), ("zero", "problem.initial_coeffs")]
+)
+def test_coefficients_of_another_problem_are_config_error(tmp_path, capsys, problem, key):
+    # only the custom-coefficients problem reads them; elsewhere they are not
+    # silently dropped
+    out = tmp_path / "o"
+    assert run_experiment(BUMP_CFG, {"problem": problem, key: "5.0, 7.0", "output_dir": str(out)}) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: config key {key!r} is only for problem 'custom-coefficients', not {problem!r}\n"
+    assert not out.exists()
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path):
@@ -414,7 +436,7 @@ def test_convergence_single_level(tmp_path):
 
 
 def test_convergence_rejects_problem_without_exact(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MINIMAL + "problem = custom-coefficients\nboundary_mode = homogeneous\n")
+    cfg = write_cfg(tmp_path, MINIMAL + "problem = custom-coefficients\n")
     assert run_convergence(cfg) == EXIT_CONFIG
     assert "exact solution" in capsys.readouterr().err
 
@@ -434,7 +456,7 @@ def test_convergence_zero_problem_all_orders_undefined(tmp_path):
     out = tmp_path / "zeroconv"
     cfg = write_cfg(
         tmp_path,
-        MINIMAL + f"problem = zero\nboundary_mode = homogeneous\noutput_dir = {out}\n",
+        MINIMAL + f"problem = zero\noutput_dir = {out}\n",
     )
     assert run_convergence(cfg, {"convergence.levels": "2"}) == EXIT_OK
     lines = (out / "convergence.csv").read_text().splitlines()

@@ -81,13 +81,6 @@ def test_manufactured_source_matches_derivatives(bump_problem):
     assert float(bump_problem.source(x, t)) == pytest.approx(dpdt - d2pdx2, rel=1e-5)
 
 
-def test_homogeneous_boundary_mode():
-    prob = manufactured_problem(homogeneous_boundary=True)
-    assert float(prob.g_lo(0.05)) == 0.0
-    assert float(prob.g_hi(0.05)) == 0.0
-    assert float(prob.exact_solution(0.0, 0.05)) != 0.0
-
-
 def _bump_as_one_expression(x, t):
     """The bump's exact solution and source each as one numpy expression,
     the form ``manufactured_problem`` evaluates into one array in place."""
@@ -832,14 +825,16 @@ def test_step_right_hand_sides_match_the_level_by_level_reference(config, seed, 
 
 
 def test_zero_window_data_give_zero_loads(bump_grid):
-    # the homogeneous window of the interface gain
+    # the homogeneous window of the interface gain: with zero previous cells
+    # and datum, every level's right-hand side is zero
     ratio, n_fine, n_coarse = bump_grid.ratio, bump_grid.n_fine, bump_grid.n_coarse
     operators = scheme.StepOperators(bump_grid)
     inputs = WindowInputs(1, np.zeros((ratio, n_fine)), np.zeros(n_coarse), np.zeros(ratio), 0.0, 0.0, operators)
     for name, side in bump_grid.sides.items():
-        load, exterior = inputs.per_side[name]
-        assert load.shape == (side.levels, side.widths.size) and exterior.shape == (side.levels,)
-        assert not load.any() and not exterior.any()
+        for variant in VARIANTS:
+            for k in range(1, side.levels + 1):
+                rhs = assemble_subdomain_step(bump_grid, name, k, np.zeros(side.widths.size), variant, 0.0, inputs).rhs
+                assert rhs.shape == (side.widths.size,) and not rhs.any()
 
 
 def test_a_float_array_of_the_shape_comes_back_as_a_read_only_view():
