@@ -341,7 +341,7 @@ def precompute_window_inputs(
 
 Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (lower, diag, upper); lower[0], upper[-1] unused
 
-#: scipy's ``dgttrf``/``dgttrs`` wrappers reject matrices of order below 3
+#: scipy's ``dgbmv`` wrapper needs an order of at least kl + ku + 1 = 3, and its ``dpttrf`` wrapper rejects order 1
 _LAPACK_MIN_ORDER = 3
 
 
@@ -381,15 +381,15 @@ _fblas = _scipy_extension("scipy.linalg._fblas")
 
 @dataclass(frozen=True)
 class TridiagonalLU:
-    """A tridiagonal matrix's bands, their LU factors with partial pivoting
-    (LAPACK ``dgttrf``), the matrix in LAPACK band storage for the residual
-    product (BLAS ``dgbmv``), and its infinity norm.  A matrix of order below
-    3 is factored and stored with decoupled identity rows appended, which
-    leaves its own factors, solutions and residuals unchanged, so every
-    order takes one path."""
+    """A symmetric positive definite tridiagonal matrix's bands, their
+    L D L^T factors (LAPACK ``dpttrf``, no pivoting), the matrix in LAPACK
+    band storage for the residual product (BLAS ``dgbmv``), and its infinity
+    norm.  A matrix of order below 3 is factored and stored with decoupled
+    identity rows appended, which leaves its own factors, solutions and
+    residuals unchanged, so every order takes one path."""
 
     bands: Bands
-    factors: tuple  # (dl, d, du, du2, ipiv) of the padded matrix
+    factors: tuple  # (d, e) of the padded matrix: D's diagonal, L's subdiagonal
     storage: np.ndarray  # (3, max(n, 3)) rows upper, diagonal, lower of the padded matrix; read-only
     norm_inf: float
 
@@ -402,15 +402,20 @@ class TridiagonalLU:
         lower, diag, upper = bands
         if diag.size == 0:
             raise DimensionError("a tridiagonal matrix needs at least one unknown")
+        differs = np.flatnonzero(lower[1:] != upper[:-1])
+        if differs.size:
+            i = int(differs[0]) + 1
+            raise DimensionError(f"tridiagonal matrix is not symmetric from row {i}: entry ({i}, {i - 1}) is "
+                                 f"{float(lower[i])!r}, ({i - 1}, {i}) is {float(upper[i - 1])!r}")
         pad = np.zeros(max(0, _LAPACK_MIN_ORDER - diag.size))
-        dl, du = np.concatenate([lower[1:], pad]), np.concatenate([upper[:-1], pad])
+        e = np.concatenate([lower[1:], pad])
         d = np.concatenate([diag, pad + 1.0])
         storage = np.zeros((3, d.size), order="F")
-        storage[0, 1:], storage[1], storage[2, :-1] = du, d, dl
+        storage[0, 1:], storage[1], storage[2, :-1] = e, d, e
         storage.setflags(write=False)
-        *factors, info = _flapack.dgttrf(dl, d, du)
+        *factors, info = _flapack.dpttrf(d, e)
         if info != 0:
-            raise SolverError(f"tridiagonal factorization failed (dgttrf info={info})")
+            raise SolverError(f"tridiagonal factorization failed (dpttrf info={info})")
         norm_inf = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
         return cls(bands, tuple(factors), storage, norm_inf)
 
@@ -418,9 +423,9 @@ class TridiagonalLU:
         """The solution x of A x = rhs and its residual A x - rhs."""
         n = self.n
         b = rhs if n >= _LAPACK_MIN_ORDER else np.concatenate([rhs, np.zeros(_LAPACK_MIN_ORDER - n)])
-        x, info = _flapack.dgttrs(*self.factors, b)
+        x, info = _flapack.dpttrs(*self.factors, b)
         if info != 0:
-            raise SolverError(f"tridiagonal solve failed (dgttrs info={info})")
+            raise SolverError(f"tridiagonal solve failed (dpttrs info={info})")
         # positional: incx, offx, beta, y; y is copied, so rhs is not written
         residual = _fblas.dgbmv(b.size, b.size, 1, 1, 1.0, self.storage, x, 1, 0, -1.0, b)
         return (x, residual) if n >= _LAPACK_MIN_ORDER else (x[:n], residual[:n])

@@ -6,11 +6,14 @@ When bytes differ the failure names the file and its largest numeric delta:
 relative for every value, except conservativity defects, which are roundoff
 by construction, and signed errors p - p_exact, which cross zero where a
 relative delta means nothing; these two get the absolute delta.  It also
-names the numpy build recorded in out/PROVENANCE.json next to the running
-one, since the bytes depend on numpy's vectorized ``exp``, which differs
-between versions and CPU dispatch targets.  After regenerating out/, record
-the running build with ``PYTHONPATH=src python tests/test_golden.py``."""
+names the numpy and scipy builds recorded in out/PROVENANCE.json next to the
+running ones, since the bytes depend on numpy's vectorized ``exp``, which
+differs between versions and CPU dispatch targets, and on the LAPACK and
+BLAS that scipy's wrappers call for every step solve.  After regenerating
+out/, record the running build with
+``PYTHONPATH=src python tests/test_golden.py``."""
 
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -29,8 +32,9 @@ GOLDEN = ROOT / "out"
 PROVENANCE = GOLDEN / "PROVENANCE.json"
 
 
-def numpy_build() -> dict[str, object]:
-    """numpy's version, the CPU targets its loops were compiled for (the
+def running_build() -> dict[str, object]:
+    """numpy's version, scipy's version (read from its metadata, which does
+    not import scipy), the CPU targets numpy's loops were compiled for (the
     baseline and the dispatched ones), and the CPU features found here."""
     try:
         from numpy._core import _multiarray_umath as umath
@@ -38,6 +42,7 @@ def numpy_build() -> dict[str, object]:
         from numpy.core import _multiarray_umath as umath
     return {
         "numpy": np.__version__,
+        "scipy": importlib.metadata.version("scipy"),
         "cpu_baseline": list(umath.__cpu_baseline__),
         "cpu_dispatch": list(umath.__cpu_dispatch__),
         "cpu_features": sorted(name for name, found in umath.__cpu_features__.items() if found),
@@ -45,9 +50,9 @@ def numpy_build() -> dict[str, object]:
 
 
 def build_note(recorded: dict[str, object], running: dict[str, object]) -> str:
-    """The recorded and the running numpy build; CPU features as the ones
-    found by only one of the two."""
-    keys = ("numpy", "cpu_baseline", "cpu_dispatch")
+    """The recorded and the running numpy and scipy build; CPU features as
+    the ones found by only one of the two."""
+    keys = ("numpy", "scipy", "cpu_baseline", "cpu_dispatch")
     notes = [f"{key} recorded {recorded[key]}, running {running[key]}" for key in keys]
     was, now = set(recorded["cpu_features"]), set(running["cpu_features"])
     notes.append(f"cpu_features recorded only {sorted(was - now)}, running only {sorted(now - was)}")
@@ -133,7 +138,7 @@ def assert_same_bytes(produced: Path, names: tuple[str, ...]) -> None:
     for name in names:
         new, golden = produced / name, GOLDEN / produced.name / name
         if new.read_bytes() != golden.read_bytes():
-            note = build_note(json.loads(PROVENANCE.read_text()), numpy_build())
+            note = build_note(json.loads(PROVENANCE.read_text()), running_build())
             pytest.fail(f"{produced.name}/{name}: {delta_report(new, golden)}; {note}")
 
 
@@ -216,9 +221,9 @@ OTHER_CPU_PATH_BOUNDS = {
 _REGENERATE = """
 import json, sys
 from pathlib import Path
-from tests.test_golden import AVX512_TARGETS, numpy_build, regenerate
+from tests.test_golden import AVX512_TARGETS, running_build, regenerate
 regenerate(Path(sys.argv[1]))
-print(json.dumps([target in numpy_build()["cpu_features"] for target in AVX512_TARGETS]))
+print(json.dumps([target in running_build()["cpu_features"] for target in AVX512_TARGETS]))
 """
 
 
@@ -227,7 +232,7 @@ def test_golden_outputs_stay_close_on_the_cpu_path_without_avx512(tmp_path):
     # exp picks its code by CPU.  A fresh interpreter with the AVX-512 loops
     # switched off, the nearest stand-in for a CPU without them, regenerates
     # every golden file; its values must stay within roundoff of the golden.
-    build = numpy_build()
+    build = running_build()
     targets = [t for t in AVX512_TARGETS if t in build["cpu_dispatch"] and t in build["cpu_features"]]
     if not targets:
         pytest.skip(
@@ -253,12 +258,13 @@ def test_golden_outputs_stay_close_on_the_cpu_path_without_avx512(tmp_path):
 
 def test_build_note_names_the_recorded_and_the_running_build():
     recorded = json.loads(PROVENANCE.read_text())
-    assert recorded.keys() == numpy_build().keys()
-    running = dict(recorded, numpy="9.9", cpu_features=recorded["cpu_features"][1:] + ["NEW"])
+    assert recorded.keys() == running_build().keys()
+    running = dict(recorded, numpy="9.9", scipy="8.8", cpu_features=recorded["cpu_features"][1:] + ["NEW"])
     note = build_note(recorded, running)
     assert f"numpy recorded {recorded['numpy']}, running 9.9" in note
+    assert f"scipy recorded {recorded['scipy']}, running 8.8" in note
     assert f"cpu_features recorded only {recorded['cpu_features'][:1]}, running only ['NEW']" in note
 
 
 if __name__ == "__main__":
-    PROVENANCE.write_text(json.dumps(numpy_build(), indent=2) + "\n")
+    PROVENANCE.write_text(json.dumps(running_build(), indent=2) + "\n")

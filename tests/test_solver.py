@@ -135,11 +135,8 @@ def test_solve_symmetric_2x2():
 def test_solve_random_tridiagonal_residual():
     rng = np.random.default_rng(7)
     n = 50
-    lower = np.concatenate([[0.0], rng.uniform(-1, 1, n - 1)])
-    upper = np.concatenate([rng.uniform(-1, 1, n - 1), [0.0]])
-    diag = 3.0 + rng.uniform(0, 1, n)  # diagonally dominant
     rhs = rng.uniform(-5, 5, n)
-    system = LinearSystem(rhs=rhs, matrix=TridiagonalLU.factor((lower, diag, upper)))
+    system = LinearSystem(rhs=rhs, matrix=TridiagonalLU.factor(_dominant_bands(rng, n)))
     x = solve_linear(system)
     matrix = tridiagonal_matrix(system)
     residual = matrix @ x - rhs
@@ -247,49 +244,57 @@ def test_right_hand_side_of_another_size_is_a_dimension_error(kind):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
 def test_factored_tridiagonal_solve_matches_solve_banded(n):
-    # scipy's solve_banded (LAPACK gbsv) is the reference of the dgttrf/dgttrs path
+    # scipy's solve_banded (LAPACK gbsv, pivoted LU) is the reference of the
+    # dpttrf/dpttrs path; each matrix is L D L^T with a unit bidiagonal L and
+    # a positive D, so symmetric positive definite but not diagonally dominant
     rng = np.random.default_rng(1000 + n)
-    interchanges = 0
     for _ in range(20):
-        diag = rng.uniform(-1.0, 1.0, n)
-        lower = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, n - 1)])
-        upper = np.concatenate([rng.uniform(-1.0, 1.0, n - 1), [0.0]])
-        # about half the rows get |lower| > |diag|, which forces a row interchange
-        pivot = rng.random(n) < 0.5
-        pivot[0] = False
-        lower[pivot] = np.sign(lower[pivot]) * (np.abs(diag[pivot]) + rng.uniform(0.5, 1.0, pivot.sum()))
+        d = rng.uniform(0.5, 1.5, n)
+        ell = rng.uniform(-1.0, 1.0, n - 1)
+        diag = d.copy()
+        diag[1:] += ell * ell * d[:-1]
+        off = ell * d[:-1]
+        lower, upper = np.concatenate([[0.0], off]), np.concatenate([off, [0.0]])
         rhs = rng.uniform(-5.0, 5.0, n)
         ab = np.zeros((3, n))
         ab[0, 1:] = upper[:-1]
         ab[1] = diag
         ab[2, :-1] = lower[1:]
         expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        lu = TridiagonalLU.factor((lower, diag, upper))
-        x = solve_linear(LinearSystem(rhs=rhs, matrix=lu))
+        x = solve_linear(LinearSystem(rhs=rhs, matrix=TridiagonalLU.factor((lower, diag, upper))))
         assert np.max(np.abs(x - expected)) <= 4 * np.finfo(float).eps * np.max(np.abs(expected))
-        ipiv = lu.factors[-1][:n]
-        interchanges += int(np.sum(ipiv != np.arange(1, n + 1)))
-    assert interchanges > 0 or n == 1
+
+
+def _tridiagonal_bands(dense):
+    """The (lower, diag, upper) bands of a dense tridiagonal matrix."""
+    a = np.array(dense)
+    return np.concatenate([[0.0], np.diag(a, -1)]), np.diag(a).copy(), np.concatenate([np.diag(a, 1), [0.0]])
 
 
 @pytest.mark.parametrize(
-    "dense",
-    [[[0.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]],
+    ("dense", "info"),
+    [([[0.0]], 1), ([[1.0, 1.0], [1.0, 1.0]], 2), ([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]], 3)],
     ids=["n1", "n2", "n3"],
 )
-def test_singular_banded_system_raises(dense):
-    a = np.array(dense)
-    n = a.shape[0]
-    lower = np.concatenate([[0.0], np.diag(a, -1)])
-    upper = np.concatenate([np.diag(a, 1), [0.0]])
-    with pytest.raises(SolverError):
-        solve_linear(LinearSystem(rhs=np.ones(n), matrix=TridiagonalLU.factor((lower, np.diag(a).copy(), upper))))
+def test_singular_banded_system_raises(dense, info):
+    # symmetric and singular: L D L^T meets a zero pivot at row ``info``
+    with pytest.raises(SolverError, match=re.escape(f"tridiagonal factorization failed (dpttrf info={info})")):
+        TridiagonalLU.factor(_tridiagonal_bands(dense))
+
+
+def test_non_symmetric_tridiagonal_matrix_is_a_dimension_error():
+    # L D L^T reads one off-diagonal band, so factoring a matrix that is not
+    # symmetric would solve another matrix; the first row that differs is named
+    bands = _tridiagonal_bands([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    message = "not symmetric from row 2: entry (2, 1) is 1.0, (1, 2) is 0.0"
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        TridiagonalLU.factor(bands)
 
 
 def _dominant_bands(rng, n):
-    """Diagonally dominant tridiagonal bands of order n."""
-    off = rng.uniform(-1.0, 1.0, (2, n - 1))
-    return np.concatenate([[0.0], off[0]]), 3.0 + rng.uniform(0.0, 1.0, n), np.concatenate([off[1], [0.0]])
+    """Symmetric, diagonally dominant tridiagonal bands of order n."""
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    return np.concatenate([[0.0], off]), 3.0 + rng.uniform(0.0, 1.0, n), np.concatenate([off, [0.0]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
@@ -1023,8 +1028,8 @@ print(*(name in sys.modules for name in packages))
 print("scipy.sparse.linalg._dsolve._superlu" in sys.modules)
 import scipy.linalg.blas, scipy.linalg.lapack
 print(
-    scipy.linalg.lapack.dgttrf is scheme._flapack.dgttrf,
-    scipy.linalg.lapack.dgttrs is scheme._flapack.dgttrs,
+    scipy.linalg.lapack.dpttrf is scheme._flapack.dpttrf,
+    scipy.linalg.lapack.dpttrs is scheme._flapack.dpttrs,
     scipy.linalg.lapack.dgbtrf is scheme._flapack.dgbtrf,
     scipy.linalg.lapack.dgbtrs is scheme._flapack.dgbtrs,
     scipy.linalg.blas.dgbmv is scheme._fblas.dgbmv,
