@@ -104,9 +104,10 @@ class Problem:
     A return only has to broadcast to the shape of the arguments, so
     ``lambda x, t: 3.0`` and ``lambda x, t: np.sin(3 * x)`` are valid
     sources, and ``lambda t: 0.0`` a valid boundary value; a return of any
-    callable that does not broadcast raises ``DimensionError``.  When
-    ``exact_solution`` is set, the other fields are derived from it: the
-    boundary data are its traces at the domain ends.
+    callable that does not broadcast raises ``DimensionError``.  Errors are
+    measured against ``exact_solution`` when it is set, and no field is
+    derived from it: ``manufactured_problem`` sets the boundary data to its
+    traces at the domain ends, a hand-built ``Problem`` keeps its own.
     """
 
     source: Callable
@@ -339,8 +340,6 @@ def precompute_window_inputs(
 
 # -- linear systems -----------------------------------------------------------
 
-Bands = tuple[np.ndarray, np.ndarray, np.ndarray]  # (lower, diag, upper); lower[0], upper[-1] unused
-
 #: scipy's ``dgbmv`` wrapper needs an order of at least kl + ku + 1 = 3, and its ``dpttrf`` wrapper rejects order 1
 _LAPACK_MIN_ORDER = 3
 
@@ -388,27 +387,21 @@ class TridiagonalLU:
     identity rows appended, which leaves its own factors, solutions and
     residuals unchanged, so every order takes one path."""
 
-    bands: Bands
+    bands: tuple[np.ndarray, np.ndarray]  # (diag, off): the diagonal and the n - 1 entries beside it
     factors: tuple  # (d, e) of the padded matrix: D's diagonal, L's subdiagonal
     storage: np.ndarray  # (3, max(n, 3)) rows upper, diagonal, lower of the padded matrix; read-only
     norm_inf: float
 
     @property
     def n(self) -> int:
-        return self.bands[1].size
+        return self.bands[0].size
 
     @classmethod
-    def factor(cls, bands: Bands) -> "TridiagonalLU":
-        lower, diag, upper = bands
+    def factor(cls, diag: np.ndarray, off: np.ndarray) -> "TridiagonalLU":
         if diag.size == 0:
             raise DimensionError("a tridiagonal matrix needs at least one unknown")
-        differs = np.flatnonzero(lower[1:] != upper[:-1])
-        if differs.size:
-            i = int(differs[0]) + 1
-            raise DimensionError(f"tridiagonal matrix is not symmetric from row {i}: entry ({i}, {i - 1}) is "
-                                 f"{float(lower[i])!r}, ({i - 1}, {i}) is {float(upper[i - 1])!r}")
         pad = np.zeros(max(0, _LAPACK_MIN_ORDER - diag.size))
-        e = np.concatenate([lower[1:], pad])
+        e = np.concatenate([off, pad])
         d = np.concatenate([diag, pad + 1.0])
         storage = np.zeros((3, d.size), order="F")
         storage[0, 1:], storage[1], storage[2, :-1] = e, d, e
@@ -416,8 +409,9 @@ class TridiagonalLU:
         *factors, info = _flapack.dpttrf(d, e)
         if info != 0:
             raise SolverError(f"tridiagonal factorization failed (dpttrf info={info})")
-        norm_inf = float(np.max(np.abs(lower) + np.abs(diag) + np.abs(upper)))
-        return cls(bands, tuple(factors), storage, norm_inf)
+        beside = np.concatenate([[0.0], np.abs(off), [0.0]])  # row i: |A[i, i - 1]| + |A[i, i]| + |A[i, i + 1]|
+        norm_inf = float(np.max(beside[:-1] + np.abs(diag) + beside[1:]))
+        return cls((diag, off), tuple(factors), storage, norm_inf)
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The solution x of A x = rhs and its residual A x - rhs."""
@@ -510,7 +504,7 @@ class LinearSystem:
         return self.rhs.size
 
     @property
-    def bands(self) -> Bands | None:
+    def bands(self) -> tuple[np.ndarray, np.ndarray] | None:
         return self.matrix.bands
 
 
@@ -531,11 +525,12 @@ def interface_traces(
     return flux, p_edge + side.sign * side.d_own * flux
 
 
-def _step_bands(grid: CompositeGrid, side: str, closure: float | None) -> Bands:
-    """Matrix of one implicit step: mass, interior fluxes and, at each closed
-    end (cell index, distance d), a Dirichlet flux u = (g - p_K) / d: the
-    half-cell flux at each exterior end and, at a subdomain's interface, a
-    Dirichlet ``closure`` distance (None for a Neumann closure)."""
+def _step_bands(grid: CompositeGrid, side: str, closure: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (diag, off) of one implicit step: mass, interior fluxes (-1/d
+    off the diagonal for centers d apart) and, at each closed end (cell
+    index, distance d), a Dirichlet flux u = (g - p_K) / d: the half-cell
+    flux at each exterior end and, at a subdomain's interface, a Dirichlet
+    ``closure`` distance (None for a Neumann closure)."""
     if side == UNION:
         widths = np.concatenate([grid.widths_fine, grid.widths_coarse])
         centers = np.concatenate([grid.centers_fine, grid.centers_coarse])
@@ -547,19 +542,13 @@ def _step_bands(grid: CompositeGrid, side: str, closure: float | None) -> Bands:
         closed_ends = [(s.exterior, 0.5 * widths[s.exterior])]
         if closure is not None:
             closed_ends.append((s.iface, closure))
-    n = widths.size
-    lower = np.zeros(n)
     diag = widths / dt
-    upper = np.zeros(n)
-    if n > 1:
-        inv_d = 1.0 / np.diff(centers)
-        diag[:-1] += inv_d
-        diag[1:] += inv_d
-        upper[:-1] -= inv_d
-        lower[1:] -= inv_d
+    inv_d = 1.0 / np.diff(centers)
+    diag[:-1] += inv_d
+    diag[1:] += inv_d
     for end, d in closed_ends:
         diag[end] += 1.0 / d
-    return lower, diag, upper
+    return diag, -inv_d
 
 
 class StepOperators:
@@ -587,7 +576,7 @@ class StepOperators:
             bands = _step_bands(self.grid, side, closure)
             for band in bands:
                 band.setflags(write=False)
-            self._factored[key] = TridiagonalLU.factor(bands)
+            self._factored[key] = TridiagonalLU.factor(*bands)
         return self._factored[key]
 
 

@@ -57,8 +57,8 @@ def tridiagonal_matrix(system):
     """The scipy matrix of a banded ``LinearSystem``."""
     import scipy.sparse
 
-    lower, diag, upper = system.bands
-    return scipy.sparse.diags([lower[1:], diag, upper[:-1]], offsets=[-1, 0, 1], format="csr")
+    diag, off = system.bands
+    return scipy.sparse.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
 
 
 def band_entries(system, rows, cols):

@@ -6,7 +6,9 @@ checks, per march, that ``solve_linear`` = predictor + sweeps (K + 1) and
 those calls or routes around it would otherwise show only in a traced
 benchmark run.  The benchmark's per-march checks and sweep statistics read
 the marches' reports, ``windows`` and ``residual_history``, so they run here
-on the same reports."""
+on the same reports.  The ladder workload takes those reports from
+``run_convergence`` by patching ``ltsheat.cli.march``, so the study must keep
+calling it there."""
 
 import importlib
 import math
@@ -64,3 +66,22 @@ def test_benchmark_trace_sees_every_counted_call(monkeypatch, bump_grid):
         # the projections are wrapped as solver attributes too; a march that
         # stops calling them there would read 0 in the traced projection metric
         assert calls["projection"] > 0
+
+
+def test_ladder_capture_sees_each_level_march(monkeypatch, tmp_path):
+    # the ladder workload records each level's report by patching
+    # ``ltsheat.cli.march``; a study that stops calling it there leaves every
+    # level without a report, and the benchmark fails
+    reports = []
+    original = ltsheat.cli.march
+
+    def recording_march(*args, **kwargs):
+        result = original(*args, **kwargs)
+        reports.append(result[1])
+        return result
+
+    monkeypatch.setattr(ltsheat.cli, "march", recording_march)
+    config = PERFBENCH.parent / "configs" / "bump.cfg"
+    overrides = {"convergence.levels": "2", "output_dir": str(tmp_path / "convergence")}
+    assert ltsheat.cli.run_convergence(config, overrides) == 0
+    assert [len(report.windows) for report in reports] == [5, 10]

@@ -362,7 +362,7 @@ def test_single_cell_hand_assembly():
         grid, "fine", 1, np.array([1.0]), Variant("is1", "coarse"), 0.0,
         precompute_window_inputs(grid, 1, zero_problem()),
     )
-    _, diag, _ = system.bands
+    diag, _ = system.bands
     assert diag[0] == pytest.approx(1.0 + 2.0 / 0.5)
     assert system.rhs[0] == pytest.approx(1.0)
     assert solve_linear(system)[0] == pytest.approx(0.2, rel=1e-14)
@@ -400,8 +400,8 @@ def test_each_variant_closes_the_slave_by_dirichlet_and_the_master_by_neumann(bu
     for name, side in bump_grid.sides.items():
         slave = name == variant.slave
         d = {"is1": side.d_own, "is2": bump_grid.d_across}[variant.interface_scheme]
-        diag = assemble_subdomain_step(bump_grid, name, 1, np.zeros(side.widths.size), variant, 0.0, inputs).bands[1]
-        neumann = inputs.operators.get(name).bands[1]
+        diag = assemble_subdomain_step(bump_grid, name, 1, np.zeros(side.widths.size), variant, 0.0, inputs).bands[0]
+        neumann = inputs.operators.get(name).bands[0]
         assert diag[side.iface] == (neumann[side.iface] + 1.0 / d if slave else neumann[side.iface])
         assert np.delete(diag, side.iface).tobytes() == np.delete(neumann, side.iface).tobytes()
         datum, p_edge = 0.3, rng.uniform(-1.0, 1.0, side.levels)
@@ -782,9 +782,9 @@ def test_steps_of_a_window_share_one_factored_matrix(bump_grid, bump_problem):
     other = assemble_subdomain_step(bump_grid, "fine", 1, prev, Variant("is2", "fine"), 1.0, inputs)
     assert first.matrix is second.matrix and first.matrix is not other.matrix
     assert first.matrix is inputs.operators.get("fine", bump_grid.d_across)
-    assert not first.bands[1].flags.writeable
+    assert not any(band.flags.writeable for band in first.bands)
     # the shared factors solve exactly like a fresh factorization
-    fresh = type(first)(rhs=first.rhs, matrix=scheme.TridiagonalLU.factor(tuple(b.copy() for b in first.bands)))
+    fresh = type(first)(rhs=first.rhs, matrix=scheme.TridiagonalLU.factor(*(b.copy() for b in first.bands)))
     assert solve_linear(first).tobytes() == solve_linear(fresh).tobytes()
     other_grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1))
     with pytest.raises(DimensionError):

@@ -112,7 +112,7 @@ def test_each_matrix_solves_itself_and_scheme_needs_no_solver(bump_grid):
 def test_solve_identity():
     system = LinearSystem(
         rhs=np.array([3.0, -1.0, 2.0]),
-        matrix=TridiagonalLU.factor((np.zeros(3), np.ones(3), np.zeros(3))),
+        matrix=TridiagonalLU.factor(np.ones(3), np.zeros(2)),
     )
     np.testing.assert_array_equal(solve_linear(system), system.rhs)
 
@@ -136,7 +136,7 @@ def test_solve_random_tridiagonal_residual():
     rng = np.random.default_rng(7)
     n = 50
     rhs = rng.uniform(-5, 5, n)
-    system = LinearSystem(rhs=rhs, matrix=TridiagonalLU.factor(_dominant_bands(rng, n)))
+    system = LinearSystem(rhs=rhs, matrix=TridiagonalLU.factor(*_dominant_bands(rng, n)))
     x = solve_linear(system)
     matrix = tridiagonal_matrix(system)
     residual = matrix @ x - rhs
@@ -221,7 +221,7 @@ def test_band_read_with_the_wrong_kl_fails_the_residual_check():
 
 def test_tridiagonal_matrix_without_unknowns_is_a_dimension_error():
     with pytest.raises(DimensionError, match="needs at least one unknown"):
-        TridiagonalLU.factor((np.zeros(0), np.zeros(0), np.zeros(0)))
+        TridiagonalLU.factor(np.zeros(0), np.zeros(0))
 
 
 def test_sparse_system_without_unknowns_is_a_dimension_error():
@@ -233,7 +233,7 @@ def test_sparse_system_without_unknowns_is_a_dimension_error():
 @pytest.mark.parametrize("kind", ["tridiagonal", "band"])
 def test_right_hand_side_of_another_size_is_a_dimension_error(kind):
     if kind == "tridiagonal":
-        matrix = TridiagonalLU.factor(_dominant_bands(np.random.default_rng(6), 3))
+        matrix = TridiagonalLU.factor(*_dominant_bands(np.random.default_rng(6), 3))
     else:
         matrix = _band_with()
     solve_linear(LinearSystem(np.ones(3), matrix))
@@ -254,21 +254,20 @@ def test_factored_tridiagonal_solve_matches_solve_banded(n):
         diag = d.copy()
         diag[1:] += ell * ell * d[:-1]
         off = ell * d[:-1]
-        lower, upper = np.concatenate([[0.0], off]), np.concatenate([off, [0.0]])
         rhs = rng.uniform(-5.0, 5.0, n)
         ab = np.zeros((3, n))
-        ab[0, 1:] = upper[:-1]
+        ab[0, 1:] = off
         ab[1] = diag
-        ab[2, :-1] = lower[1:]
+        ab[2, :-1] = off
         expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        x = solve_linear(LinearSystem(rhs=rhs, matrix=TridiagonalLU.factor((lower, diag, upper))))
+        x = solve_linear(LinearSystem(rhs=rhs, matrix=TridiagonalLU.factor(diag, off)))
         assert np.max(np.abs(x - expected)) <= 4 * np.finfo(float).eps * np.max(np.abs(expected))
 
 
 def _tridiagonal_bands(dense):
-    """The (lower, diag, upper) bands of a dense tridiagonal matrix."""
+    """The (diag, off) bands of a dense symmetric tridiagonal matrix."""
     a = np.array(dense)
-    return np.concatenate([[0.0], np.diag(a, -1)]), np.diag(a).copy(), np.concatenate([np.diag(a, 1), [0.0]])
+    return np.diag(a).copy(), np.diag(a, -1).copy()
 
 
 @pytest.mark.parametrize(
@@ -279,31 +278,22 @@ def _tridiagonal_bands(dense):
 def test_singular_banded_system_raises(dense, info):
     # symmetric and singular: L D L^T meets a zero pivot at row ``info``
     with pytest.raises(SolverError, match=re.escape(f"tridiagonal factorization failed (dpttrf info={info})")):
-        TridiagonalLU.factor(_tridiagonal_bands(dense))
-
-
-def test_non_symmetric_tridiagonal_matrix_is_a_dimension_error():
-    # L D L^T reads one off-diagonal band, so factoring a matrix that is not
-    # symmetric would solve another matrix; the first row that differs is named
-    bands = _tridiagonal_bands([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-    message = "not symmetric from row 2: entry (2, 1) is 1.0, (1, 2) is 0.0"
-    with pytest.raises(DimensionError, match=re.escape(message)):
-        TridiagonalLU.factor(bands)
+        TridiagonalLU.factor(*_tridiagonal_bands(dense))
 
 
 def _dominant_bands(rng, n):
-    """Symmetric, diagonally dominant tridiagonal bands of order n."""
+    """The (diag, off) bands of a symmetric, diagonally dominant tridiagonal matrix of order n."""
     off = rng.uniform(-1.0, 1.0, n - 1)
-    return np.concatenate([[0.0], off]), 3.0 + rng.uniform(0.0, 1.0, n), np.concatenate([off, [0.0]])
+    return 3.0 + rng.uniform(0.0, 1.0, n), off
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 50])
 def test_banded_check_rejects_factors_of_another_matrix(n):
     # x solves the matrix with twice the diagonal, so A x - b is of the size of b
     rng = np.random.default_rng(3000 + n)
-    lower, diag, upper = _dominant_bands(rng, n)
-    lu = TridiagonalLU.factor((lower, diag, upper))
-    mismatched = dataclasses.replace(lu, factors=TridiagonalLU.factor((lower, 2.0 * diag, upper)).factors)
+    diag, off = _dominant_bands(rng, n)
+    lu = TridiagonalLU.factor(diag, off)
+    mismatched = dataclasses.replace(lu, factors=TridiagonalLU.factor(2.0 * diag, off).factors)
     rhs = rng.uniform(1.0, 5.0, n)
     solve_linear(LinearSystem(rhs=rhs, matrix=lu))
     with pytest.raises(SolverError, match="residual exceeds the acceptance bound"):
@@ -316,7 +306,7 @@ def test_banded_check_rejects_a_non_finite_rhs(n, bad):
     # x is not finite, and neither is its residual, which the bound alone
     # would let pass: NaN > bound is false; the error names the cause
     rng = np.random.default_rng(4000 + n)
-    lu = TridiagonalLU.factor(_dominant_bands(rng, n))
+    lu = TridiagonalLU.factor(*_dominant_bands(rng, n))
     rhs = rng.uniform(1.0, 5.0, n)
     if bad == "nan-last":
         rhs[-1] = np.nan
@@ -326,15 +316,47 @@ def test_banded_check_rejects_a_non_finite_rhs(n, bad):
         solve_linear(LinearSystem(rhs=rhs, matrix=lu))
 
 
+@dataclasses.dataclass
+class _Returns:
+    """A matrix stub whose ``solve`` returns ``x`` with a zero residual."""
+
+    x: np.ndarray
+    norm_inf: float = 1.0
+
+    @property
+    def n(self) -> int:
+        return self.x.size
+
+    def solve(self, rhs):
+        return self.x.copy(), np.zeros(self.n)
+
+
+def test_solve_check_finds_a_nan_that_idamax_skips():
+    # idamax compares |x_i| > max, which a NaN never wins, so the NaN at index
+    # 5 leaves the largest entry at 1; the sum |x_i| is NaN, and that decides
+    x = np.ones(10)
+    x[5] = np.nan
+    assert ltsheat.solver._max_abs(x) == 1.0 and math.isnan(ltsheat.scheme._fblas.dasum(x))
+    with pytest.raises(SolverError, match="residual exceeds the acceptance bound"):
+        solve_linear(LinearSystem(rhs=np.ones(10), matrix=_Returns(x)))
+
+
+def test_solve_check_accepts_an_x_whose_absolute_sum_overflows():
+    # every entry is finite, so the exact maximum, not the overflowed sum, is the norm
+    x = np.full(10, 1e308)
+    assert ltsheat.scheme._fblas.dasum(x) == math.inf
+    assert solve_linear(LinearSystem(rhs=np.ones(10), matrix=_Returns(x))).tobytes() == x.tobytes()
+
+
 def test_banded_solve_writes_neither_rhs_nor_matrix():
     rng = np.random.default_rng(5)
-    lu = TridiagonalLU.factor(_dominant_bands(rng, 2))
+    lu = TridiagonalLU.factor(*_dominant_bands(rng, 2))
     rhs = np.array([1.0, -2.0])
     solve_linear(LinearSystem(rhs=rhs, matrix=lu))
     assert rhs.tolist() == [1.0, -2.0]
     assert lu.storage.shape == (3, 3) and not lu.storage.flags.writeable
-    lower, diag, upper = lu.bands
-    np.testing.assert_array_equal(lu.storage, [[0.0, upper[0], 0.0], [diag[0], diag[1], 1.0], [lower[1], 0.0, 0.0]])
+    diag, off = lu.bands
+    np.testing.assert_array_equal(lu.storage, [[0.0, off[0], 0.0], [diag[0], diag[1], 1.0], [off[0], 0.0, 0.0]])
 
 
 def test_solve_mode_validation():
@@ -1034,6 +1056,7 @@ print(
     scipy.linalg.lapack.dgbtrs is scheme._flapack.dgbtrs,
     scipy.linalg.blas.dgbmv is scheme._fblas.dgbmv,
     scipy.linalg.blas.idamax is scheme._fblas.idamax,
+    scipy.linalg.blas.dasum is scheme._fblas.dasum,
 )
 """
 
@@ -1054,7 +1077,7 @@ def test_no_ltsheat_call_imports_scipy_packages():
         [sys.executable, "-c", _SCIPY_IMPORT_PROBE], cwd=root, env=env, timeout=120, capture_output=True, text=True
     )
     assert probe.returncode == 0, f"the scipy probe exited {probe.returncode}:\n{probe.stderr}"
-    assert probe.stdout.split() == ["False"] * 7 + ["True"] * 6
+    assert probe.stdout.split() == ["False"] * 7 + ["True"] * 7
 
 
 _POLYNOMIAL_IMPORT_PROBE = """
