@@ -260,8 +260,8 @@ def solve_linear(system: LinearSystem) -> np.ndarray:
     ||A x - b||_inf <= SOLVE_RTOL (||A||_inf ||x||_inf + ||b||_inf), and a
     ``SolverError`` is raised otherwise, which names a b that is not finite."""
     x, residual = system.matrix.solve(system.rhs)
-    # sum |x_i| is finite only for a finite x, where idamax is exact; else numpy's max decides
-    x_max = _max_abs(x) if math.isfinite(_fblas.dasum(x)) else float(np.abs(x).max())
+    # a NaN or infinity anywhere in x makes x_max non-finite; _max_abs may skip a NaN
+    x_max = float(np.abs(x).max())
     bound = SOLVE_RTOL * (system.matrix.norm_inf * x_max + _max_abs(system.rhs))
     if not math.isfinite(x_max) or _max_abs(residual) > max(bound, 1e-300):
         if not np.isfinite(system.rhs).all():

@@ -69,9 +69,10 @@ def test_benchmark_trace_sees_every_counted_call(monkeypatch, bump_grid):
 
 
 def test_ladder_capture_sees_each_level_march(monkeypatch, tmp_path):
-    # the ladder workload records each level's report by patching
-    # ``ltsheat.cli.march``; a study that stops calling it there leaves every
-    # level without a report, and the benchmark fails
+    # mirrors ``perfbench/worker.py::Ladder.__init__``, which records each
+    # level's report by patching ``ltsheat.cli.march``; a study that stops
+    # calling it there leaves every level without a report, and the benchmark
+    # fails.  Keep the two in step until the worker exposes its capture.
     reports = []
     original = ltsheat.cli.march
 
