@@ -123,24 +123,22 @@ def manufactured_problem(domain_lo: float = 0.0, domain_hi: float = 1.0) -> Prob
     domain ends ``domain_lo`` and ``domain_hi`` as boundary data, the only
     boundary data its errors are measured against."""
 
-    # each formula is evaluated in its written order into one full-size array
-    # (the source's bracket into a second), which bounds a quadrature call's
-    # peak memory; scalar arguments give a scalar
+    # p is a time factor exp(20(t - t^2)) <= e^5 times a space factor
+    # exp(8x - 37x^2 - 1) <= e^-0.567, so neither overflows and there is no
+    # inf * 0; the bracket is a time term minus a space term.  Each exp and
+    # term runs on its own argument's array, a quadrature's small node rows,
+    # and only the products and the difference are full size.  Scalar
+    # arguments give a scalar
     def exact(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        out = np.subtract(20.0 * (t - t * t), 37.0 * x * x)
-        out += 8.0 * x
-        out -= 1.0
-        return np.exp(out, out=out) if out.ndim else np.exp(out)
+        return np.exp(20.0 * (t - t * t)) * np.exp(8.0 * x - 37.0 * x * x - 1.0)
 
     def source(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         out = exact(x, t)
-        bracket = np.subtract(20.0 * (1.0 - 2.0 * t), (8.0 - 74.0 * x) ** 2)
-        bracket += 74.0
-        out *= bracket
+        out *= np.subtract(20.0 * (1.0 - 2.0 * t) + 74.0, (8.0 - 74.0 * x) ** 2)
         return out
 
     return Problem(

@@ -1,3 +1,4 @@
+import decimal
 import math
 import types
 from dataclasses import replace
@@ -82,16 +83,37 @@ def test_manufactured_source_matches_derivatives(bump_problem):
 
 
 def _bump_as_one_expression(x, t):
-    """The bump's exact solution and source each as one numpy expression,
-    the form ``manufactured_problem`` evaluates into one array in place."""
+    """The bump's exact solution and source each as one numpy expression:
+    the accuracy and robustness baseline of ``manufactured_problem``'s
+    factored form."""
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     exact = np.exp(20.0 * (t - t * t) - 37.0 * x * x + 8.0 * x - 1.0)
     return exact, exact * (20.0 * (1.0 - 2.0 * t) - (8.0 - 74.0 * x) ** 2 + 74.0)
 
 
-def test_bump_data_keep_the_bits_of_one_expression(bump_problem):
+def _worst_errors(x, t, exact, source):
+    """The largest error, in eps, of the bump's ``exact`` and ``source``
+    values at the float points (x, t) against a 40-digit reference: relative
+    to p for the exact solution, and for the source, whose bracket cancels,
+    relative to p (|20(1 - 2t)| + (8 - 74x)^2 + 74)."""
+    worst = [0, 0]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for xi, ti, pi, fi in zip(*(map(decimal.Decimal, a.tolist()) for a in (x, t, exact, source))):
+            p = (20 * (ti - ti * ti) - 37 * xi * xi + 8 * xi - 1).exp()
+            of_t, of_x = 20 * (1 - 2 * ti), (8 - 74 * xi) ** 2
+            worst[0] = max(worst[0], abs(pi - p) / p)
+            worst[1] = max(worst[1], abs(fi - p * (of_t - of_x + 74)) / (p * (abs(of_t) + of_x + 74)))
+    return [float(w) / np.finfo(float).eps for w in worst]
+
+
+def test_bump_data_are_as_accurate_as_one_expression(bump_problem):
     # the argument shapes a march passes: the quadrature nodes of an s = 1 and
-    # an s = 32 window, p0 on cell centers, boundary values on midtimes
+    # an s = 32 window, p0 on cell centers, boundary values on midtimes; plus
+    # random points of the domain.  Each case is evaluated in its own shape,
+    # and a seeded sample of at most 2000 of its points is checked against a
+    # 40-digit reference
+    rng = np.random.default_rng(7)
     fine_32 = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 800, 480, 0.002 / 32, 0.02 / 32, 0.1))
     levels = np.arange(1, 11)
     nodes = scheme._GAUSS_NODES.reshape(3, 1, 1)
@@ -101,17 +123,35 @@ def test_bump_data_keep_the_bits_of_one_expression(bump_problem):
         xc, hx = grid.centers_fine, grid.widths_fine
         cases.append(((xc + 0.5 * hx * nodes)[:, None], (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes)[None]))
         cases.append((grid.centers_fine, 0.0))
-    cases.append((1.0, np.linspace(0.0, 0.1, 33).reshape(3, 11)))
+    midtimes = np.linspace(0.0, 0.1, 33).reshape(3, 11)
+    cases += [(0.0, midtimes), (1.0, midtimes), (rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 0.1, 2000))]
+    points, factored, one = [], [], []
     for x, t in cases:
-        exact, source = _bump_as_one_expression(x, t)
-        assert bump_problem.exact_solution(x, t).tobytes() == exact.tobytes()
-        assert bump_problem.source(x, t).tobytes() == source.tobytes()
+        shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+        pick = rng.choice(math.prod(shape), size=min(2000, math.prod(shape)), replace=False)
+        points.append([np.broadcast_to(a, shape).ravel()[pick] for a in (x, t)])
+        factored.append([f(x, t).ravel()[pick] for f in (bump_problem.exact_solution, bump_problem.source)])
+        one.append([value.ravel()[pick] for value in _bump_as_one_expression(x, t)])
+    x, t = (np.concatenate(column) for column in zip(*points))
+    got, old = (_worst_errors(x, t, *map(np.concatenate, zip(*form))) for form in (factored, one))
+    assert got[0] <= old[0] and got[1] <= old[1], (got, old)
     # scalar arguments give a scalar, as the expression does
     for x, t in ((0.15, 0.1), (np.float64(0.7), 0.0)):
-        exact, source = _bump_as_one_expression(x, t)
         got = (bump_problem.exact_solution(x, t), bump_problem.source(x, t))
         assert [type(value) for value in got] == [np.float64, np.float64]
-        assert got == (exact, source)
+        np.testing.assert_allclose(got, _bump_as_one_expression(x, t), rtol=1e-13)
+
+
+def test_bump_data_are_non_finite_only_where_one_expression_is(bump_problem):
+    # each factor is bounded above (by e^5 in t, e^-0.567 in x), so it can
+    # only underflow to 0 and never meets an inf
+    pool = np.array([0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 1.0, 0.1])
+    x, t = pool[:, None], pool[None, :]
+    with np.errstate(all="ignore"):
+        got = (bump_problem.exact_solution(x, t), bump_problem.source(x, t))
+        old = _bump_as_one_expression(x, t)
+    for new, ref in zip(got, old):
+        assert np.all(np.isfinite(new) | ~np.isfinite(ref))
 
 
 def test_gauss_rule_is_numpys_bit_for_bit():
