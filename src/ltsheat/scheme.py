@@ -100,7 +100,7 @@ class Problem:
     get x and t arrays that broadcast against each other.  One call may
     cover a run of consecutive windows, as many as fit in 2^16 points (a
     window that needs more alone): the t arrays then span all of them, and
-    in a march ``g_lo`` and ``g_hi`` get arrays of midtimes, not one float.
+    ``g_lo`` and ``g_hi`` get arrays of midtimes, not one float.
     A return only has to broadcast to the shape of the arguments, so
     ``lambda x, t: 3.0`` and ``lambda x, t: np.sin(3 * x)`` are valid
     sources, and ``lambda t: 0.0`` a valid boundary value; a return of any
@@ -150,23 +150,14 @@ def manufactured_problem(domain_lo: float = 0.0, domain_hi: float = 1.0) -> Prob
     )
 
 
-def _zero_of_t(t):
-    return np.zeros_like(np.asarray(t, dtype=float))
-
-
-def _zero_of_x(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
+def _zero(*args) -> float:
+    return 0.0
 
 
 def zero_problem() -> Problem:
-    """All data zero; the exact solution is identically zero."""
-    return Problem(
-        source=lambda x, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape),
-        p0=_zero_of_x,
-        g_lo=_zero_of_t,
-        g_hi=_zero_of_t,
-        exact_solution=lambda x, t: np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape),
-    )
+    """All data zero; the exact solution is identically zero.  Each callable
+    returns the scalar 0.0, which the solver broadcasts like any return."""
+    return Problem(source=_zero, p0=_zero, g_lo=_zero, g_hi=_zero, exact_solution=_zero)
 
 
 def polynomial_problem(source_coeffs, initial_coeffs) -> Problem:
@@ -178,10 +169,10 @@ def polynomial_problem(source_coeffs, initial_coeffs) -> Problem:
     sc = np.asarray(source_coeffs, dtype=float)
     ic = np.asarray(initial_coeffs, dtype=float)
     return Problem(
-        source=lambda x, t: polyval(np.asarray(x, dtype=float), sc) + 0.0 * np.asarray(t, dtype=float),
+        source=lambda x, t: polyval(np.asarray(x, dtype=float), sc),
         p0=lambda x: polyval(np.asarray(x, dtype=float), ic),
-        g_lo=_zero_of_t,
-        g_hi=_zero_of_t,
+        g_lo=_zero,
+        g_hi=_zero,
         exact_solution=None,
     )
 
@@ -237,8 +228,10 @@ def slab_source_averages(
     shape = np.broadcast_shapes(xs.shape, ts.shape)
     vals = _broadcast_return(problem.source(xs, ts), shape, "source")
     weighted = _TENSOR_WEIGHTS * vals.reshape(9, -1)
-    # numpy's reduce adds the rows in order, except a single column's 9, which it sums pairwise
-    total = np.add.reduce(weighted, axis=0) if weighted.shape[1] > 1 else sum(weighted[1:], weighted[0])
+    # the rows are added in order, also for one column, where numpy's reduce would sum pairwise
+    total = weighted[0].copy()
+    for row in weighted[1:]:
+        total += row
     # weights sum to 2 per axis on [-1, 1]; averaging divides the 4 back out
     return np.divide(total, 4.0, out=total).reshape(shape[2:])
 
@@ -281,31 +274,28 @@ def _window_blocks(grid: CompositeGrid) -> list[range]:
 def precompute_window_inputs(
     grid: CompositeGrid, window: int | range, problem: Problem, operators: StepOperators | None = None
 ) -> WindowInputs | list[WindowInputs]:
-    """Source averages and boundary values of one window, the only place a
-    problem becomes window data.  Given a ``range`` of consecutive windows,
-    each datum is evaluated in as few runs of them (``_runs``) as keep each
-    call within ``_BLOCK_POINTS`` (9 points a cell and level for a source,
-    1 a level for a boundary value); each window's ``WindowInputs`` holds
-    views of one array per datum, bit for bit those of its own call.
+    """Source averages and boundary values of a ``range`` of consecutive
+    windows, the only place a problem becomes window data.  Each datum is
+    evaluated in as few runs of them (``_runs``) as keep each call within
+    ``_BLOCK_POINTS`` (9 points a cell and level for a source, 1 a level for
+    a boundary value); each window's ``WindowInputs`` holds views of one
+    array per datum.  One window ``w`` is evaluated exactly as the block of
+    one ``range(w, w + 1)``, and its one ``WindowInputs`` is returned.
     ``operators`` carries step matrices already factored for ``grid``
     (``march`` passes one set to all its windows), or a fresh set is made."""
     if isinstance(window, range):
         if window.step != 1 or not window or not 1 <= window[0] <= window[-1] <= grid.n_windows:
             raise DimensionError(f"windows {window!r} are not consecutive windows in 1..{grid.n_windows}")
-        windows = np.arange(window.start, window.stop)
-    else:
-        if not isinstance(window, numbers.Integral) or not 1 <= window <= grid.n_windows:
-            raise DimensionError(f"window {window!r} is not an integer in 1..{grid.n_windows}")
-        windows = np.asarray(window)
+    elif not isinstance(window, numbers.Integral) or not 1 <= window <= grid.n_windows:
+        raise DimensionError(f"window {window!r} is not an integer in 1..{grid.n_windows}")
+    block = window if isinstance(window, range) else range(window, window + 1)
+    windows = np.arange(block.start, block.stop)
     if operators is None:
         operators = StepOperators(grid)
     elif operators.grid is not grid:
         raise DimensionError("step operators belong to another grid")
 
     def evaluate(shape: tuple[int, ...], points: int, datum: Callable) -> np.ndarray:
-        # ``datum`` of an array of windows: a leading axis for a range, none for one window
-        if windows.ndim == 0:
-            return datum(windows)
         out = np.empty(windows.shape + shape)
         for run in _runs(range(windows.size), points):
             out[run.start : run.stop] = datum(windows[run.start : run.stop])
@@ -325,12 +315,7 @@ def precompute_window_inputs(
     inputs = [
         WindowInputs(number, fine, coarse, lo_fine, lo, hi, operators)
         for number, fine, coarse, lo_fine, lo, hi in zip(
-            windows.reshape(-1).tolist(),
-            fine_source.reshape(-1, K, n_fine),
-            coarse_source.reshape(-1, n_coarse),
-            g_lo_fine.reshape(-1, K),
-            g_lo_coarse.reshape(-1).tolist(),
-            g_hi_coarse.reshape(-1).tolist(),
+            block, fine_source, coarse_source, g_lo_fine, g_lo_coarse.tolist(), g_hi_coarse.tolist()
         )
     ]
     return inputs if isinstance(window, range) else inputs[0]

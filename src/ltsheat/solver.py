@@ -440,45 +440,38 @@ def march(
 ) -> tuple[Trajectory, SolveReport]:
     """Solve all windows in order from the initial condition p0(x_K)."""
     n1, n2, ratio, n_windows = grid.n_fine, grid.n_coarse, grid.ratio, grid.n_windows
-    fine = np.zeros((ratio * n_windows + 1, n1))
-    coarse = np.zeros((n_windows + 1, n2))
-    fine[0] = _broadcast_return(problem.p0(grid.centers_fine), (n1,), "p0")
-    coarse[0] = _broadcast_return(problem.p0(grid.centers_coarse), (n2,), "p0")
-    fine_face_pressure = np.zeros((n_windows, ratio))
-    coarse_face_pressure = np.zeros(n_windows)
-    fine_flux = np.zeros((n_windows, ratio))
-    coarse_flux = np.zeros(n_windows)
+    trajectory = Trajectory(
+        grid=grid,
+        fine=np.zeros((ratio * n_windows + 1, n1)),
+        coarse=np.zeros((n_windows + 1, n2)),
+        fine_face_pressure=np.zeros((n_windows, ratio)),
+        coarse_face_pressure=np.zeros(n_windows),
+        fine_flux=np.zeros((n_windows, ratio)),
+        coarse_flux=np.zeros(n_windows),
+    )
+    trajectory.fine[0] = _broadcast_return(problem.p0(grid.centers_fine), (n1,), "p0")
+    trajectory.coarse[0] = _broadcast_return(problem.p0(grid.centers_coarse), (n2,), "p0")
     report = SolveReport()
-    fine_start, coarse_start = fine[0], coarse[0]
     operators = StepOperators(grid)
     # the problem is evaluated a block of consecutive windows at a time
     for block in _window_blocks(grid):
         for inputs in precompute_window_inputs(grid, block, problem, operators):
-            window = inputs.window
+            window, start = inputs.window, trajectory.fine_level(inputs.window, 0)
             try:
-                state, window_report = solve_window(grid, fine_start, coarse_start, variant, mode, inputs)
+                state, window_report = solve_window(
+                    grid, trajectory.fine[start], trajectory.coarse[window - 1], variant, mode, inputs
+                )
             except SolverError as exc:
                 raise SolverError(f"{variant.name}, window {window} of {n_windows}: {exc}") from exc
-            rows = slice((window - 1) * ratio + 1, window * ratio + 1)
-            fine[rows] = state.fine.cells
-            coarse[window] = state.coarse.cells
-            fine_face_pressure[window - 1] = state.fine.pressure
-            coarse_face_pressure[window - 1] = state.coarse.pressure[0]
-            fine_flux[window - 1] = state.fine.flux
-            coarse_flux[window - 1] = state.coarse.flux[0]
+            trajectory.fine[start + 1 : start + ratio + 1] = state.fine.cells
+            trajectory.coarse[window] = state.coarse.cells
+            trajectory.fine_face_pressure[window - 1] = state.fine.pressure
+            trajectory.coarse_face_pressure[window - 1] = state.coarse.pressure[0]
+            trajectory.fine_flux[window - 1] = state.fine.flux
+            trajectory.coarse_flux[window - 1] = state.coarse.flux[0]
             report.append(window_report)
-            fine_start, coarse_start = fine[window * ratio], coarse[window]
     if variant in operators.gains:
         report.gain, _ = operators.gains[variant]
-    trajectory = Trajectory(
-        grid=grid,
-        fine=fine,
-        coarse=coarse,
-        fine_face_pressure=fine_face_pressure,
-        coarse_face_pressure=coarse_face_pressure,
-        fine_flux=fine_flux,
-        coarse_flux=coarse_flux,
-    )
     return trajectory, report
 
 

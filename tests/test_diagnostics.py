@@ -123,13 +123,15 @@ def test_exact_solution_of_the_wrong_shape_raises(bump_run):
     for report in (error_report, lambda tr, p: subdomain_l2_error(tr, p, "fine")):
         with pytest.raises(DimensionError, match=r"exact_solution returned shape \(4,\).*\(\d+, 25\)"):
             report(trajectory, bad)
-    # a scalar return broadcasts: the same report as the zero array
+    # a scalar return broadcasts: the same report as an array of zeros
     scalar = Problem(zero.source, zero.p0, zero.g_lo, zero.g_hi, lambda x, t: 0.0)
-    got, want = error_report(trajectory, scalar), error_report(trajectory, zero)
+    zeros = lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))  # noqa: E731
+    array = Problem(zero.source, zero.p0, zero.g_lo, zero.g_hi, zeros)
+    got, want = error_report(trajectory, scalar), error_report(trajectory, array)
     for name in ("space_error", "l2_by_window", "l2_final", "h1_final", "h1_global"):
         assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
     assert got.l2_final > 0.0
-    assert subdomain_l2_error(trajectory, scalar, "coarse") == subdomain_l2_error(trajectory, zero, "coarse")
+    assert subdomain_l2_error(trajectory, scalar, "coarse") == subdomain_l2_error(trajectory, array, "coarse")
 
 
 def test_error_report_zero_for_exact_interpolant(bump_grid):

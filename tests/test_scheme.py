@@ -320,6 +320,33 @@ def test_window_inputs_of_a_block_are_views_of_one_evaluation(bump_grid, bump_pr
     assert (block[1].g_lo_coarse, block[1].g_hi_coarse) == (single.g_lo_coarse, single.g_hi_coarse)
 
 
+@pytest.mark.parametrize("n_coarse", [15, 1])
+@pytest.mark.parametrize("ratio", [1, 10])
+def test_one_window_is_evaluated_as_a_block_of_one(ratio, n_coarse):
+    grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, n_coarse, 0.02 / ratio, 0.02, 0.1))
+    bump, calls = manufactured_problem(), []
+
+    def recorded(name, f):
+        def evaluate(*args):
+            calls.append((name, [np.shape(arg) for arg in args]))
+            return f(*args)
+        return evaluate
+
+    problem = Problem(*(recorded(name, getattr(bump, name)) for name in ("source", "p0", "g_lo", "g_hi")))
+    for window in (1, grid.n_windows):
+        del calls[:]
+        single = precompute_window_inputs(grid, window, problem)
+        single_calls = calls[:]
+        del calls[:]
+        (block,) = precompute_window_inputs(grid, range(window, window + 1), problem)
+        assert single_calls == calls
+        assert calls[0] == ("source", [(3, 1, 1, 1, 25), (1, 3, 1, ratio, 1)])
+        assert single.window == block.window == window
+        for name in ("fine_source", "coarse_source", "g_lo_fine"):
+            assert getattr(single, name).tobytes() == getattr(block, name).tobytes()
+        assert (single.g_lo_coarse, single.g_hi_coarse) == (block.g_lo_coarse, block.g_hi_coarse)
+
+
 def _problem_with_source(source):
     zero = zero_problem()
     return Problem(source, zero.p0, zero.g_lo, zero.g_hi)
@@ -358,11 +385,11 @@ def test_scalar_data_drive_a_march(bump_grid):
 
 def test_source_of_the_wrong_shape_raises(bump_grid):
     problem = _problem_with_source(lambda x, t: np.zeros(7))
-    with pytest.raises(DimensionError, match=r"source returned shape \(7,\).*\(3, 3, 10, 25\)"):
+    with pytest.raises(DimensionError, match=r"source returned shape \(7,\).*\(3, 3, 1, 10, 25\)"):
         precompute_window_inputs(bump_grid, 1, problem)
     zero = zero_problem()
     problem = Problem(zero.source, zero.p0, lambda t: np.zeros(3), zero.g_hi)
-    with pytest.raises(DimensionError, match=r"g_lo returned shape \(3,\).*\(10,\)"):
+    with pytest.raises(DimensionError, match=r"g_lo returned shape \(3,\).*\(1, 10\)"):
         precompute_window_inputs(bump_grid, 1, problem)
 
 
@@ -377,14 +404,14 @@ def test_left_boundary_value_of_the_wrong_shape_raises_at_the_coarse_midtime(bum
     # K values broadcast to the K fine midtimes, not to the one coarse midtime
     zero = zero_problem()
     problem = Problem(zero.source, zero.p0, lambda t: np.zeros(bump_grid.ratio), zero.g_hi)
-    with pytest.raises(DimensionError, match=r"g_lo returned shape \(10,\).*\(\)"):
+    with pytest.raises(DimensionError, match=r"g_lo returned shape \(10,\).*\(1,\)"):
         precompute_window_inputs(bump_grid, 1, problem)
 
 
 def test_right_boundary_value_of_the_wrong_shape_raises(bump_grid):
     zero = zero_problem()
     problem = Problem(zero.source, zero.p0, zero.g_lo, lambda t: np.zeros(2))
-    with pytest.raises(DimensionError, match=r"g_hi returned shape \(2,\).*\(\)"):
+    with pytest.raises(DimensionError, match=r"g_hi returned shape \(2,\).*\(1,\)"):
         precompute_window_inputs(bump_grid, 1, problem)
 
 
