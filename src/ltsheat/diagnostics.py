@@ -95,20 +95,16 @@ def _level_h1(trajectory: Trajectory, problem: Problem, side: Side, block: range
     """H1 seminorm errors of one side at each of its time levels in the
     windows of ``block``, in time order, against the exact solution at the
     slab midpoints."""
-    grid = trajectory.grid
     windows = np.arange(block.start, block.stop)
-    if side.name == FINE:
-        t = grid.fine_midtime(windows[:, None], np.arange(1, side.levels + 1)).reshape(-1)
-        x_bnd, g, face = grid.domain_lo, "g_lo", trajectory.fine_face_pressure[windows - 1].reshape(-1)
-    else:
-        t = grid.coarse_midtime(windows)
-        x_bnd, g, face = grid.domain_hi, "g_hi", trajectory.coarse_face_pressure[windows - 1]
+    t = side.midtime(windows).reshape(-1)
+    face = getattr(trajectory, f"{side.name}_face_pressure")[windows - 1].reshape(-1)
     rows = slice((block.start - 1) * side.levels + 1, (block.stop - 1) * side.levels + 1)
     cells = getattr(trajectory, side.name)[rows]
-    # the exterior and interface cell indices (0 or -1) pick the (left, right) end
+    # the exterior and interface cell indices (0 or -1) pick the (left, right) end and face
     boundary, interface = [None, None], [None, None]
-    boundary[side.exterior] = _broadcast_return(getattr(problem, g)(t), t.shape, g) - _exact(problem, x_bnd, t)
-    interface[side.iface] = face - _exact(problem, grid.interface_x, t)
+    g = _broadcast_return(getattr(problem, side.boundary)(t), t.shape, side.boundary)
+    boundary[side.exterior] = g - _exact(problem, side.faces[side.exterior], t)
+    interface[side.iface] = face - _exact(problem, trajectory.grid.interface_x, t)
     return _h1_seminorm(cells - _exact(problem, side.centers, t[:, None]), side.widths, boundary, interface)
 
 

@@ -10,6 +10,7 @@ into coarse windows of K fine sub-steps each.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,9 @@ class GridConfig:
                 f"interface_x must lie strictly inside the domain: "
                 f"{self.domain_lo} < {self.interface_x} < {self.domain_hi} fails"
             )
+        for n, name in ((self.n_cells_fine, "n_cells_fine"), (self.n_cells_coarse, "n_cells_coarse")):
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {n!r}")
         if self.n_cells_fine < 1 or self.n_cells_coarse < 1:
             raise ConfigurationError("each subdomain needs at least one cell")
         for dt, name in ((self.dt_fine, "dt_fine"), (self.dt_coarse, "dt_coarse")):
@@ -82,16 +86,28 @@ class GridConfig:
 class Side:
     """One subdomain as its interface solve sees it.  The fine side lies left
     of the interface and takes K time levels per window, the coarse side lies
-    right of it and takes one; otherwise the two are the same problem."""
+    right of it and takes one; otherwise the two are the same problem.
+
+    Window w (1-based) covers ((w - 1) dt_coarse, w dt_coarse]; its level k
+    (k = 1..levels) is the slab of length ``dt`` that starts (k - 1) dt into
+    it.  Its midtime is (w - mid_shift) dt_coarse + mid_offsets[k - 1], where
+    ``CompositeGrid`` sets the shift and offsets to the expression, and so the
+    rounding, of each side's midtimes.
+    """
 
     name: str  # FINE or COARSE
     widths: np.ndarray
     centers: np.ndarray
+    faces: np.ndarray
     dt: float
+    window_dt: float  # dt_coarse, the length of a window
     levels: int  # time levels per coarse window
     iface: int  # index of the cell at the interface
-    exterior: int  # index of the cell at the exterior Dirichlet boundary
+    exterior: int  # index of the cell (and of the face) at the exterior Dirichlet boundary
     sign: float  # sign of the left-to-right interface flux in the iface cell's balance
+    boundary: str  # the Problem callable of the exterior Dirichlet value, "g_lo" or "g_hi"
+    mid_shift: float
+    mid_offsets: np.ndarray  # (levels,)
     d_own: float = field(init=False)  # distance from the interface to the iface cell's center
     mass: np.ndarray = field(init=False)  # widths / dt, the mass term of every step
 
@@ -100,6 +116,16 @@ class Side:
         mass = self.widths / self.dt
         mass.setflags(write=False)
         object.__setattr__(self, "mass", mass)
+        self.mid_offsets.setflags(write=False)
+
+    def slab(self, windows: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t0, t1) of each level of ``windows``, the levels on a trailing axis."""
+        t0 = (np.asarray(windows)[..., None] - 1) * self.window_dt + np.arange(self.levels) * self.dt
+        return t0, t0 + self.dt
+
+    def midtime(self, windows: int | np.ndarray) -> np.ndarray:
+        """The midtime of each level of ``windows``, the levels on a trailing axis."""
+        return (np.asarray(windows)[..., None] - self.mid_shift) * self.window_dt + self.mid_offsets
 
 
 @dataclass(frozen=True)
@@ -108,9 +134,9 @@ class CompositeGrid:
 
     ``d_fine`` and ``d_coarse`` are the distances from the interface face to
     the adjacent fine/coarse cell centers (half the touching cell widths).
-    ``sides`` describes both subdomains for the iterative solver; the
-    monolithic reference deliberately uses the fields above instead.  All
-    arrays are read-only.
+    ``sides`` describes both subdomains, with their time levels, for the
+    iterative solver; the monolithic reference deliberately uses the fields
+    above instead.  All arrays are read-only.
     """
 
     domain_lo: float
@@ -130,10 +156,15 @@ class CompositeGrid:
     sides: dict[str, Side] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        fine = Side(FINE, self.widths_fine, self.centers_fine, self.dt_fine,
-                    levels=self.ratio, iface=-1, exterior=0, sign=1.0)
-        coarse = Side(COARSE, self.widths_coarse, self.centers_coarse, self.dt_coarse,
-                      levels=1, iface=0, exterior=-1, sign=-1.0)
+        # a fine midtime is (w - 1) dt_coarse + (k - 1/2) dt_fine, a coarse one
+        # (w - 1/2) dt_coarse: the fine form at K = 1 would round differently in
+        # some windows (5 of the 40 of the bump grid refined 8 times)
+        fine = Side(FINE, self.widths_fine, self.centers_fine, self.faces_fine, self.dt_fine, self.dt_coarse,
+                    levels=self.ratio, iface=-1, exterior=0, sign=1.0, boundary="g_lo",
+                    mid_shift=1.0, mid_offsets=(np.arange(1, self.ratio + 1) - 0.5) * self.dt_fine)
+        coarse = Side(COARSE, self.widths_coarse, self.centers_coarse, self.faces_coarse, self.dt_coarse,
+                      self.dt_coarse, levels=1, iface=0, exterior=-1, sign=-1.0, boundary="g_hi",
+                      mid_shift=0.5, mid_offsets=np.zeros(1))
         object.__setattr__(self, "sides", {FINE: fine, COARSE: coarse})
         for arr in (
             self.widths_fine,
@@ -167,25 +198,6 @@ class CompositeGrid:
     def d_across(self) -> float:
         """Center-to-center distance across the interface."""
         return self.d_fine + self.d_coarse
-
-    # -- time slabs ---------------------------------------------------------
-    # Window n (1-based) covers ((n-1)*dt_coarse, n*dt_coarse]; its k-th fine
-    # slab (k = 1..K) covers the matching dt_fine subinterval.  ``k`` may be an
-    # array of levels, giving arrays of times.
-
-    def coarse_slab(self, window: int) -> tuple[float, float]:
-        t0 = (window - 1) * self.dt_coarse
-        return t0, t0 + self.dt_coarse
-
-    def fine_slab(self, window: int, k: int) -> tuple[float, float]:
-        t0 = (window - 1) * self.dt_coarse + (k - 1) * self.dt_fine
-        return t0, t0 + self.dt_fine
-
-    def coarse_midtime(self, window: int) -> float:
-        return (window - 0.5) * self.dt_coarse
-
-    def fine_midtime(self, window: int, k: int) -> float:
-        return (window - 1) * self.dt_coarse + (k - 0.5) * self.dt_fine
 
 
 def _build_widths(widths: tuple[float, ...] | None, n: int, length: float, name: str) -> np.ndarray:

@@ -100,7 +100,9 @@ class Problem:
     get x and t arrays that broadcast against each other.  One call may
     cover a run of consecutive windows, as many as fit in 2^16 points (a
     window that needs more alone): the t arrays then span all of them, and
-    ``g_lo`` and ``g_hi`` get arrays of midtimes, not one float.
+    ``g_lo`` and ``g_hi`` get arrays of midtimes, not one float.  Window data
+    are evaluated side by side, with one axis for the windows and one for
+    the side's time levels, K on the fine side and one on the coarse side.
     A return only has to broadcast to the shape of the arguments, so
     ``lambda x, t: 3.0`` and ``lambda x, t: np.sin(3 * x)`` are valid
     sources, and ``lambda t: 0.0`` a valid boundary value; a return of any
@@ -240,14 +242,14 @@ def slab_source_averages(
 class WindowInputs:
     """Per-window precomputed data: slab-averaged sources and boundary values,
     shared by the predictor, the corrector sweeps and the monolithic system,
-    plus the grid's factored step matrices, shared by every window of a march."""
+    plus the grid's factored step matrices, shared by every window of a march.
+    The data of each side are keyed by its name and hold one row or value per
+    time level of the side, K on the fine side and one on the coarse side."""
 
     window: int
-    fine_source: np.ndarray  # (K, n_fine)
-    coarse_source: np.ndarray  # (n_coarse,)
-    g_lo_fine: np.ndarray  # (K,) left boundary value at fine slab midpoints
-    g_lo_coarse: float  # left boundary value at the coarse slab midpoint
-    g_hi_coarse: float  # right boundary value at the coarse slab midpoint
+    source: dict[str, np.ndarray]  # (levels, n) source averages over each slab of the side
+    exterior: dict[str, np.ndarray]  # (levels,) exterior boundary value at each slab midtime
+    g_lo_coarse: float  # the predictor's left boundary value at the coarse slab midtime
     operators: StepOperators
 
 
@@ -275,7 +277,8 @@ def precompute_window_inputs(
     grid: CompositeGrid, window: int | range, problem: Problem, operators: StepOperators | None = None
 ) -> WindowInputs | list[WindowInputs]:
     """Source averages and boundary values of a ``range`` of consecutive
-    windows, the only place a problem becomes window data.  Each datum is
+    windows at each side's time levels (``Side.slab``, ``Side.midtime``),
+    the only place a problem becomes window data.  Each datum is
     evaluated in as few runs of them (``_runs``) as keep each call within
     ``_BLOCK_POINTS`` (9 points a cell and level for a source, 1 a level for
     a boundary value); each window's ``WindowInputs`` holds views of one
@@ -304,19 +307,17 @@ def precompute_window_inputs(
     def boundary(name: str, t: np.ndarray) -> np.ndarray:
         return _broadcast_return(getattr(problem, name)(t), np.shape(t), name)
 
-    K, n_fine, n_coarse, levels = grid.ratio, grid.n_fine, grid.n_coarse, np.arange(1, grid.ratio + 1)
-    fine_source = evaluate((K, n_fine), 9 * K * n_fine, lambda w: slab_source_averages(
-        problem, grid.faces_fine, *grid.fine_slab(w[..., None], levels)))
-    coarse_source = evaluate((n_coarse,), 9 * n_coarse, lambda w: slab_source_averages(
-        problem, grid.faces_coarse, *grid.coarse_slab(w)))
-    g_lo_fine = evaluate((K,), K, lambda w: boundary("g_lo", grid.fine_midtime(w[..., None], levels)))
-    g_lo_coarse = evaluate((), 1, lambda w: boundary("g_lo", grid.coarse_midtime(w)))
-    g_hi_coarse = evaluate((), 1, lambda w: boundary("g_hi", grid.coarse_midtime(w)))
+    source, exterior = {}, {}
+    for side in grid.sides.values():
+        levels, n = side.levels, side.widths.size
+        source[side.name] = evaluate((levels, n), 9 * levels * n, lambda w: slab_source_averages(
+            problem, side.faces, *side.slab(w)))
+        exterior[side.name] = evaluate((levels,), levels, lambda w: boundary(side.boundary, side.midtime(w)))
+    g_lo_coarse = evaluate((1,), 1, lambda w: boundary("g_lo", grid.sides[COARSE].midtime(w)))
     inputs = [
-        WindowInputs(number, fine, coarse, lo_fine, lo, hi, operators)
-        for number, fine, coarse, lo_fine, lo, hi in zip(
-            block, fine_source, coarse_source, g_lo_fine, g_lo_coarse.tolist(), g_hi_coarse.tolist()
-        )
+        WindowInputs(number, {name: data[i] for name, data in source.items()},
+                     {name: data[i] for name, data in exterior.items()}, lo, operators)
+        for i, (number, lo) in enumerate(zip(block, g_lo_coarse[:, 0].tolist()))
     ]
     return inputs if isinstance(window, range) else inputs[0]
 
@@ -593,12 +594,8 @@ def assemble_subdomain_step(
     if k is None or not 1 <= k <= side.levels:
         raise DimensionError(f"{subdomain} time level k={k!r} outside 1..{side.levels}")
     d = variant.closure(grid, side)
-    if subdomain == FINE:
-        source, g = inputs.fine_source[k - 1], inputs.g_lo_fine[k - 1]
-    else:
-        source, g = inputs.coarse_source, inputs.g_hi_coarse
-    rhs = side.widths * source + side.mass * state_prev
-    rhs[side.exterior] += g / (0.5 * side.widths[side.exterior])
+    rhs = side.widths * inputs.source[subdomain][k - 1] + side.mass * state_prev
+    rhs[side.exterior] += inputs.exterior[subdomain][k - 1] / (0.5 * side.widths[side.exterior])
     rhs[side.iface] += side.sign * datum if d is None else datum / d
     return LinearSystem(rhs, inputs.operators.get(subdomain, d))
 
@@ -610,12 +607,12 @@ def assemble_composite_step(
     kept) over the window of ``inputs``: the predictor system, equal to the
     conforming single-domain scheme."""
     # coarse-slab average on fine cells = mean of the fine-slab averages
-    source = np.concatenate([inputs.fine_source.mean(axis=0), inputs.coarse_source])
+    source = np.concatenate([inputs.source[FINE].mean(axis=0), inputs.source[COARSE][0]])
     widths = np.concatenate([grid.widths_fine, grid.widths_coarse])
     prev = np.concatenate([np.asarray(fine_prev, dtype=float), np.asarray(coarse_prev, dtype=float)])
     rhs = widths * source + (widths / grid.dt_coarse) * prev
     rhs[0] += inputs.g_lo_coarse * 2.0 / widths[0]
-    rhs[-1] += inputs.g_hi_coarse * 2.0 / widths[-1]
+    rhs[-1] += inputs.exterior[COARSE][0] * 2.0 / widths[-1]
     return LinearSystem(rhs, inputs.operators.get(UNION))
 
 
@@ -749,11 +746,11 @@ def assemble_monolithic_window(
     rhs = np.zeros(lay.n_unknowns)
     rhs_fine = rhs[: K * n1].reshape(K, n1)
     rhs_fine[0] += (h1 / dt1) * np.asarray(fine_start, dtype=float)
-    rhs_fine += h1 * inputs.fine_source
-    rhs_fine[:, 0] += inputs.g_lo_fine / (0.5 * h1[0])
+    rhs_fine += h1 * inputs.source[FINE]
+    rhs_fine[:, 0] += inputs.exterior[FINE] / (0.5 * h1[0])
     rhs_coarse = rhs[K * n1 : K * n1 + n2]
-    rhs_coarse += (h2 / dt2) * np.asarray(coarse_start, dtype=float) + h2 * inputs.coarse_source
-    rhs_coarse[-1] += inputs.g_hi_coarse / (0.5 * h2[-1])
+    rhs_coarse += (h2 / dt2) * np.asarray(coarse_start, dtype=float) + h2 * inputs.source[COARSE][0]
+    rhs_coarse[-1] += inputs.exterior[COARSE][0] / (0.5 * h2[-1])
 
     entries = [np.broadcast_arrays(*block) for block in blocks]
     rows, cols, vals = (np.concatenate([entry[i].ravel() for entry in entries]) for i in range(3))

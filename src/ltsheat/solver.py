@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .grid import CompositeGrid, Side
+from .grid import CompositeGrid
 from .projection import COARSE, FINE, conservativity_defect, inject_coarse_to_fine, project_fine_to_coarse
 from .scheme import (
     LinearSystem,
@@ -296,16 +296,7 @@ def init_window_state(
     state = WindowState(
         SubdomainState(np.asarray(fine_start, dtype=float)), SubdomainState(np.asarray(coarse_start, dtype=float))
     )
-    return state, _project(grid, master, inject_coarse_to_fine(value, master.levels))
-
-
-def _project(grid: CompositeGrid, side: Side, values: np.ndarray) -> float:
-    """The other side's datum from a trace of ``side``: the average of the K
-    fine values, or the coarse value, which the fine side takes at each of
-    its K levels."""
-    if side.name == FINE:
-        return project_fine_to_coarse(values, grid.ratio)
-    return float(values[0])
+    return state, project_fine_to_coarse(inject_coarse_to_fine(value, master.levels), master.levels)
 
 
 def _damping(gain: float) -> float:
@@ -320,10 +311,12 @@ def _damping(gain: float) -> float:
 
 def _dirichlet_data(grid: CompositeGrid, variant: Variant, state: WindowState) -> float:
     """The slave's Dirichlet datum: the projected master face pressure or
-    interface-cell value, as ``variant`` takes it."""
+    interface-cell value, as ``variant`` takes it.  A trace is projected by
+    the average of its values over its side's levels, K fine values or the
+    one coarse value, which the fine side then takes at each of its levels."""
     side, master = grid.sides[variant.master], getattr(state, variant.master)
     values = master.pressure if variant.face_datum else master.cells.reshape(side.levels, -1)[:, side.iface]
-    return _project(grid, side, values)
+    return project_fine_to_coarse(values, side.levels)
 
 
 def _sweep(
@@ -346,7 +339,8 @@ def _sweep(
         sub.flux, sub.pressure = interface_traces(grid, side, variant, datum, levels[:, side.iface])
 
     close(variant.slave, datum)
-    close(variant.master, _project(grid, grid.sides[variant.slave], getattr(state, variant.slave).flux))
+    slave = grid.sides[variant.slave]
+    close(variant.master, project_fine_to_coarse(getattr(state, slave.name).flux, slave.levels))
 
 
 def corrector_sweep(
@@ -380,15 +374,15 @@ def interface_gain(
     values), whose master's Dirichlet data is g.  The sweep runs on the first
     call and reuses the factors of ``operators``, which keeps both."""
     if variant not in operators.gains:
-        ratio, n_fine, n_coarse = grid.ratio, grid.n_fine, grid.n_coarse
-        inputs = WindowInputs(
-            1, np.zeros((ratio, n_fine)), np.zeros(n_coarse), np.zeros(ratio), 0.0, 0.0, operators
-        )
-        state = WindowState(SubdomainState(np.zeros(n_fine)), SubdomainState(np.zeros(n_coarse)))
+        sides = grid.sides.values()
+        source = {side.name: np.zeros((side.levels, side.widths.size)) for side in sides}
+        inputs = WindowInputs(1, source, {side.name: np.zeros(side.levels) for side in sides}, 0.0, operators)
+        state = WindowState(**{side.name: SubdomainState(np.zeros(side.widths.size)) for side in sides})
         gain = corrector_sweep(grid, state, variant, inputs, 1.0)
-        for sub in (state.fine, state.coarse):
-            sub.cells.setflags(write=False)  # every window of the march reads them
-        operators.gains[variant] = (gain, {FINE: state.fine.cells, COARSE: state.coarse.cells})
+        cells = {side.name: getattr(state, side.name).cells for side in sides}
+        for values in cells.values():
+            values.setflags(write=False)  # every window of the march reads them
+        operators.gains[variant] = (gain, cells)
     return operators.gains[variant]
 
 
@@ -423,7 +417,7 @@ def solve_window(
             datum = (1.0 - theta) * datum + theta * fresh
             fresh = f1 + gain * (datum - x0)
             residuals.append(abs(datum - fresh))
-            converged = mode.kind == CONVERGED and residuals[-1] <= mode.eps
+            converged = residuals[-1] <= mode.eps
             # the residual shrinks by rho in [0, 0.55) per sweep, so one that
             # does not fall is roundoff of the datum, above eps
             stalled = residuals[-1] >= residuals[-2]

@@ -155,6 +155,17 @@ def random_smooth_problem(rng: np.random.Generator):
     return Problem(source=source, p0=p0, g_lo=zero_t, g_hi=zero_t, exact_solution=None)
 
 
+def code_names(function):
+    """The global and attribute names that ``function`` and the functions
+    nested in it (lambdas, comprehensions) read."""
+    names, codes = set(), [function.__code__]
+    while codes:
+        code = codes.pop()
+        names.update(code.co_names)
+        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+    return names
+
+
 def reference_slab_source_averages(problem, faces, t0, t1):
     """``slab_source_averages`` summing its 9 weighted rows with Python's
     ``sum``, a temporary per row: the form that ``np.add.reduce`` replaced,
@@ -175,15 +186,46 @@ def reference_slab_source_averages(problem, faces, t0, t1):
     return total.reshape(shape[2:]) / 4.0
 
 
+class ReferenceTimes:
+    """The slab and midtime formulas of the composite grid before each side
+    held its own time levels, kept as the reference of ``Side.slab`` and
+    ``Side.midtime``.  Window n (1-based) covers ((n-1)*dt_coarse,
+    n*dt_coarse]; its k-th fine slab (k = 1..K) covers the matching dt_fine
+    subinterval.  ``k`` may be an array of levels, giving arrays of times."""
+
+    def __init__(self, grid):
+        self.dt_fine, self.dt_coarse = grid.dt_fine, grid.dt_coarse
+
+    def coarse_slab(self, window):
+        t0 = (window - 1) * self.dt_coarse
+        return t0, t0 + self.dt_coarse
+
+    def fine_slab(self, window, k):
+        t0 = (window - 1) * self.dt_coarse + (k - 1) * self.dt_fine
+        return t0, t0 + self.dt_fine
+
+    def coarse_midtime(self, window):
+        return (window - 0.5) * self.dt_coarse
+
+    def fine_midtime(self, window, k):
+        return (window - 1) * self.dt_coarse + (k - 0.5) * self.dt_fine
+
+
+def assert_same_inputs(a, b):
+    """Two ``WindowInputs`` hold the same data, shapes and bytes."""
+    assert a.source.keys() == b.source.keys() == a.exterior.keys() == b.exterior.keys()
+    for name in a.source:
+        for x, y in ((a.source[name], b.source[name]), (a.exterior[name], b.exterior[name])):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert np.float64(a.g_lo_coarse).tobytes() == np.float64(b.g_lo_coarse).tobytes()
+
+
 def reference_subdomain_rhs(grid, subdomain, k, state_prev, variant, datum, inputs):
     """The right-hand side of one subdomain step formed from the window's
     sources and boundary values at level k, written apart from the library
     as the reference of ``assemble_subdomain_step``."""
     side, level = grid.sides[subdomain], k - 1
-    source, g_exterior = {
-        FINE: (inputs.fine_source, inputs.g_lo_fine),
-        COARSE: (inputs.coarse_source[None, :], np.array([inputs.g_hi_coarse])),
-    }[subdomain]
+    source, g_exterior = inputs.source[subdomain], inputs.exterior[subdomain]
     rhs = side.widths * source[level] + (side.widths / side.dt) * np.asarray(state_prev, dtype=float)
     rhs[side.exterior] += float(g_exterior[level]) / (0.5 * side.widths[side.exterior])
     d = variant.closure(grid, side)
@@ -227,14 +269,14 @@ def reference_monolithic_window(grid, fine_start, coarse_start, variant, inputs)
                 rhs[r] += (h1[j] / dt1) * fine_start[j]
             else:
                 add(r, lay.fine(k - 1, j), -h1[j] / dt1)
-            rhs[r] += h1[j] * inputs.fine_source[k - 1, j]
+            rhs[r] += h1[j] * inputs.source[FINE][k - 1, j]
             if j > 0:
                 add(r, r, inv_dist1[j - 1])
                 add(r, lay.fine(k, j - 1), -inv_dist1[j - 1])
             else:
                 d_bnd = 0.5 * h1[0]
                 add(r, r, 1.0 / d_bnd)
-                rhs[r] += float(inputs.g_lo_fine[k - 1]) / d_bnd
+                rhs[r] += float(inputs.exterior[FINE][k - 1]) / d_bnd
             if j < n1 - 1:
                 add(r, r, inv_dist1[j])
                 add(r, lay.fine(k, j + 1), -inv_dist1[j])
@@ -257,14 +299,14 @@ def reference_monolithic_window(grid, fine_start, coarse_start, variant, inputs)
     for j in range(n2):
         r = lay.coarse(j)
         add(r, r, h2[j] / dt2)
-        rhs[r] += (h2[j] / dt2) * coarse_start[j] + h2[j] * inputs.coarse_source[j]
+        rhs[r] += (h2[j] / dt2) * coarse_start[j] + h2[j] * inputs.source[COARSE][0, j]
         if j < n2 - 1:
             add(r, r, inv_dist2[j])
             add(r, lay.coarse(j + 1), -inv_dist2[j])
         else:
             d_bnd = 0.5 * h2[-1]
             add(r, r, 1.0 / d_bnd)
-            rhs[r] += inputs.g_hi_coarse / d_bnd
+            rhs[r] += float(inputs.exterior[COARSE][0]) / d_bnd
         if j > 0:
             add(r, r, inv_dist2[j - 1])
             add(r, lay.coarse(j - 1), -inv_dist2[j - 1])
@@ -326,6 +368,7 @@ def reference_error_report(trajectory, problem):
 
     grid, exact = trajectory.grid, problem.exact_solution
     sides = (grid.sides[FINE], grid.sides[COARSE])
+    times = ReferenceTimes(grid)
 
     def end_error(side, window):
         cells = getattr(trajectory, side.name)[window * side.levels]
@@ -333,10 +376,10 @@ def reference_error_report(trajectory, problem):
 
     def level_h1(side, window):
         if side.name == FINE:
-            t = grid.fine_midtime(window, np.arange(1, side.levels + 1))
+            t = times.fine_midtime(window, np.arange(1, side.levels + 1))
             x_bnd, g, face = grid.domain_lo, problem.g_lo, trajectory.fine_face_pressure[window - 1]
         else:
-            t = np.array([grid.coarse_midtime(window)])
+            t = np.array([times.coarse_midtime(window)])
             x_bnd, g, face = grid.domain_hi, problem.g_hi, trajectory.coarse_face_pressure[window - 1 : window]
         cells = getattr(trajectory, side.name)[(window - 1) * side.levels + 1 : window * side.levels + 1]
         boundary, interface = [None, None], [None, None]

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltsheat import ConfigurationError, GridConfig, build_composite_grid
-from tests.conftest import BUMP_CONFIG
+from ltsheat.projection import COARSE, FINE
+from tests.conftest import BUMP_CONFIG, ReferenceTimes, grid_space
 
 
 def test_reference_grid_counts(bump_grid):
@@ -48,6 +49,15 @@ def test_non_finite_domain_end_rejected(name, value):
         GridConfig(interface_x=0.5, n_cells_fine=4, n_cells_coarse=4, dt_fine=0.01, dt_coarse=0.01, t_end=0.1, **ends)
 
 
+@pytest.mark.parametrize("name", ["n_cells_fine", "n_cells_coarse"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True, float("nan"), "4"])
+def test_a_cell_count_that_is_no_integer_is_rejected(name, value):
+    counts = {"n_cells_fine": 4, "n_cells_coarse": 4, name: value}
+    with pytest.raises(ConfigurationError, match=f"{name} must be an integer, got {value!r}"):
+        GridConfig(0.0, 1.0, 0.5, dt_fine=0.01, dt_coarse=0.01, t_end=0.1, **counts)
+    assert build_composite_grid(GridConfig(0.0, 1.0, 0.5, 4, np.int64(4), 0.01, 0.01, 0.1)).n_coarse == 4
+
+
 def test_interface_must_be_interior():
     with pytest.raises(ConfigurationError, match="interface_x"):
         GridConfig(0.0, 1.0, 1.0, 4, 4, 0.01, 0.01, 0.1)
@@ -72,12 +82,32 @@ def test_explicit_widths():
 
 
 def test_time_slabs(bump_grid):
-    assert bump_grid.coarse_slab(1) == (0.0, 0.02)
-    assert bump_grid.fine_slab(1, 1) == (0.0, 0.002)
-    t0, t1 = bump_grid.fine_slab(3, 10)
-    assert t1 == pytest.approx(0.06)
-    assert bump_grid.coarse_midtime(2) == pytest.approx(0.03)
-    assert bump_grid.fine_midtime(1, 1) == pytest.approx(0.001)
+    fine, coarse = bump_grid.sides[FINE], bump_grid.sides[COARSE]
+    assert [t.tolist() for t in coarse.slab(1)] == [[0.0], [0.02]]
+    assert [t[0] for t in fine.slab(1)] == [0.0, 0.002]
+    assert fine.slab(3)[1][-1] == pytest.approx(0.06)
+    assert coarse.midtime(2).tolist() == [pytest.approx(0.03)]
+    assert fine.midtime(1)[0] == pytest.approx(0.001)
+    assert fine.midtime(np.arange(1, 6)).shape == (5, 10) and coarse.slab(np.arange(1, 6))[0].shape == (5, 1)
+
+
+@settings(max_examples=60)
+@given(config=grid_space(windows=40))
+@example(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.0025, 0.0025, 0.1))  # K = 1, 40 windows
+def test_side_time_levels_keep_the_bytes_of_the_grid_formulas(config):
+    # each side's slabs and midtimes, for every window at once and for one,
+    # equal the grid's former fine and coarse formulas bit for bit
+    grid = build_composite_grid(config)
+    times, windows, levels = ReferenceTimes(grid), np.arange(1, grid.n_windows + 1), np.arange(1, grid.ratio + 1)
+    for w, at in ((windows, windows[:, None]), (grid.n_windows, grid.n_windows)):
+        reference = {
+            FINE: (*times.fine_slab(at, levels), times.fine_midtime(at, levels)),
+            COARSE: (*times.coarse_slab(at), times.coarse_midtime(at)),
+        }
+        for name, side in grid.sides.items():
+            for got, want in zip((*side.slab(w), side.midtime(w)), reference[name]):
+                assert got.shape == np.shape(w) + (side.levels,)
+                assert got.tobytes() == np.broadcast_to(want, got.shape).tobytes(), name
 
 
 @settings(max_examples=60)

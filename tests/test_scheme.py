@@ -1,6 +1,5 @@
 import decimal
 import math
-import types
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +46,9 @@ from ltsheat.scheme import (
 from ltsheat.solver import Trajectory
 from tests.conftest import (
     BUMP_CONFIG,
+    assert_same_inputs,
     band_dense,
+    code_names,
     band_entries,
     data_scales,
     grid_space,
@@ -115,11 +116,10 @@ def test_bump_data_are_as_accurate_as_one_expression(bump_problem):
     # 40-digit reference
     rng = np.random.default_rng(7)
     fine_32 = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 800, 480, 0.002 / 32, 0.02 / 32, 0.1))
-    levels = np.arange(1, 11)
     nodes = scheme._GAUSS_NODES.reshape(3, 1, 1)
     cases = []
     for grid in (build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.002, 0.02, 0.1)), fine_32):
-        t0, t1 = (bound[:, None] for bound in grid.fine_slab(3, levels))
+        t0, t1 = (bound[:, None] for bound in grid.sides[FINE].slab(3))
         xc, hx = grid.centers_fine, grid.widths_fine
         cases.append(((xc + 0.5 * hx * nodes)[:, None], (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes)[None]))
         cases.append((grid.centers_fine, 0.0))
@@ -193,11 +193,9 @@ def test_cell_average_matches_adaptive_quadrature(bump_grid, bump_problem):
     expected = integral / ((cell[1] - cell[0]) * (slab[1] - slab[0]))
     assert value == pytest.approx(expected, abs=1e-10 * max(1.0, abs(expected)))
     # all K = 10 fine slabs of a window at once equal one call per slab, bitwise
-    levels = np.arange(1, bump_grid.ratio + 1)
-    stacked = slab_source_averages(bump_problem, bump_grid.faces_fine, *bump_grid.fine_slab(3, levels))
-    per_slab = [
-        slab_source_averages(bump_problem, bump_grid.faces_fine, *bump_grid.fine_slab(3, k)) for k in levels
-    ]
+    slabs = bump_grid.sides[FINE].slab(3)
+    stacked = slab_source_averages(bump_problem, bump_grid.faces_fine, *slabs)
+    per_slab = [slab_source_averages(bump_problem, bump_grid.faces_fine, t0, t1) for t0, t1 in zip(*slabs)]
     assert stacked.shape == (10, 25)
     assert stacked.tobytes() == np.array(per_slab).tobytes()
 
@@ -231,7 +229,7 @@ def _quadrature_cases():
         "jittered-faces": (jittered, 0.05 + 0.0013 * (levels - 1), 0.05 + 0.0013 * levels),
         "one-cell": (np.array([0.14, 0.15]), np.array([0.0, 0.5]), np.array([0.5, 1.0])),
         "one-cell-one-slab": (np.array([0.14, 0.15]), 0.038, 0.04),  # a single column to sum
-        "s32-fine-mesh": (fine_32.faces_fine, *fine_32.fine_slab(7, levels)),
+        "s32-fine-mesh": (fine_32.faces_fine, *fine_32.sides[FINE].slab(7)),
     }
 
 
@@ -251,12 +249,12 @@ def test_slab_averages_keep_the_bytes_of_the_row_by_row_sum(config, scale):
     # scalar bounds, whose one-cell sides give the single column to sum
     grid = build_composite_grid(config)
     problem = scaled_problem(manufactured_problem(), scale)
-    windows, levels = np.arange(1, grid.n_windows + 1), np.arange(1, grid.ratio + 1)
+    windows, fine, coarse = np.arange(1, grid.n_windows + 1), grid.sides[FINE], grid.sides[COARSE]
     cases = [
-        (grid.faces_fine, *grid.fine_slab(2, levels)),
-        (grid.faces_fine, *grid.fine_slab(windows[:, None], levels)),
-        (grid.faces_coarse, *grid.coarse_slab(3)),
-        (grid.faces_coarse, *grid.coarse_slab(windows)),
+        (grid.faces_fine, *fine.slab(2)),
+        (grid.faces_fine, *fine.slab(windows)),
+        (grid.faces_coarse, *(bound[0] for bound in coarse.slab(3))),
+        (grid.faces_coarse, *coarse.slab(windows)),
     ]
     for faces, t0, t1 in cases:
         got = slab_source_averages(problem, faces, t0, t1)
@@ -272,9 +270,10 @@ def _runs_of(count, size):
 @pytest.mark.parametrize("ratio", [1, 10, 50])
 def test_window_inputs_evaluate_each_datum_in_budgeted_runs(monkeypatch, ratio):
     # a block holds as many windows of K n_fine = 25 K points as fit in the
-    # budget; within it, the fine source (9 x 25 K points a window), the
-    # coarse source (9 x 15) and the boundary values (K, 1 and 1) are each
-    # evaluated in runs of as many windows as fit, a window over it alone
+    # budget; within it, side by side, the fine source (9 x 25 K points a
+    # window) and g_lo (K), the coarse source (9 x 15) and g_hi (1), then the
+    # predictor's g_lo (1) are each evaluated in runs of as many windows as
+    # fit, a window over it alone; the coarse side has a level axis of one
     grid = build_composite_grid(GridConfig(0.0, 1.0, 0.25, 25, 15, 0.02 / ratio, 0.02, 0.1))
     bump, calls = manufactured_problem(), []
 
@@ -295,29 +294,31 @@ def test_window_inputs_evaluate_each_datum_in_budgeted_runs(monkeypatch, ratio):
         expected = []
         for b in _runs_of(grid.n_windows, budget // window):
             expected += [("source", (3, 3, r, ratio, 25)) for r in _runs_of(b, budget // (9 * window))]
-            expected += [("source", (3, 3, r, 15)) for r in _runs_of(b, budget // (9 * 15))]
-            expected += [("g_lo", (b, ratio)), ("g_lo", (b,)), ("g_hi", (b,))]
+            expected += [("g_lo", (b, ratio))]
+            expected += [("source", (3, 3, r, 1, 15)) for r in _runs_of(b, budget // (9 * 15))]
+            expected += [("g_hi", (b, 1)), ("g_lo", (b, 1))]
         assert calls == expected
         # however many runs, a block's windows hold views of one array per datum
         block = precompute_window_inputs(grid, range(1, grid.n_windows + 1), problem)
-        assert len({id(inputs.fine_source.base) for inputs in block}) == 1
+        assert len({id(inputs.source[FINE].base) for inputs in block}) == 1
     if ratio == 10:
         # the last budget in words: one block of all 5 windows, fine runs of
         # 3 and 2, and one call for each other datum
         assert calls[:5] == [
-            ("source", (3, 3, 3, 10, 25)), ("source", (3, 3, 2, 10, 25)), ("source", (3, 3, 5, 15)),
-            ("g_lo", (5, 10)), ("g_lo", (5,)),
+            ("source", (3, 3, 3, 10, 25)), ("source", (3, 3, 2, 10, 25)), ("g_lo", (5, 10)),
+            ("source", (3, 3, 5, 1, 15)), ("g_hi", (5, 1)),
         ]
 
 
 def test_window_inputs_of_a_block_are_views_of_one_evaluation(bump_grid, bump_problem):
     block = precompute_window_inputs(bump_grid, range(2, 5), bump_problem)
     assert [inputs.window for inputs in block] == [2, 3, 4]
-    assert block[0].fine_source.base is block[2].fine_source.base
+    for name in bump_grid.sides:
+        assert block[0].source[name].base is block[2].source[name].base
+        assert block[0].exterior[name].base is block[2].exterior[name].base
     assert block[0].operators is block[2].operators
     single = precompute_window_inputs(bump_grid, 3, bump_problem)
-    assert block[1].fine_source.tobytes() == single.fine_source.tobytes()
-    assert (block[1].g_lo_coarse, block[1].g_hi_coarse) == (single.g_lo_coarse, single.g_hi_coarse)
+    assert_same_inputs(block[1], single)
 
 
 @pytest.mark.parametrize("n_coarse", [15, 1])
@@ -340,11 +341,13 @@ def test_one_window_is_evaluated_as_a_block_of_one(ratio, n_coarse):
         del calls[:]
         (block,) = precompute_window_inputs(grid, range(window, window + 1), problem)
         assert single_calls == calls
-        assert calls[0] == ("source", [(3, 1, 1, 1, 25), (1, 3, 1, ratio, 1)])
+        # each side's data get its level axis, of length one on the coarse side
+        assert calls == [
+            ("source", [(3, 1, 1, 1, 25), (1, 3, 1, ratio, 1)]), ("g_lo", [(1, ratio)]),
+            ("source", [(3, 1, 1, 1, n_coarse), (1, 3, 1, 1, 1)]), ("g_hi", [(1, 1)]), ("g_lo", [(1, 1)]),
+        ]
         assert single.window == block.window == window
-        for name in ("fine_source", "coarse_source", "g_lo_fine"):
-            assert getattr(single, name).tobytes() == getattr(block, name).tobytes()
-        assert (single.g_lo_coarse, single.g_hi_coarse) == (block.g_lo_coarse, block.g_hi_coarse)
+        assert_same_inputs(single, block)
 
 
 def _problem_with_source(source):
@@ -364,9 +367,10 @@ def test_source_of_x_only_broadcasts_to_the_nodes(bump_grid):
     for window in (1, bump_grid.n_windows):
         got = precompute_window_inputs(bump_grid, window, _problem_with_source(x_only))
         want = precompute_window_inputs(bump_grid, window, both)
-        assert got.fine_source.shape == (bump_grid.ratio, bump_grid.n_fine)
-        assert got.fine_source.tobytes() == want.fine_source.tobytes()
-        assert got.coarse_source.tobytes() == want.coarse_source.tobytes()
+        assert got.source[FINE].shape == (bump_grid.ratio, bump_grid.n_fine)
+        assert got.source[COARSE].shape == (1, bump_grid.n_coarse)
+        for name in bump_grid.sides:
+            assert got.source[name].tobytes() == want.source[name].tobytes()
     # the returned arrays are read, never written
     assert all(array.tobytes() == copy.tobytes() for array, copy in returned)
 
@@ -374,10 +378,10 @@ def test_source_of_x_only_broadcasts_to_the_nodes(bump_grid):
 def test_scalar_data_drive_a_march(bump_grid):
     problem = Problem(lambda x, t: 3.0, lambda x: 0.0, lambda t: 0.0, lambda t: 0.0)
     inputs = precompute_window_inputs(bump_grid, 2, problem)
-    assert inputs.fine_source.shape == (bump_grid.ratio, bump_grid.n_fine)
-    np.testing.assert_allclose(inputs.fine_source, 3.0, rtol=1e-15)
-    np.testing.assert_allclose(inputs.coarse_source, 3.0, rtol=1e-15)
-    assert inputs.g_lo_fine.shape == (bump_grid.ratio,)
+    for name, side in bump_grid.sides.items():
+        assert inputs.source[name].shape == (side.levels, side.widths.size)
+        np.testing.assert_allclose(inputs.source[name], 3.0, rtol=1e-15)
+        assert inputs.exterior[name].shape == (side.levels,)
     trajectory, report = march(bump_grid, VARIANTS[0], SolveMode.converged(1e-8), problem)
     assert report.all_converged
     assert np.all(trajectory.fine[1:] > 0.0) and np.all(trajectory.coarse[1:] > 0.0)
@@ -404,14 +408,14 @@ def test_left_boundary_value_of_the_wrong_shape_raises_at_the_coarse_midtime(bum
     # K values broadcast to the K fine midtimes, not to the one coarse midtime
     zero = zero_problem()
     problem = Problem(zero.source, zero.p0, lambda t: np.zeros(bump_grid.ratio), zero.g_hi)
-    with pytest.raises(DimensionError, match=r"g_lo returned shape \(10,\).*\(1,\)"):
+    with pytest.raises(DimensionError, match=r"g_lo returned shape \(10,\).*\(1, 1\)"):
         precompute_window_inputs(bump_grid, 1, problem)
 
 
 def test_right_boundary_value_of_the_wrong_shape_raises(bump_grid):
     zero = zero_problem()
     problem = Problem(zero.source, zero.p0, zero.g_lo, lambda t: np.zeros(2))
-    with pytest.raises(DimensionError, match=r"g_hi returned shape \(2,\).*\(1,\)"):
+    with pytest.raises(DimensionError, match=r"g_hi returned shape \(2,\).*\(1, 1\)"):
         precompute_window_inputs(bump_grid, 1, problem)
 
 
@@ -598,16 +602,11 @@ def test_monolithic_solve_matches_scipy_solve_banded(bump_problem, variant):
 
 def test_monolithic_assembly_stays_off_the_iterative_path():
     # the oracle checks the iterative solver, so it shares none of its step code
-    names, codes = set(), [assemble_monolithic_window.__code__]
-    while codes:
-        code = codes.pop()
-        names.update(code.co_names)
-        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
     iterative = {
         "_step_bands", "StepOperators", "closure", "face_datum", "interface_traces",
         "assemble_subdomain_step", "sides", "operators",
     }
-    assert not names & iterative
+    assert not code_names(assemble_monolithic_window) & iterative
 
 
 def recover_interface_fluxes(grid, inputs, fine_start, coarse_start, fine, coarse):
@@ -623,12 +622,12 @@ def recover_interface_fluxes(grid, inputs, fine_start, coarse_start, fine, coars
     h1, h2 = grid.widths_fine, grid.widths_coarse
     fine_levels = np.vstack([fine_start, fine])
     mass1 = (h1 / grid.dt_fine) * np.diff(fine_levels, axis=0)
-    load1 = h1 * inputs.fine_source
-    exterior = (fine[:, 0] - inputs.g_lo_fine) / (0.5 * h1[0])
+    load1 = h1 * inputs.source[FINE]
+    exterior = (fine[:, 0] - inputs.exterior[FINE]) / (0.5 * h1[0])
     u_fine = np.cumsum(np.column_stack([exterior, mass1 - load1]), axis=1)  # faces left to right
     mass2 = (h2 / grid.dt_coarse) * (coarse - coarse_start)
-    load2 = h2 * inputs.coarse_source
-    exterior = (inputs.g_hi_coarse - coarse[-1]) / (0.5 * h2[-1])
+    load2 = h2 * inputs.source[COARSE][0]
+    exterior = (inputs.exterior[COARSE][0] - coarse[-1]) / (0.5 * h2[-1])
     u_coarse = np.cumsum(np.concatenate([[exterior], (load2 - mass2)[::-1]]))  # faces right to left
     operands = ((h1 / grid.dt_fine) * fine_levels, (h2 / grid.dt_coarse) * np.array([coarse_start, coarse]))
     terms = (mass1, load1, u_fine, mass2, load2, u_coarse, *operands)
@@ -894,9 +893,10 @@ def test_step_right_hand_sides_match_the_level_by_level_reference(config, seed, 
 def test_zero_window_data_give_zero_loads(bump_grid):
     # the homogeneous window of the interface gain: with zero previous cells
     # and datum, every level's right-hand side is zero
-    ratio, n_fine, n_coarse = bump_grid.ratio, bump_grid.n_fine, bump_grid.n_coarse
-    operators = scheme.StepOperators(bump_grid)
-    inputs = WindowInputs(1, np.zeros((ratio, n_fine)), np.zeros(n_coarse), np.zeros(ratio), 0.0, 0.0, operators)
+    sides = bump_grid.sides.values()
+    source = {side.name: np.zeros((side.levels, side.widths.size)) for side in sides}
+    exterior = {side.name: np.zeros(side.levels) for side in sides}
+    inputs = WindowInputs(1, source, exterior, 0.0, scheme.StepOperators(bump_grid))
     for name, side in bump_grid.sides.items():
         for variant in VARIANTS:
             for k in range(1, side.levels + 1):

@@ -31,26 +31,29 @@ from ltsheat import (
     manufactured_problem,
     march,
     precompute_window_inputs,
+    project_fine_to_coarse,
     solve_linear,
     solve_window,
     solve_window_monolithic,
     zero_problem,
 )
+import ltsheat.diagnostics
 import ltsheat.scheme
 import ltsheat.solver
 from ltsheat.diagnostics import ErrorSeries
-from ltsheat.scheme import VARIANTS, BandMatrix, LinearSystem, StepOperators, TridiagonalLU, Variant
+from ltsheat.scheme import COARSE, FINE, VARIANTS, BandMatrix, LinearSystem, StepOperators, TridiagonalLU, Variant
 from ltsheat.solver import (
     DIRICHLET_RELAXATION,
     Trajectory,
     _damping,
-    _project,
     corrector_sweep,
     init_window_state,
     interface_gain,
     predictor_step,
 )
 from tests.conftest import (
+    assert_same_inputs,
+    code_names,
     data_scales,
     grid_space,
     jittered_widths,
@@ -85,6 +88,22 @@ def test_window_data_comes_only_from_inputs(function):
     assert "window" not in parameters and "problem" not in parameters
 
 
+@pytest.mark.parametrize(
+    "function",
+    [
+        ltsheat.scheme.assemble_subdomain_step,
+        ltsheat.diagnostics._level_h1,
+        ltsheat.solver.interface_gain,
+        ltsheat.solver._dirichlet_data,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_the_side_generic_path_names_no_side(function):
+    # a side's levels, data, ends and projection come from its Side and its
+    # name, so these functions handle either side without naming one
+    assert not code_names(function) & {"FINE", "COARSE"}
+
+
 # -- direct solves -------------------------------------------------------------
 
 
@@ -93,12 +112,7 @@ def test_each_matrix_solves_itself_and_scheme_needs_no_solver(bump_grid):
     # solve_linear only accepts or rejects what the system's matrix returns,
     # with no branch on its kind; the gain cache holds plain arrays, so scheme
     # needs no solver type, not even for an annotation
-    names, codes = set(), [solve_linear.__code__]
-    while codes:
-        code = codes.pop()
-        names.update(code.co_names)
-        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
-    assert not names & {"_flapack", "dgbtrf", "dgbtrs", "pivots", "storage", "lu", "band"}
+    assert not code_names(solve_linear) & {"_flapack", "dgbtrf", "dgbtrs", "pivots", "storage", "lu", "band"}
     assert "_flapack" not in vars(ltsheat.solver)
     assert not {"solver", "WindowState"} & set(vars(ltsheat.scheme))
     assert not any(value is ltsheat.solver for value in vars(ltsheat.scheme).values())
@@ -362,7 +376,7 @@ def test_predictor_matches_independent_dense_assembly(bump_grid, bump_problem):
     n = widths.size
     dt = grid.dt_coarse
     inputs = precompute_window_inputs(grid, 1, prob)
-    source = np.concatenate([inputs.fine_source.mean(axis=0), inputs.coarse_source])
+    source = np.concatenate([inputs.source[FINE].mean(axis=0), inputs.source[COARSE][0]])
     prev = np.concatenate([prob.p0(grid.centers_fine), prob.p0(grid.centers_coarse)])
     A = np.zeros((n, n))
     b = np.zeros(n)
@@ -378,7 +392,7 @@ def test_predictor_matches_independent_dense_assembly(bump_grid, bump_problem):
             A[j, j - 1] -= 1.0 / d
         if j == n - 1:
             A[j, j] += 1.0 / (0.5 * widths[-1])
-            b[j] += inputs.g_hi_coarse / (0.5 * widths[-1])
+            b[j] += inputs.exterior[COARSE][0] / (0.5 * widths[-1])
         else:
             d = centers[j + 1] - centers[j]
             A[j, j] += 1.0 / d
@@ -653,7 +667,7 @@ def test_data_near_the_largest_float_fail_a_direct_solve_or_stay_finite(config, 
 
 def _neumann_residual(grid, variant, state):
     """max |master flux - projected slave flux| of a state after a sweep."""
-    slave_flux = _project(grid, grid.sides[variant.slave], getattr(state, variant.slave).flux)
+    slave_flux = project_fine_to_coarse(getattr(state, variant.slave).flux, grid.sides[variant.slave].levels)
     return float(np.max(np.abs(getattr(state, variant.master).flux - slave_flux)))
 
 
@@ -754,9 +768,7 @@ def test_blocks_of_windows_match_single_windows_bit_for_bit(config, variant, bud
         mp.setattr(ltsheat.scheme, "_BLOCK_POINTS", budget)
         for block in ltsheat.scheme._window_blocks(grid):
             for inputs in precompute_window_inputs(grid, block, problem):
-                single = precompute_window_inputs(grid, inputs.window, problem)
-                for name in ("fine_source", "coarse_source", "g_lo_fine", "g_lo_coarse", "g_hi_coarse"):
-                    assert np.asarray(getattr(inputs, name)).tobytes() == np.asarray(getattr(single, name)).tobytes()
+                assert_same_inputs(inputs, precompute_window_inputs(grid, inputs.window, problem))
         trajectory, report = march(grid, variant, mode, problem)
         series = error_report(trajectory, problem)
     expected, expected_report = _single_window_march(grid, variant, mode, problem)
@@ -855,7 +867,7 @@ def test_superposed_windows_match_a_real_sweep_from_the_last_datum(monkeypatch, 
         for got, want in zip(_state_fields(state), _state_fields(expected)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         # the master's flux is the projected slave flux, bit for bit at every level
-        neumann = _project(bump_grid, bump_grid.sides[variant.slave], getattr(state, variant.slave).flux)
+        neumann = project_fine_to_coarse(getattr(state, variant.slave).flux, bump_grid.sides[variant.slave].levels)
         master = getattr(state, variant.master)
         assert master.flux.tobytes() == np.full(master.flux.size, neumann).tobytes()
         assert report.conservativity_defect <= 1e-12 * max(1.0, report.flux_scale)
