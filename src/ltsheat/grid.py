@@ -33,6 +33,11 @@ def _as_integer_ratio(value: float, name: str) -> int:
     return n
 
 
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """User-facing description of the composite grid.
@@ -53,6 +58,13 @@ class GridConfig:
     widths_coarse: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("domain_lo", "domain_hi", "interface_x", "dt_fine", "dt_coarse", "t_end"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name in ("widths_fine", "widths_coarse"):
+            widths = getattr(self, name)
+            if widths is not None and not (np.iterable(widths) and all(map(_is_real, widths))):
+                raise ConfigurationError(f"{name} must be a sequence of real numbers, got {widths!r}")
         for end, name in ((self.domain_lo, "domain_lo"), (self.domain_hi, "domain_hi")):
             if not np.isfinite(end):
                 raise ConfigurationError(f"{name} must be finite, got {end!r}")

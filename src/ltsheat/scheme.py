@@ -110,6 +110,11 @@ class Problem:
     measured against ``exact_solution`` when it is set, and no field is
     derived from it: ``manufactured_problem`` sets the boundary data to its
     traces at the domain ends, a hand-built ``Problem`` keeps its own.
+
+    ``source_terms`` may give the same source as pairs (of_t, of_x) whose
+    products of_t(t) * of_x(x) add up to ``source(x, t)``; the slab source
+    averages then come from 1-D Gauss rules on the factors, and without
+    them from the tensor rule on ``source`` (``slab_source_averages``).
     """
 
     source: Callable
@@ -117,13 +122,15 @@ class Problem:
     g_lo: Callable
     g_hi: Callable
     exact_solution: Callable | None = None
+    source_terms: tuple[tuple[Callable, Callable], ...] = ()
 
 
 def manufactured_problem(domain_lo: float = 0.0, domain_hi: float = 1.0) -> Problem:
     """Bump solution p = exp(20(t - t^2) - 37x^2 + 8x - 1) with its induced
     source f = p * (20(1 - 2t) - (8 - 74x)^2 + 74) and its traces at the
     domain ends ``domain_lo`` and ``domain_hi`` as boundary data, the only
-    boundary data its errors are measured against."""
+    boundary data its errors are measured against.  With p = T(t) X(x), the
+    source's terms are [T (20(1 - 2t) + 74)] X and (-T) [X (8 - 74x)^2]."""
 
     # p is a time factor exp(20(t - t^2)) <= e^5 times a space factor
     # exp(8x - 37x^2 - 1) <= e^-0.567, so neither overflows and there is no
@@ -131,10 +138,16 @@ def manufactured_problem(domain_lo: float = 0.0, domain_hi: float = 1.0) -> Prob
     # term runs on its own argument's array, a quadrature's small node rows,
     # and only the products and the difference are full size.  Scalar
     # arguments give a scalar
-    def exact(x, t):
-        x = np.asarray(x, dtype=float)
+    def of_t(t):
         t = np.asarray(t, dtype=float)
-        return np.exp(20.0 * (t - t * t)) * np.exp(8.0 * x - 37.0 * x * x - 1.0)
+        return np.exp(20.0 * (t - t * t))
+
+    def of_x(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(8.0 * x - 37.0 * x * x - 1.0)
+
+    def exact(x, t):
+        return of_t(t) * of_x(x)
 
     def source(x, t):
         x = np.asarray(x, dtype=float)
@@ -143,12 +156,19 @@ def manufactured_problem(domain_lo: float = 0.0, domain_hi: float = 1.0) -> Prob
         out *= np.subtract(20.0 * (1.0 - 2.0 * t) + 74.0, (8.0 - 74.0 * x) ** 2)
         return out
 
+    def growth(t):
+        return of_t(t) * (20.0 * (1.0 - 2.0 * np.asarray(t, dtype=float)) + 74.0)
+
+    def spread(x):
+        return of_x(x) * (8.0 - 74.0 * np.asarray(x, dtype=float)) ** 2
+
     return Problem(
         source=source,
         p0=lambda x: exact(x, 0.0),
         g_lo=lambda t: exact(domain_lo, t),
         g_hi=lambda t: exact(domain_hi, t),
         exact_solution=exact,
+        source_terms=((growth, of_x), (lambda t: -of_t(t), spread)),
     )
 
 
@@ -164,35 +184,43 @@ def zero_problem() -> Problem:
 
 def polynomial_problem(source_coeffs, initial_coeffs) -> Problem:
     """Source f(x) and initial value p0(x) given as ascending polynomial
-    coefficients in x; homogeneous Dirichlet data, no exact solution.
-    Only these problems load ``numpy.polynomial``."""
+    coefficients in x, one source term with a unit t factor; homogeneous
+    Dirichlet data, no exact solution.  Only these problems load ``numpy.polynomial``."""
     from numpy.polynomial.polynomial import polyval
 
     sc = np.asarray(source_coeffs, dtype=float)
     ic = np.asarray(initial_coeffs, dtype=float)
+
+    def of_x(x):
+        return polyval(np.asarray(x, dtype=float), sc)
+
     return Problem(
-        source=lambda x, t: polyval(np.asarray(x, dtype=float), sc),
+        source=lambda x, t: of_x(x),
         p0=lambda x: polyval(np.asarray(x, dtype=float), ic),
         g_lo=_zero,
         g_hi=_zero,
         exact_solution=None,
+        source_terms=((lambda t: 1.0, of_x),),
     )
 
 
 def _broadcast_return(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     """A problem callable's return as a read-only float array of ``shape``.
     A float64 array of that shape comes back as a read-only view, so an
-    array the callable keeps is never written."""
+    array the callable keeps is never written.  A return that is not real
+    numbers (strings, objects, complex values) or does not broadcast to
+    ``shape`` raises ``DimensionError``."""
     if type(value) is np.ndarray and value.shape == shape and value.dtype == np.float64:
         view = value.view()
         view.setflags(write=False)
         return view
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf":
+        raise DimensionError(f"{name} returned values of dtype {array.dtype}, which are not real numbers")
     try:
-        return np.broadcast_to(np.asarray(value, dtype=float), shape)
+        return np.broadcast_to(array.astype(float, copy=False), shape)
     except ValueError:
-        raise DimensionError(
-            f"{name} returned shape {np.shape(value)}, which does not broadcast to {shape}"
-        ) from None
+        raise DimensionError(f"{name} returned shape {array.shape}, which does not broadcast to {shape}") from None
 
 
 # -- source quadrature --------------------------------------------------------
@@ -208,25 +236,41 @@ _GAUSS_WEIGHTS = np.array([0.5555555555555557, 0.8888888888888888, 0.55555555555
 _TENSOR_WEIGHTS = np.outer(_GAUSS_WEIGHTS, _GAUSS_WEIGHTS).reshape(9, 1)
 
 
+def _gauss_average(values: np.ndarray) -> np.ndarray:
+    """Half the 3-point Gauss sum over the first axis, in node order and elementwise, as for every block of windows."""
+    return 0.5 * (_GAUSS_WEIGHTS[0] * values[0] + _GAUSS_WEIGHTS[1] * values[1] + _GAUSS_WEIGHTS[2] * values[2])
+
+
 def slab_source_averages(
     problem: Problem, faces: np.ndarray, t0: float | np.ndarray, t1: float | np.ndarray
 ) -> np.ndarray:
     """Space-time averages of the source over each cell of ``faces`` times
     the slab (t0, t1), by 3-point tensor Gauss-Legendre quadrature.  Scalar
-    bounds give (n,); arrays of bounds give (levels, n), one row per slab,
-    from a single source evaluation.
+    bounds give (n,); arrays of bounds give (levels, n), one row per slab.
 
-    The source is evaluated on x nodes (3, 1, *levels, n) and t nodes
-    (1, 3, *levels, 1), so the cells are the innermost, contiguous axis; its
-    return needs only to broadcast to the shape of the two.  Each average is
-    the sum of (w_i w_j) f over x node i, then t node j, divided by 4."""
+    With ``problem.source_terms``, each term's tensor rule is the product of
+    its factors' 1-D rules: of_t on t nodes (3, *levels, 1) times of_x on x
+    nodes (3, n), the terms added in order.  Otherwise ``source`` is
+    evaluated once, on x nodes (3, 1, 1 per level axis, n) and t nodes
+    (1, 3, *levels, 1), so the cells are the innermost, contiguous axis;
+    each average is the sum of (w_i w_j) f over x node i, then t node j,
+    divided by 4.  A return needs only to broadcast to its arguments."""
     faces = np.asarray(faces, dtype=float)
     xc = 0.5 * (faces[:-1] + faces[1:])
     hx = np.diff(faces)
     t0, t1 = np.asarray(t0, dtype=float)[..., None], np.asarray(t1, dtype=float)[..., None]
     nodes = _GAUSS_NODES.reshape((3,) + (1,) * max(t0.ndim, t1.ndim))
+    ts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes  # (3, *levels, 1)
+    if problem.source_terms:
+        xs = xc + 0.5 * hx * _GAUSS_NODES[:, None]  # (3, n)
+        total = None
+        for k, (of_t, of_x) in enumerate(problem.source_terms):
+            term = _gauss_average(_broadcast_return(of_t(ts), ts.shape, f"source_terms[{k}] t factor"))
+            term = term * _gauss_average(_broadcast_return(of_x(xs), xs.shape, f"source_terms[{k}] x factor"))
+            total = term if total is None else np.add(total, term, out=total)
+        return total
     xs = (xc + 0.5 * hx * nodes)[:, None]  # (3, 1, 1 per level axis, n)
-    ts = (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * nodes)[None]  # (1, 3, *levels, 1)
+    ts = ts[None]  # (1, 3, *levels, 1)
     shape = np.broadcast_shapes(xs.shape, ts.shape)
     vals = _broadcast_return(problem.source(xs, ts), shape, "source")
     weighted = _TENSOR_WEIGHTS * vals.reshape(9, -1)

@@ -99,7 +99,7 @@ class SolveMode:
     def __post_init__(self) -> None:
         if self.kind not in MODE_KINDS:
             raise ConfigurationError(f"unknown solve mode {self.kind!r}")
-        if not 0.0 < self.eps < math.inf:
+        if not isinstance(self.eps, numbers.Real) or isinstance(self.eps, bool) or not 0.0 < self.eps < math.inf:
             raise ConfigurationError(f"eps must be positive and finite, got {self.eps!r}")
         if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
             raise ConfigurationError(f"max_iters must be an integer, got {self.max_iters!r}")

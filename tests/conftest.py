@@ -120,7 +120,9 @@ def jittered_widths(rng, n, length):
 
 
 def scaled_problem(problem, c):
-    """``problem`` with its source, initial and boundary data times c."""
+    """``problem`` with its source, initial and boundary data times c; each
+    source term's t factor is scaled too, so the scaled source is averaged
+    on the same path (factors or tensor rule) as the source of ``problem``."""
     from ltsheat import Problem
 
     return Problem(
@@ -128,6 +130,7 @@ def scaled_problem(problem, c):
         p0=lambda x: c * problem.p0(x),
         g_lo=lambda t: c * problem.g_lo(t),
         g_hi=lambda t: c * problem.g_hi(t),
+        source_terms=tuple((lambda t, of_t=of_t: c * of_t(t), of_x) for of_t, of_x in problem.source_terms),
     )
 
 

@@ -166,6 +166,18 @@ def test_package_exports_what_its_callers_read():
     assert all(hasattr(ltsheat, name) for name in ltsheat.__all__)
 
 
+def test_readme_python_examples_run(capsys):
+    # the three python blocks run in order in one namespace, as a reader would
+    # paste them, so an example that goes stale fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["block"]) == 3 and capsys.readouterr().out
+
+
 def test_nan_cell_width_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL + "output_dir = " + str(tmp_path / "o") + "\n")
     code = run_experiment(cfg, {"grid.n_cells_fine": "3", "grid.widths_fine": "0.2, nan, 0.1"})

@@ -58,6 +58,24 @@ def test_a_cell_count_that_is_no_integer_is_rejected(name, value):
     assert build_composite_grid(GridConfig(0.0, 1.0, 0.5, 4, np.int64(4), 0.01, 0.01, 0.1)).n_coarse == 4
 
 
+#: the real-number fields of a valid ``GridConfig``
+_REAL_FIELDS = dict(domain_lo=0.0, domain_hi=1.0, interface_x=0.5, dt_fine=0.01, dt_coarse=0.01, t_end=0.1)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name in _REAL_FIELDS for value in ("0.5", None, True)]
+    + [(name, value) for name in ("widths_fine", "widths_coarse") for value in (5, "abcd", (0.125, "a", 0.125, 0.125))],
+)
+def test_a_field_that_is_no_real_number_is_rejected(name, value):
+    # checked before any comparison, so no raw TypeError escapes
+    fields = dict(_REAL_FIELDS, n_cells_fine=4, n_cells_coarse=4, **{name: value})
+    with pytest.raises(ConfigurationError, match=f"{name} must be a (real number|sequence of real numbers), got "):
+        GridConfig(**fields)
+    numpy_reals = dict(_REAL_FIELDS, domain_hi=np.float64(1.0), dt_fine=np.float32(0.01), t_end=np.int64(1))
+    assert GridConfig(n_cells_fine=4, n_cells_coarse=4, widths_fine=np.full(4, 0.125), **numpy_reals).t_end == 1
+
+
 def test_interface_must_be_interior():
     with pytest.raises(ConfigurationError, match="interface_x"):
         GridConfig(0.0, 1.0, 1.0, 4, 4, 0.01, 0.01, 0.1)

@@ -342,9 +342,12 @@ def test_banded_solve_writes_neither_rhs_nor_matrix():
 
 
 def test_solve_mode_validation():
-    for eps in (0.0, -1e-5, math.nan, math.inf):
+    # a non-number is rejected before it is compared
+    for eps in (0.0, -1e-5, math.nan, math.inf, "1e-5", None, True):
         with pytest.raises(ConfigurationError, match="eps must be positive and finite"):
             SolveMode("converged", eps=eps)
+    with pytest.raises(ConfigurationError, match="eps must be positive and finite, got '1e-5'"):
+        SolveMode.converged("1e-5", 10)
     with pytest.raises(ConfigurationError):
         SolveMode("converged", max_iters=0)
     # a sweep count is a whole number: no float, even an integral one, and no bool
