@@ -111,10 +111,12 @@ class Problem:
     derived from it: ``manufactured_problem`` sets the boundary data to its
     traces at the domain ends, a hand-built ``Problem`` keeps its own.
 
-    ``source_terms`` may give the same source as pairs (of_t, of_x) whose
-    products of_t(t) * of_x(x) add up to ``source(x, t)``; the slab source
-    averages then come from 1-D Gauss rules on the factors, and without
-    them from the tensor rule on ``source`` (``slab_source_averages``).
+    ``source_terms`` may give the same source as a tuple of pairs (of_t,
+    of_x) of callables whose products of_t(t) * of_x(x) add up to
+    ``source(x, t)``; the slab source averages then come from 1-D Gauss
+    rules on the factors, and without them from the tensor rule on
+    ``source`` (``slab_source_averages``).  Construction checks that form
+    but calls nothing, so the terms' sum is not checked against ``source``.
     """
 
     source: Callable
@@ -123,6 +125,13 @@ class Problem:
     g_hi: Callable
     exact_solution: Callable | None = None
     source_terms: tuple[tuple[Callable, Callable], ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.source_terms, tuple):
+            raise ConfigurationError(f"source_terms must be a tuple of (of_t, of_x) pairs, got {self.source_terms!r}")
+        for k, term in enumerate(self.source_terms):
+            if not (isinstance(term, tuple) and len(term) == 2 and all(map(callable, term))):
+                raise ConfigurationError(f"source_terms[{k}] must be a pair (of_t, of_x) of callables, got {term!r}")
 
 
 def manufactured_problem(domain_lo: float = 0.0, domain_hi: float = 1.0) -> Problem:
@@ -208,13 +217,16 @@ def _broadcast_return(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     """A problem callable's return as a read-only float array of ``shape``.
     A float64 array of that shape comes back as a read-only view, so an
     array the callable keeps is never written.  A return that is not real
-    numbers (strings, objects, complex values) or does not broadcast to
-    ``shape`` raises ``DimensionError``."""
+    numbers (strings, objects, complex values), is ragged or does not
+    broadcast to ``shape`` raises ``DimensionError``."""
     if type(value) is np.ndarray and value.shape == shape and value.dtype == np.float64:
         view = value.view()
         view.setflags(write=False)
         return view
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except ValueError as error:
+        raise DimensionError(f"{name} returned values that form no array: {error}") from None
     if array.dtype.kind not in "biuf":
         raise DimensionError(f"{name} returned values of dtype {array.dtype}, which are not real numbers")
     try:
@@ -250,8 +262,11 @@ def slab_source_averages(
 
     With ``problem.source_terms``, each term's tensor rule is the product of
     its factors' 1-D rules: of_t on t nodes (3, *levels, 1) times of_x on x
-    nodes (3, n), the terms added in order.  Otherwise ``source`` is
-    evaluated once, on x nodes (3, 1, 1 per level axis, n) and t nodes
+    nodes (3, n), each called once.  The first term's product is the
+    result, and each later one is added into it a row of cells at a time, a
+    float times the x averages, which holds no second full-size product nor
+    a broadcasting ufunc's buffers.  Otherwise ``source`` is evaluated
+    once, on x nodes (3, 1, 1 per level axis, n) and t nodes
     (1, 3, *levels, 1), so the cells are the innermost, contiguous axis;
     each average is the sum of (w_i w_j) f over x node i, then t node j,
     divided by 4.  A return needs only to broadcast to its arguments."""
@@ -265,9 +280,13 @@ def slab_source_averages(
         xs = xc + 0.5 * hx * _GAUSS_NODES[:, None]  # (3, n)
         total = None
         for k, (of_t, of_x) in enumerate(problem.source_terms):
-            term = _gauss_average(_broadcast_return(of_t(ts), ts.shape, f"source_terms[{k}] t factor"))
-            term = term * _gauss_average(_broadcast_return(of_x(xs), xs.shape, f"source_terms[{k}] x factor"))
-            total = term if total is None else np.add(total, term, out=total)
+            in_t = _gauss_average(_broadcast_return(of_t(ts), ts.shape, f"source_terms[{k}] t factor"))
+            in_x = _gauss_average(_broadcast_return(of_x(xs), xs.shape, f"source_terms[{k}] x factor"))
+            if total is None:
+                total = np.multiply(in_t, in_x, order="C")  # C order: its rows below are views, whatever of_t returns
+            else:
+                for row, factor in zip(total.reshape(-1, total.shape[-1]), in_t.ravel().tolist()):
+                    row += factor * in_x
         return total
     xs = (xc + 0.5 * hx * nodes)[:, None]  # (3, 1, 1 per level axis, n)
     ts = ts[None]  # (1, 3, *levels, 1)
@@ -323,11 +342,15 @@ def precompute_window_inputs(
     """Source averages and boundary values of a ``range`` of consecutive
     windows at each side's time levels (``Side.slab``, ``Side.midtime``),
     the only place a problem becomes window data.  Each datum is
-    evaluated in as few runs of them (``_runs``) as keep each call within
-    ``_BLOCK_POINTS`` (9 points a cell and level for a source, 1 a level for
-    a boundary value); each window's ``WindowInputs`` holds views of one
-    array per datum.  One window ``w`` is evaluated exactly as the block of
-    one ``range(w, w + 1)``, and its one ``WindowInputs`` is returned.
+    evaluated in as few runs of them (``_runs``) as keep the values a call
+    makes within ``_BLOCK_POINTS``: 1 a cell and level for a source with
+    ``source_terms`` (the factors' product; the t nodes make 3 a level), so
+    a block of ``_window_blocks`` is one call per factor, 9 for a source
+    without them and 1 a level for a boundary value.  Each window's
+    ``WindowInputs`` holds views of one array per datum: the call's own
+    for one run, else the one the runs are written into.  One window ``w``
+    is evaluated exactly as the block of one ``range(w, w + 1)``, and its
+    one ``WindowInputs`` is returned.
     ``operators`` carries step matrices already factored for ``grid``
     (``march`` passes one set to all its windows), or a fresh set is made."""
     if isinstance(window, range):
@@ -343,18 +366,23 @@ def precompute_window_inputs(
         raise DimensionError("step operators belong to another grid")
 
     def evaluate(shape: tuple[int, ...], points: int, datum: Callable) -> np.ndarray:
+        runs = _runs(range(windows.size), points)
+        if len(runs) == 1:
+            return datum(windows)
         out = np.empty(windows.shape + shape)
-        for run in _runs(range(windows.size), points):
+        for run in runs:
             out[run.start : run.stop] = datum(windows[run.start : run.stop])
         return out
 
     def boundary(name: str, t: np.ndarray) -> np.ndarray:
-        return _broadcast_return(getattr(problem, name)(t), np.shape(t), name)
+        # a copy: the callable may keep the array it returned
+        return np.array(_broadcast_return(getattr(problem, name)(t), np.shape(t), name))
 
     source, exterior = {}, {}
     for side in grid.sides.values():
         levels, n = side.levels, side.widths.size
-        source[side.name] = evaluate((levels, n), 9 * levels * n, lambda w: slab_source_averages(
+        points = levels * max(n, 3) if problem.source_terms else 9 * levels * n
+        source[side.name] = evaluate((levels, n), points, lambda w: slab_source_averages(
             problem, side.faces, *side.slab(w)))
         exterior[side.name] = evaluate((levels,), levels, lambda w: boundary(side.boundary, side.midtime(w)))
     g_lo_coarse = evaluate((1,), 1, lambda w: boundary("g_lo", grid.sides[COARSE].midtime(w)))

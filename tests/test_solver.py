@@ -817,6 +817,38 @@ def test_no_problem_evaluation_exceeds_the_block_budget(monkeypatch, budget):
     for name, size in sizes.items():
         assert size <= max(budget, (9 if name == "source" else 1) * window_points), name
 
+    # with source terms the largest values of a call are the factors'
+    # product, one a cell and level, so a block is one call per factor: of_t
+    # on the K fine t nodes of the block's windows, of_x on the fine x nodes
+    sizes.clear()
+    terms = tuple((counted("of_t", of_t), counted("of_x", of_x)) for of_t, of_x in bump.source_terms)
+    march(grid, VARIANTS[0], SolveMode.converged(), dataclasses.replace(problem, source_terms=terms))
+    assert "source" not in sizes
+    assert (sizes["of_t"], sizes["of_x"]) == (3 * grid.ratio * block, 3 * grid.n_fine)
+    assert block * window_points <= budget and max(sizes["of_t"], sizes["of_x"]) <= budget
+
+
+def test_factor_calls_on_a_one_cell_fine_side_keep_the_block_budget(monkeypatch):
+    # one fine cell and K = 10 levels: 10 values a window, so a budget of 60
+    # gives blocks of 6 windows, whose t nodes (3 a level) would be 180
+    # values in one call; the fine of_t runs take 2 windows (60 values) instead
+    grid = build_composite_grid(GridConfig(0.0, 1.0, 0.5, 1, 5, 0.001, 0.01, 0.12))
+    monkeypatch.setattr(ltsheat.scheme, "_BLOCK_POINTS", 60)
+    shapes = []
+
+    def recorded(f):
+        def evaluate(t):
+            shapes.append(np.shape(t))
+            return f(t)
+        return evaluate
+
+    bump = manufactured_problem()
+    terms = tuple((recorded(of_t), of_x) for of_t, of_x in bump.source_terms)
+    march(grid, VARIANTS[0], SolveMode.single_iteration(), dataclasses.replace(bump, source_terms=terms))
+    fine = [shape for shape in shapes if shape[2] == grid.ratio]
+    assert [shape[1] for shape in fine[::2]] == [2, 2, 2] * 2
+    assert max(map(np.prod, shapes)) <= 60
+
 
 @pytest.mark.parametrize("mode", [SolveMode.single_iteration(), SolveMode.converged(1e-14, 1)], ids=["single", "one"])
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
